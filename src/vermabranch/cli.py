@@ -15,8 +15,7 @@ import logging
 import os
 import sys
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -52,6 +51,8 @@ COMMANDS = ("pairs", "analyze", "census", "branch", "verify", "mf-scan")
 
 DEGREE_CAP = 12
 LEVEL_CAP = 12
+# closed-form law -> smallest n whose pair exists in the catalog
+LAW_MIN_N = {"AA": 1, "BD": 2, "DB": 2}
 
 
 class PreconditionError(ValueError):
@@ -88,13 +89,9 @@ class RunConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(eq=False)
+@dataclass
 class ResultEnvelope:
     payload: dict
-    timing_ms: Optional[float] = field(default=None, compare=False)
-
-    def __eq__(self, other):
-        return isinstance(other, ResultEnvelope) and self.payload == other.payload
 
 
 def serialize_envelope(env: ResultEnvelope, format: str = "json") -> str:
@@ -149,8 +146,11 @@ def _render_text(payload: dict) -> str:
 # parsing helpers
 # ---------------------------------------------------------------------------
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
+def _check_size(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise PreconditionError("%s capped at %d" % (name, cap))
+    if value < 0:
+        raise PreconditionError("%s must be non-negative, got %d" % (name, value))
 
 
 def _resolve_pair(pair_id: str):
@@ -188,7 +188,9 @@ def _resolve_parabolic(pair, descriptor: str):
             params = Weight(Fraction(v) for v in text[2:].split(","))
             h = g.cartan_element(params)
         except (ValueError, ZeroDivisionError) as exc:
-            raise PreconditionError("bad Cartan parameters %r" % descriptor) from exc
+            raise PreconditionError(
+                "bad Cartan parameters %r: %s" % (descriptor, exc)
+            ) from exc
         return parabolic_from_H(g, h)
     try:
         subset = {int(v) for v in text.split(",") if v != ""}
@@ -298,8 +300,7 @@ def _cmd_census(config: RunConfig, payload: dict):
 
 
 def _cmd_branch(config: RunConfig, payload: dict):
-    if config.degree > DEGREE_CAP:
-        raise PreconditionError("degree capped at %d" % DEGREE_CAP)
+    _check_size("degree", config.degree, DEGREE_CAP)
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
     spec = _resolve_lambda(pair, p, config.lam)
@@ -317,7 +318,7 @@ def _cmd_branch(config: RunConfig, payload: dict):
     payload["base_offset"] = (
         None
         if table.base_offset is None
-        else [_fraction_str(c) for c in table.base_offset.coords]
+        else [str(c) for c in table.base_offset.coords]
     )
     payload["assumptions"] = list(table.genericity_assumptions)
     if spec.lam is not None:
@@ -332,24 +333,28 @@ def _cmd_verify(config: RunConfig, payload: dict):
         n = config.n
         if n is None:
             raise PreconditionError("verify --law needs --n")
+        family = config.law.upper()
+        if n < LAW_MIN_N.get(family, n + 1):
+            known = ", ".join("%s with --n >= %d" % kv for kv in LAW_MIN_N.items())
+            raise PreconditionError("verify --law takes %s" % known)
         params = {"n": n}
-        if config.law.upper() == "AA":
+        if family == "AA":
             params["l"] = config.l if config.l is not None else 1
-        if config.degree > DEGREE_CAP:
-            raise PreconditionError("degree capped at %d" % DEGREE_CAP)
+            if not 1 <= params["l"] <= n + 1:
+                raise PreconditionError("law AA needs 1 <= --l <= n+1 = %d" % (n + 1))
+        _check_size("degree", config.degree, DEGREE_CAP)
         pair, spec = law_setting(config.law, params)
         engine = branch_multiplicities(spec, pair, config.degree)
         law = closed_form_law(config.law, params, config.degree)
         ok = engine.as_dict() == law.as_dict() and engine.degrees() == law.degrees()
-        payload["law"] = config.law.upper()
+        payload["law"] = family
         payload["result"] = "identity holds" if ok else "MISMATCH"
         payload["closed"] = ok
         if not ok:
             raise AssertionError("closed-form law disagrees with the engine")
         payload["assumptions"] = list(law.genericity_assumptions)
         return
-    if config.level > LEVEL_CAP:
-        raise PreconditionError("level capped at %d" % LEVEL_CAP)
+    _check_size("level", config.level, LEVEL_CAP)
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
     spec = _resolve_lambda(pair, p, config.lam)
@@ -392,7 +397,6 @@ _DISPATCH = {
 
 def run_command(config: RunConfig):
     """Execute a config; returns (envelope, exit_code)."""
-    started = time.monotonic()
     payload = _base_payload(config)
     try:
         cached = cache_lookup(config)
@@ -410,7 +414,7 @@ def run_command(config: RunConfig):
         payload["result"] = "internal error"
         env = ResultEnvelope(payload=payload)
         return env, 1
-    env = ResultEnvelope(payload=payload, timing_ms=1000 * (time.monotonic() - started))
+    env = ResultEnvelope(payload=payload)
     cache_store(config, env)
     return env, 0
 

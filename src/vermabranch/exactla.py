@@ -57,10 +57,6 @@ def _vec_axpy(dst: SparseVec, c: Fraction, src: SparseVec) -> None:
             dst.pop(k, None)
 
 
-def _vec_scale(vec: SparseVec, c: Fraction) -> SparseVec:
-    return {k: c * v for k, v in vec.items()} if c else {}
-
-
 def _as_sparse(vector) -> SparseVec:
     if isinstance(vector, Mapping):
         return {int(k): _q(v) for k, v in vector.items() if v}
@@ -101,18 +97,6 @@ class MatrixElement:
     @classmethod
     def diagonal(cls, values: Sequence) -> "MatrixElement":
         return cls(len(values), {(i, i): _q(v) for i, v in enumerate(values) if v})
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "MatrixElement":
-        n = len(rows)
-        data = {}
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-            for j, v in enumerate(row):
-                if v:
-                    data[(i, j)] = _q(v)
-        return cls(n, data)
 
     # -- accessors
 

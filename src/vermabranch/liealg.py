@@ -9,6 +9,7 @@ epsilon-coordinates read off the first diagonal entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -137,7 +138,7 @@ class AlgebraRealization:
     bilinear_form: Optional[MatrixElement] = None
     has_center: bool = False
     _datum: Optional["RootDatum"] = field(default=None, repr=False)
-    _cartan_solver: Optional[list] = field(default=None, repr=False)
+    _cartan_columns: Optional[list] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -158,15 +159,13 @@ class AlgebraRealization:
         diag = h.diagonal_entries()
         return Weight(diag[p] for p in self.eps_positions)
 
-    def weight_value(self, w: Weight, h: MatrixElement) -> Fraction:
-        return w.dot(self.eps_params(h))
-
     def cartan_element(self, params: Weight) -> MatrixElement:
         """The Cartan element with prescribed epsilon-parameters."""
-        if self._cartan_solver is None:
-            cols = [self.eps_params(h).coords for h in self.cartan_basis]
-            self._cartan_solver = _solve_factor(cols)
-        coeffs = _solve_apply(self._cartan_solver, tuple(params))
+        if len(params) != self.eps_dim:
+            raise ValueError("expected %d Cartan parameters" % self.eps_dim)
+        if self._cartan_columns is None:
+            self._cartan_columns = [self.eps_params(h).coords for h in self.cartan_basis]
+        coeffs = _solve(self._cartan_columns, tuple(params))
         if coeffs is None:
             raise ValueError("parameters not realizable in the Cartan")
         out = MatrixElement.zero(self.matrix_dim)
@@ -176,18 +175,10 @@ class AlgebraRealization:
         return out
 
 
-def _solve_factor(columns):
-    """Echelon data for solving sum_j x_j * columns[j] = target exactly."""
+def _solve(columns, target):
+    """Exact x with sum_j x_j * columns[j] = target (free unknowns 0), or None."""
     ncols = len(columns)
-    nrows = len(columns[0]) if columns else 0
-    rows = [[col[i] for col in columns] for i in range(nrows)]
-    aug = [row + [Fraction(0)] for row in rows]
-    return [aug, ncols]
-
-
-def _solve_apply(factor, target):
-    aug0, ncols = factor
-    rows = [row[:-1] + [_frac(t)] for row, t in zip(aug0, target)]
+    rows = [[col[i] for col in columns] + [_frac(t)] for i, t in enumerate(target)]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -325,6 +316,37 @@ class RootDatum:
     rho: Weight
     root_spaces: dict
     zero_space: Optional[Subspace] = None
+    _int_roots: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def sign_masks(self, params) -> tuple:
+        """Root-index bitmasks (vanishing, positive, negative) of the roots by
+        their sign on eps-parameters; exact, as the roots (once) and `params`
+        are scaled to integers by positive factors."""
+        if self._int_roots is None:
+            den = math.lcm(*(c.denominator for a in self.roots for c in a.coords))
+            self._int_roots = tuple(
+                tuple((i, int(c * den)) for i, c in enumerate(a.coords) if c)
+                for a in self.roots
+            )
+        den = math.lcm(*(x.denominator for x in params))
+        t = [x.numerator * (den // x.denominator) for x in params]
+        zero = pos = neg = 0
+        bit = 1
+        for row in self._int_roots:
+            v = 0
+            for i, c in row:
+                v += c * t[i]
+            if v > 0:
+                pos |= bit
+            elif v < 0:
+                neg |= bit
+            else:
+                zero |= bit
+            bit <<= 1
+        return zero, pos, neg
+
+    def roots_of_mask(self, mask: int) -> frozenset:
+        return frozenset(a for i, a in enumerate(self.roots) if mask >> i & 1)
 
     def coroot_pairing(self, lam: Weight, alpha: Weight) -> Fraction:
         return 2 * lam.dot(alpha) / alpha.dot(alpha)

@@ -27,8 +27,7 @@ from .liealg import (
     ClassicalType,
     RootDatum,
     Weight,
-    _solve_apply,
-    _solve_factor,
+    _solve,
     build_classical,
     datum_from_decomposition,
 )
@@ -107,7 +106,7 @@ class SymmetricPair:
     factor: Optional[AlgebraRealization] = None
     _restricted_datum: Optional[RootDatum] = field(default=None, repr=False)
     _restrict_matrix: Optional[list] = field(default=None, repr=False)
-    _jtau_solver: Optional[list] = field(default=None, repr=False)
+    _jtau_columns: Optional[list] = field(default=None, repr=False)
     _tau_star_matrix: Optional[list] = field(default=None, repr=False)
     _ambient_restricted_roots: Optional[set] = field(default=None, repr=False)
 
@@ -137,10 +136,9 @@ class SymmetricPair:
 
     def jtau_params(self, h: MatrixElement) -> tuple:
         """Coordinates of a j^tau element in the probe parametrization."""
-        if self._jtau_solver is None:
-            cols = [p.diagonal_entries() for p in self.j_tau_probes]
-            self._jtau_solver = _solve_factor(cols)
-        sol = _solve_apply(self._jtau_solver, h.diagonal_entries())
+        if self._jtau_columns is None:
+            self._jtau_columns = [p.diagonal_entries() for p in self.j_tau_probes]
+        sol = _solve(self._jtau_columns, h.diagonal_entries())
         if sol is None:
             raise ValueError("element is not in the span of the j^tau probes")
         return tuple(sol)
@@ -173,18 +171,24 @@ class SymmetricPair:
         return self._ambient_restricted_roots
 
 
-def tau_split(pair: SymmetricPair, space: Subspace) -> TauSplit:
-    """(V cap g^tau, V cap g^{-tau}, pr_tau(V)) for a subspace V of g."""
-    plus = space.intersect(pair.fixed)
-    minus = space.intersect(pair.minus)
+def tau_projection(pair: SymmetricPair, space: Subspace) -> Subspace:
+    """pr_tau(V) = {(Z + tau Z)/2 : Z in V} for a subspace V of g."""
     half = Fraction(1, 2)
     projected = [
         (b + pair.tau(b)).scale(half) for b in space.matrices()
     ]
-    pr = span_of_matrices(
+    return span_of_matrices(
         [m for m in projected if not m.is_zero()], pair.g.matrix_dim
     )
-    return TauSplit(plus=plus, minus=minus, pr=pr)
+
+
+def tau_split(pair: SymmetricPair, space: Subspace) -> TauSplit:
+    """(V cap g^tau, V cap g^{-tau}, pr_tau(V)) for a subspace V of g."""
+    return TauSplit(
+        plus=space.intersect(pair.fixed),
+        minus=space.intersect(pair.minus),
+        pr=tau_projection(pair, space),
+    )
 
 
 def restricted_root_data(pair: SymmetricPair) -> RootDatum:

@@ -25,12 +25,12 @@ from .liealg import (
     RootDatum,
     Weight,
     WeylElement,
-    _solve_apply,
-    _solve_factor,
+    _solve,
+    reflection_element,
     root_datum,
     weyl_group,
 )
-from .pairs import SymmetricPair, restricted_root_data, tau_split
+from .pairs import SymmetricPair, restricted_root_data, tau_projection
 
 
 class IncompatibleRestrictionError(ValueError):
@@ -111,9 +111,6 @@ class ParabolicData:
             bracket(a, b).is_zero() for a in mats for b in mats
         )
 
-    def is_scalar_type(self, lam: Weight) -> bool:
-        return all(self.datum.coroot_pairing(lam, a) == 0 for a in self.levi_roots)
-
     def __eq__(self, other):
         return (
             isinstance(other, ParabolicData)
@@ -132,16 +129,8 @@ class ParabolicData:
 
 
 def _pattern_from_params(datum: RootDatum, params) -> tuple:
-    levi, nilrad, neg = [], [], []
-    for a in datum.roots:
-        v = sum((c * t for c, t in zip(a.coords, params)), Fraction(0))
-        if v > 0:
-            nilrad.append(a)
-        elif v < 0:
-            neg.append(a)
-        else:
-            levi.append(a)
-    return frozenset(levi), frozenset(nilrad), frozenset(neg)
+    """(levi, nilradical, negative) root sets of the parabolic of `params`."""
+    return tuple(datum.roots_of_mask(m) for m in datum.sign_masks(params))
 
 
 def parabolic_from_H(g: AlgebraRealization, h: MatrixElement) -> ParabolicData:
@@ -174,7 +163,7 @@ def parabolic_from_simple_subset(g: AlgebraRealization, subset) -> ParabolicData
         Fraction(0) if i in subset else Fraction(1)
         for i in range(len(datum.simple_roots))
     )
-    coeffs = _solve_apply(_solve_factor(columns), target)
+    coeffs = _solve(columns, target)
     if coeffs is None:
         raise AssertionError("coweight system has no solution")
     h = MatrixElement.zero(g.matrix_dim)
@@ -204,10 +193,6 @@ class ClosednessReport:
     p_tau: Optional[Subspace] = None
     gk_dim: Optional[int] = None
 
-    @property
-    def p_tau_levi(self):
-        return (self.l_tau, self.pr_u)
-
 
 def compatibility_report(p: ParabolicData, pair: SymmetricPair) -> CompatibilityReport:
     """tau-stability of p, equivalent to g^tau-compatibility for symmetric tau."""
@@ -228,20 +213,20 @@ def closedness_report(p: ParabolicData, pair: SymmetricPair) -> ClosednessReport
     """Closedness of the symmetric-subgroup orbit through p, via pr_tau(u)."""
     if p.g is not pair.g:
         raise ValueError("parabolic and pair live on different realizations")
-    split = tau_split(pair, p.u_plus)
-    nil = nilpotent_subalgebra_test(split.pr, pair.g.algebra)
+    pr = tau_projection(pair, p.u_plus)
+    nil = nilpotent_subalgebra_test(pr, pair.g.algebra)
     closed = nil.bracket_closed and nil.nilpotent
     if not closed:
-        return ClosednessReport(closed=False, pr_u=split.pr, nil_report=nil)
+        return ClosednessReport(closed=False, pr_u=pr, nil_report=nil)
     l_tau = p.l.intersect(pair.fixed)
     p_tau = p.space.intersect(pair.fixed)
-    if p_tau.dim != l_tau.dim + split.pr.dim:
+    if p_tau.dim != l_tau.dim + pr.dim:
         raise AssertionError("Levi decomposition of p^tau failed the dimension check")
-    if p_tau != l_tau.sum(split.pr):
+    if p_tau != l_tau.sum(pr):
         raise AssertionError("p^tau is not spanned by l^tau and pr_tau(u)")
     gk = pair.fixed.dim - p_tau.dim
     return ClosednessReport(
-        closed=True, pr_u=split.pr, nil_report=nil, l_tau=l_tau, p_tau=p_tau, gk_dim=gk
+        closed=True, pr_u=pr, nil_report=nil, l_tau=l_tau, p_tau=p_tau, gk_dim=gk
     )
 
 
@@ -258,8 +243,7 @@ def condition_iii_spot_check(
     """
     from .exactla import ad_operator_columns, nilpotent_operator_chain
 
-    split = tau_split(pair, p.u_plus)
-    mats = split.pr.matrices()
+    mats = tau_projection(pair, p.u_plus).matrices()
     if not mats:
         return True
     basis_columns = [ad_operator_columns(z, pair.g.algebra) for z in mats]
@@ -319,6 +303,24 @@ class OrbitCensusReport:
     representatives: list  # (descriptor, ParabolicData, gk_dim)
 
 
+def _union_find(items):
+    """(find, union) on a partition of `items`, starting from singletons."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    return find, union
+
+
 def enumerate_weyl_translates(pair: SymmetricPair, subset):
     """Distinct parabolics containing j of the given standard type.
 
@@ -326,54 +328,61 @@ def enumerate_weyl_translates(pair: SymmetricPair, subset):
     """
     g = pair.g
     datum = root_datum(g)
-    wgroup = weyl_group(datum)
     p0 = parabolic_from_simple_subset(g, subset)
     t0 = g.eps_params(p0.H).coords
+    seen = {}  # (levi mask, nilradical mask) -> [first params, negative mask, params]
+    for w in weyl_group(datum):
+        t = w.apply_params(t0)
+        levi, nilrad, neg = datum.sign_masks(t)
+        seen.setdefault((levi, nilrad), [t, neg, set()])[2].add(t)
     by_pattern = {}
     params_of = {}
-    for w in wgroup:
-        t = w.apply_params(t0)
-        levi, nilrad, neg = _pattern_from_params(datum, t)
-        key = (levi, nilrad)
-        if key not in by_pattern:
-            by_pattern[key] = ParabolicData(
-                g=g,
-                H=g.cartan_element(Weight(t)),
-                levi_roots=levi,
-                nilradical_roots=nilrad,
-                negative_roots=neg,
-            )
-        params_of.setdefault(key, set()).add(t)
+    for (levi, nilrad), (t, neg, ts) in seen.items():
+        key = (datum.roots_of_mask(levi), datum.roots_of_mask(nilrad))
+        by_pattern[key] = ParabolicData(
+            g=g,
+            H=g.cartan_element(Weight(t)),
+            levi_roots=key[0],
+            nilradical_roots=key[1],
+            negative_roots=datum.roots_of_mask(neg),
+        )
+        params_of[key] = ts
     return by_pattern, params_of
 
 
 def _census_generators(pair: SymmetricPair):
-    """Census group generators as linear maps on ambient Cartan parameters.
+    """Census group generators as exact linear maps on ambient eps-parameters.
 
-    Each Weyl generator of W(g^tau, j^tau) is extended by the identity on
-    j^{-tau}; the extension acts on a parameter vector t through the tau
-    split of the corresponding Cartan element.
+    A Weyl generator sigma of W(g^tau, j^tau), extended by the identity on
+    j^{-tau}, maps h_+ + h_- to sigma(h_+) + h_-.  Its matrix composes the
+    images of the Cartan basis with a left inverse of the basis' parameters;
+    it is exact on their span, which holds every parameter vector of g (for
+    sl, the trace-zero hyperplane).
     """
+    g = pair.g
     rdatum = restricted_root_data(pair)
-    gens = []
-    from .liealg import reflection_element
-
-    for a in rdatum.simple_roots:
-        gens.append(reflection_element(rdatum, a))
-    half = Fraction(1, 2)
+    # left[k] . eps_params(cartan_basis[j]) == (k == j)
+    coordinates = list(zip(*(g.eps_params(h).coords for h in g.cartan_basis)))
+    left = [_solve(coordinates, [int(j == k) for j in range(g.rank)]) for k in range(g.rank)]
 
     def make_action(sigma: WeylElement):
+        images = []
+        for h in g.cartan_basis:
+            hp = (h + pair.tau(h)).scale(Fraction(1, 2))
+            h2 = pair.jtau_element(sigma.apply_params(pair.jtau_params(hp))) + (h - hp)
+            images.append(g.eps_params(h2).coords)
+        matrix = [
+            [(c, m) for c in range(g.eps_dim)
+             if (m := sum(im[i] * lk[c] for im, lk in zip(images, left)))]
+            for i in range(g.eps_dim)
+        ]
+
         def act(t):
-            h = pair.g.cartan_element(Weight(t))
-            hp = (h + pair.tau(h)).scale(half)
-            hm = h - hp
-            s = pair.jtau_params(hp)
-            h2 = pair.jtau_element(sigma.apply_params(s)) + hm
-            return pair.g.eps_params(h2).coords
+            return tuple(sum((m * t[c] for c, m in row), Fraction(0)) for row in matrix)
 
         return act
 
-    return [make_action(s) for s in gens]
+    return [make_action(reflection_element(rdatum, a)) for a in rdatum.simple_roots]
 
 
 def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
@@ -389,28 +398,17 @@ def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
         if rep.closed:
             reports[key] = rep
 
-    parent = {key: key for key in reports}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    find, union = _union_find(reports)
     datum = root_datum(pair.g)
+    closed_by_masks = {
+        datum.sign_masks(next(iter(params_of[key])))[:2]: key for key in reports
+    }
     actions = _census_generators(pair)
     for key in reports:
         for t in params_of[key]:
             for act in actions:
-                t2 = act(t)
-                levi, nilrad, _ = _pattern_from_params(datum, t2)
-                key2 = (levi, nilrad)
-                if key2 in reports:
+                key2 = closed_by_masks.get(datum.sign_masks(act(t))[:2])
+                if key2 is not None:
                     union(key, key2)
 
     classes = {}
@@ -443,19 +441,7 @@ def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
 def double_coset_count(elements, left_gens, right_gens) -> int:
     """|L \\ W / R| by orbit partitioning under generator multiplication."""
     index = {w: w for w in elements}
-    parent = {w: w for w in elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    find, union = _union_find(elements)
     for w in elements:
         for s in left_gens:
             union(w, index[s.compose(w)])
@@ -466,7 +452,5 @@ def double_coset_count(elements, left_gens, right_gens) -> int:
 
 def levi_weyl_generators(p: ParabolicData):
     """Reflections in the simple roots of the Levi factor."""
-    from .liealg import reflection_element
-
     levi = p.levi_datum()
     return [reflection_element(levi, a) for a in levi.simple_roots]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vermabranch.cli import (
     ENGINE_VERSION,
     ResultEnvelope,
@@ -118,6 +120,28 @@ def test_bad_lambda_exits_two():
         ["branch", "--pair", "so_down_so:m=4", "--parabolic", "borel", "--lambda", "1,2,3"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "branch --pair sl_s_glgl:p=2,q=2 --parabolic borel --degree -1",
+        "verify --law AA --n 2 --degree -2",
+        "verify --pair sp_down_gl:n=2 --parabolic siegel --level -3",
+        "verify --law AA --n 0",
+        "verify --law AA --n 2 --l 7",
+        "verify --law BD --n 0",
+        "verify --law DB --n 0",
+        "analyze --pair sl_s_glgl:p=2,q=2 --parabolic H=1,0",
+        "analyze --pair sl_s_glgl:p=2,q=2 --parabolic H=1,0,0,-1,5",
+        "analyze --pair so_down_so:m=4 --parabolic H=1",
+    ],
+)
+def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
+    code = main(argv.split() + ["--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["result"] == "precondition violation"
 
 
 def test_degree_cap_exits_two():

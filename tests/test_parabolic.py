@@ -19,10 +19,12 @@ from vermabranch import (
     tensor_closedness,
     weyl_group,
 )
-from vermabranch.liealg import root_datum
+from vermabranch.liealg import reflection_element, root_datum
+from vermabranch.pairs import catalog_pairs
 from vermabranch.parabolic import (
     enumerate_weyl_translates,
     levi_weyl_generators,
+    _census_generators,
     _pattern_from_params,
 )
 
@@ -364,3 +366,65 @@ def test_census_representative_descriptors_are_deterministic(pairs):
     assert [(d, gk) for d, _, gk in one.representatives] == [
         (d, gk) for d, _, gk in two.representatives
     ]
+
+
+# ---------------------------------------------------------------------------
+# fast paths against their reference implementations
+# ---------------------------------------------------------------------------
+
+def _fraction_pattern(datum, params):
+    """Reference root classification: one Fraction dot product per root."""
+    levi, nilrad, neg = [], [], []
+    for a in datum.roots:
+        v = sum((c * t for c, t in zip(a.coords, params)), Fraction(0))
+        if v > 0:
+            nilrad.append(a)
+        elif v < 0:
+            neg.append(a)
+        else:
+            levi.append(a)
+    return frozenset(levi), frozenset(nilrad), frozenset(neg)
+
+
+def _matrix_path_actions(pair):
+    """Reference census action: realize t as a Cartan element h, move the
+    tau-fixed part h_+ by the restricted Weyl generator, keep h_-, and read
+    the eps-parameters back."""
+    rdatum = restricted_root_data(pair)
+    half = Fraction(1, 2)
+
+    def make_action(sigma):
+        def act(t):
+            h = pair.g.cartan_element(Weight(t))
+            hp = (h + pair.tau(h)).scale(half)
+            h2 = pair.jtau_element(sigma.apply_params(pair.jtau_params(hp))) + (h - hp)
+            return pair.g.eps_params(h2).coords
+
+        return act
+
+    return [make_action(reflection_element(rdatum, a)) for a in rdatum.simple_roots]
+
+
+# the rank <= 3 catalog includes so_down_so:m=5, whose subset {1} is the
+# outer-involution case where closed and tau-stable translates differ
+@pytest.mark.parametrize("spec", catalog_pairs(3), ids=str)
+def test_integer_kernel_and_census_matrix_match_oracles(pairs, spec):
+    pair = pairs(spec.kind, **dict(spec.params))
+    datum = root_datum(pair.g)
+    actions = _census_generators(pair)
+    oracles = _matrix_path_actions(pair)
+    nsimple = len(datum.simple_roots)
+    for r in range(nsimple + 1):
+        for subset in itertools.combinations(range(nsimple), r):
+            by_pattern, params_of = enumerate_weyl_translates(pair, set(subset))
+            for key, ts in params_of.items():
+                for t in ts:
+                    levi, nilrad, neg = _fraction_pattern(datum, t)
+                    assert (levi, nilrad) == key
+                    assert neg == by_pattern[key].negative_roots
+                    for act, oracle in zip(actions, oracles):
+                        moved = oracle(t)
+                        assert act(t) == moved
+                        assert _pattern_from_params(datum, moved) == _fraction_pattern(
+                            datum, moved
+                        )
