@@ -19,11 +19,12 @@ from typing import Iterable, Optional
 
 from .exactla import weight_decomposition
 from .liealg import (
+    RankCapError,
     RootDatum,
     Weight,
     freudenthal_character,
     regular_order_key,
-    weyl_group,
+    scaled_coords,
 )
 from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data, tau_split
 from .parabolic import (
@@ -190,35 +191,41 @@ def restrict_finite_module(
 
 
 def decompose_character(char, datum: RootDatum):
-    """Greedy peel of a semisimple module character into highest weights.
+    """Peel a semisimple module character into highest weights.
 
-    Repeatedly selects the maximal remaining weight for the fixed regular
-    order, asserts dominance, and subtracts the Freudenthal character.  A
-    non-dominant maximum or a negative residual multiplicity signals an
-    engine bug or an invalid input and raises.
+    One sweep down the support, sorted once by the order of
+    `regular_order_key` read on integer tuples (common denominator of the
+    weights and the datum cleared).  The other weights of V_mu lie strictly
+    below mu, so a residual is final when the sweep reaches it; a nonzero
+    one is a multiplicity, and that module's character is subtracted (each
+    weight is reached once, so no character is needed twice).  A
+    negative residual, one on a weight that is not dominant integral, or one
+    left off the support signals an engine bug or an invalid input.
     """
-    work = dict(_as_multiset(char))
-    cache = {}
+    ms = _as_multiset(char)
+    scale = math.lcm(datum.int_table().scale, *(c.denominator for w in ms for c in w))
+    weight_of = {scaled_coords(w.coords, scale): w for w in ms}
+    work = {t: ms[w] for t, w in weight_of.items()}
     out = []
-    while work:
-        mu = max(work, key=regular_order_key)
-        mult = work[mu]
+    for top in sorted(weight_of, key=regular_order_key, reverse=True):
+        mult = work.get(top, 0)
+        if not mult:
+            continue
+        mu = weight_of[top]
         if mult < 0:
             raise ValueError("negative residual multiplicity at %r" % (mu,))
         if not datum.is_dominant_integral(mu):
-            raise ValueError(
-                "maximal weight %r is not dominant integral for the Levi" % (mu,)
-            )
-        if mu not in cache:
-            cache[mu] = freudenthal_character(datum, mu)
-        for w, m in cache[mu].items():
-            c = work.get(w, 0) - mult * m
+            raise ValueError("residual at %r, which is not dominant integral" % (mu,))
+        for w, m in freudenthal_character(datum, mu).items():
+            t = scaled_coords(w.coords, scale)
+            c = work.get(t, 0) - mult * m
             if c:
-                work[w] = c
+                work[t] = c
             else:
-                work.pop(w, None)
+                del work[t]
         out.append((mu, mult))
-    out.sort(key=lambda t: regular_order_key(t[0]), reverse=True)
+    if work:
+        raise ValueError("residual left off the swept support at %d weights" % len(work))
     return out
 
 
@@ -685,20 +692,16 @@ def genericity_check(
             raise ValueError("distinct_infchar needs the pair and a numeric lambda")
         rdatum = restricted_root_data(pair)
         base = pair.restrict_weight(spec.lam)
-        shifted = [
-            Weight(e.delta_displacement) + base + rdatum.rho for e in table.entries
+        # two weights share a Weyl orbit iff their dominant conjugates agree
+        dominant = [
+            rdatum.dominant_representative(Weight(e.delta_displacement) + base + rdatum.rho)
+            for e in table.entries
         ]
-        wgroup = weyl_group(rdatum)
-        orbits = [frozenset(w.apply(x) for w in wgroup) for x in shifted]
-        distinct = True
-        for i in range(len(orbits)):
-            for j in range(i + 1, len(orbits)):
-                if orbits[i] & orbits[j]:
-                    distinct = False
-                    break
-            if not distinct:
-                break
+        distinct = len(set(dominant)) == len(dominant)
     return GenericityReport(simple_certified=simple, distinct_infchar=distinct)
+
+
+MF_SCAN_RANK_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -717,8 +720,8 @@ def mf_scan(rank_bound: int, include_failing: bool = False):
     Only pairs with simple ambient algebra participate; the gl-over-gl
     family is measured in its trace-projected sl incarnation.
     """
-    if rank_bound > 6:
-        raise ValueError("rank bound capped at 6")
+    if rank_bound > MF_SCAN_RANK_CAP:
+        raise RankCapError("rank bound capped at %d" % MF_SCAN_RANK_CAP)
     rows = []
     seen = set()
     for spec in catalog_pairs(rank_bound, simple_only=True):

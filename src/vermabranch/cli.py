@@ -9,6 +9,8 @@ produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
+import glob
 import hashlib
 import json
 import logging
@@ -85,8 +87,19 @@ class RunConfig:
         return ";".join(items)
 
     def cache_key(self) -> str:
-        text = "%s|%s|%s" % (SCHEMA_VERSION, ENGINE_VERSION, self.canonical_encoding())
+        text = "%s|%s|%s" % (SCHEMA_VERSION, engine_digest(), self.canonical_encoding())
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def engine_digest() -> str:
+    """sha256 of the package's *.py sources (names and bytes), once per process:
+    any engine change moves every cache key."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
+        with open(path, "rb") as fh:
+            h.update(os.path.basename(path).encode("utf-8") + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
 
 
 @dataclass
@@ -366,8 +379,6 @@ def _cmd_verify(config: RunConfig, payload: dict):
 
 
 def _cmd_mf_scan(config: RunConfig, payload: dict):
-    if config.rank_bound > 6:
-        raise PreconditionError("rank bound capped at 6")
     rows = mf_scan(config.rank_bound, include_failing=True)
     payload["scan"] = [
         {

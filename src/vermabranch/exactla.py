@@ -95,22 +95,22 @@ class MatrixElement:
         return cls(dim, {(i, j): 1})
 
     @classmethod
+    def combination(cls, dim: int, coeffs, mats) -> "MatrixElement":
+        """sum_i coeffs[i] * mats[i], exactly."""
+        data = {}
+        for c, m in zip(coeffs, mats):
+            for k, v in m._data.items():
+                data[k] = data.get(k, 0) + c * v
+        return cls(dim, data)
+
+    @classmethod
     def diagonal(cls, values: Sequence) -> "MatrixElement":
         return cls(len(values), {(i, i): _q(v) for i, v in enumerate(values) if v})
 
     # -- accessors
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return _frac(self._data.get((i, j), 0))
-
     def items(self):
         return self._data.items()
-
-    def rows(self):
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for (i, j), v in self._data.items():
-            out[i][j] = v
-        return out
 
     def is_zero(self) -> bool:
         return not self._data
@@ -123,9 +123,6 @@ class MatrixElement:
 
     def transpose(self) -> "MatrixElement":
         return MatrixElement(self.dim, {(j, i): v for (i, j), v in self._data.items()})
-
-    def trace(self) -> Fraction:
-        return _frac(sum(v for (i, j), v in self._data.items() if i == j))
 
     # -- arithmetic
 
@@ -382,19 +379,13 @@ def span_of_matrices(mats: Iterable[MatrixElement], dim=None) -> Subspace:
 # kernels of small linear maps
 # ---------------------------------------------------------------------------
 
-def _kernel_of_columns(columns, ncols: int):
-    """Coefficient vectors kappa with sum_i kappa_i * columns[i] = 0."""
-    support = sorted(set().union(*[set(c) for c in columns])) if columns else []
-    rows = [[col.get(idx, 0) for col in columns] for idx in support]
-    # dense RREF over the small ncols-wide system
+def _gauss_jordan(rows, ncols: int) -> list:
+    """Dense Gauss-Jordan elimination on the first `ncols` columns, in place;
+    returns the pivot columns (row i has its leading 1 in column pivots[i])."""
     pivots = []
-    r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
@@ -405,15 +396,21 @@ def _kernel_of_columns(columns, ncols: int):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    return pivots
+
+
+def _kernel_of_columns(columns, ncols: int):
+    """Coefficient vectors kappa with sum_i kappa_i * columns[i] = 0."""
+    rows = [[col.get(idx, 0) for col in columns] for idx in sorted(set().union(*columns))]
+    pivots = _gauss_jordan(rows, ncols)
     kernel = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
-        kernel.append(tuple(vec))
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [0] * ncols
+            vec[fc] = 1
+            for ri, pc in enumerate(pivots):
+                vec[pc] = -rows[ri][fc]
+            kernel.append(tuple(vec))
     return kernel
 
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from operator import add, mul, sub
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exactla import (
     MatrixElement,
     Subspace,
     _frac,
-    _inv,
+    _gauss_jordan,
+    _kernel_of_columns,
     bracket,
     span_of_matrices,
     weight_decomposition,
@@ -71,11 +73,8 @@ class Weight:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
     def int_coords(self):
-        if not self.is_integral():
+        if any(c.denominator != 1 for c in self.coords):
             raise ValueError("weight is not integral: %r" % (self,))
         return tuple(int(c) for c in self.coords)
 
@@ -135,7 +134,6 @@ class AlgebraRealization:
     cartan_basis: list
     eps_probes: list
     eps_positions: list
-    bilinear_form: Optional[MatrixElement] = None
     has_center: bool = False
     _datum: Optional["RootDatum"] = field(default=None, repr=False)
     _cartan_columns: Optional[list] = field(default=None, repr=False)
@@ -168,36 +166,16 @@ class AlgebraRealization:
         coeffs = _solve(self._cartan_columns, tuple(params))
         if coeffs is None:
             raise ValueError("parameters not realizable in the Cartan")
-        out = MatrixElement.zero(self.matrix_dim)
-        for c, h in zip(coeffs, self.cartan_basis):
-            if c:
-                out = out + h.scale(c)
-        return out
+        return MatrixElement.combination(self.matrix_dim, coeffs, self.cartan_basis)
 
 
 def _solve(columns, target):
     """Exact x with sum_j x_j * columns[j] = target (free unknowns 0), or None."""
-    ncols = len(columns)
     rows = [[col[i] for col in columns] + [_frac(t)] for i, t in enumerate(target)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = _inv(rows[r][c])
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1]:
-            return None
-    sol = [Fraction(0)] * ncols
+    pivots = _gauss_jordan(rows, len(columns))
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * len(columns)
     for ri, pc in enumerate(pivots):
         sol[pc] = rows[ri][-1]
     return sol
@@ -218,8 +196,6 @@ def _symplectic_form(n: int) -> MatrixElement:
 def _form_algebra(m: int, g: MatrixElement) -> Subspace:
     """{X : X^T G + G X = 0} computed as an exact kernel."""
     units = [(i, j) for i in range(m) for j in range(m)]
-    from .exactla import _kernel_of_columns
-
     images = []
     for (i, j) in units:
         e = MatrixElement.unit(m, i, j)
@@ -292,7 +268,6 @@ def build_classical(ctype: ClassicalType, with_center: bool = False) -> AlgebraR
         cartan_basis=cartan,
         eps_probes=list(cartan),
         eps_positions=list(range(n)),
-        bilinear_form=form,
     )
 
 
@@ -300,11 +275,32 @@ def build_classical(ctype: ClassicalType, with_center: bool = False) -> AlgebraR
 # Root data
 # ---------------------------------------------------------------------------
 
-def regular_order_key(w: Weight):
-    """Sort key for the fixed regular functional (decreasing eps-weights)."""
-    n = len(w.coords)
-    value = sum((Fraction(n - i) * c for i, c in enumerate(w.coords)), Fraction(0))
-    return (value, w.coords)
+def regular_order_key(w):
+    """Sort key for the fixed regular functional (decreasing eps-weights) of
+    a `Weight` or of a tuple of exact scalars (say, scaled integers)."""
+    coords = tuple(w)
+    n = len(coords)
+    return (sum((n - i) * c for i, c in enumerate(coords)), coords)
+
+
+def scaled_coords(coords, scale: int) -> tuple:
+    """The integer tuple scale * coords; `scale` must clear every denominator."""
+    return tuple(c.numerator * (scale // c.denominator) for c in coords)
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+class IntRootTable(NamedTuple):
+    """A datum's roots (sparse (index, value) rows in `RootDatum.roots`
+    order), simple and positive roots and rho, times one common `scale`."""
+
+    scale: int
+    root_rows: tuple
+    simple: tuple
+    positive: tuple
+    rho: tuple
 
 
 @dataclass
@@ -316,23 +312,29 @@ class RootDatum:
     rho: Weight
     root_spaces: dict
     zero_space: Optional[Subspace] = None
-    _int_roots: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _int_table: Optional[IntRootTable] = field(default=None, repr=False, compare=False)
+
+    def int_table(self) -> IntRootTable:
+        if self._int_table is None:
+            scale = math.lcm(*(c.denominator for a in self.roots + (self.rho,) for c in a))
+            ints = [scaled_coords(a.coords, scale) for a in self.roots]
+            self._int_table = IntRootTable(
+                scale=scale,
+                root_rows=tuple(tuple((i, c) for i, c in enumerate(a) if c) for a in ints),
+                simple=tuple(scaled_coords(a.coords, scale) for a in self.simple_roots),
+                positive=tuple(scaled_coords(a.coords, scale) for a in self.positive_roots),
+                rho=scaled_coords(self.rho.coords, scale),
+            )
+        return self._int_table
 
     def sign_masks(self, params) -> tuple:
         """Root-index bitmasks (vanishing, positive, negative) of the roots by
         their sign on eps-parameters; exact, as the roots (once) and `params`
         are scaled to integers by positive factors."""
-        if self._int_roots is None:
-            den = math.lcm(*(c.denominator for a in self.roots for c in a.coords))
-            self._int_roots = tuple(
-                tuple((i, int(c * den)) for i, c in enumerate(a.coords) if c)
-                for a in self.roots
-            )
-        den = math.lcm(*(x.denominator for x in params))
-        t = [x.numerator * (den // x.denominator) for x in params]
+        t = scaled_coords(params, math.lcm(*(x.denominator for x in params)))
         zero = pos = neg = 0
         bit = 1
-        for row in self._int_roots:
+        for row in self.int_table().root_rows:
             v = 0
             for i, c in row:
                 v += c * t[i]
@@ -354,9 +356,6 @@ class RootDatum:
     def reflect(self, w: Weight, alpha: Weight) -> Weight:
         return w - alpha.scale(self.coroot_pairing(w, alpha))
 
-    def is_dominant(self, lam: Weight) -> bool:
-        return all(self.coroot_pairing(lam, a) >= 0 for a in self.simple_roots)
-
     def is_dominant_integral(self, lam: Weight) -> bool:
         return all(
             (p := self.coroot_pairing(lam, a)) >= 0 and p.denominator == 1
@@ -364,13 +363,13 @@ class RootDatum:
         )
 
     def dominant_representative(self, w: Weight) -> Weight:
-        while True:
-            for a in self.simple_roots:
-                if self.coroot_pairing(w, a) < 0:
-                    w = self.reflect(w, a)
-                    break
-            else:
-                return w
+        # the table holds t * alpha, so w is scaled by t times its common
+        # denominator d and each reflection quotient is <d * w, alpha^vee>
+        t = self.int_table()
+        scale = t.scale * math.lcm(*(c.denominator for c in w.coords))
+        norms = [_dot(a, a) for a in t.simple]
+        top = _int_dominant(scaled_coords(w.coords, scale), t.simple, norms)
+        return Weight(Fraction(c, scale) for c in top)
 
     def sub_datum(self, roots: Iterable[Weight]) -> "RootDatum":
         """Datum of a root subsystem (e.g. a Levi factor), same coordinates."""
@@ -407,10 +406,7 @@ def _indecomposables(positive: Sequence[Weight]) -> tuple:
 
 
 def _half_sum(positive: Sequence[Weight], eps_dim: int) -> Weight:
-    total = Weight.zero(eps_dim)
-    for a in positive:
-        total = total + a
-    return total.scale(Fraction(1, 2))
+    return Weight(sum((a[i] for a in positive), Fraction(0)) / 2 for i in range(eps_dim))
 
 
 def datum_from_decomposition(eps_dim: int, parts) -> RootDatum:
@@ -426,10 +422,9 @@ def datum_from_decomposition(eps_dim: int, parts) -> RootDatum:
             raise ValueError("root space of dimension %d at %r" % (space.dim, w))
         root_spaces[w] = space
     roots = tuple(sorted(root_spaces, key=regular_order_key, reverse=True))
-    zero_key = regular_order_key(Weight.zero(eps_dim))[0]
-    if any(regular_order_key(r)[0] == zero_key for r in roots):
+    if any(regular_order_key(r)[0] == 0 for r in roots):
         raise ValueError("a root vanishes on the fixed regular element")
-    positive = tuple(r for r in roots if regular_order_key(r)[0] > zero_key)
+    positive = tuple(r for r in roots if regular_order_key(r)[0] > 0)
     if len(positive) * 2 != len(roots):
         raise ValueError("regular functional failed to split the roots")
     simple = _indecomposables(positive)
@@ -460,61 +455,78 @@ def root_datum(g: AlgebraRealization) -> RootDatum:
 # Freudenthal weight multiplicities
 # ---------------------------------------------------------------------------
 
+def _int_dominant(w: tuple, simple, norms) -> tuple:
+    """Dominant Weyl conjugate of an integer tuple by simple reflections (which
+    any integer multiples of the roots give alike); each quotient must be exact."""
+    while True:
+        for a, aa in zip(simple, norms):
+            p = _dot(w, a)
+            if p < 0:
+                q, r = divmod(2 * p, aa)
+                if r:
+                    raise AssertionError("non-integral coroot pairing in a reflection")
+                w = tuple(x - q * y for x, y in zip(w, a))
+                break
+        else:
+            return w
+
+
 def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
     """Full weight multiset of the simple module with highest weight lam.
 
     Standard Freudenthal recursion, processed level by level in the simple
     root lattice; non-dominant weights are filled in from their dominant
-    Weyl representative.
+    Weyl representative.  The recursion runs on integer tuples: lam, rho and
+    the roots times the lcm of their denominators, which scales every inner
+    product by the same square and leaves the Freudenthal quotients as they
+    are.
     """
     if not datum.is_dominant_integral(lam):
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
-    rho = datum.rho
-    lam_rho_sq = (lam + rho).dot(lam + rho)
-    mult = {lam: 1}
-    level = {lam}
+    t = datum.int_table()
+    scale = math.lcm(t.scale, *(c.denominator for c in lam.coords))
+    f = scale // t.scale
+    simple = [tuple(f * c for c in a) for a in t.simple]
+    norms = [_dot(a, a) for a in simple]
+    roots = [(a, _dot(a, a)) for a in (tuple(f * c for c in a) for a in t.positive)]
+    rho = tuple(f * c for c in t.rho)
+    top = scaled_coords(lam.coords, scale)
+    top_rho = tuple(map(add, top, rho))
+    top_rho_sq = _dot(top_rho, top_rho)
+    mult = {top: 1}
+    level = [top]
     while level:
-        candidates = set()
-        for mu in level:
-            for a in datum.simple_roots:
-                candidates.add(mu - a)
-        dominant = [mu for mu in candidates if datum.is_dominant(mu)]
-        rest = [mu for mu in candidates if not datum.is_dominant(mu)]
-        nxt = set()
-        for mu in dominant:
-            m = _freudenthal_mult(datum, lam, mu, mult, lam_rho_sq)
+        nxt = []
+        for mu in {tuple(map(sub, nu, a)) for nu in level for a in simple}:
+            if all(_dot(mu, a) >= 0 for a in simple):
+                m = _freudenthal_mult(mu, mult, roots, rho, top_rho_sq)
+            else:
+                m = mult.get(_int_dominant(mu, simple, norms), 0)
             if m:
                 mult[mu] = m
-                nxt.add(mu)
-        for mu in rest:
-            m = mult.get(datum.dominant_representative(mu), 0)
-            if m:
-                mult[mu] = m
-                nxt.add(mu)
+                nxt.append(mu)
         level = nxt
-    return mult
+    values = {c: Fraction(c, scale) for mu in mult for c in mu}
+    return {Weight(values[c] for c in mu): m for mu, m in mult.items()}
 
 
-def _freudenthal_mult(datum, lam, mu, mult, lam_rho_sq):
-    rho = datum.rho
-    denom = lam_rho_sq - (mu + rho).dot(mu + rho)
+def _freudenthal_mult(mu, mult, roots, rho, top_rho_sq) -> int:
+    mu_rho = tuple(map(add, mu, rho))
+    denom = top_rho_sq - _dot(mu_rho, mu_rho)
     if denom == 0:
-        if mu == lam:
-            return mult[lam]
         raise AssertionError("Freudenthal denominator vanished off the top weight")
-    total = Fraction(0)
-    for a in datum.positive_roots:
-        nu = mu + a
-        while True:
-            m = mult.get(nu, 0)
-            if not m:
-                break
-            total += m * nu.dot(a)
-            nu = nu + a
-    value = 2 * total / denom
-    if value.denominator != 1 or value < 0:
+    total = 0
+    for a, aa in roots:
+        nu = tuple(map(add, mu, a))
+        d = _dot(nu, a)
+        while m := mult.get(nu):
+            total += m * d
+            d += aa
+            nu = tuple(map(add, nu, a))
+    value, rem = divmod(2 * total, denom)
+    if rem or value < 0:
         raise AssertionError("non-integral Freudenthal multiplicity")
-    return int(value)
+    return value
 
 
 def weyl_dimension(datum: RootDatum, lam: Weight) -> int:

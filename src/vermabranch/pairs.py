@@ -103,16 +103,11 @@ class SymmetricPair:
     minus: Subspace
     j_tau_basis: list
     j_tau_probes: list
-    factor: Optional[AlgebraRealization] = None
     _restricted_datum: Optional[RootDatum] = field(default=None, repr=False)
     _restrict_matrix: Optional[list] = field(default=None, repr=False)
     _jtau_columns: Optional[list] = field(default=None, repr=False)
     _tau_star_matrix: Optional[list] = field(default=None, repr=False)
     _ambient_restricted_roots: Optional[set] = field(default=None, repr=False)
-
-    @property
-    def label(self) -> str:
-        return self.spec.id
 
     @property
     def restricted_eps_dim(self) -> int:
@@ -129,10 +124,7 @@ class SymmetricPair:
             self._restrict_matrix = [
                 self.g.eps_params(p).coords for p in self.j_tau_probes
             ]
-        return Weight(
-            sum((wi * ri for wi, ri in zip(w.coords, row)), Fraction(0))
-            for row in self._restrict_matrix
-        )
+        return _apply_rows(self._restrict_matrix, w)
 
     def jtau_params(self, h: MatrixElement) -> tuple:
         """Coordinates of a j^tau element in the probe parametrization."""
@@ -144,11 +136,7 @@ class SymmetricPair:
         return tuple(sol)
 
     def jtau_element(self, params) -> MatrixElement:
-        out = MatrixElement.zero(self.g.matrix_dim)
-        for c, p in zip(params, self.j_tau_probes):
-            if c:
-                out = out + p.scale(c)
-        return out
+        return MatrixElement.combination(self.g.matrix_dim, params, self.j_tau_probes)
 
     def tau_star(self, alpha: Weight) -> Weight:
         """Pullback of a j-weight along tau (tau permutes the root spaces)."""
@@ -156,10 +144,7 @@ class SymmetricPair:
             self._tau_star_matrix = [
                 self.g.eps_params(self.tau(p)).coords for p in self.g.eps_probes
             ]
-        return Weight(
-            sum((ai * mi for ai, mi in zip(alpha.coords, row)), Fraction(0))
-            for row in self._tau_star_matrix
-        )
+        return _apply_rows(self._tau_star_matrix, alpha)
 
     def ambient_restricted_roots(self) -> set:
         """Nonzero j^tau-weights of g: the restricted root set of the pair."""
@@ -169,6 +154,11 @@ class SymmetricPair:
                 Weight(wt) for wt, _ in parts if any(wt)
             }
         return self._ambient_restricted_roots
+
+
+def _apply_rows(rows, w: Weight) -> Weight:
+    """The weight with coordinates row . w, one per row of a rational matrix."""
+    return Weight(sum((a * r for a, r in zip(w.coords, row)), Fraction(0)) for row in rows)
 
 
 def tau_projection(pair: SymmetricPair, space: Subspace) -> Subspace:
@@ -258,14 +248,14 @@ def _conjugator_and_probes(spec: PairSpec):
         diag = [1] * (n + 1)
         diag[l - 1] = -1
         conj = MatrixElement.diagonal(diag)
-        return g, Involution(conj, is_inner=True), list(g.eps_probes), None
+        return g, Involution(conj, is_inner=True), list(g.eps_probes)
     if kind == "sl_s_glgl":
         p, q = spec.get("p"), spec.get("q")
         if p < 1 or q < 1 or p + q < 2:
             raise ValueError("sl_s_glgl requires p, q >= 1")
         g = build_classical(ClassicalType("A", p + q - 1))
         conj = MatrixElement.diagonal([1] * p + [-1] * q)
-        return g, Involution(conj, is_inner=True), list(g.eps_probes), None
+        return g, Involution(conj, is_inner=True), list(g.eps_probes)
     if kind == "so_down_so":
         m = spec.get("m")
         if m < 4:
@@ -276,7 +266,7 @@ def _conjugator_and_probes(spec: PairSpec):
             diag = [1] * (2 * n + 1)
             diag[n] = -1
             conj = MatrixElement.diagonal(diag)
-            return g, Involution(conj, is_inner=True), list(g.eps_probes), None
+            return g, Involution(conj, is_inner=True), list(g.eps_probes)
         n = (m - 1) // 2
         g = build_classical(ClassicalType("D", n + 1))  # ambient so_{2n+2}
         size = 2 * n + 2
@@ -284,14 +274,14 @@ def _conjugator_and_probes(spec: PairSpec):
         data[(n, n + 1)] = Fraction(1)
         data[(n + 1, n)] = Fraction(1)
         conj = MatrixElement(size, data)
-        return g, Involution(conj, is_inner=False), list(g.eps_probes[:n]), None
+        return g, Involution(conj, is_inner=False), list(g.eps_probes[:n])
     if kind == "sp_down_gl":
         n = spec.get("n")
         if n < 2:
             raise ValueError("sp_down_gl requires n >= 2")
         g = build_classical(ClassicalType("C", n))
         conj = MatrixElement.diagonal([1] * n + [-1] * n)
-        return g, Involution(conj, is_inner=True), list(g.eps_probes), None
+        return g, Involution(conj, is_inner=True), list(g.eps_probes)
     # group case
     tname = spec.get("type")
     ctype = ClassicalType(tname[0], int(tname[1:]))
@@ -307,12 +297,12 @@ def _conjugator_and_probes(spec: PairSpec):
         _block_embed(p, 2 * m, 0) + _block_embed(p, 2 * m, m)
         for p in factor.eps_probes
     ]
-    return g, Involution(conj, is_inner=False), probes, factor
+    return g, Involution(conj, is_inner=False), probes
 
 
 def build_pair(spec: PairSpec) -> SymmetricPair:
     """Construct a catalog symmetric pair with all derived subspaces."""
-    g, tau, probes, factor = _conjugator_and_probes(spec)
+    g, tau, probes = _conjugator_and_probes(spec)
     for b in g.algebra.matrices():
         if not g.algebra.contains_matrix(tau(b)):
             raise AssertionError("conjugator does not preserve the algebra")
@@ -331,7 +321,6 @@ def build_pair(spec: PairSpec) -> SymmetricPair:
         minus=minus,
         j_tau_basis=j_tau_basis,
         j_tau_probes=probes,
-        factor=factor,
     )
     return pair
 

@@ -166,11 +166,7 @@ def parabolic_from_simple_subset(g: AlgebraRealization, subset) -> ParabolicData
     coeffs = _solve(columns, target)
     if coeffs is None:
         raise AssertionError("coweight system has no solution")
-    h = MatrixElement.zero(g.matrix_dim)
-    for c, hj in zip(coeffs, g.cartan_basis):
-        if c:
-            h = h + hj.scale(c)
-    return parabolic_from_H(g, h)
+    return parabolic_from_H(g, MatrixElement.combination(g.matrix_dim, coeffs, g.cartan_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +237,7 @@ def condition_iii_spot_check(
     linear, the operator columns of the basis are built once and combined
     per sample.
     """
-    from .exactla import ad_operator_columns, nilpotent_operator_chain
+    from .exactla import _vec_axpy, ad_operator_columns, nilpotent_operator_chain
 
     mats = tau_projection(pair, p.u_plus).matrices()
     if not mats:
@@ -256,16 +252,8 @@ def condition_iii_spot_check(
         coeffs = [rng.randint(-3, 3) for _ in mats]
         combined = [{} for _ in range(d)]
         for c, columns in zip(coeffs, basis_columns):
-            if not c:
-                continue
-            for j, col in enumerate(columns):
-                tgt = combined[j]
-                for i, v in col.items():
-                    w = tgt.get(i, 0) + c * v
-                    if w:
-                        tgt[i] = w
-                    else:
-                        tgt.pop(i, None)
+            for tgt, col in zip(combined, columns):
+                _vec_axpy(tgt, c, col)
         if any(combined) and not nilpotent_operator_chain(combined):
             return False
     return True

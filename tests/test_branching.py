@@ -187,6 +187,76 @@ def test_decompose_rejects_non_module_character(algebras):
     datum = root_datum(algebras("A", 1))
     with pytest.raises(ValueError):
         decompose_character({W(1, -1): 1}, datum)  # missing the rest of F
+    with pytest.raises(ValueError, match="off the swept support"):
+        # the residual -1 lands on (-1, 1), outside the original support
+        decompose_character({W(1, -1): 1, W(0, 0): 1}, datum)
+    with pytest.raises(ValueError, match="negative residual"):
+        decompose_character({W(1, -1): 2, W(0, 0): 1, W(-1, 1): 2}, datum)
+    with pytest.raises(ValueError, match="not dominant integral"):
+        decompose_character({W(-1, 1): 1}, datum)
+
+
+# ---------------------------------------------------------------------------
+# greedy oracle: the peel that takes the maximal remaining weight each step
+# ---------------------------------------------------------------------------
+
+def greedy_peel(char, datum):
+    """Peel by repeatedly taking the maximal remaining weight for
+    `regular_order_key` and subtracting its Freudenthal character."""
+    from vermabranch.liealg import regular_order_key
+
+    work = {w: m for w, m in char.items() if m}
+    out = []
+    while work:
+        mu = max(work, key=regular_order_key)
+        mult = work[mu]
+        if mult < 0 or not datum.is_dominant_integral(mu):
+            raise ValueError("not a module character at %r" % (mu,))
+        for w, m in freudenthal_character(datum, mu).items():
+            c = work.get(w, 0) - mult * m
+            if c:
+                work[w] = c
+            else:
+                work.pop(w, None)
+        out.append((mu, mult))
+    out.sort(key=lambda t: regular_order_key(t[0]), reverse=True)
+    return out
+
+
+def _peeled_characters(monkeypatch, argv):
+    """Run one CLI command and record every character the engine peels."""
+    from vermabranch import branching
+    from vermabranch.cli import config_from_args, run_command
+
+    seen = []
+    sweep = branching.decompose_character
+
+    def spy(char, datum):
+        out = sweep(char, datum)
+        seen.append((dict(char), datum, out))
+        return out
+
+    monkeypatch.delenv("VERMABRANCH_CACHE_DIR", raising=False)
+    monkeypatch.setattr(branching, "decompose_character", spy)
+    env, code = run_command(config_from_args(argv.split()))
+    assert code == 0, env.payload.get("error")
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "branch --pair sp_down_gl:n=3 --parabolic siegel --degree 4",
+        "branch --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --degree 4",
+        "branch --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 "
+        "--lambda 1/3,4/3,1/3,-2/3,-4/3 --degree 4",
+    ],
+)
+def test_sweep_peel_matches_greedy_oracle(monkeypatch, argv):
+    seen = _peeled_characters(monkeypatch, argv)
+    assert len(seen) == 5  # one character per degree 0..4
+    for char, datum, out in seen:
+        assert out == greedy_peel(char, datum)
 
 
 # ---------------------------------------------------------------------------

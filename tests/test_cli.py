@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from vermabranch import cli
 from vermabranch.cli import (
     ENGINE_VERSION,
     ResultEnvelope,
@@ -14,6 +19,7 @@ from vermabranch.cli import (
     run_command,
     serialize_envelope,
 )
+from vermabranch.pairs import catalog_pairs
 
 
 def run(argv):
@@ -135,6 +141,7 @@ def test_bad_lambda_exits_two():
         "analyze --pair sl_s_glgl:p=2,q=2 --parabolic H=1,0",
         "analyze --pair sl_s_glgl:p=2,q=2 --parabolic H=1,0,0,-1,5",
         "analyze --pair so_down_so:m=4 --parabolic H=1",
+        "mf-scan --rank-bound 7",
     ],
 )
 def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
@@ -142,6 +149,11 @@ def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
     assert payload["result"] == "precondition violation"
+
+
+def test_mf_scan_rank_cap_message():
+    env, code = run(["mf-scan", "--rank-bound", "7"])
+    assert code == 2 and env.payload["error"] == "rank bound capped at 6"
 
 
 def test_degree_cap_exits_two():
@@ -228,6 +240,18 @@ def test_cache_ignores_other_engine_version(tmp_path):
     assert cache_lookup(config) is None
 
 
+def test_cache_key_follows_engine_sources(tmp_path, monkeypatch):
+    argv = ["census", "--pair", "sp_down_gl:n=2", "--parabolic", "siegel",
+            "--cache-dir", str(tmp_path)]
+    run(argv)
+    config = config_from_args(argv)
+    key = config.cache_key()
+    assert cache_lookup(config) is not None
+    monkeypatch.setattr(cli, "engine_digest", lambda: "0" * 64)
+    assert config.cache_key() != key
+    assert cache_lookup(config) is None
+
+
 def test_cache_corruption_is_a_miss(tmp_path):
     argv = ["census", "--pair", "sp_down_gl:n=2", "--parabolic", "siegel",
             "--cache-dir", str(tmp_path)]
@@ -269,3 +293,50 @@ def test_main_writes_json(capsys):
     payload = json.loads(out)
     assert payload["schema"] == "vb-schema-1"
     assert payload["engine"] == ENGINE_VERSION
+
+
+# ---------------------------------------------------------------------------
+# property: every input ends in exit 0 or 2 with a JSON envelope
+# ---------------------------------------------------------------------------
+
+_RANK3_PAIRS = [spec.id for spec in catalog_pairs(3)]
+_DESCRIPTORS = [
+    "borel", "full", "heisenberg", "siegel", "0", "1", "2", "0,2", "1,2", "5",
+    "H=1,0,0,-1", "H=0,1,-1,0", "H=1,0", "H=1/2,1/3", "nonsense",
+]
+_FRACTIONS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2", "1/3", "4/3", "x", "1/0"])
+_LAMBDAS = st.one_of(
+    st.just("generic"),
+    st.sampled_from(["1,0,0,0,-1", "1/3,4/3,1/3,-2/3,-4/3", "1/2,1/3", "1,0,-1", ""]),
+    st.lists(_FRACTIONS, min_size=1, max_size=6).map(",".join),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["analyze", "census", "branch", "verify"]),
+    pair=st.sampled_from(_RANK3_PAIRS),
+    descriptor=st.sampled_from(_DESCRIPTORS),
+    size=st.integers(-2, 4),
+    lam=_LAMBDAS,
+)
+def test_cli_property_exit_zero_or_two_with_json(
+    monkeypatch, command, pair, descriptor, size, lam
+):
+    monkeypatch.delenv("VERMABRANCH_CACHE_DIR", raising=False)
+    # "--lambda=" keeps values such as -3/2 from reading as an option
+    argv = [command, "--pair", pair, "--parabolic", descriptor,
+            "--degree", str(size), "--level", str(size), "--lambda=" + lam,
+            "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    payload = json.loads(out.getvalue())
+    assert code in (0, 2), payload.get("error")
+    assert payload["command"] == command

@@ -9,11 +9,14 @@ from vermabranch import (
     RankCapError,
     Weight,
     build_classical,
+    build_pair,
     freudenthal_character,
+    parabolic_from_simple_subset,
     root_datum,
     weyl_dimension,
     weyl_group,
 )
+from vermabranch.pairs import catalog_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +266,107 @@ def test_freudenthal_total_matches_weyl_dimension(algebras):
             lam = _random_dominant(datum, rng)
             ch = freudenthal_character(datum, lam)
             assert sum(ch.values()) == weyl_dimension(datum, lam)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle: the Freudenthal recursion on rational weights
+# ---------------------------------------------------------------------------
+
+def _fraction_is_dominant(datum, mu):
+    return all(datum.coroot_pairing(mu, a) >= 0 for a in datum.simple_roots)
+
+
+def _fraction_dominant_representative(datum, w):
+    while True:
+        for a in datum.simple_roots:
+            if datum.coroot_pairing(w, a) < 0:
+                w = datum.reflect(w, a)
+                break
+        else:
+            return w
+
+
+def fraction_freudenthal(datum, lam):
+    """Freudenthal recursion in `Fraction` arithmetic on `Weight`s."""
+    if not datum.is_dominant_integral(lam):
+        raise ValueError("highest weight is not dominant integral: %r" % (lam,))
+    rho = datum.rho
+    lam_rho_sq = (lam + rho).dot(lam + rho)
+    mult = {lam: 1}
+    level = {lam}
+    while level:
+        candidates = {mu - a for mu in level for a in datum.simple_roots}
+        nxt = set()
+        for mu in candidates:
+            if _fraction_is_dominant(datum, mu):
+                denom = lam_rho_sq - (mu + rho).dot(mu + rho)
+                total = Fraction(0)
+                for a in datum.positive_roots:
+                    nu = mu + a
+                    while mult.get(nu, 0):
+                        total += mult[nu] * nu.dot(a)
+                        nu = nu + a
+                value = 2 * total / denom
+                assert value.denominator == 1 and value >= 0
+                m = int(value)
+            else:
+                m = mult.get(_fraction_dominant_representative(datum, mu), 0)
+            if m:
+                mult[mu] = m
+                nxt.add(mu)
+        level = nxt
+    return mult
+
+
+def _catalog_levi_data():
+    """Distinct Levi data (ambient l and restricted l') of every standard
+    parabolic of the rank <= 3 catalog."""
+    from vermabranch.branching import _levi_prime_datum
+
+    seen = {}
+    for spec in catalog_pairs(3):
+        pair = build_pair(spec)
+        nsimple = len(root_datum(pair.g).simple_roots)
+        for k in range(nsimple + 1):
+            for subset in itertools.combinations(range(nsimple), k):
+                p = parabolic_from_simple_subset(pair.g, set(subset))
+                for datum in (p.levi_datum(), _levi_prime_datum(p, pair)):
+                    seen.setdefault((datum.eps_dim, datum.positive_roots), datum)
+    return list(seen.values())
+
+
+def _small_dominant_weights(datum):
+    """Dominant integral weights with coordinates in {-1, 0, 1}, each also
+    shifted by a central 1/3 and 1/2 where that stays dominant integral."""
+    out = []
+    for coords in itertools.product((-1, 0, 1), repeat=datum.eps_dim):
+        for shift in (0, Fraction(1, 3), Fraction(1, 2)):
+            lam = Weight(c + shift for c in coords)
+            if datum.is_dominant_integral(lam):
+                out.append(lam)
+    return out
+
+
+def test_integer_freudenthal_matches_fraction_oracle():
+    data = _catalog_levi_data()
+    checked = 0
+    for datum in data:
+        for lam in _small_dominant_weights(datum):
+            assert freudenthal_character(datum, lam) == fraction_freudenthal(datum, lam)
+            checked += 1
+    assert len(data) > 20 and checked > 1000
+
+
+def test_dominant_representative_matches_fraction_oracle(algebras):
+    rng = random.Random(20260810)
+    for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
+        datum = root_datum(algebras(fam, rank))
+        for _ in range(40):
+            w = Weight(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                       for _ in range(datum.eps_dim))
+            assert datum.dominant_representative(w) == (
+                _fraction_dominant_representative(datum, w)
+            )
 
 
 def test_freudenthal_weyl_invariance(algebras):
