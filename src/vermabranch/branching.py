@@ -26,7 +26,7 @@ from .liealg import (
     regular_order_key,
     scaled_coords,
 )
-from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data, tau_split
+from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data
 from .parabolic import (
     IncompatibleRestrictionError,
     ParabolicData,
@@ -273,11 +273,12 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
         raise IncompatibleRestrictionError(
             "restriction not discretely decomposable for this embedding"
         )
-    split = tau_split(pair, p.u_minus)
-    if split.plus.dim + split.minus.dim != p.u_minus.dim:
+    plus = p.u_minus.intersect(pair.fixed)
+    minus = p.u_minus.intersect(pair.minus)
+    if plus.dim + minus.dim != p.u_minus.dim:
         raise AssertionError("u_- failed to split under a stable parabolic")
-    u_second = _restricted_weights(pair, split.minus)
-    u_prime = _restricted_weights(pair, split.plus)
+    u_second = _restricted_weights(pair, minus)
+    u_prime = _restricted_weights(pair, plus)
     l_prime = _levi_prime_datum(p, pair)
     if spec.lam is None:
         if not spec.scalar_type:
@@ -521,8 +522,7 @@ def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: in
         raise IncompatibleRestrictionError(
             "parabolic is not stable under the involution"
         )
-    split = tau_split(pair, p.u_minus)
-    weights = _restricted_weights(pair, split.minus)
+    weights = _restricted_weights(pair, p.u_minus.intersect(pair.minus))
     seq = strongly_orthogonal_sequence(
         weights.keys(), pair.ambient_restricted_roots()
     )

@@ -61,6 +61,13 @@ class PreconditionError(ValueError):
     """Configuration problems that map to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises PreconditionError (exit 2) where argparse would exit."""
+
+    def error(self, message):
+        raise PreconditionError(message)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -494,7 +501,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vermabranch",
         description="Discretely decomposable restrictions of generalized "
         "Verma modules to symmetric subalgebras",
@@ -516,34 +523,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INT_KEYS = {"degree", "level", "n", "l", "rank_bound", "seed"}
-
-
 def config_from_args(argv) -> RunConfig:
+    """Flags win over `--config` file values, which win over the defaults."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    values = vars(args)
-    config_file = values.pop("config_file", None)
+    values = vars(parser.parse_args(argv))
+    config_file = values.pop("config_file")
     if config_file:
         defaults = _read_config_file(config_file)
-        for key, raw in defaults.items():
+        for key in defaults:
             if key not in values:
                 raise PreconditionError("unknown config key %r" % key)
-            if values[key] == parser.get_default(key) or values[key] is None:
-                values[key] = int(raw) if key in _INT_KEYS else raw
+        # string defaults pass through the same type checks as the flags
+        parser.set_defaults(**defaults)
+        values = vars(parser.parse_args(argv))
+        values.pop("config_file")
     return RunConfig(**values)
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING)
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        config = config_from_args(argv if argv is not None else sys.argv[1:])
-    except PreconditionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        config = config_from_args(argv)
+    except (ValueError, OSError) as exc:  # a rejected flag or config file
+        return _reject_arguments(argv, exc)
     env, code = run_command(config)
     sys.stdout.write(serialize_envelope(env, config.format))
     return code
+
+
+def _reject_arguments(argv, exc) -> int:
+    """Exit 2 for arguments that form no config; the command and format are
+    read leniently so that --format json still gets its envelope."""
+    lenient = argparse.ArgumentParser(add_help=False)
+    lenient.add_argument("command", nargs="?")
+    lenient.add_argument("--format")
+    known = lenient.parse_known_args(argv)[0]
+    if known.format != "json":
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    payload = {"schema": SCHEMA_VERSION, "engine": ENGINE_VERSION, "command": known.command,
+               "result": "precondition violation", "error": str(exc)}
+    sys.stdout.write(serialize_envelope(ResultEnvelope(payload=payload)))
+    return 2
 
 
 if __name__ == "__main__":

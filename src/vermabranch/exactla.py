@@ -341,8 +341,8 @@ def _rref(rows) -> list:
             continue
         piv = min(row)
         inv = _inv(row[piv])
-        if inv != 1:
-            row = {k: inv * v for k, v in row.items()}
+        if inv != 1:  # _q keeps integral entries as (faster) ints
+            row = {k: _q(inv * v) for k, v in row.items()}
         for b in basis:
             c = b.get(piv)
             if c:
@@ -373,57 +373,6 @@ def span_of_matrices(mats: Iterable[MatrixElement], dim=None) -> Subspace:
             raise ValueError("dim required for an empty spanning set")
         dim = mats[0].dim
     return Subspace(dim * dim, [m.vectorize() for m in mats])
-
-
-# ---------------------------------------------------------------------------
-# kernels of small linear maps
-# ---------------------------------------------------------------------------
-
-def _gauss_jordan(rows, ncols: int) -> list:
-    """Dense Gauss-Jordan elimination on the first `ncols` columns, in place;
-    returns the pivot columns (row i has its leading 1 in column pivots[i])."""
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = _inv(rows[r][c])
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots
-
-
-def _kernel_of_columns(columns, ncols: int):
-    """Coefficient vectors kappa with sum_i kappa_i * columns[i] = 0."""
-    rows = [[col.get(idx, 0) for col in columns] for idx in sorted(set().union(*columns))]
-    pivots = _gauss_jordan(rows, ncols)
-    kernel = []
-    for fc in range(ncols):
-        if fc not in pivots:
-            vec = [0] * ncols
-            vec[fc] = 1
-            for ri, pc in enumerate(pivots):
-                vec[pc] = -rows[ri][fc]
-            kernel.append(tuple(vec))
-    return kernel
-
-
-def kernel_on_subspace(images, space: Subspace) -> Subspace:
-    """Kernel of a linear map given by basis images, as a subspace of `space`."""
-    kappa = _kernel_of_columns([_as_sparse(v) for v in images], space.dim)
-    out = []
-    for coeffs in kappa:
-        vec = {}
-        for c, row in zip(coeffs, space.rows):
-            _vec_axpy(vec, c, row)
-        out.append(vec)
-    return Subspace(space.ambient_dim, out)
 
 
 # ---------------------------------------------------------------------------
@@ -571,32 +520,27 @@ def ad_nilpotent(z: MatrixElement, ambient) -> bool:
 def weight_decomposition(commuting_family, space: Subspace):
     """Simultaneous eigenspace split of a subspace under ad of a diagonal family.
 
-    Returns a list of (weight tuple, Subspace) pairs, sorted by weight
-    (descending), whose dimensions add up to dim(space).  A shortfall means
-    the action is not semisimple with rational eigenvalues and raises.
+    ad(diag(d)) scales the matrix unit E_ij by d_i - d_j, so each echelon row
+    of `space` is split by the weight of its coordinates and every eigenspace
+    is the span of its pieces.  Returns a list of (weight tuple, Subspace)
+    pairs, sorted by weight (descending).  The pieces lie in `space` exactly
+    when it is ad-stable; otherwise their dimensions add up to more than
+    dim(space) and this raises.
     """
     n = _matrix_dim(space)
-    parts = [((), space)]
-    for h in commuting_family:
-        if not h.is_diagonal():
-            raise ValueError("weight_decomposition requires a diagonal family")
-        diag = h.diagonal_entries()
-        candidates = sorted({di - dj for di in diag for dj in diag}, reverse=True)
-        new_parts = []
-        for wt, part in parts:
-            covered = 0
-            for c in candidates:
-                images = [
-                    (bracket(h, b) - c * b).vectorize() for b in part.matrices()
-                ]
-                eig = kernel_on_subspace(images, part)
-                if eig.dim:
-                    new_parts.append((wt + (c,), eig))
-                    covered += eig.dim
-            if covered != part.dim:
-                raise ValueError(
-                    "non-semisimple action detected: invalid Cartan choice"
-                )
-        parts = new_parts
+    family = list(commuting_family)
+    if not all(h.is_diagonal() for h in family):
+        raise ValueError("weight_decomposition requires a diagonal family")
+    diags = [h.diagonal_entries() for h in family]
+    pieces = {}
+    for row in space.rows:
+        split = {}
+        for k, v in row.items():  # k is the unit E_ij with i = k mod n, j = k div n
+            split.setdefault(tuple(d[k % n] - d[k // n] for d in diags), {})[k] = v
+        for wt, piece in split.items():
+            pieces.setdefault(wt, []).append(piece)
+    parts = [(wt, Subspace(space.ambient_dim, rows)) for wt, rows in pieces.items()]
+    if sum(part.dim for _, part in parts) != space.dim:
+        raise ValueError("non-semisimple action detected: invalid Cartan choice")
     parts.sort(key=lambda p: p[0], reverse=True)
     return parts

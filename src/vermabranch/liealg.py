@@ -18,9 +18,9 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .exactla import (
     MatrixElement,
     Subspace,
+    _as_sparse,
     _frac,
-    _gauss_jordan,
-    _kernel_of_columns,
+    _rref,
     bracket,
     span_of_matrices,
     weight_decomposition,
@@ -170,14 +170,17 @@ class AlgebraRealization:
 
 
 def _solve(columns, target):
-    """Exact x with sum_j x_j * columns[j] = target (free unknowns 0), or None."""
-    rows = [[col[i] for col in columns] + [_frac(t)] for i, t in enumerate(target)]
-    pivots = _gauss_jordan(rows, len(columns))
-    if any(row[-1] for row in rows[len(pivots):]):
-        return None
-    sol = [Fraction(0)] * len(columns)
-    for ri, pc in enumerate(pivots):
-        sol[pc] = rows[ri][-1]
+    """Exact x with sum_j x_j * columns[j] = target (free unknowns 0), or None:
+    the canonical RREF of [A | b] has a pivot in the b column exactly when
+    there is no solution, else each pivot unknown is its row's b entry."""
+    k = len(columns)
+    rows = [_as_sparse([col[i] for col in columns] + [t]) for i, t in enumerate(target)]
+    sol = [Fraction(0)] * k
+    for row in _rref(rows):
+        piv = min(row)
+        if piv == k:
+            return None
+        sol[piv] = _frac(row.get(k, 0))
     return sol
 
 
@@ -194,21 +197,12 @@ def _symplectic_form(n: int) -> MatrixElement:
 
 
 def _form_algebra(m: int, g: MatrixElement) -> Subspace:
-    """{X : X^T G + G X = 0} computed as an exact kernel."""
-    units = [(i, j) for i in range(m) for j in range(m)]
-    images = []
-    for (i, j) in units:
-        e = MatrixElement.unit(m, i, j)
-        images.append(((e.transpose() @ g) + (g @ e)).vectorize())
-    kernel = _kernel_of_columns(images, len(units))
-    mats = []
-    for coeffs in kernel:
-        data = {}
-        for c, (i, j) in zip(coeffs, units):
-            if c:
-                data[(i, j)] = c
-        mats.append(MatrixElement(m, data))
-    return span_of_matrices(mats, m)
+    """{X : X^T G + G X = 0}: the fixed space of the involution
+    X -> -G^T X^T G (G is an anti-diagonal signed permutation, so G^-1 = G^T),
+    spanned by E - G^T E^T G over the matrix units E."""
+    gt = g.transpose()
+    units = [MatrixElement.unit(m, i, j) for i in range(m) for j in range(m)]
+    return span_of_matrices([e - gt @ e.transpose() @ g for e in units], m)
 
 
 def build_classical(ctype: ClassicalType, with_center: bool = False) -> AlgebraRealization:

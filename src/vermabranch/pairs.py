@@ -5,7 +5,7 @@ Every involution is stored as conjugation by an explicit rational matrix
 so fixed spaces, the projection (Z + tau Z)/2 and all nilpotency checks stay
 pure exact linear algebra.  The distinguished Cartan is diagonal and every
 catalog conjugator is diagonal or a permutation-reflection, hence tau j = j
-by construction.
+(`build_pair` checks it, with tau g = g, before projecting).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Optional
 from .exactla import (
     MatrixElement,
     Subspace,
-    kernel_on_subspace,
     span_of_matrices,
     weight_decomposition,
 )
@@ -163,12 +162,16 @@ def _apply_rows(rows, w: Weight) -> Weight:
 
 def tau_projection(pair: SymmetricPair, space: Subspace) -> Subspace:
     """pr_tau(V) = {(Z + tau Z)/2 : Z in V} for a subspace V of g."""
-    half = Fraction(1, 2)
-    projected = [
-        (b + pair.tau(b)).scale(half) for b in space.matrices()
-    ]
-    return span_of_matrices(
-        [m for m in projected if not m.is_zero()], pair.g.matrix_dim
+    return _eigen_subspace(pair.tau, space, 1)
+
+
+def _eigen_subspace(tau, space: Subspace, sign: int) -> Subspace:
+    """Span of b + sign * tau(b) over the basis of V: the image of V under the
+    projection onto the (sign)-eigenspace of tau, which is V's own
+    (sign)-eigenspace when V is tau-stable."""
+    return Subspace(
+        space.ambient_dim,
+        [(b + tau(b).scale(sign)).vectorize() for b in space.matrices()],
     )
 
 
@@ -198,13 +201,6 @@ def restricted_root_data(pair: SymmetricPair) -> RootDatum:
 # ---------------------------------------------------------------------------
 # catalog construction
 # ---------------------------------------------------------------------------
-
-def _eigen_subspace(pair_tau, algebra: Subspace, sign: int, dim: int) -> Subspace:
-    images = []
-    for b in algebra.matrices():
-        images.append((pair_tau(b) - b.scale(sign)).vectorize())
-    return kernel_on_subspace(images, algebra)
-
 
 def _block_embed(x: MatrixElement, total: int, offset: int) -> MatrixElement:
     return MatrixElement(total, {(i + offset, j + offset): v for (i, j), v in x.items()})
@@ -303,26 +299,25 @@ def _conjugator_and_probes(spec: PairSpec):
 def build_pair(spec: PairSpec) -> SymmetricPair:
     """Construct a catalog symmetric pair with all derived subspaces."""
     g, tau, probes = _conjugator_and_probes(spec)
-    for b in g.algebra.matrices():
-        if not g.algebra.contains_matrix(tau(b)):
-            raise AssertionError("conjugator does not preserve the algebra")
-    fixed = _eigen_subspace(tau, g.algebra, 1, g.matrix_dim)
-    minus = _eigen_subspace(tau, g.algebra, -1, g.matrix_dim)
+    cartan_space = span_of_matrices(g.cartan_basis, g.matrix_dim)
+    # the projections below are the eigenspaces only on tau-stable spaces
+    for space, name in ((g.algebra, "algebra"), (cartan_space, "Cartan")):
+        for b in space.matrices():
+            if not space.contains_matrix(tau(b)):
+                raise AssertionError("conjugator does not preserve the %s" % name)
+    fixed = _eigen_subspace(tau, g.algebra, 1)
+    minus = _eigen_subspace(tau, g.algebra, -1)
     if fixed.dim + minus.dim != g.dim:
         raise AssertionError("tau eigenspaces do not exhaust the algebra")
-    cartan_space = span_of_matrices(g.cartan_basis, g.matrix_dim)
-    jtau_space = _eigen_subspace(tau, cartan_space, 1, g.matrix_dim)
-    j_tau_basis = jtau_space.matrices()
-    pair = SymmetricPair(
+    return SymmetricPair(
         spec=spec,
         g=g,
         tau=tau,
         fixed=fixed,
         minus=minus,
-        j_tau_basis=j_tau_basis,
+        j_tau_basis=_eigen_subspace(tau, cartan_space, 1).matrices(),
         j_tau_probes=probes,
     )
-    return pair
 
 
 def catalog_pairs(rank_bound: int, simple_only: bool = False):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +29,7 @@ from vermabranch import (
     sym_power_character,
     verify_character_identity,
 )
+from vermabranch import branching
 from vermabranch.branching import BranchEntry, _levi_prime_datum
 from vermabranch.liealg import root_datum
 
@@ -293,6 +295,18 @@ def test_branch_incompatible_raises(pairs):
     twisted = parabolic_from_H(pair.g, MatrixElement.diagonal([1, -1, -1, 1]))
     with pytest.raises(IncompatibleRestrictionError):
         branch_multiplicities(VermaSpec.generic(twisted), pair, 1)
+
+
+def test_engine_checks_that_u_minus_splits(pairs, monkeypatch):
+    # a parabolic that is not tau-stable, passed off as compatible
+    pair = pairs("group_case", type="A1")
+    twisted = parabolic_from_H(pair.g, MatrixElement.diagonal([1, -1, -1, 1]))
+    monkeypatch.setattr(
+        branching, "compatibility_report",
+        lambda p, pair: SimpleNamespace(compatible=True, H_fixed=None),
+    )
+    with pytest.raises(AssertionError, match="u_- failed to split"):
+        branching._engine_context(VermaSpec.generic(twisted), pair)
 
 
 def test_branch_group_case_kostant_multiplicities(pairs, algebras):

@@ -151,6 +151,29 @@ def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
     assert payload["result"] == "precondition violation"
 
 
+@pytest.mark.parametrize(
+    "argv,config_text",
+    [
+        ("branch --pair so_down_so:m=4 --lambda -3/2,1,0,0", None),
+        ("branch --pair so_down_so:m=4 --degree x", None),
+        ("branch --pair so_down_so:m=4 --config {missing}", None),
+        ("branch --pair so_down_so:m=4 --config {cfg}", "degree = x\n"),
+    ],
+)
+def test_parse_stage_errors_exit_two_with_envelope(argv, config_text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    argv = argv.format(missing=tmp_path / "missing.cfg", cfg=cfg).split()
+    code = main(argv + ["--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["result"] == "precondition violation"
+    assert payload["command"] == "branch" and payload["error"]
+    assert main(argv) == 2  # text format: the message goes to stderr
+    assert "error:" in capsys.readouterr().err
+
+
 def test_mf_scan_rank_cap_message():
     env, code = run(["mf-scan", "--rank-bound", "7"])
     assert code == 2 and env.payload["error"] == "rank bound capped at 6"
@@ -325,14 +348,16 @@ _LAMBDAS = st.one_of(
     descriptor=st.sampled_from(_DESCRIPTORS),
     size=st.integers(-2, 4),
     lam=_LAMBDAS,
+    joined=st.booleans(),
 )
 def test_cli_property_exit_zero_or_two_with_json(
-    monkeypatch, command, pair, descriptor, size, lam
+    monkeypatch, command, pair, descriptor, size, lam, joined
 ):
     monkeypatch.delenv("VERMABRANCH_CACHE_DIR", raising=False)
-    # "--lambda=" keeps values such as -3/2 from reading as an option
+    # a separate value such as -3/2,1 reads as an option and is rejected
+    lam_args = ["--lambda=" + lam] if joined else ["--lambda", lam]
     argv = [command, "--pair", pair, "--parabolic", descriptor,
-            "--degree", str(size), "--level", str(size), "--lambda=" + lam,
+            "--degree", str(size), "--level", str(size), *lam_args,
             "--format", "json"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -173,6 +173,13 @@ def test_weight_decomposition_requires_diagonal_family():
         weight_decomposition([e], span_of_matrices([e, f, h]))
 
 
+def test_weight_decomposition_rejects_space_that_is_not_ad_stable():
+    # E01 + E10 splits into weights 2 and -2, whose pieces leave the span
+    e, f, h = sl2_basis()
+    with pytest.raises(ValueError, match="non-semisimple"):
+        weight_decomposition([h], span_of_matrices([e + f]))
+
+
 def test_weight_decomposition_exhausts_space():
     pair = build_pair(PairSpec("sp_down_gl", n=2))
     parts = weight_decomposition(pair.j_tau_probes, pair.g.algebra)

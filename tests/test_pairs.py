@@ -4,14 +4,19 @@ from fractions import Fraction
 import pytest
 
 from vermabranch import (
+    ClassicalType,
+    Involution,
+    MatrixElement,
     PairSpec,
     Weight,
     bracket,
+    build_classical,
     build_pair,
     parabolic_from_simple_subset,
     restricted_root_data,
     tau_split,
 )
+from vermabranch import pairs as pairs_module
 
 
 def test_pair_spec_parse_roundtrip():
@@ -54,6 +59,27 @@ def test_build_group_case(pairs):
     pair = pairs("group_case", type="A1")
     assert pair.g.dim == 6 and pair.fixed.dim == 3
     assert not pair.tau.is_inner
+
+
+@pytest.mark.parametrize(
+    "family,rank,tau,message",
+    [
+        # diag(1, 1, 1, -1) does not fix the symplectic form of sp4
+        ("C", 2, Involution(MatrixElement.diagonal([1, 1, 1, -1]), True), "preserve the algebra"),
+        # [[1, 1], [0, -1]] squares to 1 but moves the diagonal Cartan of sl2
+        ("A", 1, Involution(MatrixElement(2, {(0, 0): 1, (0, 1): 1, (1, 1): -1}), True),
+         "preserve the Cartan"),
+        # Z -> 3Z preserves everything but is no involution
+        ("A", 1, lambda z: z.scale(3), "do not exhaust"),
+    ],
+)
+def test_build_pair_checks_the_conjugator(monkeypatch, family, rank, tau, message):
+    g = build_classical(ClassicalType(family, rank))
+    monkeypatch.setattr(
+        pairs_module, "_conjugator_and_probes", lambda spec: (g, tau, list(g.eps_probes))
+    )
+    with pytest.raises(AssertionError, match=message):
+        build_pair(PairSpec("sp_down_gl", n=2))
 
 
 def test_involution_squares_to_identity(pairs):
