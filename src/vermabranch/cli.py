@@ -128,7 +128,7 @@ def parse_envelope(text: str) -> ResultEnvelope:
 
 def _render_text(payload: dict) -> str:
     lines = ["%s (engine %s)" % (payload.get("command"), payload.get("engine"))]
-    for key in ("pair", "parabolic", "compatible", "closed", "gk_dim", "result"):
+    for key in ("pair", "parabolic", "compatible", "closed", "gk_dim", "result", "error"):
         if payload.get(key) is not None:
             lines.append("%s: %s" % (key, payload[key]))
     if payload.get("census") is not None:
@@ -533,6 +533,9 @@ def config_from_args(argv) -> RunConfig:
         for key in defaults:
             if key not in values:
                 raise PreconditionError("unknown config key %r" % key)
+        for key, choices in ((a.dest, a.choices) for a in parser._actions if a.choices):
+            if key in defaults and defaults[key] not in choices:  # set_defaults skips this
+                raise PreconditionError("config %s must be one of %s" % (key, ", ".join(choices)))
         # string defaults pass through the same type checks as the flags
         parser.set_defaults(**defaults)
         values = vars(parser.parse_args(argv))

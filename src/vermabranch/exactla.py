@@ -8,6 +8,7 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -239,18 +240,8 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vector) -> SparseVec:
-        """Remainder of vector after elimination against the basis."""
-        vec = _as_sparse(vector)
-        for row in self.rows:
-            piv = min(row)
-            c = vec.get(piv)
-            if c:
-                _vec_axpy(vec, -c, row)
-        return vec
-
     def contains_vector(self, vector) -> bool:
-        return not self.reduce(vector)
+        return self.coordinates_of(vector) is not None
 
     def contains_matrix(self, mat: MatrixElement) -> bool:
         return self.contains_vector(mat.vectorize())
@@ -330,10 +321,9 @@ class Subspace:
 
 def _rref(rows) -> list:
     """Reduced row echelon form of sparse rows; destructive on the input list."""
-    basis = []  # kept sorted by pivot index
+    basis, pivots = [], []  # sorted by pivot index; a row's pivot never moves
     for row in rows:
-        for b in basis:
-            piv = min(b)
+        for piv, b in zip(pivots, basis):
             c = row.get(piv)
             if c:
                 _vec_axpy(row, -c, b)
@@ -347,8 +337,9 @@ def _rref(rows) -> list:
             c = b.get(piv)
             if c:
                 _vec_axpy(b, -c, row)
-        basis.append(row)
-        basis.sort(key=min)
+        at = bisect.bisect(pivots, piv)
+        basis.insert(at, row)
+        pivots.insert(at, piv)
     return basis
 
 
@@ -397,9 +388,22 @@ class NilpotencyReport:
     lcs_length: int
 
 
-def _bracket_span(left_mats, right_mats, n: int) -> Subspace:
-    prods = [bracket(a, b) for a in left_mats for b in right_mats]
-    return span_of_matrices([p for p in prods if not p.is_zero()], n)
+def lcs_report(sub: Subspace, bracket_span) -> NilpotencyReport:
+    """Bracket closure and lower-central-series nilpotency of a subspace,
+    given `bracket_span(xs, ys)`: the span of the brackets of two lists of
+    coordinate rows in the coordinates of `sub`."""
+    basis = sub.rows
+    nxt = bracket_span(basis, basis)  # [sub, sub], also the first term of the series
+    if not sub.contains_subspace(nxt):
+        return NilpotencyReport(False, False, 0)
+    term, steps = sub, 0
+    while term.dim:  # a zero subspace is vacuously nilpotent, with no steps
+        steps += 1
+        if nxt.dim == term.dim:
+            return NilpotencyReport(True, False, steps)
+        term = nxt
+        nxt = bracket_span(basis, term.rows)
+    return NilpotencyReport(True, True, steps)
 
 
 def nilpotent_subalgebra_test(sub: Subspace, ambient) -> NilpotencyReport:
@@ -408,21 +412,12 @@ def nilpotent_subalgebra_test(sub: Subspace, ambient) -> NilpotencyReport:
     n = _matrix_dim(alg)
     if not alg.contains_subspace(sub):
         raise ValueError("subspace does not lie in the ambient algebra")
-    basis = sub.matrices()
-    derived = _bracket_span(basis, basis, n)
-    closed = sub.contains_subspace(derived)
-    if not closed:
-        return NilpotencyReport(False, False, 0)
-    term = sub
-    steps = 0
-    while term.dim:
-        nxt = _bracket_span(basis, term.matrices(), n)
-        steps += 1
-        if nxt.dim == term.dim:
-            return NilpotencyReport(True, False, steps)
-        term = nxt
-    # a zero subspace is vacuously nilpotent with an empty series
-    return NilpotencyReport(True, True, steps)
+
+    def bracket_span(xs, ys):
+        left, right = ([MatrixElement.from_vector(n, r) for r in rows] for rows in (xs, ys))
+        return span_of_matrices([bracket(a, b) for a in left for b in right], n)
+
+    return lcs_report(sub, bracket_span)
 
 
 def ad_operator_columns(z: MatrixElement, ambient) -> list:

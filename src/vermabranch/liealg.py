@@ -40,10 +40,11 @@ class RankCapError(ValueError):
 class Weight:
     """A rational vector of epsilon-coordinates; exact component arithmetic."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable):
         self.coords = tuple(_frac(c) for c in coords)
+        self._hash = None
 
     def __len__(self):
         return len(self.coords)
@@ -85,8 +86,10 @@ class Weight:
     def __eq__(self, other):
         return isinstance(other, Weight) and self.coords == other.coords
 
-    def __hash__(self):
-        return hash(self.coords)
+    def __hash__(self):  # cached: Fraction hashes are slow, and roots are hashed often
+        if self._hash is None:
+            self._hash = hash(self.coords)
+        return self._hash
 
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self.coords) + ")"

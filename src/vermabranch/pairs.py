@@ -106,7 +106,9 @@ class SymmetricPair:
     _restrict_matrix: Optional[list] = field(default=None, repr=False)
     _jtau_columns: Optional[list] = field(default=None, repr=False)
     _tau_star_matrix: Optional[list] = field(default=None, repr=False)
+    _tau_star_images: dict = field(default_factory=dict, repr=False)
     _ambient_restricted_roots: Optional[set] = field(default=None, repr=False)
+    _root_tables: Optional[object] = field(default=None, repr=False)
 
     @property
     def restricted_eps_dim(self) -> int:
@@ -143,7 +145,9 @@ class SymmetricPair:
             self._tau_star_matrix = [
                 self.g.eps_params(self.tau(p)).coords for p in self.g.eps_probes
             ]
-        return _apply_rows(self._tau_star_matrix, alpha)
+        if alpha not in self._tau_star_images:  # callers pass roots: at most R entries
+            self._tau_star_images[alpha] = _apply_rows(self._tau_star_matrix, alpha)
+        return self._tau_star_images[alpha]
 
     def ambient_restricted_roots(self) -> set:
         """Nonzero j^tau-weights of g: the restricted root set of the pair."""
@@ -157,7 +161,7 @@ class SymmetricPair:
 
 def _apply_rows(rows, w: Weight) -> Weight:
     """The weight with coordinates row . w, one per row of a rational matrix."""
-    return Weight(sum((a * r for a, r in zip(w.coords, row)), Fraction(0)) for row in rows)
+    return Weight(sum((a * r for a, r in zip(w.coords, row) if r), Fraction(0)) for row in rows)
 
 
 def tau_projection(pair: SymmetricPair, space: Subspace) -> Subspace:

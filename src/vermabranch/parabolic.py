@@ -9,16 +9,19 @@ lazily when a report needs them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .exactla import (
     MatrixElement,
     NilpotencyReport,
     Subspace,
+    _rref,
+    _vec_axpy,
     bracket,
-    nilpotent_subalgebra_test,
+    lcs_report,
 )
 from .liealg import (
     AlgebraRealization,
@@ -28,6 +31,7 @@ from .liealg import (
     _solve,
     reflection_element,
     root_datum,
+    scaled_coords,
     weyl_group,
 )
 from .pairs import SymmetricPair, restricted_root_data, tau_projection
@@ -48,10 +52,6 @@ class ParabolicData:
     levi_roots: frozenset
     nilradical_roots: frozenset
     negative_roots: frozenset
-    _l: Optional[Subspace] = field(default=None, repr=False)
-    _u_plus: Optional[Subspace] = field(default=None, repr=False)
-    _u_minus: Optional[Subspace] = field(default=None, repr=False)
-    _space: Optional[Subspace] = field(default=None, repr=False)
 
     @property
     def pattern(self):
@@ -71,32 +71,17 @@ class ParabolicData:
             rows.extend(dict(r) for r in datum.root_spaces[a].rows)
         return Subspace(self.g.matrix_dim ** 2, rows)
 
-    @property
+    @cached_property
     def l(self) -> Subspace:
-        if self._l is None:
-            self._l = self._span_roots(self.levi_roots, include_cartan=True)
-        return self._l
+        return self._span_roots(self.levi_roots, include_cartan=True)
 
-    @property
+    @cached_property
     def u_plus(self) -> Subspace:
-        if self._u_plus is None:
-            self._u_plus = self._span_roots(self.nilradical_roots)
-        return self._u_plus
+        return self._span_roots(self.nilradical_roots)
 
-    @property
+    @cached_property
     def u_minus(self) -> Subspace:
-        if self._u_minus is None:
-            self._u_minus = self._span_roots(self.negative_roots)
-        return self._u_minus
-
-    @property
-    def space(self) -> Subspace:
-        """The parabolic l + u_plus as a subspace."""
-        if self._space is None:
-            self._space = self._span_roots(
-                self.levi_roots | self.nilradical_roots, include_cartan=True
-            )
-        return self._space
+        return self._span_roots(self.negative_roots)
 
     @property
     def is_borel(self) -> bool:
@@ -182,6 +167,8 @@ class CompatibilityReport:
 
 @dataclass
 class ClosednessReport:
+    """pr_u, l_tau and p_tau are spans in the root coordinates of `_RootTables`."""
+
     closed: bool
     pr_u: Subspace
     nil_report: NilpotencyReport
@@ -205,17 +192,80 @@ def compatibility_report(p: ParabolicData, pair: SymmetricPair) -> Compatibility
     return CompatibilityReport(tau_stable=stable, compatible=stable, H_fixed=h_fixed)
 
 
+class _RootTables:
+    """g in root coordinates: i < R is the root vector X_i (the echelon row of
+    the root space of `datum.roots[i]`), R + k the k-th Cartan row of
+    `zero_space`.  Catalog involutions permute the root spaces up to sign and
+    [X_a, X_b] = N_{a,b} X_{a+b}, so j^tau, tau and the brackets are tables
+    read from the matrices (the last two at first use), each checked on read."""
+
+    def __init__(self, pair: SymmetricPair):
+        self.pair, self.datum = pair, root_datum(pair.g)
+        roots, n, scale = self.datum.roots, pair.g.matrix_dim, self.datum.int_table().scale
+        self.index = {a: i for i, a in enumerate(roots)}
+        self.spaces = [self.datum.root_spaces[a] for a in roots] + [self.datum.zero_space]
+        self.vectors = [MatrixElement.from_vector(n, s.rows[0]) for s in self.spaces[:-1]]
+        self.ints = [scaled_coords(a.coords, scale) for a in roots]
+        self.targets = {v: i for i, v in enumerate(self.ints + [(0,) * self.datum.eps_dim])}
+        self._brackets, self._tau = {}, {}
+        self._jtau = [self._read(h, len(roots), "j^tau") for h in pair.j_tau_basis]
+
+    def _read(self, matrix, k, what) -> dict:
+        """Root coordinates of a matrix that must be a multiple of X_k (k < R),
+        lie in the Cartan (k == R) or vanish (k is None)."""
+        coords = (Subspace(0) if k is None else self.spaces[k]).coordinates_of(matrix.vectorize())
+        if coords is None:
+            raise AssertionError("%s does not lie in its target space (%s)" % (what, k))
+        return {k + m: c for m, c in enumerate(coords) if c}
+
+    def row_bracket(self, x, y) -> dict:
+        """Bracket of two rows on root vectors; [X_i, X_j] lies in g_{a+b}."""
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                if (i, j) not in self._brackets:
+                    k = self.targets.get(tuple(u + v for u, v in zip(self.ints[i], self.ints[j])))
+                    xy = bracket(self.vectors[i], self.vectors[j])
+                    self._brackets[i, j] = self._read(xy, k, "[X_a, X_b]")
+                _vec_axpy(out, a * b, self._brackets[i, j])
+        return out
+
+    def orbit_vector(self, i) -> dict:
+        """X_i + tau X_i, with tau X_i read once against tau*(datum.roots[i])."""
+        if i not in self._tau:
+            k = self.index.get(self.pair.tau_star(self.datum.roots[i]))
+            self._tau[i] = self._read(self.pair.tau(self.vectors[i]), k, "tau X_a")
+        row = dict(self._tau[i])
+        _vec_axpy(row, 1, {i: 1})
+        return row
+
+    def fixed_part(self, roots) -> Subspace:
+        """(j + the root spaces of the index set `roots`) cap g^tau: j^tau plus
+        X_i + tau X_i over the roots i whose tau-image stays in the set."""
+        rows = [r for r in map(self.orbit_vector, roots) if r.keys() <= roots]
+        return self.span([dict(r) for r in self._jtau] + rows)
+
+    def span(self, rows) -> Subspace:
+        """Span of fresh rows without zero entries (`_rref` consumes them)."""
+        return Subspace(self.pair.g.dim, _rref([r for r in rows if r]), _canonical=True)
+
+
 def closedness_report(p: ParabolicData, pair: SymmetricPair) -> ClosednessReport:
-    """Closedness of the symmetric-subgroup orbit through p, via pr_tau(u)."""
+    """Closedness of the symmetric-subgroup orbit through p, via pr_tau(u),
+    in the root coordinates of `_RootTables`: pr_tau(u) is spanned by
+    X_a + tau X_a over the roots a of u."""
     if p.g is not pair.g:
         raise ValueError("parabolic and pair live on different realizations")
-    pr = tau_projection(pair, p.u_plus)
-    nil = nilpotent_subalgebra_test(pr, pair.g.algebra)
+    t = pair._root_tables = pair._root_tables or _RootTables(pair)
+    nilradical = {t.index[a] for a in p.nilradical_roots}
+    pr = t.span(map(t.orbit_vector, nilradical))
+    nil = lcs_report(pr, lambda xs, ys: t.span(t.row_bracket(x, y) for x in xs for y in ys))
     closed = nil.bracket_closed and nil.nilpotent
     if not closed:
         return ClosednessReport(closed=False, pr_u=pr, nil_report=nil)
-    l_tau = p.l.intersect(pair.fixed)
-    p_tau = p.space.intersect(pair.fixed)
+    levi = {t.index[a] for a in p.levi_roots}
+    l_tau = t.fixed_part(levi)
+    p_tau = t.fixed_part(levi | nilradical)
     if p_tau.dim != l_tau.dim + pr.dim:
         raise AssertionError("Levi decomposition of p^tau failed the dimension check")
     if p_tau != l_tau.sum(pr):

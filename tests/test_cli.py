@@ -158,6 +158,7 @@ def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
         ("branch --pair so_down_so:m=4 --degree x", None),
         ("branch --pair so_down_so:m=4 --config {missing}", None),
         ("branch --pair so_down_so:m=4 --config {cfg}", "degree = x\n"),
+        ("branch --pair so_down_so:m=4 --config {cfg}", "format = xml\n"),
     ],
 )
 def test_parse_stage_errors_exit_two_with_envelope(argv, config_text, tmp_path, capsys):
@@ -219,6 +220,13 @@ def test_determinism_byte_identical():
     env1, _ = run(argv)
     env2, _ = run(argv)
     assert serialize_envelope(env1, "json") == serialize_envelope(env2, "json")
+
+
+def test_text_format_shows_the_error(capsys):
+    assert main(["branch", "--pair", "so_down_so:m=4", "--degree", "-1"]) == 2
+    out = capsys.readouterr().out
+    assert "result: precondition violation" in out
+    assert "error: degree must be non-negative, got -1" in out
 
 
 def test_text_format_renders_offsets():

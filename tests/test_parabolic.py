@@ -5,27 +5,33 @@ import pytest
 
 from vermabranch import (
     MatrixElement,
+    NilpotencyReport,
     PairSpec,
+    Subspace,
     Weight,
+    bracket,
     build_pair,
     closed_orbit_census,
     closedness_report,
     compatibility_report,
     condition_iii_spot_check,
     double_coset_count,
+    nilpotent_subalgebra_test,
     parabolic_from_H,
     parabolic_from_simple_subset,
     restricted_root_data,
     tensor_closedness,
     weyl_group,
 )
+from vermabranch import parabolic
 from vermabranch.liealg import reflection_element, root_datum
-from vermabranch.pairs import catalog_pairs
+from vermabranch.pairs import catalog_pairs, tau_projection
 from vermabranch.parabolic import (
     enumerate_weyl_translates,
     levi_weyl_generators,
     _census_generators,
     _pattern_from_params,
+    _RootTables,
 )
 
 
@@ -428,3 +434,109 @@ def test_integer_kernel_and_census_matrix_match_oracles(pairs, spec):
                         assert _pattern_from_params(datum, moved) == _fraction_pattern(
                             datum, moved
                         )
+
+
+def _matrix_closedness(p, pair):
+    """Reference closedness in the matrix space: pr_tau(u) by projecting the
+    basis of u, the matrix-bracket nilpotency test, and l^tau, p^tau by
+    Zassenhaus intersection with g^tau.  Returns the compared fields."""
+    pr = tau_projection(pair, p.u_plus)
+    nil = nilpotent_subalgebra_test(pr, pair.g.algebra)
+    if not (nil.bracket_closed and nil.nilpotent):
+        return False, nil, None, pr.dim, None, None
+    l_tau = p.l.intersect(pair.fixed)
+    p_tau = p.l.sum(p.u_plus).intersect(pair.fixed)
+    assert p_tau == l_tau.sum(pr)
+    return True, nil, pair.fixed.dim - p_tau.dim, pr.dim, l_tau.dim, p_tau.dim
+
+
+# the rank <= 3 catalog holds so_down_so:m=5 (closed but not tau-stable
+# translates at subset {1}) and group_case:type=A1; A2 and B2 add group cases
+@pytest.mark.parametrize(
+    "spec",
+    catalog_pairs(3)
+    + [PairSpec("so_down_so", m=8), PairSpec("sp_down_gl", n=4)]
+    + [PairSpec("group_case", type=t) for t in ("A2", "B2")],
+    ids=str,
+)
+def test_root_level_closedness_matches_matrix_oracle(pairs, spec):
+    pair = pairs(spec.kind, **dict(spec.params))
+    nsimple = len(root_datum(pair.g).simple_roots)
+    for r in range(nsimple + 1):
+        for subset in itertools.combinations(range(nsimple), r):
+            by_pattern, _ = enumerate_weyl_translates(pair, set(subset))
+            for p in by_pattern.values():
+                rep = closedness_report(p, pair)
+                dims = [None if s is None else s.dim for s in (rep.l_tau, rep.p_tau)]
+                got = (rep.closed, rep.nil_report, rep.gk_dim, rep.pr_u.dim, *dims)
+                assert got == _matrix_closedness(p, pair), (spec.id, subset)
+
+
+def test_outer_involution_has_closed_translates_that_are_not_stable(pairs):
+    pair = pairs("so_down_so", m=5)
+    by_pattern, _ = enumerate_weyl_translates(pair, {1})
+    verdicts = {
+        (closedness_report(p, pair).closed, compatibility_report(p, pair).tau_stable)
+        for p in by_pattern.values()
+    }
+    assert (True, False) in verdicts
+
+
+def test_tau_table_rejects_a_wrong_root(monkeypatch):
+    pair = build_pair(PairSpec("so_down_so", m=5))  # fresh: its tables are empty
+    roots = root_datum(pair.g).roots
+    shifted = {a: roots[(i + 1) % len(roots)] for i, a in enumerate(roots)}
+    monkeypatch.setattr(pair, "tau_star", shifted.__getitem__)
+    borel = parabolic_from_simple_subset(pair.g, set())
+    with pytest.raises(AssertionError, match="tau X_a does not lie"):
+        closedness_report(borel, pair)
+
+
+def test_bracket_table_rejects_a_wrong_target_root():
+    pair = build_pair(PairSpec("sl_s_glgl", p=1, q=2))
+    tables = _RootTables(pair)
+    roots, index, cartan = tables.datum.roots, tables.index, len(tables.datum.roots)
+    i, j, k = next(
+        (i, j, index[a + b])
+        for i, a in enumerate(roots)
+        for j, b in enumerate(roots)
+        if a + b in index
+    )
+    xy = bracket(tables.vectors[i], tables.vectors[j])
+    assert set(tables._read(xy, k, "[X_a, X_b]")) == {k}
+    for wrong in (i, index[-roots[k]], cartan, None):  # other roots, the Cartan, zero
+        with pytest.raises(AssertionError, match=r"\[X_a, X_b\] does not lie"):
+            tables._read(xy, wrong, "[X_a, X_b]")
+    # [X_a, X_-a] lies in the Cartan and in no root space
+    h = bracket(tables.vectors[i], tables.vectors[index[-roots[i]]])
+    assert min(tables._read(h, cartan, "[X_a, X_-a]")) >= cartan
+    with pytest.raises(AssertionError):
+        tables._read(h, i, "[X_a, X_-a]")
+    # the table reads each bracket against the root its sum names
+    tables.targets[tuple(u + v for u, v in zip(tables.ints[i], tables.ints[j]))] = i
+    with pytest.raises(AssertionError, match=r"\[X_a, X_b\] does not lie"):
+        tables.row_bracket({i: 1}, {j: 1})
+
+
+def test_p_tau_dimension_check_catches_a_forced_verdict(monkeypatch):
+    # a parabolic whose pr_tau(u) is no subalgebra, passed off as closed
+    pair = build_pair(PairSpec("group_case", type="A1"))
+    twisted = parabolic_from_H(pair.g, MatrixElement.diagonal([1, -1, -1, 1]))
+    assert not closedness_report(twisted, pair).closed
+    forced = NilpotencyReport(True, True, 1)
+    monkeypatch.setattr(parabolic, "lcs_report", lambda sub, span: forced)
+    with pytest.raises(AssertionError, match="failed the dimension check"):
+        closedness_report(twisted, pair)
+
+
+def test_p_tau_spanning_check_catches_a_wrong_sum(pairs, monkeypatch):
+    pair = pairs("sl_s_glgl", p=2, q=2)
+    p = parabolic_from_H(pair.g, MatrixElement.diagonal([1, 0, 0, -1]))
+    assert closedness_report(p, pair).closed
+
+    def coordinate_span(self, other):  # right dimension, wrong span
+        return Subspace(self.ambient_dim, [{k: 1} for k in range(self.dim + other.dim)])
+
+    monkeypatch.setattr(Subspace, "sum", coordinate_span)
+    with pytest.raises(AssertionError, match="p\\^tau is not spanned"):
+        closedness_report(p, pair)
