@@ -19,9 +19,10 @@ from typing import Iterable, Optional
 
 from .exactla import weight_decomposition
 from .liealg import (
-    RankCapError,
+    MF_SCAN_RANK_CAP,
     RootDatum,
     Weight,
+    check_cap,
     freudenthal_character,
     regular_order_key,
     scaled_coords,
@@ -701,9 +702,6 @@ def genericity_check(
     return GenericityReport(simple_certified=simple, distinct_infchar=distinct)
 
 
-MF_SCAN_RANK_CAP = 6
-
-
 @dataclass(frozen=True)
 class MfScanRow:
     spec_id: str
@@ -720,8 +718,7 @@ def mf_scan(rank_bound: int, include_failing: bool = False):
     Only pairs with simple ambient algebra participate; the gl-over-gl
     family is measured in its trace-projected sl incarnation.
     """
-    if rank_bound > MF_SCAN_RANK_CAP:
-        raise RankCapError("rank bound capped at %d" % MF_SCAN_RANK_CAP)
+    check_cap("rank bound", rank_bound, MF_SCAN_RANK_CAP)
     rows = []
     seen = set()
     for spec in catalog_pairs(rank_bound, simple_only=True):

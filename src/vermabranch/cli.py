@@ -31,7 +31,7 @@ from .branching import (
     mf_scan,
     verify_character_identity,
 )
-from .liealg import RankCapError, Weight
+from .liealg import DEGREE_CAP, LEVEL_CAP, RankCapError, Weight, check_cap
 from .pairs import PairSpec, build_pair, catalog_pairs
 from .parabolic import (
     IncompatibleRestrictionError,
@@ -51,8 +51,6 @@ CACHE_ENV_VAR = "VERMABRANCH_CACHE_DIR"
 
 COMMANDS = ("pairs", "analyze", "census", "branch", "verify", "mf-scan")
 
-DEGREE_CAP = 12
-LEVEL_CAP = 12
 # closed-form law -> smallest n whose pair exists in the catalog
 LAW_MIN_N = {"AA": 1, "BD": 2, "DB": 2}
 
@@ -167,8 +165,7 @@ def _render_text(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _check_size(name: str, value: int, cap: int) -> None:
-    if value > cap:
-        raise PreconditionError("%s capped at %d" % (name, cap))
+    check_cap(name, value, cap)
     if value < 0:
         raise PreconditionError("%s must be non-negative, got %d" % (name, value))
 
@@ -301,7 +298,7 @@ def _cmd_census(config: RunConfig, payload: dict):
     p = _resolve_parabolic(pair, config.parabolic)
     # standard type of p: the Weyl-dominant representative of its H
     datum = p.datum
-    dominant = datum.dominant_representative(pair.g.eps_params(p.H))
+    dominant = datum.dominant_representative(Weight(p.params))
     levi_indices = frozenset(
         i
         for i, a in enumerate(datum.simple_roots)

@@ -420,96 +420,32 @@ def nilpotent_subalgebra_test(sub: Subspace, ambient) -> NilpotencyReport:
     return lcs_report(sub, bracket_span)
 
 
-def ad_operator_columns(z: MatrixElement, ambient) -> list:
-    """Columns of ad(z) in the echelon basis coordinates of the algebra."""
-    alg = _ambient_subspace(ambient)
-    _matrix_dim(alg)
-    if not alg.contains_matrix(z):
-        raise ValueError("element does not lie in the ambient algebra")
-    columns = []
-    for b in alg.matrices():
-        coords = alg.coordinates_of(bracket(z, b).vectorize())
-        if coords is None:
-            raise ValueError("ambient subspace is not bracket-closed")
-        columns.append({i: c for i, c in enumerate(coords) if c})
-    return columns
-
-
-def _int_forward_echelon(rows) -> list:
-    """Fraction-free forward elimination of sparse rows (rank/span only).
-
-    Rows are scaled to integers and gcd-reduced after every elimination, so
-    the arithmetic stays on small Python ints.
-    """
-    basis = []
-    for row in rows:
-        row = _integerize(row)
-        while row:
-            piv = min(row)
-            hit = next((b for b in basis if min(b) == piv), None)
-            if hit is None:
-                break
-            a, c = hit[piv], row[piv]
-            row = {
-                k: a * row.get(k, 0) - c * hit.get(k, 0)
-                for k in set(row) | set(hit)
-            }
-            row = {k: v for k, v in row.items() if v}
-            row = _gcd_reduce(row)
-        if row:
-            basis.append(row)
-            basis.sort(key=min)
-    return basis
-
-
-def _integerize(row):
-    lcm = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    if lcm == 1:
-        return {k: int(v) for k, v in row.items() if v}
-    return {k: int(v * lcm) for k, v in row.items() if v}
-
-
-def _gcd_reduce(row):
-    g = 0
-    for v in row.values():
-        g = math.gcd(g, abs(v))
-        if g == 1:
-            return row
-    if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
-
-
-def nilpotent_operator_chain(columns: list) -> bool:
-    """Whether the sparse coordinate operator has a vanishing image chain."""
-    current = [dict(col) for col in columns if col]
-    dim = None
-    while True:
-        basis = _int_forward_echelon(current)
-        if not basis:
-            return True
-        if dim is not None and len(basis) >= dim:
-            return False
-        dim = len(basis)
-        current = []
-        for row in basis:
-            vec = {}
-            for j, c in row.items():
-                _vec_axpy(vec, c, columns[j])
-            current.append(vec)
+def nilpotent_matrix(z: MatrixElement) -> bool:
+    """Whether z^N = 0 for the N x N matrix z, by repeated squaring."""
+    power, exponent = z, 1
+    while exponent < z.dim and not power.is_zero():
+        power, exponent = power @ power, 2 * exponent
+    return power.is_zero()
 
 
 def ad_nilpotent(z: MatrixElement, ambient) -> bool:
     """Whether ad(z) is nilpotent on the ambient algebra.
 
-    The operator matrix of ad(z) in the echelon basis of the algebra is
-    built once; the exact image chain then runs in coordinate space and
-    reaches zero exactly when ad(z) is nilpotent.
+    Assumes the ambient is reductive with centre zero or the scalars, as
+    every catalog realization is.  Its derived algebra is then semisimple,
+    and a faithful representation of a semisimple algebra preserves the
+    Jordan decomposition (Humphreys, GTM 9, 6.4): ad(z) is nilpotent exactly
+    when z, less its scalar part (tr z / N) I when I lies in the ambient, is
+    a nilpotent matrix.
     """
-    return nilpotent_operator_chain(ad_operator_columns(z, ambient))
+    alg = _ambient_subspace(ambient)
+    n = _matrix_dim(alg)
+    if not alg.contains_matrix(z):
+        raise ValueError("element does not lie in the ambient algebra")
+    identity = MatrixElement.identity(n)
+    if alg.contains_matrix(identity):
+        z = z - identity.scale(Fraction(sum(z.diagonal_entries()), n))
+    return nilpotent_matrix(z)
 
 
 def weight_decomposition(commuting_family, space: Subspace):

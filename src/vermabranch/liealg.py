@@ -26,11 +26,20 @@ from .exactla import (
     weight_decomposition,
 )
 
+# size caps: exceeding one raises RankCapError
 WEYL_RANK_CAP = 6
+MF_SCAN_RANK_CAP = 6
+DEGREE_CAP = 12
+LEVEL_CAP = 12
 
 
 class RankCapError(ValueError):
-    """Raised when an enumeration exceeds the configured rank cap."""
+    """Raised when a rank, degree or level exceeds its cap."""
+
+
+def check_cap(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise RankCapError("%s capped at %d" % (name, cap))
 
 
 # ---------------------------------------------------------------------------

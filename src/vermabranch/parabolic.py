@@ -22,6 +22,7 @@ from .exactla import (
     _vec_axpy,
     bracket,
     lcs_report,
+    nilpotent_matrix,
 )
 from .liealg import (
     AlgebraRealization,
@@ -48,10 +49,14 @@ class IncompatibleRestrictionError(ValueError):
 @dataclass
 class ParabolicData:
     g: AlgebraRealization
-    H: MatrixElement
+    params: tuple  # eps-parameters of the defining H
     levi_roots: frozenset
     nilradical_roots: frozenset
     negative_roots: frozenset
+
+    @cached_property
+    def H(self) -> MatrixElement:
+        return self.g.cartan_element(Weight(self.params))
 
     @property
     def pattern(self):
@@ -126,7 +131,7 @@ def parabolic_from_H(g: AlgebraRealization, h: MatrixElement) -> ParabolicData:
     params = g.eps_params(h).coords
     levi, nilrad, neg = _pattern_from_params(datum, params)
     return ParabolicData(
-        g=g, H=h, levi_roots=levi, nilradical_roots=nilrad, negative_roots=neg
+        g=g, params=params, levi_roots=levi, nilradical_roots=nilrad, negative_roots=neg
     )
 
 
@@ -283,28 +288,18 @@ def condition_iii_spot_check(
 
     Basis elements are always tested; `samples` fixed-seed rational
     combinations with coefficients in {-3,...,3} follow.  This is the
-    validation layer for the implemented bracket criterion.  Since ad is
-    linear, the operator columns of the basis are built once and combined
-    per sample.
+    validation layer for the implemented bracket criterion.  pr_tau(u) lies
+    in [g, g], on which ad z is nilpotent exactly when the matrix z is
+    (`exactla.ad_nilpotent`), so each element is tested by z^N = 0.
     """
-    from .exactla import _vec_axpy, ad_operator_columns, nilpotent_operator_chain
-
     mats = tau_projection(pair, p.u_plus).matrices()
-    if not mats:
-        return True
-    basis_columns = [ad_operator_columns(z, pair.g.algebra) for z in mats]
-    for columns in basis_columns:
-        if not nilpotent_operator_chain(columns):
-            return False
+    if not all(map(nilpotent_matrix, mats)):
+        return False
     rng = random.Random(seed)
-    d = pair.g.algebra.dim
     for _ in range(samples):
         coeffs = [rng.randint(-3, 3) for _ in mats]
-        combined = [{} for _ in range(d)]
-        for c, columns in zip(coeffs, basis_columns):
-            for tgt, col in zip(combined, columns):
-                _vec_axpy(tgt, c, col)
-        if any(combined) and not nilpotent_operator_chain(combined):
+        z = MatrixElement.combination(pair.g.matrix_dim, coeffs, mats)
+        if not z.is_zero() and not nilpotent_matrix(z):
             return False
     return True
 
@@ -367,7 +362,7 @@ def enumerate_weyl_translates(pair: SymmetricPair, subset):
     g = pair.g
     datum = root_datum(g)
     p0 = parabolic_from_simple_subset(g, subset)
-    t0 = g.eps_params(p0.H).coords
+    t0 = p0.params
     seen = {}  # (levi mask, nilradical mask) -> [first params, negative mask, params]
     for w in weyl_group(datum):
         t = w.apply_params(t0)
@@ -379,7 +374,7 @@ def enumerate_weyl_translates(pair: SymmetricPair, subset):
         key = (datum.roots_of_mask(levi), datum.roots_of_mask(nilrad))
         by_pattern[key] = ParabolicData(
             g=g,
-            H=g.cartan_element(Weight(t)),
+            params=t,
             levi_roots=key[0],
             nilradical_roots=key[1],
             negative_roots=datum.roots_of_mask(neg),
@@ -460,9 +455,7 @@ def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
     for members in classes.values():
         rep_key = min(members, key=canon)
         p = by_pattern[rep_key]
-        descriptor = "H=(%s)" % ", ".join(
-            str(c) for c in pair.g.eps_params(p.H).coords
-        )
+        descriptor = "H=(%s)" % ", ".join(str(c) for c in p.params)
         representatives.append((descriptor, p, reports[rep_key].gk_dim))
     representatives.sort(key=lambda r: (r[2], r[0]))
     return OrbitCensusReport(

@@ -132,6 +132,14 @@ def test_ad_nilpotent_cases():
     assert not ad_nilpotent(h, sl2)
     # e + f is semisimple: ad eigenvalues are 2, 0, -2 in the e+f eigenbasis
     assert not ad_nilpotent(e + f, sl2)
+    # in gl2 the scalar part is central: I and e + I are ad-nilpotent, h + I is not
+    gl2 = gl(2)
+    one = MatrixElement.identity(2)
+    assert ad_nilpotent(one, gl2)
+    assert ad_nilpotent(e + one, gl2)
+    assert not ad_nilpotent(h + one, gl2)
+    with pytest.raises(ValueError):
+        ad_nilpotent(one, sl2)
 
 
 def test_weight_decomposition_sl2_adjoint():
