@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exactla import weight_decomposition
 from .liealg import (
     MF_SCAN_RANK_CAP,
     RootDatum,
@@ -33,6 +33,7 @@ from .parabolic import (
     ParabolicData,
     compatibility_report,
     parabolic_from_simple_subset,
+    root_tau_split,
 )
 
 
@@ -234,37 +235,33 @@ def decompose_character(char, datum: RootDatum):
 # the branching pipeline
 # ---------------------------------------------------------------------------
 
-def _restricted_weights(pair: SymmetricPair, space) -> dict:
-    if space.dim == 0:
-        return {}
-    parts = weight_decomposition(pair.j_tau_probes, space)
-    return {Weight(wt): part.dim for wt, part in parts}
+def _u_minus_split(p: ParabolicData, pair: SymmetricPair) -> tuple:
+    """j^tau-weight multisets of u_-^tau and u_-^{-tau} from the tau*-orbits
+    of the roots of u_-; tau* must map those roots onto themselves."""
+    if {pair.tau_star(a) for a in p.negative_roots} != p.negative_roots:
+        raise AssertionError("u_- failed to split under a stable parabolic")
+    plus, minus = root_tau_split(pair, p.negative_roots)
+    return Counter(map(pair.restrict_weight, plus)), Counter(map(pair.restrict_weight, minus))
 
 
 def _levi_prime_datum(p: ParabolicData, pair: SymmetricPair) -> RootDatum:
-    rdatum = restricted_root_data(pair)
-    roots = [
-        b for b in rdatum.roots if p.l.contains_subspace(rdatum.root_spaces[b])
-    ]
-    return rdatum.sub_datum(roots)
+    """Root datum of l' = l cap g^tau: the restricted roots carrying a nonzero
+    tau-fixed vector of l (needs no tau-stability of p)."""
+    plus, _ = root_tau_split(pair, p.levi_roots)
+    return restricted_root_data(pair).sub_datum({pair.restrict_weight(a) for a in plus})
 
 
 @dataclass
 class _EngineContext:
-    pair: SymmetricPair
-    spec: VermaSpec
-    h_fixed: object
     u_prime_weights: dict
     u_second_weights: dict
     l_prime_datum: RootDatum
     f_block: dict
     base: Optional[Weight]
-    _h_params: Optional[Weight] = None
+    level_params: Weight  # j^tau coordinates of (H + tau H)/2
 
     def level_of(self, w: Weight) -> Fraction:
-        if self._h_params is None:
-            self._h_params = Weight(self.pair.jtau_params(self.h_fixed))
-        return -w.dot(self._h_params)
+        return -w.dot(self.level_params)
 
 
 def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
@@ -274,19 +271,13 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
         raise IncompatibleRestrictionError(
             "restriction not discretely decomposable for this embedding"
         )
-    plus = p.u_minus.intersect(pair.fixed)
-    minus = p.u_minus.intersect(pair.minus)
-    if plus.dim + minus.dim != p.u_minus.dim:
-        raise AssertionError("u_- failed to split under a stable parabolic")
-    u_second = _restricted_weights(pair, minus)
-    u_prime = _restricted_weights(pair, plus)
+    u_prime, u_second = _u_minus_split(p, pair)
     l_prime = _levi_prime_datum(p, pair)
     if spec.lam is None:
         if not spec.scalar_type:
             raise ValueError("symbolic lambda requires scalar type")
         base = None
-        eps = pair.restricted_eps_dim
-        f_block = {Weight.zero(eps): 1}
+        f_block = {Weight.zero(pair.restricted_eps_dim): 1}
     else:
         base = pair.restrict_weight(spec.lam)
         restricted = restrict_finite_module(
@@ -294,14 +285,12 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
         )
         f_block = {w - base: m for w, m in restricted.items()}
     return _EngineContext(
-        pair=pair,
-        spec=spec,
-        h_fixed=comp.H_fixed,
         u_prime_weights=u_prime,
         u_second_weights=u_second,
         l_prime_datum=l_prime,
         f_block=f_block,
         base=base,
+        level_params=Weight(pair.jtau_params(comp.fixed_params)),
     )
 
 
@@ -314,17 +303,22 @@ def _convolve(a: dict, b: dict) -> dict:
     return out
 
 
+def _graded_characters(ctx: _EngineContext, degree_bound: int):
+    """(k, displacement character of F_lambda|_{l'} (x) S^k(u_-'')) for
+    k = 0..N, skipping k > 0 when u_-'' = 0."""
+    powers = sym_power_characters(ctx.u_second_weights, degree_bound)
+    yield 0, dict(ctx.f_block)
+    for k in range(1, degree_bound + 1):
+        if powers[k]:
+            yield k, _convolve(ctx.f_block, powers[k])
+
+
 def character_series(spec: VermaSpec, pair: SymmetricPair, degree_bound: int) -> CharacterSeries:
     """Degree-graded displacement character of F_lambda|_{l'} (x) S(u_-'')."""
     ctx = _engine_context(spec, pair)
-    powers = sym_power_characters(ctx.u_second_weights, degree_bound)
-    terms = {}
-    for k in range(degree_bound + 1):
-        char_k = _convolve(ctx.f_block, powers[k]) if powers[k] else (
-            dict(ctx.f_block) if k == 0 else {}
-        )
-        for w, m in char_k.items():
-            terms[(k, w)] = m
+    terms = {
+        (k, w): m for k, char_k in _graded_characters(ctx, degree_bound) for w, m in char_k.items()
+    }
     return CharacterSeries(base_offset=ctx.base, terms=terms, degree_bound=degree_bound)
 
 
@@ -335,36 +329,28 @@ def branch_multiplicities(spec: VermaSpec, pair: SymmetricPair, degree_bound: in
     Levi pairings of lambda matter there); the symbolic scalar case peels
     displacements directly.
     """
-    ctx = _engine_context(spec, pair)
-    powers = sym_power_characters(ctx.u_second_weights, degree_bound)
+    return _branching_table(_engine_context(spec, pair), spec, degree_bound)
+
+
+def _branching_table(ctx: _EngineContext, spec: VermaSpec, degree_bound: int) -> BranchingTable:
     acc = {}
-    for k in range(degree_bound + 1):
-        if not powers[k]:
-            if k > 0:
-                continue
-            char_k = dict(ctx.f_block)
-        else:
-            char_k = _convolve(ctx.f_block, powers[k])
+    for k, char_k in _graded_characters(ctx, degree_bound):
         if ctx.base is not None:
             char_k = {ctx.base + d: m for d, m in char_k.items()}
         for delta, mult in decompose_character(char_k, ctx.l_prime_datum):
             if ctx.base is not None:
                 delta = delta - ctx.base
             disp = delta.int_coords()
-            if disp in acc:
-                acc[disp][0] += mult
-            else:
-                acc[disp] = [mult, k]
+            acc.setdefault(disp, [0, k])[0] += mult
     entries = [
         BranchEntry(delta_displacement=d, multiplicity=m, first_degree=k)
         for d, (m, k) in acc.items()
     ]
-    assumptions = _assumptions_for(spec)
     return BranchingTable(
         base_offset=ctx.base,
         entries=_sorted_entries(entries),
         degree_bound=degree_bound,
-        genericity_assumptions=assumptions,
+        genericity_assumptions=_assumptions_for(spec),
     )
 
 
@@ -431,49 +417,29 @@ def verify_character_identity(
     """
     ctx = _engine_context(spec, pair)
     level_cap = Fraction(level)
+    lev = ctx.level_of
 
-    def lev(w: Weight) -> Fraction:
-        return ctx.level_of(w)
-
-    u_all = dict(ctx.u_prime_weights)
-    for w, m in ctx.u_second_weights.items():
-        u_all[w] = u_all.get(w, 0) + m
-
+    u_all = Counter(ctx.u_prime_weights) + Counter(ctx.u_second_weights)
     lhs_start = {w: m for w, m in ctx.f_block.items() if lev(w) <= level_cap}
     lhs = _inv_euler_expand(lhs_start, u_all, lev, level_cap)
 
     if table is None:
-        if ctx.u_second_weights:
-            a_min = min(lev(w) for w in ctx.u_second_weights)
-            bound = int(level_cap / a_min)
-        else:
-            bound = 0
-        table = branch_multiplicities(spec, pair, bound)
+        a_min = min(map(lev, ctx.u_second_weights), default=None)
+        table = _branching_table(ctx, spec, 0 if a_min is None else int(level_cap / a_min))
 
-    rhs = {}
-    cache = {}
+    # the expansion is linear: expand sum_delta m_delta chi_delta once
+    base = Weight.zero(pair.restricted_eps_dim) if ctx.base is None else ctx.base
+    rhs_start = {}
     for entry in table.entries:
         delta = Weight(entry.delta_displacement)
         if lev(delta) > level_cap:
             continue
-        if delta not in cache:
-            if ctx.base is None:
-                fchar = freudenthal_character(ctx.l_prime_datum, delta)
-            else:
-                absolute = freudenthal_character(ctx.l_prime_datum, ctx.base + delta)
-                fchar = {w - ctx.base: m for w, m in absolute.items()}
-            cache[delta] = {
-                w: m for w, m in fchar.items() if lev(w) <= level_cap
-            }
-        expanded = _inv_euler_expand(cache[delta], ctx.u_prime_weights, lev, level_cap)
-        for w, m in expanded.items():
-            c = rhs.get(w, 0) + entry.multiplicity * m
-            if c:
-                rhs[w] = c
-            else:
-                rhs.pop(w, None)
+        for w, m in freudenthal_character(ctx.l_prime_datum, base + delta).items():
+            if lev(w := w - base) <= level_cap:
+                rhs_start[w] = rhs_start.get(w, 0) + entry.multiplicity * m
+    rhs = _inv_euler_expand(rhs_start, ctx.u_prime_weights, lev, level_cap)
 
-    return lhs == rhs
+    return lhs == {w: m for w, m in rhs.items() if m}
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +489,7 @@ def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: in
         raise IncompatibleRestrictionError(
             "parabolic is not stable under the involution"
         )
-    weights = _restricted_weights(pair, p.u_minus.intersect(pair.minus))
+    weights = _u_minus_split(p, pair)[1]
     seq = strongly_orthogonal_sequence(
         weights.keys(), pair.ambient_restricted_roots()
     )

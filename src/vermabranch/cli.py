@@ -39,7 +39,7 @@ from .parabolic import (
     closedness_report,
     compatibility_report,
     condition_iii_spot_check,
-    parabolic_from_H,
+    parabolic_from_params,
     parabolic_from_simple_subset,
 )
 
@@ -202,13 +202,12 @@ def _resolve_parabolic(pair, descriptor: str):
         return parabolic_from_simple_subset(g, set(range(nsimple - 1)))
     if text.startswith("h="):
         try:
-            params = Weight(Fraction(v) for v in text[2:].split(","))
-            h = g.cartan_element(params)
+            params = g.cartan_params([Fraction(v) for v in text[2:].split(",")])
         except (ValueError, ZeroDivisionError) as exc:
             raise PreconditionError(
                 "bad Cartan parameters %r: %s" % (descriptor, exc)
             ) from exc
-        return parabolic_from_H(g, h)
+        return parabolic_from_params(g, params)
     try:
         subset = {int(v) for v in text.split(",") if v != ""}
     except ValueError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -148,7 +149,6 @@ class AlgebraRealization:
     eps_positions: list
     has_center: bool = False
     _datum: Optional["RootDatum"] = field(default=None, repr=False)
-    _cartan_columns: Optional[list] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -169,16 +169,18 @@ class AlgebraRealization:
         diag = h.diagonal_entries()
         return Weight(diag[p] for p in self.eps_positions)
 
-    def cartan_element(self, params: Weight) -> MatrixElement:
-        """The Cartan element with prescribed epsilon-parameters."""
+    @cached_property
+    def cartan_columns(self) -> list:
+        """Epsilon-parameters of the Cartan basis, one tuple per element."""
+        return [self.eps_params(h).coords for h in self.cartan_basis]
+
+    def cartan_params(self, params) -> tuple:
+        """Epsilon-parameters of a Cartan element, checked to be realizable."""
         if len(params) != self.eps_dim:
             raise ValueError("expected %d Cartan parameters" % self.eps_dim)
-        if self._cartan_columns is None:
-            self._cartan_columns = [self.eps_params(h).coords for h in self.cartan_basis]
-        coeffs = _solve(self._cartan_columns, tuple(params))
-        if coeffs is None:
+        if _solve(self.cartan_columns, tuple(params)) is None:
             raise ValueError("parameters not realizable in the Cartan")
-        return MatrixElement.combination(self.matrix_dim, coeffs, self.cartan_basis)
+        return tuple(params)
 
 
 def _solve(columns, target):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .exactla import (
@@ -29,6 +30,7 @@ from .liealg import (
     _solve,
     build_classical,
     datum_from_decomposition,
+    root_datum,
 )
 
 PAIR_KINDS = ("gl_down_gl", "sl_s_glgl", "so_down_so", "sp_down_gl", "group_case")
@@ -103,11 +105,7 @@ class SymmetricPair:
     j_tau_basis: list
     j_tau_probes: list
     _restricted_datum: Optional[RootDatum] = field(default=None, repr=False)
-    _restrict_matrix: Optional[list] = field(default=None, repr=False)
-    _jtau_columns: Optional[list] = field(default=None, repr=False)
-    _tau_star_matrix: Optional[list] = field(default=None, repr=False)
     _tau_star_images: dict = field(default_factory=dict, repr=False)
-    _ambient_restricted_roots: Optional[set] = field(default=None, repr=False)
     _root_tables: Optional[object] = field(default=None, repr=False)
 
     @property
@@ -117,46 +115,50 @@ class SymmetricPair:
     def acts_trivially_on_j(self) -> bool:
         return all(self.tau(h) == h for h in self.g.cartan_basis)
 
-    # -- weight plumbing between j and j^tau
+    # -- weight and parameter plumbing between j and j^tau
+
+    @cached_property
+    def probe_params(self) -> list:
+        """eps-parameters of the j^tau probes: row k restricts a j-weight to
+        coordinate k of j^tau, and spans the j^tau parameters as column k."""
+        return [self.g.eps_params(p).coords for p in self.j_tau_probes]
 
     def restrict_weight(self, w: Weight) -> Weight:
         """Restriction of a j-weight to j^tau, in the pair's coordinates."""
-        if self._restrict_matrix is None:
-            self._restrict_matrix = [
-                self.g.eps_params(p).coords for p in self.j_tau_probes
-            ]
-        return _apply_rows(self._restrict_matrix, w)
+        return _apply_rows(self.probe_params, w)
 
-    def jtau_params(self, h: MatrixElement) -> tuple:
-        """Coordinates of a j^tau element in the probe parametrization."""
-        if self._jtau_columns is None:
-            self._jtau_columns = [p.diagonal_entries() for p in self.j_tau_probes]
-        sol = _solve(self._jtau_columns, h.diagonal_entries())
+    def jtau_params(self, params) -> tuple:
+        """Probe coordinates of the j^tau element with these eps-parameters."""
+        sol = _solve(self.probe_params, tuple(params))
         if sol is None:
             raise ValueError("element is not in the span of the j^tau probes")
         return tuple(sol)
 
-    def jtau_element(self, params) -> MatrixElement:
-        return MatrixElement.combination(self.g.matrix_dim, params, self.j_tau_probes)
+    @cached_property
+    def _tau_rows(self) -> list:
+        """Row k: eps-parameters of tau applied to the k-th eps probe."""
+        return [self.g.eps_params(self.tau(p)).coords for p in self.g.eps_probes]
 
     def tau_star(self, alpha: Weight) -> Weight:
         """Pullback of a j-weight along tau (tau permutes the root spaces)."""
-        if self._tau_star_matrix is None:
-            self._tau_star_matrix = [
-                self.g.eps_params(self.tau(p)).coords for p in self.g.eps_probes
-            ]
         if alpha not in self._tau_star_images:  # callers pass roots: at most R entries
-            self._tau_star_images[alpha] = _apply_rows(self._tau_star_matrix, alpha)
+            self._tau_star_images[alpha] = _apply_rows(self._tau_rows, alpha)
         return self._tau_star_images[alpha]
 
+    def fixed_params(self, params) -> tuple:
+        """eps-parameters of (h + tau h)/2 for h with these eps-parameters.
+
+        tau acts on parameters by the transpose of the tau* rows, since
+        alpha(tau h) = (tau* alpha)(h)."""
+        return tuple(
+            (t + sum((r[i] * s for r, s in zip(self._tau_rows, params) if s), Fraction(0))) / 2
+            for i, t in enumerate(params)
+        )
+
     def ambient_restricted_roots(self) -> set:
-        """Nonzero j^tau-weights of g: the restricted root set of the pair."""
-        if self._ambient_restricted_roots is None:
-            parts = weight_decomposition(self.j_tau_probes, self.g.algebra)
-            self._ambient_restricted_roots = {
-                Weight(wt) for wt, _ in parts if any(wt)
-            }
-        return self._ambient_restricted_roots
+        """Nonzero j^tau-weights of g: the restrictions of the roots of g."""
+        restricted = map(self.restrict_weight, root_datum(self.g).roots)
+        return {w for w in restricted if not w.is_zero()}
 
 
 def _apply_rows(rows, w: Weight) -> Weight:

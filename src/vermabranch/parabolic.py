@@ -54,10 +54,6 @@ class ParabolicData:
     nilradical_roots: frozenset
     negative_roots: frozenset
 
-    @cached_property
-    def H(self) -> MatrixElement:
-        return self.g.cartan_element(Weight(self.params))
-
     @property
     def pattern(self):
         """Canonical key: a parabolic containing j is its root sign pattern."""
@@ -67,26 +63,12 @@ class ParabolicData:
     def datum(self) -> RootDatum:
         return root_datum(self.g)
 
-    def _span_roots(self, roots, include_cartan=False) -> Subspace:
-        datum = self.datum
-        rows = []
-        if include_cartan:
-            rows.extend(dict(r) for r in datum.zero_space.rows)
-        for a in roots:
-            rows.extend(dict(r) for r in datum.root_spaces[a].rows)
-        return Subspace(self.g.matrix_dim ** 2, rows)
-
-    @cached_property
-    def l(self) -> Subspace:
-        return self._span_roots(self.levi_roots, include_cartan=True)
-
     @cached_property
     def u_plus(self) -> Subspace:
-        return self._span_roots(self.nilradical_roots)
-
-    @cached_property
-    def u_minus(self) -> Subspace:
-        return self._span_roots(self.negative_roots)
+        """The nilradical as a matrix subspace (for the spot check)."""
+        spaces = self.datum.root_spaces
+        rows = [dict(r) for a in self.nilradical_roots for r in spaces[a].rows]
+        return Subspace(self.g.matrix_dim ** 2, rows)
 
     @property
     def is_borel(self) -> bool:
@@ -96,10 +78,9 @@ class ParabolicData:
         return self.datum.sub_datum(self.levi_roots)
 
     def nilradical_abelian(self) -> bool:
-        mats = self.u_plus.matrices()
-        return all(
-            bracket(a, b).is_zero() for a in mats for b in mats
-        )
+        """[u, u] = 0: no two nilradical roots sum to a root."""
+        roots = self.datum.root_spaces
+        return not any(a + b in roots for a in self.nilradical_roots for b in self.nilradical_roots)
 
     def __eq__(self, other):
         return (
@@ -123,32 +104,36 @@ def _pattern_from_params(datum: RootDatum, params) -> tuple:
     return tuple(datum.roots_of_mask(m) for m in datum.sign_masks(params))
 
 
+def parabolic_from_params(g: AlgebraRealization, params) -> ParabolicData:
+    """Parabolic defined by the sign of the roots on the Cartan element H with
+    these eps-parameters (realizable ones: see `cartan_params`)."""
+    params = tuple(map(Fraction, params))
+    levi, nilrad, neg = _pattern_from_params(root_datum(g), params)
+    return ParabolicData(
+        g=g, params=params, levi_roots=levi, nilradical_roots=nilrad, negative_roots=neg
+    )
+
+
 def parabolic_from_H(g: AlgebraRealization, h: MatrixElement) -> ParabolicData:
     """Parabolic defined by the sign of the roots on a diagonal H in j."""
     if not h.is_diagonal() or not g.algebra.contains_matrix(h):
         raise ValueError("H must lie in the diagonal Cartan of the realization")
-    datum = root_datum(g)
-    params = g.eps_params(h).coords
-    levi, nilrad, neg = _pattern_from_params(datum, params)
-    return ParabolicData(
-        g=g, params=params, levi_roots=levi, nilradical_roots=nilrad, negative_roots=neg
-    )
+    return parabolic_from_params(g, g.eps_params(h).coords)
 
 
 def parabolic_from_simple_subset(g: AlgebraRealization, subset) -> ParabolicData:
     """Standard parabolic whose Levi system is generated by the given simples.
 
     H is the sum of fundamental coweights dual to the simple roots outside
-    the subset, solved exactly inside the Cartan.
+    the subset, solved exactly inside the Cartan; its eps-parameters are the
+    same combination of those of the Cartan basis.
     """
     datum = root_datum(g)
     subset = set(subset)
     if not subset <= set(range(len(datum.simple_roots))):
         raise ValueError("subset must consist of simple root indices")
-    columns = [
-        tuple(a.dot(g.eps_params(hj)) for a in datum.simple_roots)
-        for hj in g.cartan_basis
-    ]
+    hs = [Weight(h) for h in g.cartan_columns]
+    columns = [tuple(a.dot(h) for a in datum.simple_roots) for h in hs]
     target = tuple(
         Fraction(0) if i in subset else Fraction(1)
         for i in range(len(datum.simple_roots))
@@ -156,7 +141,8 @@ def parabolic_from_simple_subset(g: AlgebraRealization, subset) -> ParabolicData
     coeffs = _solve(columns, target)
     if coeffs is None:
         raise AssertionError("coweight system has no solution")
-    return parabolic_from_H(g, MatrixElement.combination(g.matrix_dim, coeffs, g.cartan_basis))
+    params = [sum(c * h[i] for c, h in zip(coeffs, hs)) for i in range(g.eps_dim)]
+    return parabolic_from_params(g, params)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +151,8 @@ def parabolic_from_simple_subset(g: AlgebraRealization, subset) -> ParabolicData
 
 @dataclass
 class CompatibilityReport:
-    tau_stable: bool
     compatible: bool
-    H_fixed: Optional[MatrixElement]
+    fixed_params: Optional[tuple]  # eps-parameters of (H + tau H)/2
 
 
 @dataclass
@@ -188,13 +173,10 @@ def compatibility_report(p: ParabolicData, pair: SymmetricPair) -> Compatibility
         raise ValueError("parabolic und pair live on different realizations")
     roots_of_p = p.levi_roots | p.nilradical_roots
     stable = {pair.tau_star(a) for a in roots_of_p} == roots_of_p
-    h_fixed = None
-    if stable:
-        h_fixed = (p.H + pair.tau(p.H)).scale(Fraction(1, 2))
-        again = parabolic_from_H(p.g, h_fixed)
-        if again.pattern != p.pattern:
-            raise AssertionError("p(H + tau H) differs from p for a stable parabolic")
-    return CompatibilityReport(tau_stable=stable, compatible=stable, H_fixed=h_fixed)
+    fixed = pair.fixed_params(p.params) if stable else None
+    if stable and _pattern_from_params(p.datum, fixed)[:2] != p.pattern:
+        raise AssertionError("p(H + tau H) differs from p for a stable parabolic")
+    return CompatibilityReport(compatible=stable, fixed_params=fixed)
 
 
 class _RootTables:
@@ -235,12 +217,16 @@ class _RootTables:
                 _vec_axpy(out, a * b, self._brackets[i, j])
         return out
 
-    def orbit_vector(self, i) -> dict:
-        """X_i + tau X_i, with tau X_i read once against tau*(datum.roots[i])."""
+    def tau_image(self, i) -> dict:
+        """tau X_i, read once against tau*(datum.roots[i])."""
         if i not in self._tau:
             k = self.index.get(self.pair.tau_star(self.datum.roots[i]))
             self._tau[i] = self._read(self.pair.tau(self.vectors[i]), k, "tau X_a")
-        row = dict(self._tau[i])
+        return self._tau[i]
+
+    def orbit_vector(self, i) -> dict:
+        """X_i + tau X_i."""
+        row = dict(self.tau_image(i))
         _vec_axpy(row, 1, {i: 1})
         return row
 
@@ -255,13 +241,40 @@ class _RootTables:
         return Subspace(self.pair.g.dim, _rref([r for r in rows if r]), _canonical=True)
 
 
+def _tables(pair: SymmetricPair) -> _RootTables:
+    if pair._root_tables is None:
+        pair._root_tables = _RootTables(pair)
+    return pair._root_tables
+
+
+def root_tau_split(pair: SymmetricPair, roots) -> tuple:
+    """(plus, minus): one root per tau-eigenvector, of eigenvalue +1 or -1,
+    in the tau-stable part of the span of the root spaces of `roots`.
+
+    Counted over the tau*-orbits inside the set: an orbit {a, tau* a} of two
+    roots gives X_a + tau X_a and X_a - tau X_a, one to each side (listed
+    under a), and a fixed root a goes to the side of s in tau X_a = s X_a.
+    """
+    t = _tables(pair)
+    indices = {t.index[a] for a in roots}
+    plus, minus = [], []
+    for i in sorted(indices):
+        j = t.index[pair.tau_star(t.datum.roots[i])]
+        if j == i:
+            (plus if t.tau_image(i)[i] > 0 else minus).append(t.datum.roots[i])
+        elif i < j and j in indices:
+            plus.append(t.datum.roots[i])
+            minus.append(t.datum.roots[i])
+    return plus, minus
+
+
 def closedness_report(p: ParabolicData, pair: SymmetricPair) -> ClosednessReport:
     """Closedness of the symmetric-subgroup orbit through p, via pr_tau(u),
     in the root coordinates of `_RootTables`: pr_tau(u) is spanned by
     X_a + tau X_a over the roots a of u."""
     if p.g is not pair.g:
         raise ValueError("parabolic and pair live on different realizations")
-    t = pair._root_tables = pair._root_tables or _RootTables(pair)
+    t = _tables(pair)
     nilradical = {t.index[a] for a in p.nilradical_roots}
     pr = t.span(map(t.orbit_vector, nilradical))
     nil = lcs_report(pr, lambda xs, ys: t.span(t.row_bracket(x, y) for x in xs for y in ys))
@@ -387,28 +400,26 @@ def _census_generators(pair: SymmetricPair):
     """Census group generators as exact linear maps on ambient eps-parameters.
 
     A Weyl generator sigma of W(g^tau, j^tau), extended by the identity on
-    j^{-tau}, maps h_+ + h_- to sigma(h_+) + h_-.  Its matrix composes the
-    images of the Cartan basis with a left inverse of the basis' parameters;
-    it is exact on their span, which holds every parameter vector of g (for
-    sl, the trace-zero hyperplane).
+    j^{-tau}, maps t to t - t_+ + sum_k sigma(c(t_+))_k P_k, where t_+ are
+    the parameters of (H + tau H)/2, c(t_+) its coordinates in the j^tau
+    probes and P_k the probes' parameters.  Its matrix holds the images of
+    the standard basis.
     """
-    g = pair.g
+    n = pair.g.eps_dim
     rdatum = restricted_root_data(pair)
-    # left[k] . eps_params(cartan_basis[j]) == (k == j)
-    coordinates = list(zip(*(g.eps_params(h).coords for h in g.cartan_basis)))
-    left = [_solve(coordinates, [int(j == k) for j in range(g.rank)]) for k in range(g.rank)]
+    probes = pair.probe_params
+    basis = [tuple(Fraction(int(i == c)) for i in range(n)) for c in range(n)]
 
     def make_action(sigma: WeylElement):
         images = []
-        for h in g.cartan_basis:
-            hp = (h + pair.tau(h)).scale(Fraction(1, 2))
-            h2 = pair.jtau_element(sigma.apply_params(pair.jtau_params(hp))) + (h - hp)
-            images.append(g.eps_params(h2).coords)
-        matrix = [
-            [(c, m) for c in range(g.eps_dim)
-             if (m := sum(im[i] * lk[c] for im, lk in zip(images, left)))]
-            for i in range(g.eps_dim)
-        ]
+        for e in basis:
+            plus = pair.fixed_params(e)
+            moved = sigma.apply_params(pair.jtau_params(plus))
+            images.append([
+                x - y + sum(m * p[i] for m, p in zip(moved, probes))
+                for i, (x, y) in enumerate(zip(e, plus))
+            ])
+        matrix = [[(c, im[i]) for c, im in enumerate(images) if im[i]] for i in range(n)]
 
         def act(t):
             return tuple(sum((m * t[c] for c, m in row), Fraction(0)) for row in matrix)

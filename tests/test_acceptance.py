@@ -208,7 +208,7 @@ def test_criterion_7_criterion_equivalence(pairs):
                 if not subset:
                     # Borel specialization over every Weyl translate
                     for key, p in by_pattern.items():
-                        stable = compatibility_report(p, pair).tau_stable
+                        stable = compatibility_report(p, pair).compatible
                         assert stable == verdicts[key], spec_id.id
                 for component in components:
                     rep_key = component[0]

@@ -303,7 +303,7 @@ def test_engine_checks_that_u_minus_splits(pairs, monkeypatch):
     twisted = parabolic_from_H(pair.g, MatrixElement.diagonal([1, -1, -1, 1]))
     monkeypatch.setattr(
         branching, "compatibility_report",
-        lambda p, pair: SimpleNamespace(compatible=True, H_fixed=None),
+        lambda p, pair: SimpleNamespace(compatible=True, fixed_params=None),
     )
     with pytest.raises(AssertionError, match="u_- failed to split"):
         branching._engine_context(VermaSpec.generic(twisted), pair)
@@ -409,11 +409,12 @@ def test_strongly_orthogonal_single_weight(pairs):
 
 
 def test_strongly_orthogonal_sl4_split_rank(pairs):
+    from tests.matrix_route import u_minus_space
     from vermabranch import tau_split, weight_decomposition
 
     pair = pairs("sl_s_glgl", p=2, q=2)
     p22 = parabolic_from_simple_subset(pair.g, {0, 2})
-    minus = tau_split(pair, p22.u_minus).minus
+    minus = tau_split(pair, u_minus_space(p22)).minus
     weights = [Weight(w) for w, _ in weight_decomposition(pair.j_tau_probes, minus)]
     seq = strongly_orthogonal_sequence(weights, pair.ambient_restricted_roots())
     assert len(seq) == 2  # min(p, q)

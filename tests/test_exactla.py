@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tests.matrix_route import u_minus_space
 from vermabranch import (
     MatrixElement,
     PairSpec,
@@ -140,6 +141,11 @@ def test_ad_nilpotent_cases():
     assert not ad_nilpotent(h + one, gl2)
     with pytest.raises(ValueError):
         ad_nilpotent(one, sl2)
+    # outside the assumption ([g, g] = g, or [g, g] + QI = g with I in g) it
+    # raises: ad h = 0 on span{h}, but the matrix h is not nilpotent
+    for z in (h, MatrixElement.diagonal([1, 0])):
+        with pytest.raises(ValueError, match=r"needs \[g, g\] = g"):
+            ad_nilpotent(z, span_of_matrices([z]))
 
 
 def test_weight_decomposition_sl2_adjoint():
@@ -168,7 +174,7 @@ def test_weight_decomposition_so6_down_so5_nilradical():
     # j^tau-weights of the -tau part of the Borel nilradical opposite
     pair = build_pair(PairSpec("so_down_so", m=5))
     borel = parabolic_from_simple_subset(pair.g, set())
-    minus = tau_split(pair, borel.u_minus).minus
+    minus = tau_split(pair, u_minus_space(borel)).minus
     parts = weight_decomposition(pair.j_tau_probes, minus)
     weights = sorted(tuple(w) for w, _ in parts)
     assert weights == [(-1, 0), (0, -1)]

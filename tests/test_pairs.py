@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tests.matrix_route import jtau_params_of_matrix, u_minus_space
 from vermabranch import (
     ClassicalType,
     Involution,
@@ -198,7 +199,7 @@ def test_tau_split_borel_nilradical_so5(pairs):
     # weights of u_-^{-tau} for the standard Borel of so5 over so4
     pair = pairs("so_down_so", m=4)
     borel = parabolic_from_simple_subset(pair.g, set())
-    split = tau_split(pair, borel.u_minus)
+    split = tau_split(pair, u_minus_space(borel))
     from vermabranch import weight_decomposition
 
     parts = weight_decomposition(pair.j_tau_probes, split.minus)
@@ -247,7 +248,8 @@ def test_jtau_probes_span_jtau(pairs):
     ]:
         pair = pairs(kind, **params)
         for h in pair.j_tau_basis:
-            pair.jtau_params(h)  # must be solvable
+            # must be solvable, and agree with the solve on diagonals
+            assert pair.jtau_params(pair.g.eps_params(h)) == jtau_params_of_matrix(pair, h)
 
 
 def test_restrict_weight_group_case_adds_factors(pairs):

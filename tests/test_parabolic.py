@@ -3,12 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from tests.matrix_route import (
+    cartan_matrix,
+    census_actions,
+    fixed_matrix,
+    jtau_element,
+    jtau_params_of_matrix,
+    levi_space,
+    u_minus_space,
+)
 from vermabranch import (
     MatrixElement,
     NilpotencyReport,
     PairSpec,
     Subspace,
-    Weight,
     bracket,
     build_pair,
     closed_orbit_census,
@@ -24,7 +32,7 @@ from vermabranch import (
     weyl_group,
 )
 from vermabranch import parabolic
-from vermabranch.liealg import reflection_element, root_datum
+from vermabranch.liealg import root_datum
 from vermabranch.pairs import catalog_pairs, tau_projection
 from vermabranch.parabolic import (
     enumerate_weyl_translates,
@@ -83,8 +91,8 @@ def test_simple_subset_siegel(algebras):
 def test_parabolic_direct_sum_decomposition(algebras):
     g = algebras("B", 2)
     p = parabolic_from_simple_subset(g, {0})
-    assert p.l.dim + p.u_plus.dim + p.u_minus.dim == g.dim
-    assert p.l.dim == g.rank + len(p.levi_roots)
+    assert levi_space(p).dim + p.u_plus.dim + u_minus_space(p).dim == g.dim
+    assert levi_space(p).dim == g.rank + len(p.levi_roots)
 
 
 def test_levi_normalizes_nilradical(algebras):
@@ -92,7 +100,7 @@ def test_levi_normalizes_nilradical(algebras):
 
     g = algebras("C", 2)
     p = parabolic_from_simple_subset(g, {0})
-    for x in p.l.matrices():
+    for x in levi_space(p).matrices():
         for y in p.u_plus.matrices():
             assert p.u_plus.contains_matrix(bracket(x, y))
 
@@ -105,32 +113,34 @@ def test_standard_borel_stable_for_diagonal_involution(pairs):
     pair = pairs("sl_s_glgl", p=2, q=2)
     b = parabolic_from_simple_subset(pair.g, set())
     rep = compatibility_report(b, pair)
-    assert rep.tau_stable and rep.compatible
-    assert rep.H_fixed is not None
+    assert rep.compatible
+    assert rep.fixed_params is not None
 
 
 def test_group_case_diagonal_vs_twisted_borel(pairs):
     # p1 + p1 is compatible; a pair of distinct Borels is not
     pair = pairs("group_case", type="A1")
     diag_borel = parabolic_from_simple_subset(pair.g, set())
-    assert compatibility_report(diag_borel, pair).tau_stable
+    assert compatibility_report(diag_borel, pair).compatible
     twisted = parabolic_from_H(
         pair.g, MatrixElement.diagonal([1, -1, -1, 1])
     )  # b on one factor, the opposite Borel on the other
-    assert not compatibility_report(twisted, pair).tau_stable
+    assert not compatibility_report(twisted, pair).compatible
 
 
 def test_so6_borel_stable(pairs):
     pair = pairs("so_down_so", m=5)
     b = parabolic_from_simple_subset(pair.g, set())
-    assert compatibility_report(b, pair).tau_stable
+    assert compatibility_report(b, pair).compatible
 
 
 def test_h_fixed_redefines_same_parabolic(pairs):
     pair = pairs("so_down_so", m=5)
     b = parabolic_from_simple_subset(pair.g, set())
     rep = compatibility_report(b, pair)
-    again = parabolic_from_H(pair.g, rep.H_fixed)
+    h_fixed = cartan_matrix(pair.g, rep.fixed_params)
+    assert h_fixed == fixed_matrix(pair, b)
+    again = parabolic_from_H(pair.g, h_fixed)
     assert again.pattern == b.pattern
 
 
@@ -203,7 +213,7 @@ def test_borel_closed_iff_tau_stable_over_translates(pairs):
         pair = pairs(kind, **params)
         by_pattern, _ = enumerate_weyl_translates(pair, set())
         for p in by_pattern.values():
-            stable = compatibility_report(p, pair).tau_stable
+            stable = compatibility_report(p, pair).compatible
             closed = closedness_report(p, pair).closed
             assert stable == closed
 
@@ -300,12 +310,12 @@ def test_census_respects_full_group_quotient(pairs):
     for key in closed:
         reachable = set()
         for t in params_of[key]:
-            h = pair.g.cartan_element(Weight(t))
+            h = cartan_matrix(pair.g, t)
             for sigma in full:
                 hp = (h + pair.tau(h)).scale(Fraction(1, 2))
                 hm = h - hp
-                h2 = pair.jtau_element(
-                    sigma.apply_params(pair.jtau_params(hp))
+                h2 = jtau_element(
+                    pair, sigma.apply_params(jtau_params_of_matrix(pair, hp))
                 ) + hm
                 levi, nil, _ = _pattern_from_params(
                     datum, pair.g.eps_params(h2).coords
@@ -351,7 +361,7 @@ def test_census_invariant_under_subgroup_translate(pairs):
         by_pattern, params_of = enumerate_weyl_translates(pair, subset)
         act = _census_generators(pair)[0]
         p0 = parabolic_from_simple_subset(pair.g, subset)
-        t0 = pair.g.eps_params(p0.H).coords
+        t0 = pair.g.eps_params(cartan_matrix(pair.g, p0.params)).coords
         translated = act(t0)
         datum = root_datum(pair.g)
         levi, nil, _ = _pattern_from_params(datum, translated)
@@ -392,25 +402,6 @@ def _fraction_pattern(datum, params):
     return frozenset(levi), frozenset(nilrad), frozenset(neg)
 
 
-def _matrix_path_actions(pair):
-    """Reference census action: realize t as a Cartan element h, move the
-    tau-fixed part h_+ by the restricted Weyl generator, keep h_-, and read
-    the eps-parameters back."""
-    rdatum = restricted_root_data(pair)
-    half = Fraction(1, 2)
-
-    def make_action(sigma):
-        def act(t):
-            h = pair.g.cartan_element(Weight(t))
-            hp = (h + pair.tau(h)).scale(half)
-            h2 = pair.jtau_element(sigma.apply_params(pair.jtau_params(hp))) + (h - hp)
-            return pair.g.eps_params(h2).coords
-
-        return act
-
-    return [make_action(reflection_element(rdatum, a)) for a in rdatum.simple_roots]
-
-
 # the rank <= 3 catalog includes so_down_so:m=5, whose subset {1} is the
 # outer-involution case where closed and tau-stable translates differ
 @pytest.mark.parametrize("spec", catalog_pairs(3), ids=str)
@@ -418,7 +409,7 @@ def test_integer_kernel_and_census_matrix_match_oracles(pairs, spec):
     pair = pairs(spec.kind, **dict(spec.params))
     datum = root_datum(pair.g)
     actions = _census_generators(pair)
-    oracles = _matrix_path_actions(pair)
+    oracles = census_actions(pair)
     nsimple = len(datum.simple_roots)
     for r in range(nsimple + 1):
         for subset in itertools.combinations(range(nsimple), r):
@@ -444,8 +435,8 @@ def _matrix_closedness(p, pair):
     nil = nilpotent_subalgebra_test(pr, pair.g.algebra)
     if not (nil.bracket_closed and nil.nilpotent):
         return False, nil, None, pr.dim, None, None
-    l_tau = p.l.intersect(pair.fixed)
-    p_tau = p.l.sum(p.u_plus).intersect(pair.fixed)
+    l_tau = levi_space(p).intersect(pair.fixed)
+    p_tau = levi_space(p).sum(p.u_plus).intersect(pair.fixed)
     assert p_tau == l_tau.sum(pr)
     return True, nil, pair.fixed.dim - p_tau.dim, pr.dim, l_tau.dim, p_tau.dim
 
@@ -476,7 +467,7 @@ def test_outer_involution_has_closed_translates_that_are_not_stable(pairs):
     pair = pairs("so_down_so", m=5)
     by_pattern, _ = enumerate_weyl_translates(pair, {1})
     verdicts = {
-        (closedness_report(p, pair).closed, compatibility_report(p, pair).tau_stable)
+        (closedness_report(p, pair).closed, compatibility_report(p, pair).compatible)
         for p in by_pattern.values()
     }
     assert (True, False) in verdicts

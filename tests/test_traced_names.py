@@ -1,0 +1,37 @@
+"""Every name that ``perfbench/tracing.py`` wraps is defined in vermabranch.
+
+A traced benchmark run (``--trace 1``) rebinds each name in ``TARGETS`` and
+fails with ``KeyError`` when one is missing, so renaming or deleting a
+traced function must update the harness too.  The harness file is only read
+here (compiled from its text; no bytecode is written next to it).
+"""
+
+import importlib
+import os
+
+TRACING = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
+)
+
+
+def _tracing_targets() -> dict:
+    with open(TRACING, encoding="utf-8") as fh:
+        source = fh.read()
+    namespace = {"__name__": "tracing", "__file__": TRACING}
+    exec(compile(source, TRACING, "exec"), namespace)
+    return namespace["TARGETS"]
+
+
+def test_every_traced_name_is_defined():
+    targets = _tracing_targets()
+    assert targets
+    missing = []
+    for module_name, names in targets.items():
+        module = importlib.import_module("vermabranch." + module_name)
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append("%s.%s" % (module_name, name))
+    assert not missing, missing
