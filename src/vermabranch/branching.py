@@ -172,12 +172,7 @@ def sym_power_characters(weights, top: int) -> list:
 # Levi restriction and character peeling
 # ---------------------------------------------------------------------------
 
-def restrict_finite_module(
-    pair: SymmetricPair,
-    l_datum: RootDatum,
-    l_prime_datum: RootDatum,
-    lam: Weight,
-) -> dict:
+def restrict_finite_module(pair: SymmetricPair, l_datum: RootDatum, lam: Weight) -> dict:
     """Weight multiset of F_lambda restricted to j', exactly.
 
     Freudenthal runs over the Levi root datum in ambient coordinates (the
@@ -280,9 +275,7 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
         f_block = {Weight.zero(pair.restricted_eps_dim): 1}
     else:
         base = pair.restrict_weight(spec.lam)
-        restricted = restrict_finite_module(
-            pair, p.levi_datum(), l_prime, spec.lam
-        )
+        restricted = restrict_finite_module(pair, p.levi_datum(), spec.lam)
         f_block = {w - base: m for w, m in restricted.items()}
     return _EngineContext(
         u_prime_weights=u_prime,

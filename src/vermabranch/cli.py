@@ -31,7 +31,7 @@ from .branching import (
     mf_scan,
     verify_character_identity,
 )
-from .liealg import DEGREE_CAP, LEVEL_CAP, RankCapError, Weight, check_cap
+from .liealg import DEGREE_CAP, LEVEL_CAP, RankCapError, Weight, check_cap, root_datum
 from .pairs import PairSpec, build_pair, catalog_pairs
 from .parabolic import (
     IncompatibleRestrictionError,
@@ -183,8 +183,6 @@ def _resolve_pair(pair_id: str):
 
 def _resolve_parabolic(pair, descriptor: str):
     g = pair.g
-    from .liealg import root_datum
-
     datum = root_datum(g)
     nsimple = len(datum.simple_roots)
     text = (descriptor or "borel").strip().lower()

@@ -336,11 +336,11 @@ class RootDatum:
         return self._int_table
 
     def sign_masks(self, params) -> tuple:
-        """Root-index bitmasks (vanishing, positive, negative) of the roots by
-        their sign on eps-parameters; exact, as the roots (once) and `params`
-        are scaled to integers by positive factors."""
+        """Root-index bitmasks (vanishing, positive) of the roots by their
+        sign on eps-parameters; exact, as the roots (once) and `params` are
+        scaled to integers by positive factors."""
         t = scaled_coords(params, math.lcm(*(x.denominator for x in params)))
-        zero = pos = neg = 0
+        zero = pos = 0
         bit = 1
         for row in self.int_table().root_rows:
             v = 0
@@ -348,12 +348,10 @@ class RootDatum:
                 v += c * t[i]
             if v > 0:
                 pos |= bit
-            elif v < 0:
-                neg |= bit
-            else:
+            elif v == 0:
                 zero |= bit
             bit <<= 1
-        return zero, pos, neg
+        return zero, pos
 
     def roots_of_mask(self, mask: int) -> frozenset:
         return frozenset(a for i, a in enumerate(self.roots) if mask >> i & 1)
@@ -620,12 +618,17 @@ def reflection_element(datum: RootDatum, alpha: Weight) -> WeylElement:
     return WeylElement(perm, signs)
 
 
-def weyl_group(datum: RootDatum) -> list:
-    """Full enumeration of the Weyl group generated by simple reflections."""
+def check_weyl_rank(datum: RootDatum) -> None:
+    """Cap on the rank of any enumeration over W (the group, a Weyl orbit)."""
     if len(datum.simple_roots) > WEYL_RANK_CAP:
         raise RankCapError(
             "Weyl enumeration capped at rank %d" % WEYL_RANK_CAP
         )
+
+
+def weyl_group(datum: RootDatum) -> list:
+    """Full enumeration of the Weyl group generated by simple reflections."""
+    check_weyl_rank(datum)
     gens = [reflection_element(datum, a) for a in datum.simple_roots]
     seen = {WeylElement.identity(datum.eps_dim)}
     frontier = list(seen)

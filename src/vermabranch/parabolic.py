@@ -1,7 +1,7 @@
 """Parabolic subalgebras p(H), closedness criteria and closed-orbit censuses.
 
 A parabolic containing the diagonal Cartan is determined by the sign pattern
-of the roots on its defining hyperbolic element, so Weyl sweeps and census
+of the roots on its defining hyperbolic element, so Weyl orbits and census
 deduplication work on root patterns; the exact subspaces are materialized
 lazily when a report needs them.
 """
@@ -28,12 +28,11 @@ from .liealg import (
     AlgebraRealization,
     RootDatum,
     Weight,
-    WeylElement,
     _solve,
+    check_weyl_rank,
     reflection_element,
     root_datum,
     scaled_coords,
-    weyl_group,
 )
 from .pairs import SymmetricPair, restricted_root_data, tau_projection
 
@@ -52,12 +51,16 @@ class ParabolicData:
     params: tuple  # eps-parameters of the defining H
     levi_roots: frozenset
     nilradical_roots: frozenset
-    negative_roots: frozenset
 
     @property
     def pattern(self):
         """Canonical key: a parabolic containing j is its root sign pattern."""
         return (self.levi_roots, self.nilradical_roots)
+
+    @cached_property
+    def negative_roots(self) -> frozenset:
+        """The roots of u_-: minus those of the nilradical."""
+        return frozenset(-a for a in self.nilradical_roots)
 
     @property
     def datum(self) -> RootDatum:
@@ -100,7 +103,7 @@ class ParabolicData:
 
 
 def _pattern_from_params(datum: RootDatum, params) -> tuple:
-    """(levi, nilradical, negative) root sets of the parabolic of `params`."""
+    """(levi, nilradical) root sets of the parabolic of `params`."""
     return tuple(datum.roots_of_mask(m) for m in datum.sign_masks(params))
 
 
@@ -108,10 +111,8 @@ def parabolic_from_params(g: AlgebraRealization, params) -> ParabolicData:
     """Parabolic defined by the sign of the roots on the Cartan element H with
     these eps-parameters (realizable ones: see `cartan_params`)."""
     params = tuple(map(Fraction, params))
-    levi, nilrad, neg = _pattern_from_params(root_datum(g), params)
-    return ParabolicData(
-        g=g, params=params, levi_roots=levi, nilradical_roots=nilrad, negative_roots=neg
-    )
+    levi, nilrad = _pattern_from_params(root_datum(g), params)
+    return ParabolicData(g=g, params=params, levi_roots=levi, nilradical_roots=nilrad)
 
 
 def parabolic_from_H(g: AlgebraRealization, h: MatrixElement) -> ParabolicData:
@@ -170,11 +171,11 @@ class ClosednessReport:
 def compatibility_report(p: ParabolicData, pair: SymmetricPair) -> CompatibilityReport:
     """tau-stability of p, equivalent to g^tau-compatibility for symmetric tau."""
     if p.g is not pair.g:
-        raise ValueError("parabolic und pair live on different realizations")
+        raise ValueError("parabolic and pair live on different realizations")
     roots_of_p = p.levi_roots | p.nilradical_roots
     stable = {pair.tau_star(a) for a in roots_of_p} == roots_of_p
     fixed = pair.fixed_params(p.params) if stable else None
-    if stable and _pattern_from_params(p.datum, fixed)[:2] != p.pattern:
+    if stable and _pattern_from_params(p.datum, fixed) != p.pattern:
         raise AssertionError("p(H + tau H) differs from p for a stable parabolic")
     return CompatibilityReport(compatible=stable, fixed_params=fixed)
 
@@ -320,7 +321,6 @@ def condition_iii_spot_check(
 @dataclass
 class TensorClosednessReport:
     closed: bool
-    intersection_parabolic: bool
 
 
 def tensor_closedness(p1: ParabolicData, p2: ParabolicData) -> TensorClosednessReport:
@@ -335,7 +335,7 @@ def tensor_closedness(p1: ParabolicData, p2: ParabolicData) -> TensorClosednessR
         (a in r1 and a in r2) or (-a in r1 and -a in r2)
         for a in datum.positive_roots
     )
-    return TensorClosednessReport(closed=ok, intersection_parabolic=ok)
+    return TensorClosednessReport(closed=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -367,66 +367,67 @@ def _union_find(items):
     return find, union
 
 
+def _reflection(f, v):
+    """The map t -> t - <f, t> v on eps-parameters."""
+
+    def reflect(t):
+        c = sum((a * x for a, x in zip(f, t) if a), Fraction(0))
+        return tuple(x - c * y for x, y in zip(t, v))
+
+    return reflect
+
+
 def enumerate_weyl_translates(pair: SymmetricPair, subset):
     """Distinct parabolics containing j of the given standard type.
 
-    Returns (pattern -> ParabolicData, pattern -> set of defining eps-params).
+    They are the W(g)-orbit of the standard t0, one point per parabolic (the
+    stabilizer of the dominant t0 is W_S), walked breadth-first under the
+    simple reflections t -> t - <alpha^vee, t> alpha.
+
+    Returns (pattern -> ParabolicData, pattern -> {its eps-params}).
     """
     g = pair.g
     datum = root_datum(g)
-    p0 = parabolic_from_simple_subset(g, subset)
-    t0 = p0.params
-    seen = {}  # (levi mask, nilradical mask) -> [first params, negative mask, params]
-    for w in weyl_group(datum):
-        t = w.apply_params(t0)
-        levi, nilrad, neg = datum.sign_masks(t)
-        seen.setdefault((levi, nilrad), [t, neg, set()])[2].add(t)
-    by_pattern = {}
-    params_of = {}
-    for (levi, nilrad), (t, neg, ts) in seen.items():
-        key = (datum.roots_of_mask(levi), datum.roots_of_mask(nilrad))
-        by_pattern[key] = ParabolicData(
-            g=g,
-            params=t,
-            levi_roots=key[0],
-            nilradical_roots=key[1],
-            negative_roots=datum.roots_of_mask(neg),
-        )
-        params_of[key] = ts
-    return by_pattern, params_of
+    check_weyl_rank(datum)
+    reflections = [_reflection(a.scale(2 / a.dot(a)), a) for a in datum.simple_roots]
+    orbit = [parabolic_from_simple_subset(g, subset).params]
+    seen = set(orbit)
+    for t in orbit:  # appended to while walked: breadth-first order
+        for s in reflections:
+            u = s(t)
+            if u not in seen:
+                seen.add(u)
+                orbit.append(u)
+    by_pattern = {p.pattern: p for p in (parabolic_from_params(g, t) for t in orbit)}
+    if len(by_pattern) != len(orbit):
+        raise AssertionError("two points of the Weyl orbit of t0 give one parabolic")
+    return by_pattern, {key: {p.params} for key, p in by_pattern.items()}
 
 
 def _census_generators(pair: SymmetricPair):
-    """Census group generators as exact linear maps on ambient eps-parameters.
+    """Census group generators as exact maps on ambient eps-parameters.
 
-    A Weyl generator sigma of W(g^tau, j^tau), extended by the identity on
-    j^{-tau}, maps t to t - t_+ + sum_k sigma(c(t_+))_k P_k, where t_+ are
-    the parameters of (H + tau H)/2, c(t_+) its coordinates in the j^tau
-    probes and P_k the probes' parameters.  Its matrix holds the images of
-    the standard basis.
+    The reflection in a simple restricted root beta of W(g^tau, j^tau),
+    extended by the identity on j^{-tau}, moves only t_+, the parameters of
+    (H + tau H)/2.  With t_+ = sum_k c(t_+)_k P_k (c(t_+) its coordinates in
+    the j^tau probes, P_k the probes' parameters) it is the rank-one map
+    t -> t - <c(t_+), beta^vee> sum_k beta_k P_k, whose functional is read
+    off the images c(e_+) of the standard basis.
     """
     n = pair.g.eps_dim
     rdatum = restricted_root_data(pair)
     probes = pair.probe_params
-    basis = [tuple(Fraction(int(i == c)) for i in range(n)) for c in range(n)]
+    coords = [
+        Weight(pair.jtau_params(pair.fixed_params([Fraction(int(i == c)) for i in range(n)])))
+        for c in range(n)
+    ]
 
-    def make_action(sigma: WeylElement):
-        images = []
-        for e in basis:
-            plus = pair.fixed_params(e)
-            moved = sigma.apply_params(pair.jtau_params(plus))
-            images.append([
-                x - y + sum(m * p[i] for m, p in zip(moved, probes))
-                for i, (x, y) in enumerate(zip(e, plus))
-            ])
-        matrix = [[(c, im[i]) for c, im in enumerate(images) if im[i]] for i in range(n)]
+    def generator(beta):
+        f = [2 * c.dot(beta) / beta.dot(beta) for c in coords]
+        v = [sum((b * p[i] for b, p in zip(beta, probes)), Fraction(0)) for i in range(n)]
+        return _reflection(f, v)
 
-        def act(t):
-            return tuple(sum((m * t[c] for c, m in row), Fraction(0)) for row in matrix)
-
-        return act
-
-    return [make_action(reflection_element(rdatum, a)) for a in rdatum.simple_roots]
+    return [generator(b) for b in rdatum.simple_roots]
 
 
 def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
@@ -435,7 +436,7 @@ def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
     Orbits of the closed set are the connected components under the action
     of W(g^tau, j^tau), extended trivially to j^{-tau}.
     """
-    by_pattern, params_of = enumerate_weyl_translates(pair, subset)
+    by_pattern, _ = enumerate_weyl_translates(pair, subset)
     reports = {}
     for key, p in by_pattern.items():
         rep = closedness_report(p, pair)
@@ -444,16 +445,12 @@ def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
 
     find, union = _union_find(reports)
     datum = root_datum(pair.g)
-    closed_by_masks = {
-        datum.sign_masks(next(iter(params_of[key])))[:2]: key for key in reports
-    }
     actions = _census_generators(pair)
     for key in reports:
-        for t in params_of[key]:
-            for act in actions:
-                key2 = closed_by_masks.get(datum.sign_masks(act(t))[:2])
-                if key2 is not None:
-                    union(key, key2)
+        for act in actions:
+            key2 = _pattern_from_params(datum, act(by_pattern[key].params))
+            if key2 in reports:
+                union(key, key2)
 
     classes = {}
     for key in reports:

@@ -161,7 +161,7 @@ def _census_components(pair, by_pattern, params_of):
     for key in by_pattern:
         for t in params_of[key]:
             for act in actions:
-                levi, nil, _ = _pattern_from_params(datum, act(t))
+                levi, nil = _pattern_from_params(datum, act(t))
                 key2 = (levi, nil)
                 if key2 in parent:
                     ra, rb = find(key), find(key2)

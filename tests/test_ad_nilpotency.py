@@ -157,7 +157,7 @@ def test_spot_check_matches_operator_chain(pairs):
     seen, values = set(), set()
     for pair, subset in cases:
         by_pattern, _ = enumerate_weyl_translates(pair, subset)
-        for p in _spread(by_pattern.values(), 20):
+        for p in _spread(sorted(by_pattern.values(), key=lambda p: p.params), 20):
             spot = condition_iii_spot_check(p, pair)
             assert spot == operator_chain_spot_check(p, pair), (pair.spec.id, subset, p.params)
             values.add(spot)

@@ -95,9 +95,7 @@ def test_restrict_borel_case_single_weight(pairs):
     borel = parabolic_from_simple_subset(pair.g, set())
     lam = W(Fraction(1, 2), Fraction(1, 3))
     spec = VermaSpec.of(borel, lam)
-    out = restrict_finite_module(
-        pair, borel.levi_datum(), _levi_prime_datum(borel, pair), lam
-    )
+    out = restrict_finite_module(pair, borel.levi_datum(), lam)
     assert out == {pair.restrict_weight(lam): 1}
 
 
@@ -107,9 +105,7 @@ def test_restrict_scalar_heisenberg(pairs):
     heis = parabolic_from_simple_subset(pair.g, {1})
     spec = VermaSpec.of(heis, W(0, 0, 0, 0))
     assert spec.scalar_type
-    out = restrict_finite_module(
-        pair, heis.levi_datum(), _levi_prime_datum(heis, pair), W(0, 0, 0, 0)
-    )
+    out = restrict_finite_module(pair, heis.levi_datum(), W(0, 0, 0, 0))
     assert out == {W(0, 0, 0, 0): 1}
 
 
@@ -117,9 +113,7 @@ def test_restrict_siegel_levi_regular_weight(pairs):
     pair = pairs("sp_down_gl", n=2)
     siegel = parabolic_from_simple_subset(pair.g, {0})
     lam = W(2, -1)  # <lam, (e1-e2)^> = 3: a four-dimensional gl2 module
-    out = restrict_finite_module(
-        pair, siegel.levi_datum(), _levi_prime_datum(siegel, pair), lam
-    )
+    out = restrict_finite_module(pair, siegel.levi_datum(), lam)
     assert sum(out.values()) == 4
     assert set(out) == {W(2, -1), W(1, 0), W(0, 1), W(-1, 2)}
 
@@ -128,9 +122,7 @@ def test_restrict_rejects_non_dominant(pairs):
     pair = pairs("sp_down_gl", n=2)
     siegel = parabolic_from_simple_subset(pair.g, {0})
     with pytest.raises(ValueError):
-        restrict_finite_module(
-            pair, siegel.levi_datum(), _levi_prime_datum(siegel, pair), W(-1, 2)
-        )
+        restrict_finite_module(pair, siegel.levi_datum(), W(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +330,7 @@ def test_character_series_degree_zero_is_levi_block(pairs):
     series = character_series(VermaSpec.of(siegel, lam), pair, 2)
     base = pair.restrict_weight(lam)
     degree0 = series.at_degree(0)
-    expected = restrict_finite_module(
-        pair, siegel.levi_datum(), _levi_prime_datum(siegel, pair), lam
-    )
+    expected = restrict_finite_module(pair, siegel.levi_datum(), lam)
     assert degree0 == {w - base: m for w, m in expected.items()}
 
 

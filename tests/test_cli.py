@@ -180,6 +180,14 @@ def test_mf_scan_rank_cap_message():
     assert code == 2 and env.payload["error"] == "rank bound capped at 6"
 
 
+def test_census_rank_cap_message(capsys):
+    argv = ["census", "--pair", "sl_s_glgl:p=4,q=4", "--parabolic", "borel"]
+    assert main(argv + ["--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "Weyl enumeration capped at rank 6"
+    assert main(argv) == 2
+    assert "error: Weyl enumeration capped at rank 6\n" in capsys.readouterr().out
+
+
 def test_degree_cap_exits_two():
     env, code = run(
         ["branch", "--pair", "so_down_so:m=4", "--parabolic", "borel", "--degree", "40"]

@@ -134,6 +134,13 @@ def test_so6_borel_stable(pairs):
     assert compatibility_report(b, pair).compatible
 
 
+@pytest.mark.parametrize("report", [compatibility_report, closedness_report])
+def test_reports_reject_a_parabolic_of_another_realization(pairs, algebras, report):
+    borel = parabolic_from_simple_subset(algebras("A", 2), set())
+    with pytest.raises(ValueError, match="^parabolic and pair live on different realizations$"):
+        report(borel, pairs("sp_down_gl", n=2))
+
+
 def test_h_fixed_redefines_same_parabolic(pairs):
     pair = pairs("so_down_so", m=5)
     b = parabolic_from_simple_subset(pair.g, set())
@@ -234,7 +241,7 @@ def test_tensor_closedness_same_borel(algebras):
     g = algebras("A", 1)
     b = parabolic_from_simple_subset(g, set())
     rep = tensor_closedness(b, b)
-    assert rep.closed and rep.intersection_parabolic
+    assert rep.closed
 
 
 def test_tensor_closedness_opposite_borels(algebras):
@@ -317,7 +324,7 @@ def test_census_respects_full_group_quotient(pairs):
                 h2 = jtau_element(
                     pair, sigma.apply_params(jtau_params_of_matrix(pair, hp))
                 ) + hm
-                levi, nil, _ = _pattern_from_params(
+                levi, nil = _pattern_from_params(
                     datum, pair.g.eps_params(h2).coords
                 )
                 reachable.add((levi, nil))
@@ -364,13 +371,13 @@ def test_census_invariant_under_subgroup_translate(pairs):
         t0 = pair.g.eps_params(cartan_matrix(pair.g, p0.params)).coords
         translated = act(t0)
         datum = root_datum(pair.g)
-        levi, nil, _ = _pattern_from_params(datum, translated)
+        levi, nil = _pattern_from_params(datum, translated)
         assert (levi, nil) in by_pattern
         # re-enumerating from the translate reproduces the same set
         wgroup = weyl_group(datum)
         again = set()
         for w in wgroup:
-            lv, nl, _ = _pattern_from_params(datum, w.apply_params(translated))
+            lv, nl = _pattern_from_params(datum, w.apply_params(translated))
             again.add((lv, nl))
         assert again == set(by_pattern)
 
@@ -424,7 +431,32 @@ def test_integer_kernel_and_census_matrix_match_oracles(pairs, spec):
                         assert act(t) == moved
                         assert _pattern_from_params(datum, moved) == _fraction_pattern(
                             datum, moved
-                        )
+                        )[:2]
+
+
+def _weyl_sweep(pair, subset):
+    """Reference enumeration: every element of W(g) applied to the standard
+    t0, the points grouped by their root pattern."""
+    datum = root_datum(pair.g)
+    t0 = parabolic_from_simple_subset(pair.g, subset).params
+    points = {}
+    for w in weyl_group(datum):
+        t = w.apply_params(t0)
+        points.setdefault(_pattern_from_params(datum, t), set()).add(t)
+    return points
+
+
+@pytest.mark.parametrize("spec", catalog_pairs(4), ids=str)
+def test_weyl_orbit_matches_the_full_group_sweep(pairs, spec):
+    pair = pairs(spec.kind, **dict(spec.params))
+    nsimple = len(root_datum(pair.g).simple_roots)
+    for r in range(nsimple + 1):
+        for subset in itertools.combinations(range(nsimple), r):
+            by_pattern, params_of = enumerate_weyl_translates(pair, set(subset))
+            sweep = _weyl_sweep(pair, set(subset))
+            assert params_of == sweep, (spec.id, subset)
+            for key, p in by_pattern.items():
+                assert sweep[key] == {p.params}
 
 
 def _matrix_closedness(p, pair):

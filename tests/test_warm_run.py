@@ -1,9 +1,11 @@
-"""A warm branch, verify or census run builds no matrix.
+"""A warm branch, verify or census run builds no matrix and no Weyl group
+element.
 
 After set-up, Cartan elements are eps-parameters and the engine's tau-splits
 are counted from the pair's root tables, which a first (cold) run fills.  So
 the same run again constructs no `MatrixElement` and intersects no
-subspaces.
+subspaces.  The census walks the Weyl orbit of t0 and applies its generators
+by reflection formulas on eps-parameters, so it constructs no `WeylElement`.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from vermabranch import (
     Subspace,
     VermaSpec,
     Weight,
+    WeylElement,
     branch_multiplicities,
     build_pair,
     closed_orbit_census,
@@ -44,12 +47,16 @@ def _run(pair, subset, lam):
 def test_warm_run_builds_no_matrix(monkeypatch, pair_id, subset, lam):
     pair = build_pair(PairSpec.parse(pair_id))
     cold = _run(pair, subset, lam)
-    counts = {"matrices": 0, "intersections": 0}
-    init, intersect = MatrixElement.__init__, Subspace.intersect
+    counts = {"matrices": 0, "intersections": 0, "weyl_elements": 0}
+    init, intersect, weyl_init = MatrixElement.__init__, Subspace.intersect, WeylElement.__init__
 
     def counting_init(self, *args, **kwargs):
         counts["matrices"] += 1
         init(self, *args, **kwargs)
+
+    def counting_weyl_init(self, *args, **kwargs):
+        counts["weyl_elements"] += 1
+        weyl_init(self, *args, **kwargs)
 
     def counting_intersect(self, other):
         counts["intersections"] += 1
@@ -57,5 +64,6 @@ def test_warm_run_builds_no_matrix(monkeypatch, pair_id, subset, lam):
 
     monkeypatch.setattr(MatrixElement, "__init__", counting_init)
     monkeypatch.setattr(Subspace, "intersect", counting_intersect)
+    monkeypatch.setattr(WeylElement, "__init__", counting_weyl_init)
     assert _run(pair, subset, lam) == cold
-    assert counts == {"matrices": 0, "intersections": 0}
+    assert counts == {"matrices": 0, "intersections": 0, "weyl_elements": 0}
