@@ -4,78 +4,54 @@ Decides when such restrictions are discretely decomposable, computes the
 branching multiplicities, Gelfand-Kirillov dimensions and closed-orbit
 censuses, and verifies the explicit multiplicity-free branching laws.  All
 arithmetic is exact rational.
+
+The public names below are resolved on first access (PEP 562), so
+``import vermabranch`` loads no layer module until one of its names is used.
 """
 
-from .exactla import (
-    MatrixElement,
-    NilpotencyReport,
-    Rational,
-    Subspace,
-    ad_nilpotent,
-    bracket,
-    echelon_span,
-    nilpotent_subalgebra_test,
-    span_of_matrices,
-    weight_decomposition,
-)
-from .liealg import (
-    AlgebraRealization,
-    ClassicalType,
-    RankCapError,
-    RootDatum,
-    Weight,
-    WeylElement,
-    build_classical,
-    freudenthal_character,
-    root_datum,
-    weyl_dimension,
-    weyl_group,
-)
-from .pairs import (
-    Involution,
-    PairSpec,
-    SymmetricPair,
-    build_pair,
-    catalog_pairs,
-    restricted_root_data,
-    tau_split,
-)
-from .parabolic import (
-    ClosednessReport,
-    CompatibilityReport,
-    IncompatibleRestrictionError,
-    OrbitCensusReport,
-    ParabolicData,
-    closed_orbit_census,
-    closedness_report,
-    compatibility_report,
-    condition_iii_spot_check,
-    double_coset_count,
-    parabolic_from_H,
-    parabolic_from_simple_subset,
-    tensor_closedness,
-)
-from .branching import (
-    BranchEntry,
-    BranchingTable,
-    CharacterSeries,
-    GenericityReport,
-    MfScanRow,
-    SchmidReport,
-    VermaSpec,
-    branch_multiplicities,
-    character_series,
-    closed_form_law,
-    decompose_character,
-    finiteness_bound,
-    genericity_check,
-    law_setting,
-    mf_scan,
-    restrict_finite_module,
-    schmid_decomposition,
-    strongly_orthogonal_sequence,
-    sym_power_character,
-    verify_character_identity,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "exactla": (
+        "MatrixElement NilpotencyReport Rational Subspace ad_nilpotent bracket "
+        "echelon_span nilpotent_subalgebra_test span_of_matrices weight_decomposition"
+    ),
+    "liealg": (
+        "AlgebraRealization ClassicalType RankCapError RootDatum Weight WeylElement "
+        "build_classical freudenthal_character root_datum weyl_dimension weyl_group"
+    ),
+    "pairs": (
+        "Involution PairSpec SymmetricPair build_pair catalog_pairs "
+        "restricted_root_data tau_split"
+    ),
+    "parabolic": (
+        "ClosednessReport CompatibilityReport IncompatibleRestrictionError "
+        "OrbitCensusReport ParabolicData closed_orbit_census closedness_report "
+        "compatibility_report condition_iii_spot_check double_coset_count "
+        "parabolic_from_H parabolic_from_simple_subset tensor_closedness"
+    ),
+    "branching": (
+        "BranchEntry BranchingTable CharacterSeries GenericityReport MfScanRow "
+        "SchmidReport VermaSpec branch_multiplicities character_series "
+        "closed_form_law decompose_character finiteness_bound genericity_check "
+        "law_setting mf_scan restrict_finite_module schmid_decomposition "
+        "strongly_orthogonal_sequence sym_power_character verify_character_identity"
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .liealg import (
     MF_SCAN_RANK_CAP,
@@ -41,8 +40,7 @@ from .parabolic import (
 # Verma data
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VermaSpec:
+class VermaSpec(NamedTuple):
     """A generalized Verma module datum: parabolic plus highest weight.
 
     `lam is None` means a formal generic weight of scalar type: its values
@@ -70,21 +68,19 @@ class VermaSpec:
         return cls(parabolic=parabolic, lam=lam, scalar_type=scalar)
 
 
-@dataclass(frozen=True)
-class BranchEntry:
+class BranchEntry(NamedTuple):
     delta_displacement: tuple
     multiplicity: int
     first_degree: int
 
 
-@dataclass
 class BranchingTable:
     """The summands (delta, m(delta; lambda)) of a branching identity."""
 
-    base_offset: Optional[Weight]
-    entries: tuple
-    degree_bound: int
-    genericity_assumptions: tuple
+    def __init__(self, base_offset: Optional[Weight], entries: tuple, degree_bound: int,
+                 genericity_assumptions: tuple):
+        self.base_offset, self.entries = base_offset, entries
+        self.degree_bound, self.genericity_assumptions = degree_bound, genericity_assumptions
 
     def as_dict(self):
         return {e.delta_displacement: e.multiplicity for e in self.entries}
@@ -105,8 +101,7 @@ def _sorted_entries(entries: Iterable[BranchEntry]) -> tuple:
     )
 
 
-@dataclass
-class CharacterSeries:
+class CharacterSeries(NamedTuple):
     """Graded displacement multiset: (degree, displacement) -> multiplicity."""
 
     base_offset: Optional[Weight]
@@ -246,8 +241,7 @@ def _levi_prime_datum(p: ParabolicData, pair: SymmetricPair) -> RootDatum:
     return restricted_root_data(pair).sub_datum({pair.restrict_weight(a) for a in plus})
 
 
-@dataclass
-class _EngineContext:
+class _EngineContext(NamedTuple):
     u_prime_weights: dict
     u_second_weights: dict
     l_prime_datum: RootDatum
@@ -460,8 +454,7 @@ def strongly_orthogonal_sequence(weights, ambient_roots) -> list:
     return seq
 
 
-@dataclass
-class SchmidReport:
+class SchmidReport(NamedTuple):
     sequence: list
     support: dict  # displacement Weight -> its symmetric degree
     degree_bound: int
@@ -621,8 +614,7 @@ def law_setting(family: str, params: dict):
 # genericity and the multiplicity-free scan
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GenericityReport:
+class GenericityReport(NamedTuple):
     simple_certified: Optional[bool]
     distinct_infchar: Optional[bool]
 
@@ -661,8 +653,7 @@ def genericity_check(
     return GenericityReport(simple_certified=simple, distinct_infchar=distinct)
 
 
-@dataclass(frozen=True)
-class MfScanRow:
+class MfScanRow(NamedTuple):
     spec_id: str
     dim_g: int
     dim_fixed: int

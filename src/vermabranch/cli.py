@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 precondition violation (unknown pair, invalid
 parabolic, incompatible triple, rank caps), 1 internal error.  Rationals are
 serialized as "p/q" strings, never floats, and identical configurations
-produce byte-identical JSON.
+produce byte-identical JSON.  Engine modules are imported by the command
+that runs them, so a cache hit or a rejected argument loads none.
 """
 
 from __future__ import annotations
@@ -13,39 +14,12 @@ import functools
 import glob
 import hashlib
 import json
-import logging
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .branching import (
-    BranchingTable,
-    VermaSpec,
-    branch_multiplicities,
-    closed_form_law,
-    genericity_check,
-    law_setting,
-    mf_scan,
-    verify_character_identity,
-)
-from .liealg import DEGREE_CAP, LEVEL_CAP, RankCapError, Weight, check_cap, root_datum
-from .pairs import PairSpec, build_pair, catalog_pairs
-from .parabolic import (
-    IncompatibleRestrictionError,
-    closed_orbit_census,
-    closedness_report,
-    compatibility_report,
-    condition_iii_spot_check,
-    parabolic_from_params,
-    parabolic_from_simple_subset,
-)
+from . import __version__ as ENGINE_VERSION
 
-log = logging.getLogger("vermabranch")
-
-ENGINE_VERSION = "0.1.0"
 SCHEMA_VERSION = "vb-schema-1"
 CACHE_ENV_VAR = "VERMABRANCH_CACHE_DIR"
 
@@ -66,8 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise PreconditionError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     pair_id: Optional[str] = None
     parabolic: Optional[str] = None
@@ -86,7 +59,7 @@ class RunConfig:
         skip = {"format", "cache_dir"}
         items = [
             "%s=%s" % (k, v)
-            for k, v in sorted(self.__dict__.items())
+            for k, v in sorted(self._asdict().items())
             if k not in skip and v is not None
         ]
         return ";".join(items)
@@ -107,8 +80,7 @@ def engine_digest() -> str:
     return h.hexdigest()
 
 
-@dataclass
-class ResultEnvelope:
+class ResultEnvelope(NamedTuple):
     payload: dict
 
 
@@ -164,13 +136,18 @@ def _render_text(payload: dict) -> str:
 # parsing helpers
 # ---------------------------------------------------------------------------
 
-def _check_size(name: str, value: int, cap: int) -> None:
-    check_cap(name, value, cap)
+def _check_size(name: str, value: int, cap: Optional[int] = None) -> None:
+    if cap is not None:
+        from .liealg import check_cap
+
+        check_cap(name, value, cap)
     if value < 0:
         raise PreconditionError("%s must be non-negative, got %d" % (name, value))
 
 
 def _resolve_pair(pair_id: str):
+    from .pairs import PairSpec, build_pair, catalog_pairs
+
     try:
         spec = PairSpec.parse(pair_id)
         return build_pair(spec)
@@ -182,6 +159,11 @@ def _resolve_pair(pair_id: str):
 
 
 def _resolve_parabolic(pair, descriptor: str):
+    from fractions import Fraction
+
+    from .liealg import root_datum
+    from .parabolic import parabolic_from_params, parabolic_from_simple_subset
+
     g = pair.g
     datum = root_datum(g)
     nsimple = len(datum.simple_roots)
@@ -217,7 +199,12 @@ def _resolve_parabolic(pair, descriptor: str):
     return parabolic_from_simple_subset(g, subset)
 
 
-def _resolve_lambda(pair, parabolic, text: str) -> VermaSpec:
+def _resolve_lambda(pair, parabolic, text: str):
+    from fractions import Fraction
+
+    from .branching import VermaSpec
+    from .liealg import Weight
+
     text = (text or "generic").strip()
     if text.lower() == "generic":
         return VermaSpec.generic(parabolic)
@@ -235,7 +222,7 @@ def _resolve_lambda(pair, parabolic, text: str) -> VermaSpec:
         raise PreconditionError(str(exc)) from exc
 
 
-def _table_json(table: BranchingTable):
+def _table_json(table):
     return [
         {
             "delta_displacement": list(e.delta_displacement),
@@ -267,11 +254,16 @@ def _base_payload(config: RunConfig) -> dict:
 
 
 def _cmd_pairs(config: RunConfig, payload: dict):
+    from .pairs import catalog_pairs
+
+    _check_size("rank bound", config.rank_bound)
     payload["catalog"] = [s.id for s in catalog_pairs(config.rank_bound)]
     payload["result"] = "%d catalog pairs" % len(payload["catalog"])
 
 
 def _cmd_analyze(config: RunConfig, payload: dict):
+    from .parabolic import closedness_report, compatibility_report, condition_iii_spot_check
+
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
     comp = compatibility_report(p, pair)
@@ -291,6 +283,9 @@ def _cmd_analyze(config: RunConfig, payload: dict):
 
 
 def _cmd_census(config: RunConfig, payload: dict):
+    from .liealg import Weight
+    from .parabolic import closed_orbit_census
+
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
     # standard type of p: the Weyl-dominant representative of its H
@@ -314,6 +309,10 @@ def _cmd_census(config: RunConfig, payload: dict):
 
 
 def _cmd_branch(config: RunConfig, payload: dict):
+    from .branching import branch_multiplicities, genericity_check
+    from .liealg import DEGREE_CAP
+    from .parabolic import IncompatibleRestrictionError, closedness_report, compatibility_report
+
     _check_size("degree", config.degree, DEGREE_CAP)
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
@@ -356,6 +355,9 @@ def _cmd_verify(config: RunConfig, payload: dict):
             params["l"] = config.l if config.l is not None else 1
             if not 1 <= params["l"] <= n + 1:
                 raise PreconditionError("law AA needs 1 <= --l <= n+1 = %d" % (n + 1))
+        from .branching import branch_multiplicities, closed_form_law, law_setting
+        from .liealg import DEGREE_CAP
+
         _check_size("degree", config.degree, DEGREE_CAP)
         pair, spec = law_setting(config.law, params)
         engine = branch_multiplicities(spec, pair, config.degree)
@@ -368,6 +370,9 @@ def _cmd_verify(config: RunConfig, payload: dict):
             raise AssertionError("closed-form law disagrees with the engine")
         payload["assumptions"] = list(law.genericity_assumptions)
         return
+    from .branching import verify_character_identity
+    from .liealg import LEVEL_CAP
+
     _check_size("level", config.level, LEVEL_CAP)
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
@@ -380,6 +385,9 @@ def _cmd_verify(config: RunConfig, payload: dict):
 
 
 def _cmd_mf_scan(config: RunConfig, payload: dict):
+    from .branching import mf_scan
+
+    _check_size("rank bound", config.rank_bound)
     rows = mf_scan(config.rank_bound, include_failing=True)
     payload["scan"] = [
         {
@@ -415,13 +423,12 @@ def run_command(config: RunConfig):
         if cached is not None:
             return cached, 0
         _DISPATCH[config.command](config, payload)
-    except (PreconditionError, IncompatibleRestrictionError, RankCapError) as exc:
-        payload["error"] = str(exc)
-        payload["result"] = "precondition violation"
-        payload["summands"] = None
-        env = ResultEnvelope(payload=payload)
-        return env, 2
-    except Exception as exc:  # internal error contract
+    except Exception as exc:  # internal error contract, unless a precondition
+        if _is_precondition(exc):
+            payload["error"] = str(exc)
+            payload["result"] = "precondition violation"
+            payload["summands"] = None
+            return ResultEnvelope(payload=payload), 2
         payload["error"] = "%s: %s" % (type(exc).__name__, exc)
         payload["result"] = "internal error"
         env = ResultEnvelope(payload=payload)
@@ -429,6 +436,19 @@ def run_command(config: RunConfig):
     env = ResultEnvelope(payload=payload)
     cache_store(config, env)
     return env, 0
+
+
+def _is_precondition(exc: Exception) -> bool:
+    """PreconditionError, or the engine's RankCapError or
+    IncompatibleRestrictionError.  Those two are looked up among the loaded
+    modules only: the module that raised one is loaded."""
+    if isinstance(exc, PreconditionError):
+        return True
+    for module, name in (("liealg", "RankCapError"), ("parabolic", "IncompatibleRestrictionError")):
+        loaded = sys.modules.get("%s.%s" % (__package__, module))
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +471,9 @@ def cache_lookup(config: RunConfig) -> Optional[ResultEnvelope]:
         with open(path, "r", encoding="utf-8") as fh:
             env = parse_envelope(fh.read())
     except (OSError, ValueError) as exc:
-        log.warning("corrupt cache entry %s ignored: %s", path, exc)
+        import logging  # only this path logs
+
+        logging.getLogger("vermabranch").warning("corrupt cache entry %s ignored: %s", path, exc)
         return None
     if env.payload.get("engine") != ENGINE_VERSION or env.payload.get("schema") != SCHEMA_VERSION:
         return None
@@ -462,6 +484,8 @@ def cache_store(config: RunConfig, env: ResultEnvelope) -> None:
     root = _cache_dir(config)
     if not root:
         return
+    import tempfile
+
     os.makedirs(root, exist_ok=True)
     path = os.path.join(root, config.cache_key() + ".json")
     data = serialize_envelope(env, "json")
@@ -538,7 +562,6 @@ def config_from_args(argv) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING)
     argv = sys.argv[1:] if argv is None else argv
     try:
         config = config_from_args(argv)

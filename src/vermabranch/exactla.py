@@ -11,9 +11,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Rational = Fraction
 
@@ -382,8 +381,7 @@ def _matrix_dim(space: Subspace) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
+class NilpotencyReport(NamedTuple):
     bracket_closed: bool
     nilpotent: bool
     lcs_length: int

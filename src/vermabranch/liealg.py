@@ -10,7 +10,6 @@ epsilon-coordinates read off the first diagonal entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
@@ -112,25 +111,20 @@ class Weight:
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 
-@dataclass(frozen=True)
 class ClassicalType:
-    family: str
-    rank: int
-
-    def __post_init__(self):
-        if self.family not in _RANK_MIN:
-            raise ValueError("unsupported family %r" % (self.family,))
-        if self.rank < _RANK_MIN[self.family]:
+    def __init__(self, family: str, rank: int):
+        if family not in _RANK_MIN:
+            raise ValueError("unsupported family %r" % (family,))
+        if rank < _RANK_MIN[family]:
             raise ValueError(
-                "rank %d below the validity bound for family %s"
-                % (self.rank, self.family)
+                "rank %d below the validity bound for family %s" % (rank, family)
             )
+        self.family, self.rank = family, rank
 
     def __str__(self):
         return "%s%d" % (self.family, self.rank)
 
 
-@dataclass
 class AlgebraRealization:
     """A matrix Lie algebra with a distinguished diagonal Cartan.
 
@@ -140,15 +134,13 @@ class AlgebraRealization:
     keeps root coordinates canonical (coordinates summing to zero).
     """
 
-    type: Optional[ClassicalType]
-    label: str
-    matrix_dim: int
-    algebra: Subspace
-    cartan_basis: list
-    eps_probes: list
-    eps_positions: list
-    has_center: bool = False
-    _datum: Optional["RootDatum"] = field(default=None, repr=False)
+    def __init__(self, type: Optional[ClassicalType], label: str, matrix_dim: int,
+                 algebra: Subspace, cartan_basis: list, eps_probes: list,
+                 eps_positions: list, has_center: bool = False):
+        self.type, self.label, self.matrix_dim, self.algebra = type, label, matrix_dim, algebra
+        self.cartan_basis, self.eps_probes, self.eps_positions = cartan_basis, eps_probes, eps_positions
+        self.has_center = has_center
+        self._datum = None  # the root datum, built by `root_datum`
 
     @property
     def dim(self) -> int:
@@ -311,16 +303,13 @@ class IntRootTable(NamedTuple):
     rho: tuple
 
 
-@dataclass
 class RootDatum:
-    eps_dim: int
-    roots: tuple
-    positive_roots: tuple
-    simple_roots: tuple
-    rho: Weight
-    root_spaces: dict
-    zero_space: Optional[Subspace] = None
-    _int_table: Optional[IntRootTable] = field(default=None, repr=False, compare=False)
+    def __init__(self, eps_dim: int, roots: tuple, positive_roots: tuple, simple_roots: tuple,
+                 rho: Weight, root_spaces: dict, zero_space: Optional[Subspace] = None):
+        self.eps_dim, self.roots, self.positive_roots = eps_dim, roots, positive_roots
+        self.simple_roots, self.rho, self.root_spaces = simple_roots, rho, root_spaces
+        self.zero_space = zero_space
+        self._int_table = None
 
     def int_table(self) -> IntRootTable:
         if self._int_table is None:

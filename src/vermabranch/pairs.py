@@ -11,10 +11,9 @@ catalog conjugator is diagonal or a permutation-reflection, hence tau j = j
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple
 
 from .exactla import (
     MatrixElement,
@@ -36,18 +35,14 @@ from .liealg import (
 PAIR_KINDS = ("gl_down_gl", "sl_s_glgl", "so_down_so", "sp_down_gl", "group_case")
 
 
-@dataclass(frozen=True)
 class PairSpec:
     """Catalog identifier with parameters, e.g. PairSpec('sl_s_glgl', p=2, q=2)."""
-
-    kind: str
-    params: tuple
 
     def __init__(self, kind: str, **params):
         if kind not in PAIR_KINDS:
             raise ValueError("unknown pair kind %r (known: %s)" % (kind, ", ".join(PAIR_KINDS)))
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", tuple(sorted(params.items())))
+        self.kind = kind
+        self.params = tuple(sorted(params.items()))
 
     def get(self, key):
         return dict(self.params)[key]
@@ -67,11 +62,19 @@ class PairSpec:
                 if not m:
                     raise ValueError("malformed pair parameter %r" % item)
                 key, val = m.group(1), m.group(2)
+                if key in params:
+                    raise ValueError("duplicate pair parameter %r" % key)
                 params[key] = val if key == "type" else int(val)
         return cls(kind, **params)
 
     def __str__(self):
         return self.id
+
+    def __eq__(self, other):
+        return isinstance(other, PairSpec) and (self.kind, self.params) == (other.kind, other.params)
+
+    def __hash__(self):
+        return hash((self.kind, self.params))
 
 
 class Involution:
@@ -88,25 +91,22 @@ class Involution:
         return self.conjugator @ x @ self.conjugator
 
 
-@dataclass
-class TauSplit:
+class TauSplit(NamedTuple):
     plus: Subspace
     minus: Subspace
     pr: Subspace
 
 
-@dataclass
 class SymmetricPair:
-    spec: PairSpec
-    g: AlgebraRealization
-    tau: Involution
-    fixed: Subspace
-    minus: Subspace
-    j_tau_basis: list
-    j_tau_probes: list
-    _restricted_datum: Optional[RootDatum] = field(default=None, repr=False)
-    _tau_star_images: dict = field(default_factory=dict, repr=False)
-    _root_tables: Optional[object] = field(default=None, repr=False)
+    """A catalog pair: g, its involution tau, g^{+-tau} and the j^tau basis and
+    probes; the restricted datum, tau* images and root tables fill on use."""
+
+    def __init__(self, spec: PairSpec, g: AlgebraRealization, tau: Involution, fixed: Subspace,
+                 minus: Subspace, j_tau_basis: list, j_tau_probes: list):
+        self.spec, self.g, self.tau, self.fixed, self.minus = spec, g, tau, fixed, minus
+        self.j_tau_basis, self.j_tau_probes = j_tau_basis, j_tau_probes
+        self._restricted_datum = self._root_tables = None
+        self._tau_star_images = {}
 
     @property
     def restricted_eps_dim(self) -> int:

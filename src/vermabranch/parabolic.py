@@ -9,10 +9,9 @@ lazily when a report needs them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactla import (
     MatrixElement,
@@ -45,12 +44,12 @@ class IncompatibleRestrictionError(ValueError):
 # ParabolicData
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ParabolicData:
-    g: AlgebraRealization
-    params: tuple  # eps-parameters of the defining H
-    levi_roots: frozenset
-    nilradical_roots: frozenset
+    def __init__(self, g: AlgebraRealization, params: tuple, levi_roots: frozenset,
+                 nilradical_roots: frozenset):
+        self.g = g
+        self.params = params  # eps-parameters of the defining H
+        self.levi_roots, self.nilradical_roots = levi_roots, nilradical_roots
 
     @property
     def pattern(self):
@@ -150,14 +149,12 @@ def parabolic_from_simple_subset(g: AlgebraRealization, subset) -> ParabolicData
 # compatibility and closedness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     compatible: bool
     fixed_params: Optional[tuple]  # eps-parameters of (H + tau H)/2
 
 
-@dataclass
-class ClosednessReport:
+class ClosednessReport(NamedTuple):
     """pr_u, l_tau and p_tau are spans in the root coordinates of `_RootTables`."""
 
     closed: bool
@@ -318,8 +315,7 @@ def condition_iii_spot_check(
     return True
 
 
-@dataclass
-class TensorClosednessReport:
+class TensorClosednessReport(NamedTuple):
     closed: bool
 
 
@@ -342,8 +338,7 @@ def tensor_closedness(p1: ParabolicData, p2: ParabolicData) -> TensorClosednessR
 # closed-orbit census
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrbitCensusReport:
+class OrbitCensusReport(NamedTuple):
     total_parabolics_containing_j: int
     closed_count: int
     representatives: list  # (descriptor, ParabolicData, gk_dim)

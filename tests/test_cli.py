@@ -142,6 +142,9 @@ def test_bad_lambda_exits_two():
         "analyze --pair sl_s_glgl:p=2,q=2 --parabolic H=1,0,0,-1,5",
         "analyze --pair so_down_so:m=4 --parabolic H=1",
         "mf-scan --rank-bound 7",
+        "census --pair so_down_so:m=5,m=6 --parabolic borel",
+        "pairs --rank-bound -1",
+        "mf-scan --rank-bound -1",
     ],
 )
 def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
@@ -291,7 +294,7 @@ def test_cache_key_follows_engine_sources(tmp_path, monkeypatch):
     assert cache_lookup(config) is None
 
 
-def test_cache_corruption_is_a_miss(tmp_path):
+def test_cache_corruption_is_a_miss(tmp_path, caplog):
     argv = ["census", "--pair", "sp_down_gl:n=2", "--parabolic", "siegel",
             "--cache-dir", str(tmp_path)]
     run(argv)
@@ -299,6 +302,7 @@ def test_cache_corruption_is_a_miss(tmp_path):
     path.write_text("{not json")
     config = config_from_args(argv)
     assert cache_lookup(config) is None
+    assert "corrupt cache entry %s ignored" % path in caplog.text
     env, code = run(argv)  # recomputes cleanly
     assert code == 0
 
