@@ -15,6 +15,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
 from .liealg import (
@@ -24,7 +25,6 @@ from .liealg import (
     check_cap,
     freudenthal_character,
     regular_order_key,
-    scaled_coords,
 )
 from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data
 from .parabolic import (
@@ -147,14 +147,15 @@ def sym_power_characters(weights, top: int) -> list:
     layers = [{} for _ in range(top + 1)]
     if not ms:
         return layers
-    zero = next(iter(ms))
-    layers[0] = {zero - zero: 1}
+    zero = Weight.zero(len(next(iter(ms))))
+    layers[0] = {zero: 1}
     for w, m in sorted(ms.items(), key=lambda it: regular_order_key(it[0])):
         for k in range(top, 0, -1):
             acc = {}
+            shift = zero
             for a in range(1, k + 1):
                 coeff = math.comb(a + m - 1, m - 1)
-                shift = w.scale(a)
+                shift = shift + w
                 for d, c in layers[k - a].items():
                     key = d + shift
                     acc[key] = acc.get(key, 0) + c * coeff
@@ -185,36 +186,31 @@ def restrict_finite_module(pair: SymmetricPair, l_datum: RootDatum, lam: Weight)
 def decompose_character(char, datum: RootDatum):
     """Peel a semisimple module character into highest weights.
 
-    One sweep down the support, sorted once by the order of
-    `regular_order_key` read on integer tuples (common denominator of the
-    weights and the datum cleared).  The other weights of V_mu lie strictly
-    below mu, so a residual is final when the sweep reaches it; a nonzero
-    one is a multiplicity, and that module's character is subtracted (each
-    weight is reached once, so no character is needed twice).  A
-    negative residual, one on a weight that is not dominant integral, or one
-    left off the support signals an engine bug or an invalid input.
+    One sweep down the support, sorted once by `regular_order_key`.  The
+    other weights of V_mu lie strictly below mu, so a residual is final when
+    the sweep reaches it; a nonzero one is a multiplicity, and that module's
+    character is subtracted (each weight is reached once, so no character is
+    needed twice).  A negative residual, one on a weight that is not
+    dominant integral, or one left off the support signals an engine bug or
+    an invalid input.
     """
     ms = _as_multiset(char)
-    scale = math.lcm(datum.int_table().scale, *(c.denominator for w in ms for c in w))
-    weight_of = {scaled_coords(w.coords, scale): w for w in ms}
-    work = {t: ms[w] for t, w in weight_of.items()}
+    work = dict(ms)
     out = []
-    for top in sorted(weight_of, key=regular_order_key, reverse=True):
-        mult = work.get(top, 0)
+    for mu in sorted(ms, key=regular_order_key, reverse=True):
+        mult = work.get(mu, 0)
         if not mult:
             continue
-        mu = weight_of[top]
         if mult < 0:
             raise ValueError("negative residual multiplicity at %r" % (mu,))
         if not datum.is_dominant_integral(mu):
             raise ValueError("residual at %r, which is not dominant integral" % (mu,))
         for w, m in freudenthal_character(datum, mu).items():
-            t = scaled_coords(w.coords, scale)
-            c = work.get(t, 0) - mult * m
+            c = work.get(w, 0) - mult * m
             if c:
-                work[t] = c
+                work[w] = c
             else:
-                del work[t]
+                del work[w]
         out.append((mu, mult))
     if work:
         raise ValueError("residual left off the swept support at %d weights" % len(work))
@@ -363,7 +359,7 @@ def finiteness_bound(spec: VermaSpec, pair: SymmetricPair, displacement) -> Opti
     lvl = ctx.level_of(Weight(displacement))
     if lvl < 0:
         return None
-    return int(lvl / a_min)
+    return lvl // a_min
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +376,9 @@ def _inv_euler_expand(start: dict, weights: dict, level_of, level_cap) -> dict:
         nxt = dict(current)
         for d, c in current.items():
             base_level = level_of(d)
-            a = 1
+            key, a = d, 1
             while base_level + a * step <= level_cap:
-                key = d + w.scale(a)
+                key = key + w
                 nxt[key] = nxt.get(key, 0) + c * math.comb(a + m - 1, m - 1)
                 a += 1
         current = {d: c for d, c in nxt.items() if level_of(d) <= level_cap}
@@ -412,7 +408,7 @@ def verify_character_identity(
 
     if table is None:
         a_min = min(map(lev, ctx.u_second_weights), default=None)
-        table = _branching_table(ctx, spec, 0 if a_min is None else int(level_cap / a_min))
+        table = _branching_table(ctx, spec, 0 if a_min is None else level_cap // a_min)
 
     # the expansion is linear: expand sum_delta m_delta chi_delta once
     base = Weight.zero(pair.restricted_eps_dim) if ctx.base is None else ctx.base
@@ -483,10 +479,7 @@ def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: in
     support = {Weight.zero(eps): 0}
     for total in range(1, degree_bound + 1):
         for comb in _decreasing_tuples(len(seq), total):
-            w = Weight.zero(eps)
-            for a, nu in zip(comb, seq):
-                w = w + nu.scale(a)
-            support[w] = total
+            support[Weight(sum(map(mul, comb, column)) for column in zip(*seq))] = total
     l_tau_datum = _levi_prime_datum(p, pair)
     powers = sym_power_characters(weights, degree_bound)
     for k in range(degree_bound + 1):

@@ -151,7 +151,7 @@ def _resolve_pair(pair_id: str):
     try:
         spec = PairSpec.parse(pair_id)
         return build_pair(spec)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         listing = ", ".join(s.id for s in catalog_pairs(3))
         raise PreconditionError(
             "cannot resolve pair %r (%s); catalog families: %s" % (pair_id, exc, listing)
@@ -254,9 +254,10 @@ def _base_payload(config: RunConfig) -> dict:
 
 
 def _cmd_pairs(config: RunConfig, payload: dict):
+    from .liealg import MF_SCAN_RANK_CAP
     from .pairs import catalog_pairs
 
-    _check_size("rank bound", config.rank_bound)
+    _check_size("rank bound", config.rank_bound, MF_SCAN_RANK_CAP)
     payload["catalog"] = [s.id for s in catalog_pairs(config.rank_bound)]
     payload["result"] = "%d catalog pairs" % len(payload["catalog"])
 

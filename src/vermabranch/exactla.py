@@ -25,12 +25,13 @@ def _frac(x) -> Fraction:
 
 def _q(x):
     """Canonical exact scalar: plain int when integral (much faster), else
-    Fraction.  Mixed int/Fraction arithmetic stays exact in Python."""
+    Fraction.  Mixed int/Fraction arithmetic stays exact in Python; a float
+    (or any other type) is refused, since it holds no exact rational."""
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    return _q(Fraction(x))
+    raise TypeError("exact scalar expected (int or Fraction), got %r" % (x,))
 
 
 def _inv(x):

@@ -13,13 +13,14 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactla import (
     MatrixElement,
     Subspace,
     _as_sparse,
     _frac,
+    _q,
     _rref,
     bracket,
     span_of_matrices,
@@ -47,12 +48,13 @@ def check_cap(name: str, value: int, cap: int) -> None:
 # ---------------------------------------------------------------------------
 
 class Weight:
-    """A rational vector of epsilon-coordinates; exact component arithmetic."""
+    """A rational vector of epsilon-coordinates; exact component arithmetic.
+    Coordinates are canonical `_q` scalars: int when integral, else Fraction."""
 
     __slots__ = ("coords", "_hash")
 
     def __init__(self, coords: Iterable):
-        self.coords = tuple(_frac(c) for c in coords)
+        self.coords = tuple(map(_q, coords))
         self._hash = None
 
     def __len__(self):
@@ -73,20 +75,16 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(-a for a in self.coords)
 
-    def scale(self, c) -> "Weight":
-        c = _frac(c)
-        return Weight(c * a for a in self.coords)
-
-    def dot(self, other: "Weight") -> Fraction:
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
+    def dot(self, other: "Weight"):
+        return sum(map(mul, self.coords, other.coords))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
     def int_coords(self):
-        if any(c.denominator != 1 for c in self.coords):
+        if any(type(c) is not int for c in self.coords):
             raise ValueError("weight is not integral: %r" % (self,))
-        return tuple(int(c) for c in self.coords)
+        return self.coords
 
     @classmethod
     def zero(cls, n: int) -> "Weight":
@@ -95,7 +93,7 @@ class Weight:
     def __eq__(self, other):
         return isinstance(other, Weight) and self.coords == other.coords
 
-    def __hash__(self):  # cached: Fraction hashes are slow, and roots are hashed often
+    def __hash__(self):  # cached: roots and weights are hashed often
         if self._hash is None:
             self._hash = hash(self.coords)
         return self._hash
@@ -275,10 +273,9 @@ def build_classical(ctype: ClassicalType, with_center: bool = False) -> AlgebraR
 # Root data
 # ---------------------------------------------------------------------------
 
-def regular_order_key(w):
-    """Sort key for the fixed regular functional (decreasing eps-weights) of
-    a `Weight` or of a tuple of exact scalars (say, scaled integers)."""
-    coords = tuple(w)
+def regular_order_key(w: Weight):
+    """Sort key for the fixed regular functional (decreasing eps-weights)."""
+    coords = w.coords
     n = len(coords)
     return (sum((n - i) * c for i, c in enumerate(coords)), coords)
 
@@ -288,53 +285,33 @@ def scaled_coords(coords, scale: int) -> tuple:
     return tuple(c.numerator * (scale // c.denominator) for c in coords)
 
 
-def _dot(u, v) -> int:
+def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-class IntRootTable(NamedTuple):
-    """A datum's roots (sparse (index, value) rows in `RootDatum.roots`
-    order), simple and positive roots and rho, times one common `scale`."""
-
-    scale: int
-    root_rows: tuple
-    simple: tuple
-    positive: tuple
-    rho: tuple
-
-
 class RootDatum:
+    """Roots of a Lie algebra in the coordinates of its Cartan (eps- or
+    restricted coordinates).  Every root is an integer vector, which the
+    integer kernels below rely on; only weights and rho carry denominators."""
+
     def __init__(self, eps_dim: int, roots: tuple, positive_roots: tuple, simple_roots: tuple,
                  rho: Weight, root_spaces: dict, zero_space: Optional[Subspace] = None):
+        for a in roots:
+            if not all(type(c) is int for c in a.coords):
+                raise ValueError("root %r is not an integer vector" % (a,))
         self.eps_dim, self.roots, self.positive_roots = eps_dim, roots, positive_roots
         self.simple_roots, self.rho, self.root_spaces = simple_roots, rho, root_spaces
         self.zero_space = zero_space
-        self._int_table = None
-
-    def int_table(self) -> IntRootTable:
-        if self._int_table is None:
-            scale = math.lcm(*(c.denominator for a in self.roots + (self.rho,) for c in a))
-            ints = [scaled_coords(a.coords, scale) for a in self.roots]
-            self._int_table = IntRootTable(
-                scale=scale,
-                root_rows=tuple(tuple((i, c) for i, c in enumerate(a) if c) for a in ints),
-                simple=tuple(scaled_coords(a.coords, scale) for a in self.simple_roots),
-                positive=tuple(scaled_coords(a.coords, scale) for a in self.positive_roots),
-                rho=scaled_coords(self.rho.coords, scale),
-            )
-        return self._int_table
 
     def sign_masks(self, params) -> tuple:
         """Root-index bitmasks (vanishing, positive) of the roots by their
-        sign on eps-parameters; exact, as the roots (once) and `params` are
-        scaled to integers by positive factors."""
+        sign on eps-parameters; exact, as `params` is scaled to integers by a
+        positive factor and the roots are integral."""
         t = scaled_coords(params, math.lcm(*(x.denominator for x in params)))
         zero = pos = 0
         bit = 1
-        for row in self.int_table().root_rows:
-            v = 0
-            for i, c in row:
-                v += c * t[i]
+        for a in self.roots:
+            v = _dot(a.coords, t)
             if v > 0:
                 pos |= bit
             elif v == 0:
@@ -346,10 +323,11 @@ class RootDatum:
         return frozenset(a for i, a in enumerate(self.roots) if mask >> i & 1)
 
     def coroot_pairing(self, lam: Weight, alpha: Weight) -> Fraction:
-        return 2 * lam.dot(alpha) / alpha.dot(alpha)
+        return Fraction(2 * lam.dot(alpha), alpha.dot(alpha))
 
     def reflect(self, w: Weight, alpha: Weight) -> Weight:
-        return w - alpha.scale(self.coroot_pairing(w, alpha))
+        p = self.coroot_pairing(w, alpha)
+        return Weight(x - p * a for x, a in zip(w.coords, alpha.coords))
 
     def is_dominant_integral(self, lam: Weight) -> bool:
         return all(
@@ -358,12 +336,11 @@ class RootDatum:
         )
 
     def dominant_representative(self, w: Weight) -> Weight:
-        # the table holds t * alpha, so w is scaled by t times its common
-        # denominator d and each reflection quotient is <d * w, alpha^vee>
-        t = self.int_table()
-        scale = t.scale * math.lcm(*(c.denominator for c in w.coords))
-        norms = [_dot(a, a) for a in t.simple]
-        top = _int_dominant(scaled_coords(w.coords, scale), t.simple, norms)
+        # the roots are integral, so w is scaled by its common denominator d
+        # and each reflection quotient is the integer <d * w, alpha^vee>
+        scale = math.lcm(*(c.denominator for c in w.coords))
+        simple = [a.coords for a in self.simple_roots]
+        top = _int_dominant(scaled_coords(w.coords, scale), simple, [_dot(a, a) for a in simple])
         return Weight(Fraction(c, scale) for c in top)
 
     def sub_datum(self, roots: Iterable[Weight]) -> "RootDatum":
@@ -401,7 +378,7 @@ def _indecomposables(positive: Sequence[Weight]) -> tuple:
 
 
 def _half_sum(positive: Sequence[Weight], eps_dim: int) -> Weight:
-    return Weight(sum((a[i] for a in positive), Fraction(0)) / 2 for i in range(eps_dim))
+    return Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
 
 
 def datum_from_decomposition(eps_dim: int, parts) -> RootDatum:
@@ -472,19 +449,17 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
     Standard Freudenthal recursion, processed level by level in the simple
     root lattice; non-dominant weights are filled in from their dominant
     Weyl representative.  The recursion runs on integer tuples: lam, rho and
-    the roots times the lcm of their denominators, which scales every inner
-    product by the same square and leaves the Freudenthal quotients as they
-    are.
+    the (integral) roots times the lcm of the denominators of lam and rho,
+    which scales every inner product by the same square and leaves the
+    Freudenthal quotients as they are.
     """
     if not datum.is_dominant_integral(lam):
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
-    t = datum.int_table()
-    scale = math.lcm(t.scale, *(c.denominator for c in lam.coords))
-    f = scale // t.scale
-    simple = [tuple(f * c for c in a) for a in t.simple]
+    scale = math.lcm(*(c.denominator for c in lam.coords + datum.rho.coords))
+    simple = [tuple(scale * c for c in a) for a in datum.simple_roots]
     norms = [_dot(a, a) for a in simple]
-    roots = [(a, _dot(a, a)) for a in (tuple(f * c for c in a) for a in t.positive)]
-    rho = tuple(f * c for c in t.rho)
+    roots = [(a, _dot(a, a)) for a in (tuple(scale * c for c in a) for a in datum.positive_roots)]
+    rho = scaled_coords(datum.rho.coords, scale)
     top = scaled_coords(lam.coords, scale)
     top_rho = tuple(map(add, top, rho))
     top_rho_sq = _dot(top_rho, top_rho)
@@ -595,7 +570,7 @@ def reflection_element(datum: RootDatum, alpha: Weight) -> WeylElement:
     perm = [None] * n
     signs = [0] * n
     for k in range(n):
-        e = Weight([Fraction(1) if i == k else Fraction(0) for i in range(n)])
+        e = Weight([int(i == k) for i in range(n)])
         img = datum.reflect(e, alpha)
         hits = [(i, c) for i, c in enumerate(img.coords) if c]
         if len(hits) != 1 or abs(hits[0][1]) != 1:

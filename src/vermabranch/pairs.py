@@ -32,7 +32,14 @@ from .liealg import (
     root_datum,
 )
 
-PAIR_KINDS = ("gl_down_gl", "sl_s_glgl", "so_down_so", "sp_down_gl", "group_case")
+# pair kind -> the names of its parameters
+PAIR_KINDS = {
+    "gl_down_gl": ("n", "l"),
+    "sl_s_glgl": ("p", "q"),
+    "so_down_so": ("m",),
+    "sp_down_gl": ("n",),
+    "group_case": ("type",),
+}
 
 
 class PairSpec:
@@ -41,6 +48,11 @@ class PairSpec:
     def __init__(self, kind: str, **params):
         if kind not in PAIR_KINDS:
             raise ValueError("unknown pair kind %r (known: %s)" % (kind, ", ".join(PAIR_KINDS)))
+        takes = PAIR_KINDS[kind]
+        wrong = [("unknown", k) for k in params if k not in takes]
+        wrong += [("missing", k) for k in takes if k not in params]
+        if wrong:
+            raise ValueError("%s parameter %r for %s (takes %s)" % (*wrong[0], kind, ", ".join(takes)))
         self.kind = kind
         self.params = tuple(sorted(params.items()))
 
@@ -163,7 +175,7 @@ class SymmetricPair:
 
 def _apply_rows(rows, w: Weight) -> Weight:
     """The weight with coordinates row . w, one per row of a rational matrix."""
-    return Weight(sum((a * r for a, r in zip(w.coords, row) if r), Fraction(0)) for row in rows)
+    return Weight(sum(a * r for a, r in zip(w.coords, row) if r) for row in rows)
 
 
 def tau_projection(pair: SymmetricPair, space: Subspace) -> Subspace:

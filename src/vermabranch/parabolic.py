@@ -17,6 +17,7 @@ from .exactla import (
     MatrixElement,
     NilpotencyReport,
     Subspace,
+    _q,
     _rref,
     _vec_axpy,
     bracket,
@@ -31,7 +32,6 @@ from .liealg import (
     check_weyl_rank,
     reflection_element,
     root_datum,
-    scaled_coords,
 )
 from .pairs import SymmetricPair, restricted_root_data, tau_projection
 
@@ -109,7 +109,7 @@ def _pattern_from_params(datum: RootDatum, params) -> tuple:
 def parabolic_from_params(g: AlgebraRealization, params) -> ParabolicData:
     """Parabolic defined by the sign of the roots on the Cartan element H with
     these eps-parameters (realizable ones: see `cartan_params`)."""
-    params = tuple(map(Fraction, params))
+    params = tuple(map(_q, params))
     levi, nilrad = _pattern_from_params(root_datum(g), params)
     return ParabolicData(g=g, params=params, levi_roots=levi, nilradical_roots=nilrad)
 
@@ -134,10 +134,7 @@ def parabolic_from_simple_subset(g: AlgebraRealization, subset) -> ParabolicData
         raise ValueError("subset must consist of simple root indices")
     hs = [Weight(h) for h in g.cartan_columns]
     columns = [tuple(a.dot(h) for a in datum.simple_roots) for h in hs]
-    target = tuple(
-        Fraction(0) if i in subset else Fraction(1)
-        for i in range(len(datum.simple_roots))
-    )
+    target = tuple(int(i not in subset) for i in range(len(datum.simple_roots)))
     coeffs = _solve(columns, target)
     if coeffs is None:
         raise AssertionError("coweight system has no solution")
@@ -179,19 +176,18 @@ def compatibility_report(p: ParabolicData, pair: SymmetricPair) -> Compatibility
 
 class _RootTables:
     """g in root coordinates: i < R is the root vector X_i (the echelon row of
-    the root space of `datum.roots[i]`), R + k the k-th Cartan row of
-    `zero_space`.  Catalog involutions permute the root spaces up to sign and
-    [X_a, X_b] = N_{a,b} X_{a+b}, so j^tau, tau and the brackets are tables
-    read from the matrices (the last two at first use), each checked on read."""
+    the root space of `datum.roots[i]`, `index` maps the root to i and the
+    zero weight to R), R + k the k-th Cartan row of `zero_space`.  Catalog
+    involutions permute the root spaces up to sign and [X_a, X_b] =
+    N_{a,b} X_{a+b}, so j^tau, tau and the brackets are tables read from the
+    matrices (the last two at first use), each checked on read."""
 
     def __init__(self, pair: SymmetricPair):
         self.pair, self.datum = pair, root_datum(pair.g)
-        roots, n, scale = self.datum.roots, pair.g.matrix_dim, self.datum.int_table().scale
-        self.index = {a: i for i, a in enumerate(roots)}
+        roots, n = self.datum.roots, pair.g.matrix_dim
+        self.index = {a: i for i, a in enumerate(roots + (Weight.zero(self.datum.eps_dim),))}
         self.spaces = [self.datum.root_spaces[a] for a in roots] + [self.datum.zero_space]
         self.vectors = [MatrixElement.from_vector(n, s.rows[0]) for s in self.spaces[:-1]]
-        self.ints = [scaled_coords(a.coords, scale) for a in roots]
-        self.targets = {v: i for i, v in enumerate(self.ints + [(0,) * self.datum.eps_dim])}
         self._brackets, self._tau = {}, {}
         self._jtau = [self._read(h, len(roots), "j^tau") for h in pair.j_tau_basis]
 
@@ -209,7 +205,7 @@ class _RootTables:
         for i, a in x.items():
             for j, b in y.items():
                 if (i, j) not in self._brackets:
-                    k = self.targets.get(tuple(u + v for u, v in zip(self.ints[i], self.ints[j])))
+                    k = self.index.get(self.datum.roots[i] + self.datum.roots[j])
                     xy = bracket(self.vectors[i], self.vectors[j])
                     self._brackets[i, j] = self._read(xy, k, "[X_a, X_b]")
                 _vec_axpy(out, a * b, self._brackets[i, j])
@@ -366,7 +362,7 @@ def _reflection(f, v):
     """The map t -> t - <f, t> v on eps-parameters."""
 
     def reflect(t):
-        c = sum((a * x for a, x in zip(f, t) if a), Fraction(0))
+        c = sum(a * x for a, x in zip(f, t) if a)
         return tuple(x - c * y for x, y in zip(t, v))
 
     return reflect
@@ -384,7 +380,9 @@ def enumerate_weyl_translates(pair: SymmetricPair, subset):
     g = pair.g
     datum = root_datum(g)
     check_weyl_rank(datum)
-    reflections = [_reflection(a.scale(2 / a.dot(a)), a) for a in datum.simple_roots]
+    reflections = [
+        _reflection([_q(Fraction(2 * c, a.dot(a))) for c in a], a) for a in datum.simple_roots
+    ]
     orbit = [parabolic_from_simple_subset(g, subset).params]
     seen = set(orbit)
     for t in orbit:  # appended to while walked: breadth-first order
@@ -413,13 +411,13 @@ def _census_generators(pair: SymmetricPair):
     rdatum = restricted_root_data(pair)
     probes = pair.probe_params
     coords = [
-        Weight(pair.jtau_params(pair.fixed_params([Fraction(int(i == c)) for i in range(n)])))
+        Weight(pair.jtau_params(pair.fixed_params([int(i == c) for i in range(n)])))
         for c in range(n)
     ]
 
     def generator(beta):
-        f = [2 * c.dot(beta) / beta.dot(beta) for c in coords]
-        v = [sum((b * p[i] for b, p in zip(beta, probes)), Fraction(0)) for i in range(n)]
+        f = [_q(Fraction(2 * c.dot(beta), beta.dot(beta))) for c in coords]
+        v = [sum(b * p[i] for b, p in zip(beta, probes)) for i in range(n)]
         return _reflection(f, v)
 
     return [generator(b) for b in rdatum.simple_roots]

@@ -145,6 +145,10 @@ def test_bad_lambda_exits_two():
         "census --pair so_down_so:m=5,m=6 --parabolic borel",
         "pairs --rank-bound -1",
         "mf-scan --rank-bound -1",
+        "pairs --rank-bound 7",
+        "census --pair so_down_so:m=5,n=3 --parabolic borel",
+        "analyze --pair group_case:type=A1,q=7 --parabolic borel",
+        "analyze --pair so_down_so --parabolic borel",
     ],
 )
 def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
@@ -180,6 +184,12 @@ def test_parse_stage_errors_exit_two_with_envelope(argv, config_text, tmp_path, 
 
 def test_mf_scan_rank_cap_message():
     env, code = run(["mf-scan", "--rank-bound", "7"])
+    assert code == 2 and env.payload["error"] == "rank bound capped at 6"
+
+
+def test_pairs_rank_bound_cap():
+    assert run(["pairs", "--rank-bound", "6"])[1] == 0
+    env, code = run(["pairs", "--rank-bound", "7"])
     assert code == 2 and env.payload["error"] == "rank bound capped at 6"
 
 

@@ -33,6 +33,16 @@ def test_bracket_sl2_relation():
     assert bracket(h, f) == f.scale(-2)
 
 
+def test_matrix_entries_refuse_floats():
+    # a float holds no exact rational: 0.1 is not 1/10
+    with pytest.raises(TypeError):
+        MatrixElement(2, {(0, 1): 0.1})
+    with pytest.raises(TypeError):
+        MatrixElement.diagonal([1, 0.5])
+    with pytest.raises(TypeError):
+        E(2, 0, 1).scale(0.5)
+
+
 def test_bracket_antisymmetry():
     e, f, h = sl2_basis()
     assert bracket(e, e).is_zero()

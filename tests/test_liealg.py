@@ -7,11 +7,13 @@ import pytest
 from vermabranch import (
     ClassicalType,
     RankCapError,
+    RootDatum,
     Weight,
     build_classical,
     build_pair,
     freudenthal_character,
     parabolic_from_simple_subset,
+    restricted_root_data,
     root_datum,
     weyl_dimension,
     weyl_group,
@@ -227,7 +229,7 @@ def _random_dominant(datum, rng):
     for _ in range(budget):
         targets[rng.randrange(len(targets))] += rng.randint(0, 1)
     rows = [
-        [a.scale(Fraction(2, a.dot(a)))[k] for k in range(datum.eps_dim)] + [t]
+        [Fraction(2 * a[k], a.dot(a)) for k in range(datum.eps_dim)] + [t]
         for a, t in zip(datum.simple_roots, targets)
     ]
     # Gaussian elimination, free coordinates pinned to zero
@@ -367,6 +369,47 @@ def test_dominant_representative_matches_fraction_oracle(algebras):
             assert datum.dominant_representative(w) == (
                 _fraction_dominant_representative(datum, w)
             )
+
+
+# ---------------------------------------------------------------------------
+# one weight representation: canonical exact coordinates, integer roots
+# ---------------------------------------------------------------------------
+
+def test_catalog_roots_are_int_vectors(pairs):
+    for spec in catalog_pairs(3):
+        pair = pairs(spec.kind, **dict(spec.params))
+        for datum in (root_datum(pair.g), restricted_root_data(pair)):
+            assert all(type(c) is int for a in datum.roots for c in a.coords), spec.id
+
+
+def test_freudenthal_keys_are_ints_for_an_integral_lambda(algebras):
+    # rho of B2 is (3/2, 1/2): the recursion runs at scale 2 and scales back
+    for fam, rank, lam in [("A", 2, (1, 0, -1)), ("B", 2, (1, 1)), ("C", 3, (2, 1, 0))]:
+        ch = freudenthal_character(root_datum(algebras(fam, rank)), Weight(lam))
+        assert all(type(c) is int for mu in ch for c in mu.coords)
+
+
+def test_root_datum_rejects_a_half_integer_root():
+    half = Weight((Fraction(1, 2), Fraction(-1, 2)))
+    with pytest.raises(ValueError, match="not an integer vector"):
+        RootDatum(2, (half, -half), (half,), (half,), half, {})
+
+
+def test_coroot_pairings_are_exact(algebras):
+    # C2 has a long root (2, 0): 2 <lam, a> / <a, a> on ints would be a float
+    datum = root_datum(algebras("C", 2))
+    for lam in (Weight((3, 1)), Weight((Fraction(1, 2), -2))):
+        for a in datum.roots:
+            p = datum.coroot_pairing(lam, a)
+            assert isinstance(p, Fraction)
+            assert p == 2 * sum(Fraction(x) * y for x, y in zip(lam, a)) / sum(y * y for y in a)
+
+
+def test_weights_refuse_floats():
+    with pytest.raises(TypeError):
+        Weight((1, 0.1))
+    assert Weight((Fraction(4, 2), Fraction(1, 2))).coords == (2, Fraction(1, 2))
+    assert type(Weight((Fraction(4, 2),))[0]) is int
 
 
 def test_freudenthal_weyl_invariance(algebras):

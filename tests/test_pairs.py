@@ -31,6 +31,15 @@ def test_pair_spec_rejects_unknown_kind():
         PairSpec("mystery", n=1)
 
 
+def test_pair_spec_rejects_unknown_and_missing_params():
+    with pytest.raises(ValueError, match=r"^unknown parameter 'n' for so_down_so \(takes m\)$"):
+        PairSpec.parse("so_down_so:m=5,n=3")
+    with pytest.raises(ValueError, match=r"^unknown parameter 'q' for group_case \(takes type\)$"):
+        PairSpec.parse("group_case:type=A1,q=7")
+    with pytest.raises(ValueError, match=r"^missing parameter 'l' for gl_down_gl \(takes n, l\)$"):
+        PairSpec("gl_down_gl", n=2)
+
+
 def test_pair_spec_rejects_bad_params():
     with pytest.raises(ValueError):
         build_pair(PairSpec("gl_down_gl", n=2, l=5))

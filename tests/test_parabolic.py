@@ -536,7 +536,7 @@ def test_bracket_table_rejects_a_wrong_target_root():
     with pytest.raises(AssertionError):
         tables._read(h, i, "[X_a, X_-a]")
     # the table reads each bracket against the root its sum names
-    tables.targets[tuple(u + v for u, v in zip(tables.ints[i], tables.ints[j]))] = i
+    tables.index[roots[i] + roots[j]] = i
     with pytest.raises(AssertionError, match=r"\[X_a, X_b\] does not lie"):
         tables.row_bracket({i: 1}, {j: 1})
 
