@@ -388,10 +388,17 @@ class NilpotencyReport(NamedTuple):
     lcs_length: int
 
 
-def lcs_report(sub: Subspace, bracket_span) -> NilpotencyReport:
-    """Bracket closure and lower-central-series nilpotency of a subspace,
-    given `bracket_span(xs, ys)`: the span of the brackets of two lists of
-    coordinate rows in the coordinates of `sub`."""
+def nilpotent_subalgebra_test(sub: Subspace, ambient) -> NilpotencyReport:
+    """Bracket closure and lower-central-series nilpotency of a subspace."""
+    alg = _ambient_subspace(ambient)
+    n = _matrix_dim(alg)
+    if not alg.contains_subspace(sub):
+        raise ValueError("subspace does not lie in the ambient algebra")
+
+    def bracket_span(xs, ys):
+        left, right = ([MatrixElement.from_vector(n, r) for r in rows] for rows in (xs, ys))
+        return span_of_matrices([bracket(a, b) for a in left for b in right], n)
+
     basis = sub.rows
     nxt = bracket_span(basis, basis)  # [sub, sub], also the first term of the series
     if not sub.contains_subspace(nxt):
@@ -404,20 +411,6 @@ def lcs_report(sub: Subspace, bracket_span) -> NilpotencyReport:
         term = nxt
         nxt = bracket_span(basis, term.rows)
     return NilpotencyReport(True, True, steps)
-
-
-def nilpotent_subalgebra_test(sub: Subspace, ambient) -> NilpotencyReport:
-    """Bracket closure and lower-central-series nilpotency of a subspace."""
-    alg = _ambient_subspace(ambient)
-    n = _matrix_dim(alg)
-    if not alg.contains_subspace(sub):
-        raise ValueError("subspace does not lie in the ambient algebra")
-
-    def bracket_span(xs, ys):
-        left, right = ([MatrixElement.from_vector(n, r) for r in rows] for rows in (xs, ys))
-        return span_of_matrices([bracket(a, b) for a in left for b in right], n)
-
-    return lcs_report(sub, bracket_span)
 
 
 def nilpotent_matrix(z: MatrixElement) -> bool:

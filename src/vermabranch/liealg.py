@@ -28,6 +28,7 @@ from .exactla import (
 )
 
 # size caps: exceeding one raises RankCapError
+PAIR_RANK_CAP = 12  # ambient rank of a catalog pair, checked before it is built
 WEYL_RANK_CAP = 6
 MF_SCAN_RANK_CAP = 6
 DEGREE_CAP = 12
@@ -302,6 +303,16 @@ class RootDatum:
         self.eps_dim, self.roots, self.positive_roots = eps_dim, roots, positive_roots
         self.simple_roots, self.rho, self.root_spaces = simple_roots, rho, root_spaces
         self.zero_space = zero_space
+
+    @cached_property
+    def sum_table(self) -> list:
+        """Row i maps j to k where roots[i] + roots[j] = roots[k]."""
+        index = {a.coords: k for k, a in enumerate(self.roots)}
+        return [
+            {j: k for j, b in enumerate(self.roots)
+             if (k := index.get(tuple(map(add, a.coords, b.coords)))) is not None}
+            for a in self.roots
+        ]
 
     def sign_masks(self, params) -> tuple:
         """Root-index bitmasks (vanishing, positive) of the roots by their

@@ -24,10 +24,12 @@ from .exactla import (
 from .liealg import (
     AlgebraRealization,
     ClassicalType,
+    PAIR_RANK_CAP,
     RootDatum,
     Weight,
     _solve,
     build_classical,
+    check_cap,
     datum_from_decomposition,
     root_datum,
 )
@@ -252,6 +254,27 @@ def _doubled_realization(factor: AlgebraRealization) -> AlgebraRealization:
     )
 
 
+def _group_type(spec: PairSpec) -> ClassicalType:
+    """The factor type of a group case, e.g. type=B2."""
+    tname = spec.get("type")
+    m = re.fullmatch(r"([A-D])([0-9]+)", tname)
+    if not m:
+        raise ValueError("group_case type %r is not a letter A-D followed by a rank, e.g. B2" % tname)
+    return ClassicalType(m.group(1), int(m.group(2)))
+
+
+def _ambient_rank(spec: PairSpec) -> int:
+    """Rank of g (semisimple rank for gl), read from the spec's parameters."""
+    get = spec.get
+    if spec.kind == "group_case":
+        return 2 * _group_type(spec).rank
+    if spec.kind == "sl_s_glgl":
+        return get("p") + get("q") - 1
+    if spec.kind == "so_down_so":
+        return (get("m") + 1) // 2
+    return get("n")  # gl_down_gl, sp_down_gl
+
+
 def _conjugator_and_probes(spec: PairSpec):
     kind = spec.kind
     if kind == "gl_down_gl":
@@ -297,9 +320,7 @@ def _conjugator_and_probes(spec: PairSpec):
         conj = MatrixElement.diagonal([1] * n + [-1] * n)
         return g, Involution(conj, is_inner=True), list(g.eps_probes)
     # group case
-    tname = spec.get("type")
-    ctype = ClassicalType(tname[0], int(tname[1:]))
-    factor = build_classical(ctype)
+    factor = build_classical(_group_type(spec))
     g = _doubled_realization(factor)
     m = factor.matrix_dim
     data = {}
@@ -316,6 +337,7 @@ def _conjugator_and_probes(spec: PairSpec):
 
 def build_pair(spec: PairSpec) -> SymmetricPair:
     """Construct a catalog symmetric pair with all derived subspaces."""
+    check_cap("ambient rank", _ambient_rank(spec), PAIR_RANK_CAP)
     g, tau, probes = _conjugator_and_probes(spec)
     cartan_space = span_of_matrices(g.cartan_basis, g.matrix_dim)
     # the projections below are the eigenspaces only on tau-stable spaces

@@ -18,10 +18,6 @@ from .exactla import (
     NilpotencyReport,
     Subspace,
     _q,
-    _rref,
-    _vec_axpy,
-    bracket,
-    lcs_report,
     nilpotent_matrix,
 )
 from .liealg import (
@@ -152,13 +148,8 @@ class CompatibilityReport(NamedTuple):
 
 
 class ClosednessReport(NamedTuple):
-    """pr_u, l_tau and p_tau are spans in the root coordinates of `_RootTables`."""
-
     closed: bool
-    pr_u: Subspace
     nil_report: NilpotencyReport
-    l_tau: Optional[Subspace] = None
-    p_tau: Optional[Subspace] = None
     gk_dim: Optional[int] = None
 
 
@@ -175,64 +166,32 @@ def compatibility_report(p: ParabolicData, pair: SymmetricPair) -> Compatibility
 
 
 class _RootTables:
-    """g in root coordinates: i < R is the root vector X_i (the echelon row of
-    the root space of `datum.roots[i]`, `index` maps the root to i and the
-    zero weight to R), R + k the k-th Cartan row of `zero_space`.  Catalog
-    involutions permute the root spaces up to sign and [X_a, X_b] =
-    N_{a,b} X_{a+b}, so j^tau, tau and the brackets are tables read from the
-    matrices (the last two at first use), each checked on read."""
+    """g's root vectors: X_i is the echelon row of the root space of
+    `datum.roots[i]`, and `index` maps the root to i.  Catalog involutions
+    permute the root spaces up to sign, so tau X_i = c_i X_{tau* i} is a
+    table read from the matrices at first use, each entry checked on read."""
 
     def __init__(self, pair: SymmetricPair):
         self.pair, self.datum = pair, root_datum(pair.g)
         roots, n = self.datum.roots, pair.g.matrix_dim
-        self.index = {a: i for i, a in enumerate(roots + (Weight.zero(self.datum.eps_dim),))}
-        self.spaces = [self.datum.root_spaces[a] for a in roots] + [self.datum.zero_space]
-        self.vectors = [MatrixElement.from_vector(n, s.rows[0]) for s in self.spaces[:-1]]
-        self._brackets, self._tau = {}, {}
-        self._jtau = [self._read(h, len(roots), "j^tau") for h in pair.j_tau_basis]
+        self.index = {a: i for i, a in enumerate(roots)}
+        self.spaces = [self.datum.root_spaces[a] for a in roots]
+        self.vectors = [MatrixElement.from_vector(n, s.rows[0]) for s in self.spaces]
+        self._tau = {}
 
     def _read(self, matrix, k, what) -> dict:
-        """Root coordinates of a matrix that must be a multiple of X_k (k < R),
-        lie in the Cartan (k == R) or vanish (k is None)."""
-        coords = (Subspace(0) if k is None else self.spaces[k]).coordinates_of(matrix.vectorize())
+        """Root coordinates of a matrix that must be a multiple of X_k."""
+        coords = self.spaces[k].coordinates_of(matrix.vectorize())
         if coords is None:
             raise AssertionError("%s does not lie in its target space (%s)" % (what, k))
         return {k + m: c for m, c in enumerate(coords) if c}
 
-    def row_bracket(self, x, y) -> dict:
-        """Bracket of two rows on root vectors; [X_i, X_j] lies in g_{a+b}."""
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                if (i, j) not in self._brackets:
-                    k = self.index.get(self.datum.roots[i] + self.datum.roots[j])
-                    xy = bracket(self.vectors[i], self.vectors[j])
-                    self._brackets[i, j] = self._read(xy, k, "[X_a, X_b]")
-                _vec_axpy(out, a * b, self._brackets[i, j])
-        return out
-
     def tau_image(self, i) -> dict:
         """tau X_i, read once against tau*(datum.roots[i])."""
         if i not in self._tau:
-            k = self.index.get(self.pair.tau_star(self.datum.roots[i]))
+            k = self.index[self.pair.tau_star(self.datum.roots[i])]
             self._tau[i] = self._read(self.pair.tau(self.vectors[i]), k, "tau X_a")
         return self._tau[i]
-
-    def orbit_vector(self, i) -> dict:
-        """X_i + tau X_i."""
-        row = dict(self.tau_image(i))
-        _vec_axpy(row, 1, {i: 1})
-        return row
-
-    def fixed_part(self, roots) -> Subspace:
-        """(j + the root spaces of the index set `roots`) cap g^tau: j^tau plus
-        X_i + tau X_i over the roots i whose tau-image stays in the set."""
-        rows = [r for r in map(self.orbit_vector, roots) if r.keys() <= roots]
-        return self.span([dict(r) for r in self._jtau] + rows)
-
-    def span(self, rows) -> Subspace:
-        """Span of fresh rows without zero entries (`_rref` consumes them)."""
-        return Subspace(self.pair.g.dim, _rref([r for r in rows if r]), _canonical=True)
 
 
 def _tables(pair: SymmetricPair) -> _RootTables:
@@ -253,9 +212,9 @@ def root_tau_split(pair: SymmetricPair, roots) -> tuple:
     indices = {t.index[a] for a in roots}
     plus, minus = [], []
     for i in sorted(indices):
-        j = t.index[pair.tau_star(t.datum.roots[i])]
+        [(j, c)] = t.tau_image(i).items()  # read for every root: each entry is checked
         if j == i:
-            (plus if t.tau_image(i)[i] > 0 else minus).append(t.datum.roots[i])
+            (plus if c > 0 else minus).append(t.datum.roots[i])
         elif i < j and j in indices:
             plus.append(t.datum.roots[i])
             minus.append(t.datum.roots[i])
@@ -263,28 +222,41 @@ def root_tau_split(pair: SymmetricPair, roots) -> tuple:
 
 
 def closedness_report(p: ParabolicData, pair: SymmetricPair) -> ClosednessReport:
-    """Closedness of the symmetric-subgroup orbit through p, via pr_tau(u),
-    in the root coordinates of `_RootTables`: pr_tau(u) is spanned by
-    X_a + tau X_a over the roots a of u."""
+    """Closedness of the symmetric-subgroup orbit through p, by sums of the
+    restricted roots Sigma of (g^tau, j^tau).
+
+    pr_tau(u) is spanned by X_a + tau X_a over the roots a of u, one root
+    vector of g^tau per tau*-orbit (none for a noncompact imaginary root);
+    the root spaces of Sigma are lines, so pr_tau(u) is the sum of those of
+    the restrictions S.  As [g_c, g_d] = g_{c+d} for roots c, d, c + d of
+    the reductive g^tau (Humphreys, GTM 9, 8.4) and [g_c, g_-c] is a nonzero
+    part of j^tau, it is a subalgebra iff S is closed and S cap -S is empty.
+    Then S lies in a positive system (Bourbaki, Lie VI 1.7 Prop. 22), the
+    lower central series is S, [S, S], [S, [S, S]], ... down to the empty
+    set, and pr_tau(u) is the nilradical of p^tau, of codimension |S|.
+    """
     if p.g is not pair.g:
         raise ValueError("parabolic and pair live on different realizations")
-    t = _tables(pair)
-    nilradical = {t.index[a] for a in p.nilradical_roots}
-    pr = t.span(map(t.orbit_vector, nilradical))
-    nil = lcs_report(pr, lambda xs, ys: t.span(t.row_bracket(x, y) for x in xs for y in ys))
-    closed = nil.bracket_closed and nil.nilpotent
-    if not closed:
-        return ClosednessReport(closed=False, pr_u=pr, nil_report=nil)
-    levi = {t.index[a] for a in p.levi_roots}
-    l_tau = t.fixed_part(levi)
-    p_tau = t.fixed_part(levi | nilradical)
-    if p_tau.dim != l_tau.dim + pr.dim:
-        raise AssertionError("Levi decomposition of p^tau failed the dimension check")
-    if p_tau != l_tau.sum(pr):
-        raise AssertionError("p^tau is not spanned by l^tau and pr_tau(u)")
-    gk = pair.fixed.dim - p_tau.dim
+    rdatum = restricted_root_data(pair)
+    index = {a: i for i, a in enumerate(rdatum.roots)}
+    u = p.nilradical_roots
+    plus, _ = root_tau_split(pair, u | {pair.tau_star(a) for a in u})
+    s = {index[pair.restrict_weight(a)] for a in plus}
+    table = rdatum.sum_table
+
+    def bracket(term):
+        return {k for i in s for j, k in table[i].items() if j in term}
+
+    if any(index[-rdatum.roots[i]] in s for i in s) or not bracket(s) <= s:
+        return ClosednessReport(closed=False, nil_report=NilpotencyReport(False, False, 0))
+    steps, term = 0, s
+    while term:  # the terms shrink: S lies in a positive system
+        steps, nxt = steps + 1, bracket(term)
+        if nxt == term:
+            raise AssertionError("a closed S with S cap -S empty is not nilpotent")
+        term = nxt
     return ClosednessReport(
-        closed=True, pr_u=pr, nil_report=nil, l_tau=l_tau, p_tau=p_tau, gk_dim=gk
+        closed=True, nil_report=NilpotencyReport(True, True, steps), gk_dim=len(s)
     )
 
 
@@ -295,7 +267,7 @@ def condition_iii_spot_check(
 
     Basis elements are always tested; `samples` fixed-seed rational
     combinations with coefficients in {-3,...,3} follow.  This is the
-    validation layer for the implemented bracket criterion.  pr_tau(u) lies
+    validation layer for the restricted-root criterion of `closedness_report`.  pr_tau(u) lies
     in [g, g], on which ad z is nilpotent exactly when the matrix z is
     (`exactla.ad_nilpotent`), so each element is tested by z^N = 0.
     """

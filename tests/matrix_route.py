@@ -3,14 +3,16 @@
 The engine holds a Cartan element by its eps-parameters and splits a root
 set by tau*-orbits.  The functions here do the same work with n x n
 matrices: a Cartan element is built from its parameters, tau acts by
-conjugation, u_- is split by intersecting it with g^tau and g^{-tau}, and
-the Levi roots of l' are found by subspace containment.
+conjugation, u_- is split by intersecting it with g^tau and g^{-tau}, the
+Levi roots of l' are found by subspace containment, and l^tau, p^tau by
+intersection with g^tau.
 """
 
 from fractions import Fraction
 
 from vermabranch import MatrixElement, Subspace, Weight, restricted_root_data, weight_decomposition
 from vermabranch.liealg import _solve, reflection_element
+from vermabranch.pairs import tau_projection
 
 
 def cartan_matrix(g, params) -> MatrixElement:
@@ -36,6 +38,17 @@ def levi_space(p) -> Subspace:
 
 def u_minus_space(p) -> Subspace:
     return span_roots(p, p.negative_roots)
+
+
+def matrix_levi_split(pair, p) -> tuple:
+    """(pr_tau(u), l^tau, p^tau): the projection of u's basis, and the Levi
+    factor and p intersected with g^tau."""
+    levi = levi_space(p)
+    return (
+        tau_projection(pair, p.u_plus),
+        levi.intersect(pair.fixed),
+        levi.sum(p.u_plus).intersect(pair.fixed),
+    )
 
 
 def fixed_matrix(pair, p) -> MatrixElement:

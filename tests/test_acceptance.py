@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from tests.matrix_route import matrix_levi_split
 from vermabranch import (
     BranchingTable,
     MatrixElement,
@@ -228,9 +229,9 @@ def test_criterion_8_levi_decomposition(pairs):
                     rep = closedness_report(p, pair)
                     if not rep.closed:
                         continue
-                    assert rep.p_tau.dim == rep.l_tau.dim + rep.pr_u.dim
-                    assert rep.gk_dim == pair.fixed.dim - rep.p_tau.dim
-                    assert rep.gk_dim == rep.pr_u.dim
+                    pr, l_tau, p_tau = matrix_levi_split(pair, p)
+                    assert p_tau.dim == l_tau.dim + pr.dim
+                    assert rep.gk_dim == pair.fixed.dim - p_tau.dim == pr.dim
 
 
 def test_criterion_9_mf_scan(pairs):

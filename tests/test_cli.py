@@ -201,6 +201,38 @@ def test_census_rank_cap_message(capsys):
     assert "error: Weyl enumeration capped at rank 6\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("gtype", ["A", "Ax", "E6"])
+def test_bad_group_case_type_names_the_accepted_form(gtype):
+    env, code = run(["analyze", "--pair", "group_case:type=" + gtype])
+    assert code == 2
+    error = env.payload["error"]
+    assert "group_case type %r is not a letter A-D followed by a rank" % gtype in error
+    assert "invalid literal" not in error
+
+
+class _Built(Exception):
+    pass
+
+
+def test_pair_rank_cap_is_checked_before_the_pair_is_built(monkeypatch):
+    from vermabranch import pairs
+
+    def building(spec):
+        raise _Built(spec.id)
+
+    monkeypatch.setattr(pairs, "_conjugator_and_probes", building)
+    above = ["sl_s_glgl:p=100,q=100", "so_down_so:m=25", "sp_down_gl:n=13",
+             "gl_down_gl:n=13,l=1", "group_case:type=C7"]
+    for pair_id in above:
+        env, code = run(["analyze", "--pair", pair_id])
+        assert code == 2 and "(ambient rank capped at 12)" in env.payload["error"], pair_id
+    at_cap = ["sl_s_glgl:p=6,q=7", "so_down_so:m=24", "sp_down_gl:n=12",
+              "gl_down_gl:n=12,l=1", "group_case:type=C6"]
+    for pair_id in at_cap:
+        with pytest.raises(_Built):
+            pairs.build_pair(pairs.PairSpec.parse(pair_id))
+
+
 def test_degree_cap_exits_two():
     env, code = run(
         ["branch", "--pair", "so_down_so:m=4", "--parabolic", "borel", "--degree", "40"]

@@ -1,11 +1,12 @@
-"""A warm branch, verify or census run builds no matrix and no Weyl group
-element.
+"""A warm branch, verify or census run builds no matrix, no subspace and no
+Weyl group element.
 
 After set-up, Cartan elements are eps-parameters and the engine's tau-splits
 are counted from the pair's root tables, which a first (cold) run fills.  So
-the same run again constructs no `MatrixElement` and intersects no
-subspaces.  The census walks the Weyl orbit of t0 and applies its generators
-by reflection formulas on eps-parameters, so it constructs no `WeylElement`.
+the same run again constructs no `MatrixElement` and no `Subspace` (census
+closedness is arithmetic on restricted roots).  The census walks the Weyl
+orbit of t0 and applies its generators by reflection formulas on
+eps-parameters, so it constructs no `WeylElement`.
 """
 
 import pytest
@@ -47,23 +48,22 @@ def _run(pair, subset, lam):
 def test_warm_run_builds_no_matrix(monkeypatch, pair_id, subset, lam):
     pair = build_pair(PairSpec.parse(pair_id))
     cold = _run(pair, subset, lam)
-    counts = {"matrices": 0, "intersections": 0, "weyl_elements": 0}
-    init, intersect, weyl_init = MatrixElement.__init__, Subspace.intersect, WeylElement.__init__
+    counted = {
+        "matrices": (MatrixElement, "__init__"),
+        "subspaces": (Subspace, "__init__"),
+        "intersections": (Subspace, "intersect"),
+        "weyl_elements": (WeylElement, "__init__"),
+    }
+    counts = dict.fromkeys(counted, 0)
 
-    def counting_init(self, *args, **kwargs):
-        counts["matrices"] += 1
-        init(self, *args, **kwargs)
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
 
-    def counting_weyl_init(self, *args, **kwargs):
-        counts["weyl_elements"] += 1
-        weyl_init(self, *args, **kwargs)
+        return wrapper
 
-    def counting_intersect(self, other):
-        counts["intersections"] += 1
-        return intersect(self, other)
-
-    monkeypatch.setattr(MatrixElement, "__init__", counting_init)
-    monkeypatch.setattr(Subspace, "intersect", counting_intersect)
-    monkeypatch.setattr(WeylElement, "__init__", counting_weyl_init)
+    for name, (cls, attr) in counted.items():
+        monkeypatch.setattr(cls, attr, counting(name, getattr(cls, attr)))
     assert _run(pair, subset, lam) == cold
-    assert counts == {"matrices": 0, "intersections": 0, "weyl_elements": 0}
+    assert counts == dict.fromkeys(counted, 0)
