@@ -227,14 +227,16 @@ def _u_minus_split(p: ParabolicData, pair: SymmetricPair) -> tuple:
     if {pair.tau_star(a) for a in p.negative_roots} != p.negative_roots:
         raise AssertionError("u_- failed to split under a stable parabolic")
     plus, minus = root_tau_split(pair, p.negative_roots)
-    return Counter(map(pair.restrict_weight, plus)), Counter(map(pair.restrict_weight, minus))
+    restriction = pair.root_table.restriction
+    return Counter(restriction[i] for i in plus), Counter(restriction[i] for i in minus)
 
 
 def _levi_prime_datum(p: ParabolicData, pair: SymmetricPair) -> RootDatum:
     """Root datum of l' = l cap g^tau: the restricted roots carrying a nonzero
     tau-fixed vector of l (needs no tau-stability of p)."""
     plus, _ = root_tau_split(pair, p.levi_roots)
-    return restricted_root_data(pair).sub_datum({pair.restrict_weight(a) for a in plus})
+    restriction = pair.root_table.restriction
+    return restricted_root_data(pair).sub_datum({restriction[i] for i in plus})
 
 
 class _EngineContext(NamedTuple):

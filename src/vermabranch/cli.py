@@ -188,10 +188,19 @@ def _resolve_parabolic(pair, descriptor: str):
                 "bad Cartan parameters %r: %s" % (descriptor, exc)
             ) from exc
         return parabolic_from_params(g, params)
+    items = text.split(",")
+    if any(not v.strip() for v in items):
+        raise PreconditionError("empty simple root index in parabolic descriptor %r" % descriptor)
     try:
-        subset = {int(v) for v in text.split(",") if v != ""}
+        indices = [int(v) for v in items]
     except ValueError as exc:
         raise PreconditionError("bad parabolic descriptor %r" % descriptor) from exc
+    subset = set(indices)
+    if len(subset) != len(indices):
+        repeated = next(i for i in indices if indices.count(i) > 1)
+        raise PreconditionError(
+            "repeated simple root index %d in parabolic descriptor %r" % (repeated, descriptor)
+        )
     if not subset <= set(range(nsimple)):
         raise PreconditionError(
             "simple root indices out of range (0..%d)" % (nsimple - 1)
@@ -272,10 +281,10 @@ def _cmd_analyze(config: RunConfig, payload: dict):
     payload["compatible"] = comp.compatible
     payload["closed"] = rep.closed
     payload["gk_dim"] = rep.gk_dim
-    payload["nilpotency"] = {
-        "bracket_closed": rep.nil_report.bracket_closed,
-        "nilpotent": rep.nil_report.nilpotent,
-        "lcs_length": rep.nil_report.lcs_length,
+    payload["nilpotency"] = {  # pr_tau(u) is a nilpotent subalgebra iff p is closed
+        "bracket_closed": rep.closed,
+        "nilpotent": rep.closed,
+        "lcs_length": rep.lcs_length,
     }
     payload["spot_check_iii"] = condition_iii_spot_check(
         p, pair, samples=20, seed=config.seed

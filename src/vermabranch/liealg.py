@@ -305,12 +305,15 @@ class RootDatum:
         self.zero_space = zero_space
 
     @cached_property
+    def index(self) -> dict:
+        """Root -> its position in `roots`."""
+        return {a: i for i, a in enumerate(self.roots)}
+
+    @cached_property
     def sum_table(self) -> list:
         """Row i maps j to k where roots[i] + roots[j] = roots[k]."""
-        index = {a.coords: k for k, a in enumerate(self.roots)}
         return [
-            {j: k for j, b in enumerate(self.roots)
-             if (k := index.get(tuple(map(add, a.coords, b.coords)))) is not None}
+            {j: k for j, b in enumerate(self.roots) if (k := self.index.get(a + b)) is not None}
             for a in self.roots
         ]
 

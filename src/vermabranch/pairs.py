@@ -111,16 +111,29 @@ class TauSplit(NamedTuple):
     pr: Subspace
 
 
+class RootTable(NamedTuple):
+    """Per-root data of a pair, by the index i of a root in `root_datum(g)`:
+    tau*(root i) is root tau[i], tau X_i = sign[i] X_{tau[i]} for the root
+    vectors X_i (the echelon rows of the root spaces), restriction[i] is the
+    restriction of root i to j^tau and sigma[i] its index in
+    `restricted_root_data(pair).roots`, None for a noncompact imaginary root
+    (tau* fixes it and tau X_i = -X_i, so it gives no vector of g^tau)."""
+
+    tau: tuple
+    sign: tuple
+    restriction: tuple
+    sigma: tuple
+
+
 class SymmetricPair:
     """A catalog pair: g, its involution tau, g^{+-tau} and the j^tau basis and
-    probes; the restricted datum, tau* images and root tables fill on use."""
+    probes; the restricted datum and the root table fill on use."""
 
     def __init__(self, spec: PairSpec, g: AlgebraRealization, tau: Involution, fixed: Subspace,
                  minus: Subspace, j_tau_basis: list, j_tau_probes: list):
         self.spec, self.g, self.tau, self.fixed, self.minus = spec, g, tau, fixed, minus
         self.j_tau_basis, self.j_tau_probes = j_tau_basis, j_tau_probes
-        self._restricted_datum = self._root_tables = None
-        self._tau_star_images = {}
+        self._restricted_datum = None
 
     @property
     def restricted_eps_dim(self) -> int:
@@ -155,9 +168,7 @@ class SymmetricPair:
 
     def tau_star(self, alpha: Weight) -> Weight:
         """Pullback of a j-weight along tau (tau permutes the root spaces)."""
-        if alpha not in self._tau_star_images:  # callers pass roots: at most R entries
-            self._tau_star_images[alpha] = _apply_rows(self._tau_rows, alpha)
-        return self._tau_star_images[alpha]
+        return _apply_rows(self._tau_rows, alpha)
 
     def fixed_params(self, params) -> tuple:
         """eps-parameters of (h + tau h)/2 for h with these eps-parameters.
@@ -169,10 +180,31 @@ class SymmetricPair:
             for i, t in enumerate(params)
         )
 
+    @cached_property
+    def root_table(self) -> RootTable:
+        """Catalog involutions permute the root spaces up to sign: each tau X_i
+        is read from the matrices once, at first use, and checked on read."""
+        datum = root_datum(self.g)
+        roots, spaces, n = datum.roots, datum.root_spaces, self.g.matrix_dim
+        tau, sign = tuple(datum.index[self.tau_star(a)] for a in roots), []
+        for a, k in zip(roots, tau):
+            image = self.tau(MatrixElement.from_vector(n, spaces[a].rows[0]))
+            coords = spaces[roots[k]].coordinates_of(image.vectorize())
+            if coords is None:
+                raise AssertionError("tau X_a does not lie in its target space (%s)" % k)
+            sign.append(coords[0])
+        restriction = tuple(map(self.restrict_weight, roots))
+        sigma_of = restricted_root_data(self).index
+        sigma = tuple(
+            None if k == i and c < 0 else sigma_of[w]
+            for i, (k, c, w) in enumerate(zip(tau, sign, restriction))
+        )
+        return RootTable(tau, tuple(sign), restriction, sigma)
+
     def ambient_restricted_roots(self) -> set:
-        """Nonzero j^tau-weights of g: the restrictions of the roots of g."""
-        restricted = map(self.restrict_weight, root_datum(self.g).roots)
-        return {w for w in restricted if not w.is_zero()}
+        """Nonzero j^tau-weights of g: the restrictions of the roots of g (none
+        is zero, as j^tau is a Cartan of g^tau; `root_table` checks it)."""
+        return set(self.root_table.restriction)
 
 
 def _apply_rows(rows, w: Weight) -> Weight:

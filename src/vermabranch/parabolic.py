@@ -13,13 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .exactla import (
-    MatrixElement,
-    NilpotencyReport,
-    Subspace,
-    _q,
-    nilpotent_matrix,
-)
+from .exactla import MatrixElement, Subspace, _q, nilpotent_matrix
 from .liealg import (
     AlgebraRealization,
     RootDatum,
@@ -41,16 +35,20 @@ class IncompatibleRestrictionError(ValueError):
 # ---------------------------------------------------------------------------
 
 class ParabolicData:
-    def __init__(self, g: AlgebraRealization, params: tuple, levi_roots: frozenset,
-                 nilradical_roots: frozenset):
+    def __init__(self, g: AlgebraRealization, params: tuple, pattern: tuple):
         self.g = g
         self.params = params  # eps-parameters of the defining H
-        self.levi_roots, self.nilradical_roots = levi_roots, nilradical_roots
+        # canonical key: a parabolic containing j is its root sign pattern,
+        # the (levi, nilradical) root-index masks of `RootDatum.sign_masks`
+        self.pattern = pattern
 
-    @property
-    def pattern(self):
-        """Canonical key: a parabolic containing j is its root sign pattern."""
-        return (self.levi_roots, self.nilradical_roots)
+    @cached_property
+    def levi_roots(self) -> frozenset:
+        return self.datum.roots_of_mask(self.pattern[0])
+
+    @cached_property
+    def nilradical_roots(self) -> frozenset:
+        return self.datum.roots_of_mask(self.pattern[1])
 
     @cached_property
     def negative_roots(self) -> frozenset:
@@ -70,7 +68,7 @@ class ParabolicData:
 
     @property
     def is_borel(self) -> bool:
-        return not self.levi_roots
+        return not self.pattern[0]
 
     def levi_datum(self) -> RootDatum:
         return self.datum.sub_datum(self.levi_roots)
@@ -91,23 +89,15 @@ class ParabolicData:
         return hash(self.pattern)
 
     def __repr__(self):
-        return "ParabolicData(levi=%d roots, nilradical=%d roots)" % (
-            len(self.levi_roots),
-            len(self.nilradical_roots),
-        )
-
-
-def _pattern_from_params(datum: RootDatum, params) -> tuple:
-    """(levi, nilradical) root sets of the parabolic of `params`."""
-    return tuple(datum.roots_of_mask(m) for m in datum.sign_masks(params))
+        counts = tuple(mask.bit_count() for mask in self.pattern)
+        return "ParabolicData(levi=%d roots, nilradical=%d roots)" % counts
 
 
 def parabolic_from_params(g: AlgebraRealization, params) -> ParabolicData:
     """Parabolic defined by the sign of the roots on the Cartan element H with
     these eps-parameters (realizable ones: see `cartan_params`)."""
     params = tuple(map(_q, params))
-    levi, nilrad = _pattern_from_params(root_datum(g), params)
-    return ParabolicData(g=g, params=params, levi_roots=levi, nilradical_roots=nilrad)
+    return ParabolicData(g=g, params=params, pattern=root_datum(g).sign_masks(params))
 
 
 def parabolic_from_H(g: AlgebraRealization, h: MatrixElement) -> ParabolicData:
@@ -149,7 +139,7 @@ class CompatibilityReport(NamedTuple):
 
 class ClosednessReport(NamedTuple):
     closed: bool
-    nil_report: NilpotencyReport
+    lcs_length: int  # non-empty terms of the lower central series of pr_tau(u)
     gk_dim: Optional[int] = None
 
 
@@ -160,64 +150,30 @@ def compatibility_report(p: ParabolicData, pair: SymmetricPair) -> Compatibility
     roots_of_p = p.levi_roots | p.nilradical_roots
     stable = {pair.tau_star(a) for a in roots_of_p} == roots_of_p
     fixed = pair.fixed_params(p.params) if stable else None
-    if stable and _pattern_from_params(p.datum, fixed) != p.pattern:
+    if stable and p.datum.sign_masks(fixed) != p.pattern:
         raise AssertionError("p(H + tau H) differs from p for a stable parabolic")
     return CompatibilityReport(compatible=stable, fixed_params=fixed)
 
 
-class _RootTables:
-    """g's root vectors: X_i is the echelon row of the root space of
-    `datum.roots[i]`, and `index` maps the root to i.  Catalog involutions
-    permute the root spaces up to sign, so tau X_i = c_i X_{tau* i} is a
-    table read from the matrices at first use, each entry checked on read."""
-
-    def __init__(self, pair: SymmetricPair):
-        self.pair, self.datum = pair, root_datum(pair.g)
-        roots, n = self.datum.roots, pair.g.matrix_dim
-        self.index = {a: i for i, a in enumerate(roots)}
-        self.spaces = [self.datum.root_spaces[a] for a in roots]
-        self.vectors = [MatrixElement.from_vector(n, s.rows[0]) for s in self.spaces]
-        self._tau = {}
-
-    def _read(self, matrix, k, what) -> dict:
-        """Root coordinates of a matrix that must be a multiple of X_k."""
-        coords = self.spaces[k].coordinates_of(matrix.vectorize())
-        if coords is None:
-            raise AssertionError("%s does not lie in its target space (%s)" % (what, k))
-        return {k + m: c for m, c in enumerate(coords) if c}
-
-    def tau_image(self, i) -> dict:
-        """tau X_i, read once against tau*(datum.roots[i])."""
-        if i not in self._tau:
-            k = self.index[self.pair.tau_star(self.datum.roots[i])]
-            self._tau[i] = self._read(self.pair.tau(self.vectors[i]), k, "tau X_a")
-        return self._tau[i]
-
-
-def _tables(pair: SymmetricPair) -> _RootTables:
-    if pair._root_tables is None:
-        pair._root_tables = _RootTables(pair)
-    return pair._root_tables
-
-
 def root_tau_split(pair: SymmetricPair, roots) -> tuple:
-    """(plus, minus): one root per tau-eigenvector, of eigenvalue +1 or -1,
-    in the tau-stable part of the span of the root spaces of `roots`.
+    """(plus, minus): the root indices of one tau-eigenvector each, of
+    eigenvalue +1 or -1, in the tau-stable part of the span of the root
+    spaces of `roots`.
 
     Counted over the tau*-orbits inside the set: an orbit {a, tau* a} of two
     roots gives X_a + tau X_a and X_a - tau X_a, one to each side (listed
     under a), and a fixed root a goes to the side of s in tau X_a = s X_a.
     """
-    t = _tables(pair)
-    indices = {t.index[a] for a in roots}
+    table = pair.root_table
+    indices = {root_datum(pair.g).index[a] for a in roots}
     plus, minus = [], []
     for i in sorted(indices):
-        [(j, c)] = t.tau_image(i).items()  # read for every root: each entry is checked
+        j = table.tau[i]
         if j == i:
-            (plus if c > 0 else minus).append(t.datum.roots[i])
+            (plus if table.sign[i] > 0 else minus).append(i)
         elif i < j and j in indices:
-            plus.append(t.datum.roots[i])
-            minus.append(t.datum.roots[i])
+            plus.append(i)
+            minus.append(i)
     return plus, minus
 
 
@@ -228,36 +184,33 @@ def closedness_report(p: ParabolicData, pair: SymmetricPair) -> ClosednessReport
     pr_tau(u) is spanned by X_a + tau X_a over the roots a of u, one root
     vector of g^tau per tau*-orbit (none for a noncompact imaginary root);
     the root spaces of Sigma are lines, so pr_tau(u) is the sum of those of
-    the restrictions S.  As [g_c, g_d] = g_{c+d} for roots c, d, c + d of
-    the reductive g^tau (Humphreys, GTM 9, 8.4) and [g_c, g_-c] is a nonzero
-    part of j^tau, it is a subalgebra iff S is closed and S cap -S is empty.
-    Then S lies in a positive system (Bourbaki, Lie VI 1.7 Prop. 22), the
-    lower central series is S, [S, S], [S, [S, S]], ... down to the empty
-    set, and pr_tau(u) is the nilradical of p^tau, of codimension |S|.
+    the restrictions S (a and tau* a restrict alike).  As [g_c, g_d] =
+    g_{c+d} for roots c, d, c + d of the reductive g^tau (Humphreys, GTM 9,
+    8.4) and [g_c, g_-c] is a nonzero part of j^tau, it is a subalgebra iff
+    S is closed and S cap -S is empty.  Then S lies in a positive system
+    (Bourbaki, Lie VI 1.7 Prop. 22), the lower central series is S,
+    [S, S], [S, [S, S]], ... down to the empty set, and pr_tau(u) is the
+    nilradical of p^tau, of codimension |S|.
     """
     if p.g is not pair.g:
         raise ValueError("parabolic and pair live on different realizations")
     rdatum = restricted_root_data(pair)
-    index = {a: i for i, a in enumerate(rdatum.roots)}
-    u = p.nilradical_roots
-    plus, _ = root_tau_split(pair, u | {pair.tau_star(a) for a in u})
-    s = {index[pair.restrict_weight(a)] for a in plus}
+    nilradical = p.pattern[1]
+    s = {k for i, k in enumerate(pair.root_table.sigma) if nilradical >> i & 1 and k is not None}
     table = rdatum.sum_table
 
     def bracket(term):
         return {k for i in s for j, k in table[i].items() if j in term}
 
-    if any(index[-rdatum.roots[i]] in s for i in s) or not bracket(s) <= s:
-        return ClosednessReport(closed=False, nil_report=NilpotencyReport(False, False, 0))
+    if any(rdatum.index[-rdatum.roots[i]] in s for i in s) or not bracket(s) <= s:
+        return ClosednessReport(closed=False, lcs_length=0)
     steps, term = 0, s
     while term:  # the terms shrink: S lies in a positive system
         steps, nxt = steps + 1, bracket(term)
         if nxt == term:
             raise AssertionError("a closed S with S cap -S empty is not nilpotent")
         term = nxt
-    return ClosednessReport(
-        closed=True, nil_report=NilpotencyReport(True, True, steps), gk_dim=len(s)
-    )
+    return ClosednessReport(closed=True, lcs_length=steps, gk_dim=len(s))
 
 
 def condition_iii_spot_check(
@@ -413,7 +366,7 @@ def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
     actions = _census_generators(pair)
     for key in reports:
         for act in actions:
-            key2 = _pattern_from_params(datum, act(by_pattern[key].params))
+            key2 = datum.sign_masks(act(by_pattern[key].params))
             if key2 in reports:
                 union(key, key2)
 
@@ -422,7 +375,7 @@ def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
         classes.setdefault(find(key), []).append(key)
 
     def canon(key):
-        return tuple(sorted((a.coords for a in key[1])))
+        return tuple(sorted(a.coords for a in by_pattern[key].nilradical_roots))
 
     representatives = []
     for members in classes.values():

@@ -35,7 +35,7 @@ from vermabranch import (
 from vermabranch.branching import BranchEntry
 from vermabranch.liealg import root_datum
 from vermabranch.pairs import catalog_pairs
-from vermabranch.parabolic import enumerate_weyl_translates, _pattern_from_params
+from vermabranch.parabolic import enumerate_weyl_translates
 
 
 class _Criterion:
@@ -162,8 +162,7 @@ def _census_components(pair, by_pattern, params_of):
     for key in by_pattern:
         for t in params_of[key]:
             for act in actions:
-                levi, nil = _pattern_from_params(datum, act(t))
-                key2 = (levi, nil)
+                key2 = datum.sign_masks(act(t))
                 if key2 in parent:
                     ra, rb = find(key), find(key2)
                     if ra != rb:

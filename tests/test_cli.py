@@ -149,6 +149,9 @@ def test_bad_lambda_exits_two():
         "census --pair so_down_so:m=5,n=3 --parabolic borel",
         "analyze --pair group_case:type=A1,q=7 --parabolic borel",
         "analyze --pair so_down_so --parabolic borel",
+        "analyze --pair sl_s_glgl:p=2,q=2 --parabolic 0,,2",
+        "analyze --pair sl_s_glgl:p=2,q=2 --parabolic ,",
+        "analyze --pair sl_s_glgl:p=2,q=2 --parabolic 0,0",
     ],
 )
 def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
@@ -156,6 +159,20 @@ def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 2
     assert payload["result"] == "precondition violation"
+
+
+@pytest.mark.parametrize(
+    "descriptor,message",
+    [
+        ("0,,2", "empty simple root index in parabolic descriptor '0,,2'"),
+        (",", "empty simple root index in parabolic descriptor ','"),
+        ("0,0", "repeated simple root index 0 in parabolic descriptor '0,0'"),
+    ],
+)
+def test_simple_root_lists_reject_empty_and_repeated_indices(descriptor, message, capsys):
+    argv = ["analyze", "--pair", "sl_s_glgl:p=2,q=2", "--parabolic", descriptor]
+    assert main(argv + ["--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == message
 
 
 @pytest.mark.parametrize(

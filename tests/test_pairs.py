@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tests.matrix_route import jtau_params_of_matrix, u_minus_space
+from tests.matrix_route import jtau_params_of_matrix, restricted_weights, u_minus_space
 from vermabranch import (
     ClassicalType,
     Involution,
@@ -15,9 +15,12 @@ from vermabranch import (
     build_pair,
     parabolic_from_simple_subset,
     restricted_root_data,
+    span_of_matrices,
     tau_split,
 )
 from vermabranch import pairs as pairs_module
+from vermabranch.liealg import root_datum
+from vermabranch.pairs import catalog_pairs
 
 
 def test_pair_spec_parse_roundtrip():
@@ -274,3 +277,31 @@ def test_acts_trivially_on_j_flags(pairs):
     assert pairs("so_down_so", m=4).acts_trivially_on_j()
     assert not pairs("so_down_so", m=5).acts_trivially_on_j()
     assert not pairs("group_case", type="A1").acts_trivially_on_j()
+
+
+# catalog_pairs(4) holds so_down_so:m=7 and group_case:type=A2, B2; m=9 adds
+# an outer involution of rank 5
+@pytest.mark.parametrize(
+    "spec", catalog_pairs(4) + [PairSpec("so_down_so", m=9)], ids=str
+)
+def test_root_table_matches_the_matrix_route(pairs, spec):
+    pair = pairs(spec.kind, **dict(spec.params))
+    datum, rdatum = root_datum(pair.g), restricted_root_data(pair)
+    table, n = pair.root_table, pair.g.matrix_dim
+
+    def root_vector(a):
+        return MatrixElement.from_vector(n, datum.root_spaces[a].rows[0])
+
+    for i, a in enumerate(datum.roots):
+        b = pair.tau_star(a)
+        assert datum.roots[table.tau[i]] == b
+        x, tau_x = root_vector(a), pair.tau(root_vector(a))
+        assert tau_x == root_vector(b).scale(table.sign[i])
+        assert table.restriction[i] == pair.restrict_weight(a)
+        noncompact_imaginary = b == a and pair.minus.contains_matrix(x)
+        assert (table.sigma[i] is None) == noncompact_imaginary
+        if not noncompact_imaginary:
+            # X_a + tau X_a spans the root space of sigma[i] in g^tau
+            fixed_part = span_of_matrices([x + tau_x], n)
+            assert pair.fixed.contains_subspace(fixed_part)
+            assert restricted_weights(pair, fixed_part) == {rdatum.roots[table.sigma[i]]: 1}

@@ -15,6 +15,7 @@ from tests.matrix_route import (
 )
 from vermabranch import (
     MatrixElement,
+    NilpotencyReport,
     PairSpec,
     Weight,
     build_pair,
@@ -37,7 +38,6 @@ from vermabranch.parabolic import (
     enumerate_weyl_translates,
     levi_weyl_generators,
     _census_generators,
-    _pattern_from_params,
 )
 
 
@@ -180,7 +180,7 @@ def test_group_case_nonclosed_nilradical_projection(pairs):
     twisted = parabolic_from_H(pair.g, MatrixElement.diagonal([1, -1, -1, 1]))
     rep = closedness_report(twisted, pair)
     assert not rep.closed
-    assert not rep.nil_report.nilpotent or not rep.nil_report.bracket_closed
+    assert rep.lcs_length == 0 and rep.gk_dim is None
 
 
 def test_levi_decomposition_dimensions_when_closed(pairs):
@@ -322,10 +322,7 @@ def test_census_respects_full_group_quotient(pairs):
                 h2 = jtau_element(
                     pair, sigma.apply_params(jtau_params_of_matrix(pair, hp))
                 ) + hm
-                levi, nil = _pattern_from_params(
-                    datum, pair.g.eps_params(h2).coords
-                )
-                reachable.add((levi, nil))
+                reachable.add(datum.sign_masks(pair.g.eps_params(h2).coords))
         orbits[key] = frozenset(reachable & closed)
     distinct = {frozenset(v) for v in orbits.values()}
     assert len(distinct) == closed_orbit_census(pair, {1}).closed_count
@@ -369,14 +366,12 @@ def test_census_invariant_under_subgroup_translate(pairs):
         t0 = pair.g.eps_params(cartan_matrix(pair.g, p0.params)).coords
         translated = act(t0)
         datum = root_datum(pair.g)
-        levi, nil = _pattern_from_params(datum, translated)
-        assert (levi, nil) in by_pattern
+        assert datum.sign_masks(translated) in by_pattern
         # re-enumerating from the translate reproduces the same set
         wgroup = weyl_group(datum)
         again = set()
         for w in wgroup:
-            lv, nl = _pattern_from_params(datum, w.apply_params(translated))
-            again.add((lv, nl))
+            again.add(datum.sign_masks(w.apply_params(translated)))
         assert again == set(by_pattern)
 
 
@@ -422,12 +417,16 @@ def test_integer_kernel_and_census_matrix_match_oracles(pairs, spec):
             for key, ts in params_of.items():
                 for t in ts:
                     levi, nilrad, neg = _fraction_pattern(datum, t)
-                    assert (levi, nilrad) == key
-                    assert neg == by_pattern[key].negative_roots
+                    p = by_pattern[key]
+                    assert (levi, nilrad, neg) == (
+                        p.levi_roots, p.nilradical_roots, p.negative_roots
+                    )
+                    assert key == datum.sign_masks(t)
                     for act, oracle in zip(actions, oracles):
                         moved = oracle(t)
                         assert act(t) == moved
-                        assert _pattern_from_params(datum, moved) == _fraction_pattern(
+                        masks = datum.sign_masks(moved)
+                        assert tuple(map(datum.roots_of_mask, masks)) == _fraction_pattern(
                             datum, moved
                         )[:2]
 
@@ -440,7 +439,7 @@ def _weyl_sweep(pair, subset):
     points = {}
     for w in weyl_group(datum):
         t = w.apply_params(t0)
-        points.setdefault(_pattern_from_params(datum, t), set()).add(t)
+        points.setdefault(datum.sign_masks(t), set()).add(t)
     return points
 
 
@@ -470,6 +469,13 @@ def _matrix_closedness(p, pair):
     return True, nil, pair.fixed.dim - p_tau.dim
 
 
+def _root_closedness(p, pair):
+    """The report's fields in the oracle's form: both nilpotency verdicts
+    are `closed`."""
+    rep = closedness_report(p, pair)
+    return rep.closed, NilpotencyReport(rep.closed, rep.closed, rep.lcs_length), rep.gk_dim
+
+
 # the rank <= 3 catalog holds so_down_so:m=5 (closed but not tau-stable
 # translates at subset {1}) and group_case:type=A1; A2 and B2 add group cases,
 # so_down_so:m=7 an outer involution of rank 4
@@ -488,9 +494,7 @@ def test_root_level_closedness_matches_matrix_oracle(pairs, spec):
         for subset in itertools.combinations(range(nsimple), r):
             by_pattern, _ = enumerate_weyl_translates(pair, set(subset))
             for p in by_pattern.values():
-                rep = closedness_report(p, pair)
-                got = (rep.closed, rep.nil_report, rep.gk_dim)
-                assert got == _matrix_closedness(p, pair), (spec.id, subset)
+                assert _root_closedness(p, pair) == _matrix_closedness(p, pair), (spec.id, subset)
 
 
 def test_root_set_not_closed_under_sums_matches_the_matrix_oracle(pairs):
@@ -499,11 +503,12 @@ def test_root_set_not_closed_under_sums_matches_the_matrix_oracle(pairs):
     # parabolic's nilradical that half follows from the other.
     pair = pairs("sl_s_glgl", p=3, q=1)
     roots = frozenset({Weight((1, -1, 0, 0)), Weight((0, 1, -1, 0))})
-    assert roots <= set(root_datum(pair.g).roots)
-    p = ParabolicData(pair.g, (), levi_roots=frozenset(), nilradical_roots=roots)
+    index = root_datum(pair.g).index
+    p = ParabolicData(pair.g, (), pattern=(0, sum(1 << index[a] for a in roots)))
+    assert p.nilradical_roots == roots
     rep = closedness_report(p, pair)
     assert not rep.closed
-    assert (rep.closed, rep.nil_report, rep.gk_dim) == _matrix_closedness(p, pair)
+    assert _root_closedness(p, pair) == _matrix_closedness(p, pair)
 
 
 def test_outer_involution_has_closed_translates_that_are_not_stable(pairs):
@@ -517,7 +522,7 @@ def test_outer_involution_has_closed_translates_that_are_not_stable(pairs):
 
 
 def test_tau_table_rejects_a_wrong_root(monkeypatch):
-    pair = build_pair(PairSpec("so_down_so", m=5))  # fresh: its tables are empty
+    pair = build_pair(PairSpec("so_down_so", m=5))  # fresh: no root table yet
     roots = root_datum(pair.g).roots
     shifted = {a: roots[(i + 1) % len(roots)] for i, a in enumerate(roots)}
     monkeypatch.setattr(pair, "tau_star", shifted.__getitem__)

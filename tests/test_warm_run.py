@@ -2,11 +2,12 @@
 Weyl group element.
 
 After set-up, Cartan elements are eps-parameters and the engine's tau-splits
-are counted from the pair's root tables, which a first (cold) run fills.  So
-the same run again constructs no `MatrixElement` and no `Subspace` (census
-closedness is arithmetic on restricted roots).  The census walks the Weyl
+and restrictions are read from the pair's root table, which a first (cold)
+run builds.  So the same run again constructs no `MatrixElement` and no
+`Subspace` (census closedness is arithmetic on restricted roots).  The census walks the Weyl
 orbit of t0 and applies its generators by reflection formulas on
-eps-parameters, so it constructs no `WeylElement`.
+eps-parameters, so it constructs no `WeylElement`, and it restricts no
+weight to j^tau.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from vermabranch import (
     MatrixElement,
     PairSpec,
     Subspace,
+    SymmetricPair,
     VermaSpec,
     Weight,
     WeylElement,
@@ -67,3 +69,9 @@ def test_warm_run_builds_no_matrix(monkeypatch, pair_id, subset, lam):
         monkeypatch.setattr(cls, attr, counting(name, getattr(cls, attr)))
     assert _run(pair, subset, lam) == cold
     assert counts == dict.fromkeys(counted, 0)
+    # census closedness reads restrictions from the pair's root table
+    restrictions = counting("restrictions", SymmetricPair.restrict_weight)
+    counts["restrictions"] = 0
+    monkeypatch.setattr(SymmetricPair, "restrict_weight", restrictions)
+    closed_orbit_census(pair, subset)
+    assert counts["restrictions"] == 0
