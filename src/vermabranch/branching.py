@@ -14,17 +14,19 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from fractions import Fraction
-from operator import mul
+from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from .liealg import (
     MF_SCAN_RANK_CAP,
+    WEYL_RANK_CAP,
     RootDatum,
     Weight,
+    _dot,
     check_cap,
     freudenthal_character,
     regular_order_key,
+    scaled_coords,
 )
 from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data
 from .parabolic import (
@@ -96,13 +98,12 @@ class BranchingTable:
 
 
 def _sorted_entries(entries: Iterable[BranchEntry]) -> tuple:
-    return tuple(
-        sorted(entries, key=lambda e: (e.first_degree, e.delta_displacement))
-    )
+    return tuple(sorted(entries, key=lambda e: (e.first_degree, e.delta_displacement)))
 
 
 class CharacterSeries(NamedTuple):
-    """Graded displacement multiset: (degree, displacement) -> multiplicity."""
+    """Graded displacement multiset: (degree, integer displacement tuple) ->
+    multiplicity."""
 
     base_offset: Optional[Weight]
     terms: dict
@@ -116,17 +117,13 @@ class CharacterSeries(NamedTuple):
 # symmetric power characters
 # ---------------------------------------------------------------------------
 
-def _as_multiset(weights) -> dict:
-    if isinstance(weights, dict):
-        return {w: int(m) for w, m in weights.items() if m}
-    out = {}
-    for w in weights:
-        out[w] = out.get(w, 0) + 1
-    return out
+def _vsum(u: tuple, v: tuple) -> tuple:
+    return tuple(map(add, u, v))
 
 
 def sym_power_character(weights, k: int) -> dict:
-    """Weight multiset of S^k of a module with the given weight multiset.
+    """Weight multiset of S^k of a module with the given weight multiset of
+    integer tuples.
 
     One-variable-at-a-time convolution: appending a weight w of multiplicity
     m multiplies the series by (1 - e^w)^{-m}, i.e. degree a contributes the
@@ -143,24 +140,21 @@ def sym_power_characters(weights, top: int) -> list:
     An empty weight set yields empty layers; callers treat degree 0 as the
     neutral element then.
     """
-    ms = _as_multiset(weights)
+    ms = {w: m for w, m in weights.items() if m}
     layers = [{} for _ in range(top + 1)]
     if not ms:
         return layers
-    zero = Weight.zero(len(next(iter(ms))))
+    zero = (0,) * len(next(iter(ms)))
     layers[0] = {zero: 1}
-    for w, m in sorted(ms.items(), key=lambda it: regular_order_key(it[0])):
-        for k in range(top, 0, -1):
-            acc = {}
-            shift = zero
+    for w, m in sorted(ms.items()):
+        for k in range(top, 0, -1):  # layer k reads only the lower layers
+            layer, shift = layers[k], zero
             for a in range(1, k + 1):
                 coeff = math.comb(a + m - 1, m - 1)
-                shift = shift + w
+                shift = _vsum(shift, w)
                 for d, c in layers[k - a].items():
-                    key = d + shift
-                    acc[key] = acc.get(key, 0) + c * coeff
-            for key, c in acc.items():
-                layers[k][key] = layers[k].get(key, 0) + c
+                    key = _vsum(d, shift)
+                    layer[key] = layer.get(key, 0) + c * coeff
     return layers
 
 
@@ -183,37 +177,61 @@ def restrict_finite_module(pair: SymmetricPair, l_datum: RootDatum, lam: Weight)
     return out
 
 
-def decompose_character(char, datum: RootDatum):
+def decompose_character(char: dict, datum: RootDatum, base: Optional[Weight] = None) -> list:
     """Peel a semisimple module character into highest weights.
 
-    One sweep down the support, sorted once by `regular_order_key`.  The
-    other weights of V_mu lie strictly below mu, so a residual is final when
-    the sweep reaches it; a nonzero one is a multiplicity, and that module's
-    character is subtracted (each weight is reached once, so no character is
-    needed twice).  A negative residual, one on a weight that is not
-    dominant integral, or one left off the support signals an engine bug or
-    an invalid input.
+    `char` maps integer displacements d to the multiplicity of the weight
+    base + d (base 0 when None); the result lists (d, m), m > 0, for the
+    highest weights base + d.  Brauer-Klimyk (Humphreys, GTM 9, 24.3): for
+    dominant mu, m_mu = sum over w in W of sign(w) char(mu + rho - w rho),
+    read off the datum's `weyl_shifts`; above the Weyl rank cap each
+    weight + rho is reflected into the dominant chamber instead
+    (Racah-Speiser).  Two exact checks reject what is not a module
+    character: no m_mu is negative, and sum m_mu dim V_mu = sum char, with
+    dim V_mu from Weyl's formula in integers.
     """
-    ms = _as_multiset(char)
-    work = dict(ms)
-    out = []
-    for mu in sorted(ms, key=regular_order_key, reverse=True):
-        mult = work.get(mu, 0)
-        if not mult:
-            continue
-        if mult < 0:
-            raise ValueError("negative residual multiplicity at %r" % (mu,))
-        if not datum.is_dominant_integral(mu):
-            raise ValueError("residual at %r, which is not dominant integral" % (mu,))
-        for w, m in freudenthal_character(datum, mu).items():
-            c = work.get(w, 0) - mult * m
-            if c:
-                work[w] = c
-            else:
-                del work[w]
-        out.append((mu, mult))
-    if work:
-        raise ValueError("residual left off the swept support at %d weights" % len(work))
+    roots = datum.positive_roots
+    offs = [0] * len(roots) if base is None else [2 * base.dot(a) for a in roots]
+    if any(x.denominator != 1 for x in offs):
+        raise ValueError("weights not integral for the datum: not a module character")
+    two_rho = scaled_coords(datum.rho.coords, 2)
+    # per positive root: (alpha, |alpha|^2, 2 <base, alpha>, <2 rho, alpha>)
+    pairing = {a: (a.coords, a.dot(a), int(x), _dot(two_rho, a.coords)) for a, x in zip(roots, offs)}
+    simple = [pairing[a] for a in datum.simple_roots]
+    found = {}
+    if len(simple) <= WEYL_RANK_CAP:
+        shifts = datum.weyl_shifts
+        walls = [(tuple(2 * c for c in a), -off) for a, _, off, _ in simple]
+        for d in char:
+            if all(_dot(d, a2) >= t for a2, t in walls):
+                found[d] = sum(s * char.get(_vsum(d, sh), 0) for sh, s in shifts)
+    else:
+        for d, c in char.items():
+            e = tuple(2 * x + r for x, r in zip(d, two_rho))  # 2 (d + rho)
+            while hit := next(((a, aa, p) for a, aa, off, _ in simple if (p := _dot(e, a) + off) < 0), None):
+                a, aa, p = hit  # p = |alpha|^2 <base + e/2, alpha^vee> < 0: reflect
+                q, r = divmod(p, aa)
+                if r:
+                    raise ValueError("weights not integral for the datum: not a module character")
+                e, c = tuple(x - 2 * q * y for x, y in zip(e, a)), -c
+            if all(_dot(e, a) + off for a, _, off, _ in simple):  # regular
+                mu = tuple((x - r) // 2 for x, r in zip(e, two_rho))
+                found[mu] = found.get(mu, 0) + c
+    out, total, rho_dim = [], 0, math.prod(r2 for *_, r2 in pairing.values())
+    for d, m in found.items():
+        if m < 0:
+            raise ValueError("negative multiplicity %d at %r: not a module character" % (m, d))
+        if m:
+            if any((2 * _dot(d, a) + off) % aa for a, aa, off, _ in simple):
+                raise ValueError("weight at %r not integral: not a module character" % (d,))
+            num = math.prod(2 * _dot(d, a) + off + r2 for a, _, off, r2 in pairing.values())
+            out.append((d, m))
+            total += m * (num // rho_dim)  # Weyl: prod <mu + rho, a> / <rho, a>
+    if total != sum(char.values()):
+        raise ValueError(
+            "constituents of dimension %d for a character of dimension %d: "
+            "not a module character" % (total, sum(char.values()))
+        )
     return out
 
 
@@ -222,13 +240,15 @@ def decompose_character(char, datum: RootDatum):
 # ---------------------------------------------------------------------------
 
 def _u_minus_split(p: ParabolicData, pair: SymmetricPair) -> tuple:
-    """j^tau-weight multisets of u_-^tau and u_-^{-tau} from the tau*-orbits
-    of the roots of u_-; tau* must map those roots onto themselves."""
+    """j^tau-weight multisets (integer tuples) of u_-^tau and u_-^{-tau} from
+    the tau*-orbits of the roots of u_-; tau* must map those roots onto
+    themselves."""
     if {pair.tau_star(a) for a in p.negative_roots} != p.negative_roots:
         raise AssertionError("u_- failed to split under a stable parabolic")
     plus, minus = root_tau_split(pair, p.negative_roots)
     restriction = pair.root_table.restriction
-    return Counter(restriction[i] for i in plus), Counter(restriction[i] for i in minus)
+    return (Counter(restriction[i].int_coords() for i in plus),
+            Counter(restriction[i].int_coords() for i in minus))
 
 
 def _levi_prime_datum(p: ParabolicData, pair: SymmetricPair) -> RootDatum:
@@ -243,12 +263,14 @@ class _EngineContext(NamedTuple):
     u_prime_weights: dict
     u_second_weights: dict
     l_prime_datum: RootDatum
-    f_block: dict
+    f_block: dict  # displacement of each weight of F_lambda|_{l'} from base
     base: Optional[Weight]
-    level_params: Weight  # j^tau coordinates of (H + tau H)/2
+    level_scale: int  # s, the lcm of the denominators of the coordinates below
+    level_vec: tuple  # -s * (j^tau coordinates of (H + tau H)/2)
 
-    def level_of(self, w: Weight) -> Fraction:
-        return -w.dot(self.level_params)
+    def level_of(self, d: tuple) -> int:
+        """s times the ad(H)-level of an integer displacement."""
+        return _dot(self.level_vec, d)
 
 
 def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
@@ -264,26 +286,22 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
         if not spec.scalar_type:
             raise ValueError("symbolic lambda requires scalar type")
         base = None
-        f_block = {Weight.zero(pair.restricted_eps_dim): 1}
+        f_block = {(0,) * pair.restricted_eps_dim: 1}
     else:
         base = pair.restrict_weight(spec.lam)
         restricted = restrict_finite_module(pair, p.levi_datum(), spec.lam)
-        f_block = {w - base: m for w, m in restricted.items()}
-    return _EngineContext(
-        u_prime_weights=u_prime,
-        u_second_weights=u_second,
-        l_prime_datum=l_prime,
-        f_block=f_block,
-        base=base,
-        level_params=Weight(pair.jtau_params(comp.fixed_params)),
-    )
+        f_block = {(w - base).int_coords(): m for w, m in restricted.items()}
+    params = pair.jtau_params(comp.fixed_params)
+    scale = math.lcm(*(c.denominator for c in params))
+    level_vec = tuple(-c for c in scaled_coords(params, scale))
+    return _EngineContext(u_prime, u_second, l_prime, f_block, base, scale, level_vec)
 
 
 def _convolve(a: dict, b: dict) -> dict:
     out = {}
     for w1, m1 in a.items():
         for w2, m2 in b.items():
-            key = w1 + w2
+            key = _vsum(w1, w2)
             out[key] = out.get(key, 0) + m1 * m2
     return out
 
@@ -310,9 +328,8 @@ def character_series(spec: VermaSpec, pair: SymmetricPair, degree_bound: int) ->
 def branch_multiplicities(spec: VermaSpec, pair: SymmetricPair, degree_bound: int) -> BranchingTable:
     """Branching multiplicities m(delta; lambda) up to symmetric degree N.
 
-    With a numeric lambda the peel runs on absolute restricted weights (the
-    Levi pairings of lambda matter there); the symbolic scalar case peels
-    displacements directly.
+    The peel runs on displacements; with a numeric lambda it reads the
+    absolute weights base + d (the Levi pairings of lambda matter there).
     """
     return _branching_table(_engine_context(spec, pair), spec, degree_bound)
 
@@ -320,32 +337,17 @@ def branch_multiplicities(spec: VermaSpec, pair: SymmetricPair, degree_bound: in
 def _branching_table(ctx: _EngineContext, spec: VermaSpec, degree_bound: int) -> BranchingTable:
     acc = {}
     for k, char_k in _graded_characters(ctx, degree_bound):
-        if ctx.base is not None:
-            char_k = {ctx.base + d: m for d, m in char_k.items()}
-        for delta, mult in decompose_character(char_k, ctx.l_prime_datum):
-            if ctx.base is not None:
-                delta = delta - ctx.base
-            disp = delta.int_coords()
+        for disp, mult in decompose_character(char_k, ctx.l_prime_datum, ctx.base):
             acc.setdefault(disp, [0, k])[0] += mult
-    entries = [
-        BranchEntry(delta_displacement=d, multiplicity=m, first_degree=k)
-        for d, (m, k) in acc.items()
-    ]
-    return BranchingTable(
-        base_offset=ctx.base,
-        entries=_sorted_entries(entries),
-        degree_bound=degree_bound,
-        genericity_assumptions=_assumptions_for(spec),
-    )
+    entries = _sorted_entries(BranchEntry(d, m, k) for d, (m, k) in acc.items())
+    return BranchingTable(ctx.base, entries, degree_bound, _assumptions_for(spec))
 
 
 def _assumptions_for(spec: VermaSpec) -> tuple:
-    notes = ["identity holds in the Grothendieck group of the restricted category"]
+    notes = ("identity holds in the Grothendieck group of the restricted category",)
     if spec.lam is None:
-        notes.append(
-            "lambda generic of scalar type: central values stay symbolic"
-        )
-    return tuple(notes)
+        notes += ("lambda generic of scalar type: central values stay symbolic",)
+    return notes
 
 
 def finiteness_bound(spec: VermaSpec, pair: SymmetricPair, displacement) -> Optional[int]:
@@ -357,8 +359,8 @@ def finiteness_bound(spec: VermaSpec, pair: SymmetricPair, displacement) -> Opti
     ctx = _engine_context(spec, pair)
     if not ctx.u_second_weights:
         return 0
-    a_min = min(ctx.level_of(w) for w in ctx.u_second_weights)
-    lvl = ctx.level_of(Weight(displacement))
+    a_min = min(map(ctx.level_of, ctx.u_second_weights))
+    lvl = ctx.level_of(displacement)
     if lvl < 0:
         return None
     return lvl // a_min
@@ -368,22 +370,21 @@ def finiteness_bound(spec: VermaSpec, pair: SymmetricPair, displacement) -> Opti
 # character identity verification
 # ---------------------------------------------------------------------------
 
-def _inv_euler_expand(start: dict, weights: dict, level_of, level_cap) -> dict:
-    """Multiply a displacement multiset by prod (1-e^w)^{-mult}, truncated."""
+def _inv_euler_expand(start: dict, weights: dict, level_of, level_cap: int) -> dict:
+    """Multiply a displacement multiset by prod (1-e^w)^{-mult}, truncated at
+    the level cap; every start key must lie within the cap."""
     current = dict(start)
-    for w, m in sorted(weights.items(), key=lambda it: regular_order_key(it[0])):
+    for w, m in sorted(weights.items()):
         step = level_of(w)
         if step <= 0:
             raise AssertionError("u_- weight with non-positive level")
         nxt = dict(current)
         for d, c in current.items():
-            base_level = level_of(d)
-            key, a = d, 1
-            while base_level + a * step <= level_cap:
-                key = key + w
+            key = d
+            for a in range(1, (level_cap - level_of(d)) // step + 1):
+                key = _vsum(key, w)
                 nxt[key] = nxt.get(key, 0) + c * math.comb(a + m - 1, m - 1)
-                a += 1
-        current = {d: c for d, c in nxt.items() if level_of(d) <= level_cap}
+        current = nxt
     return current
 
 
@@ -401,7 +402,7 @@ def verify_character_identity(
     given ad(H)-level and compared as exact multisets.
     """
     ctx = _engine_context(spec, pair)
-    level_cap = Fraction(level)
+    level_cap = ctx.level_scale * level
     lev = ctx.level_of
 
     u_all = Counter(ctx.u_prime_weights) + Counter(ctx.u_second_weights)
@@ -416,12 +417,12 @@ def verify_character_identity(
     base = Weight.zero(pair.restricted_eps_dim) if ctx.base is None else ctx.base
     rhs_start = {}
     for entry in table.entries:
-        delta = Weight(entry.delta_displacement)
-        if lev(delta) > level_cap:
+        if lev(entry.delta_displacement) > level_cap:
             continue
-        for w, m in freudenthal_character(ctx.l_prime_datum, base + delta).items():
-            if lev(w := w - base) <= level_cap:
-                rhs_start[w] = rhs_start.get(w, 0) + entry.multiplicity * m
+        top = base + Weight(entry.delta_displacement)
+        for w, m in freudenthal_character(ctx.l_prime_datum, top).items():
+            if lev(d := (w - base).int_coords()) <= level_cap:
+                rhs_start[d] = rhs_start.get(d, 0) + entry.multiplicity * m
     rhs = _inv_euler_expand(rhs_start, ctx.u_prime_weights, lev, level_cap)
 
     return lhs == {w: m for w, m in rhs.items() if m}
@@ -474,60 +475,40 @@ def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: in
             "parabolic is not stable under the involution"
         )
     weights = _u_minus_split(p, pair)[1]
-    seq = strongly_orthogonal_sequence(
-        weights.keys(), pair.ambient_restricted_roots()
-    )
+    seq = strongly_orthogonal_sequence(map(Weight, weights), pair.ambient_restricted_roots())
     eps = pair.restricted_eps_dim
     support = {Weight.zero(eps): 0}
     for total in range(1, degree_bound + 1):
         for comb in _decreasing_tuples(len(seq), total):
-            support[Weight(sum(map(mul, comb, column)) for column in zip(*seq))] = total
+            support[Weight(_dot(comb, column) for column in zip(*seq))] = total
     l_tau_datum = _levi_prime_datum(p, pair)
     powers = sym_power_characters(weights, degree_bound)
     for k in range(degree_bound + 1):
-        char_k = powers[k] if powers[k] else ({Weight.zero(eps): 1} if k == 0 else {})
+        char_k = powers[k] if powers[k] else ({(0,) * eps: 1} if k == 0 else {})
         constituents = decompose_character(char_k, l_tau_datum)
-        expected = {w for w, deg in support.items() if deg == k}
-        found = set()
-        for hw, mult in constituents:
+        for _, mult in constituents:
             if mult != 1:
                 raise AssertionError(
                     "multiplicity %d at degree %d: S(u_-^{-tau}) is not "
                     "multiplicity-free here" % (mult, k)
                 )
-            found.add(hw)
-        if found != expected:
+        if {hw for hw, _ in constituents} != {w.coords for w, deg in support.items() if deg == k}:
             raise AssertionError(
-                "degree %d constituents do not match the strongly orthogonal "
-                "support" % k
+                "degree %d constituents do not match the strongly orthogonal support" % k
             )
-    return SchmidReport(
-        sequence=seq,
-        support=support,
-        degree_bound=degree_bound,
-        multiplicity_free=True,
-    )
+    return SchmidReport(seq, support, degree_bound, multiplicity_free=True)
 
 
-def _decreasing_tuples(length: int, total: int):
-    """Weakly decreasing tuples of naturals with the given sum."""
+def _decreasing_tuples(length: int, total: int, cap: Optional[int] = None):
+    """Weakly decreasing tuples of naturals with the given sum, each entry at
+    most the cap, in decreasing lexicographic order."""
     if length == 0:
         if total == 0:
             yield ()
         return
-
-    def rec(remaining, cap, acc):
-        slots_left = length - len(acc)
-        if slots_left == 0:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        for a in range(min(cap, remaining), -1, -1):
-            if remaining - a > a * (slots_left - 1):
-                continue
-            yield from rec(remaining - a, a, acc + [a])
-
-    yield from rec(total, total, [])
+    for a in range(min(total if cap is None else cap, total), -1, -1):
+        for rest in _decreasing_tuples(length - 1, total - a, a):
+            yield (a,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -550,44 +531,27 @@ def closed_form_law(family: str, params: dict, degree_bound: int) -> BranchingTa
         others = [i for i in range(n + 1) if i != l - 1]
         for k in _boxed_tuples(n, degree_bound):
             disp = [0] * (n + 1)
-            ind = 0
             for pos, ki in zip(others, k):
-                if pos < l - 1:
-                    disp[pos] = -ki
-                    ind += ki
-                else:
-                    disp[pos] = ki
-                    ind -= ki
-            disp[l - 1] = ind
-            entries.append(
-                BranchEntry(tuple(disp), 1, sum(k))
-            )
-        labels = [str(i + 1) for i in others]
-        assumptions = (
-            "lambda_i - lambda_j not in Z for distinct i, j in {%s}" % ", ".join(labels),
-        )
+                disp[pos] = -ki if pos < l - 1 else ki
+            disp[l - 1] = -sum(disp)
+            entries.append(BranchEntry(tuple(disp), 1, sum(k)))
+        labels = ", ".join(str(i + 1) for i in others)
+        assumptions = ("lambda_i - lambda_j not in Z for distinct i, j in {%s}" % labels,)
     elif fam in ("BD", "DB"):
         n = params["n"]
         for k in _boxed_tuples(n, degree_bound):
             entries.append(BranchEntry(tuple(-ki for ki in k), 1, sum(k)))
-        assumptions = (
-            "lambda_i +/- lambda_j not in Z for 1 <= i < j <= %d" % n,
-        )
+        assumptions = ("lambda_i +/- lambda_j not in Z for 1 <= i < j <= %d" % n,)
     else:
         raise ValueError("unknown closed-form family %r" % family)
-    return BranchingTable(
-        base_offset=None,
-        entries=_sorted_entries(entries),
-        degree_bound=degree_bound,
-        genericity_assumptions=assumptions,
-    )
+    return BranchingTable(None, _sorted_entries(entries), degree_bound, assumptions)
 
 
 def _boxed_tuples(length: int, total_cap: int):
-    """All natural tuples with coordinate sum at most the cap."""
-    for combo in itertools.product(range(total_cap + 1), repeat=length):
-        if sum(combo) <= total_cap:
-            yield combo
+    """All natural tuples with coordinate sum at most the cap, by stars and
+    bars: the gaps of a length-subset of range(cap + length), less one."""
+    for c in itertools.combinations(range(total_cap + length), length):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + c, c))
 
 
 def law_setting(family: str, params: dict):
@@ -625,14 +589,10 @@ def genericity_check(
     if spec.lam is not None:
         datum = spec.parabolic.datum
         levi = set(spec.parabolic.levi_roots)
-        simple = True
-        for beta in datum.positive_roots:
-            if beta in levi:
-                continue
-            val = datum.coroot_pairing(spec.lam + datum.rho, beta)
-            if val.denominator == 1 and val >= 1:
-                simple = False
-                break
+        simple = not any(
+            (val := datum.coroot_pairing(spec.lam + datum.rho, beta)).denominator == 1 and val >= 1
+            for beta in datum.positive_roots if beta not in levi
+        )
     distinct = None
     if table is not None:
         if pair is None or spec.lam is None:
@@ -667,34 +627,17 @@ def mf_scan(rank_bound: int, include_failing: bool = False):
     rows = []
     seen = set()
     for spec in catalog_pairs(rank_bound, simple_only=True):
-        if spec.kind == "gl_down_gl":
-            if spec.get("l") != 1:
-                continue
-        if spec.id in seen:
+        if (spec.kind == "gl_down_gl" and spec.get("l") != 1) or spec.id in seen:
             continue
         seen.add(spec.id)
         pair = build_pair(spec)
-        dim_g, dim_fixed = pair.g.dim, pair.fixed.dim
-        rank_g = pair.g.rank
-        rank_fixed = len(pair.j_tau_basis)
-        if spec.kind == "gl_down_gl":
-            dim_g -= 1
-            dim_fixed -= 1
-            rank_g = pair.g.rank - 1
-            rank_fixed -= 1
+        centre = int(spec.kind == "gl_down_gl")  # drop the centre of gl
+        dim_g, dim_fixed = pair.g.dim - centre, pair.fixed.dim - centre
+        rank_g, rank_fixed = pair.g.rank - centre, len(pair.j_tau_basis) - centre
         if rank_g > rank_bound:
             continue
         passes = dim_g - dim_fixed <= rank_g + rank_fixed
-        rows.append(
-            MfScanRow(
-                spec_id=spec.id,
-                dim_g=dim_g,
-                dim_fixed=dim_fixed,
-                rank_g=rank_g,
-                rank_fixed=rank_fixed,
-                passes=passes,
-            )
-        )
+        rows.append(MfScanRow(spec.id, dim_g, dim_fixed, rank_g, rank_fixed, passes))
     if include_failing:
         return rows
     return [r for r in rows if r.passes]

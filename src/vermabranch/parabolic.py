@@ -202,7 +202,7 @@ def closedness_report(p: ParabolicData, pair: SymmetricPair) -> ClosednessReport
     def bracket(term):
         return {k for i in s for j, k in table[i].items() if j in term}
 
-    if any(rdatum.index[-rdatum.roots[i]] in s for i in s) or not bracket(s) <= s:
+    if any(rdatum.negation[i] in s for i in s) or not bracket(s) <= s:
         return ClosednessReport(closed=False, lcs_length=0)
     steps, term = 0, s
     while term:  # the terms shrink: S lies in a positive system

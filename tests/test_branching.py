@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -47,32 +49,31 @@ def brute_force_sym_power(weights, k):
     expanded = []
     for w, m in weights.items():
         expanded.extend([w] * m)
-    zero = next(iter(weights))
-    zero = zero - zero
+    zero = (0,) * len(next(iter(weights)))
     out = {}
     for combo in itertools.combinations_with_replacement(range(len(expanded)), k):
         total = zero
         for i in combo:
-            total = total + expanded[i]
+            total = tuple(a + b for a, b in zip(total, expanded[i]))
         out[total] = out.get(total, 0) + 1
     return out
 
 
 def test_sym_power_two_lines():
-    result = sym_power_character({W(-1, 0): 1, W(0, -1): 1}, 2)
-    assert result == {W(-2, 0): 1, W(-1, -1): 1, W(0, -2): 1}
+    result = sym_power_character({(-1, 0): 1, (0, -1): 1}, 2)
+    assert result == {(-2, 0): 1, (-1, -1): 1, (0, -2): 1}
 
 
 def test_sym_power_single_weight():
     for k in range(4):
-        assert sym_power_character({W(2, 1): 1}, k) == {W(2 * k, k): 1}
+        assert sym_power_character({(2, 1): 1}, k) == {(2 * k, k): 1}
 
 
 def test_sym_power_siegel_example():
-    weights = {W(-2, 0): 1, W(-1, -1): 1, W(0, -2): 1}
+    weights = {(-2, 0): 1, (-1, -1): 1, (0, -2): 1}
     result = sym_power_character(weights, 2)
     assert result == brute_force_sym_power(weights, 2)
-    assert len(result) == 5 and result[W(-2, -2)] == 2
+    assert len(result) == 5 and result[(-2, -2)] == 2
 
 
 def test_sym_power_with_multiplicities_matches_brute_force():
@@ -80,7 +81,7 @@ def test_sym_power_with_multiplicities_matches_brute_force():
     for _ in range(6):
         weights = {}
         for _ in range(3):
-            w = W(rng.randint(-2, 2), rng.randint(-2, 2))
+            w = (rng.randint(-2, 2), rng.randint(-2, 2))
             weights[w] = weights.get(w, 0) + rng.randint(1, 2)
         for k in range(4):
             assert sym_power_character(weights, k) == brute_force_sym_power(weights, k)
@@ -133,17 +134,20 @@ def test_decompose_torus_character(pairs):
     pair = pairs("so_down_so", m=4)
     borel = parabolic_from_simple_subset(pair.g, set())
     torus = _levi_prime_datum(borel, pair)
-    char = {W(1, 0): 2, W(0, -1): 1}
-    assert sorted(decompose_character(char, torus), key=repr) == sorted(
-        [(W(1, 0), 2), (W(0, -1), 1)], key=repr
-    )
+    char = {(1, 0): 2, (0, -1): 1}
+    assert sorted(decompose_character(char, torus)) == [((0, -1), 1), ((1, 0), 2)]
+    # a torus has the one Weyl shift (0, +1): every weight is a constituent
+    assert torus.weyl_shifts == [((0, 0), 1)]
 
 
 def test_decompose_a1_adjoint_plus_trivial(algebras):
     datum = root_datum(algebras("A", 1))
-    char = {W(1, -1): 1, W(0, 0): 2, W(-1, 1): 1}
+    char = {(1, -1): 1, (0, 0): 2, (-1, 1): 1}
     out = decompose_character(char, datum)
-    assert out == [(W(1, -1), 1), (W(0, 0), 1)]
+    assert out == [((1, -1), 1), ((0, 0), 1)]
+    # the same character shifted by a central base weight
+    base = W(Fraction(1, 3), Fraction(1, 3))
+    assert decompose_character(char, datum, base) == out
 
 
 def test_decompose_siegel_sym_square(pairs):
@@ -151,12 +155,9 @@ def test_decompose_siegel_sym_square(pairs):
     pair = pairs("sp_down_gl", n=2)
     siegel = parabolic_from_simple_subset(pair.g, {0})
     ldatum = _levi_prime_datum(siegel, pair)
-    char = sym_power_character({W(-2, 0): 1, W(-1, -1): 1, W(0, -2): 1}, 2)
+    char = sym_power_character({(-2, 0): 1, (-1, -1): 1, (0, -2): 1}, 2)
     out = decompose_character(char, ldatum)
-    assert sorted((tuple(h), m) for h, m in out) == [
-        ((Fraction(-2), Fraction(-2)), 1),
-        ((Fraction(0), Fraction(-4)), 1),
-    ]
+    assert sorted(out) == [((-2, -2), 1), ((0, -4), 1)]
 
 
 def test_decompose_roundtrip_random_characters(algebras):
@@ -172,27 +173,58 @@ def test_decompose_roundtrip_random_characters(algebras):
         char = {}
         for lam, mult in combo.items():
             for w, m in freudenthal_character(datum, lam).items():
-                char[w] = char.get(w, 0) + mult * m
+                char[w.coords] = char.get(w.coords, 0) + mult * m
         out = dict(decompose_character(char, datum))
-        assert out == combo
+        assert out == {lam.coords: m for lam, m in combo.items()}
 
 
 def test_decompose_rejects_non_module_character(algebras):
     datum = root_datum(algebras("A", 1))
     with pytest.raises(ValueError):
-        decompose_character({W(1, -1): 1}, datum)  # missing the rest of F
-    with pytest.raises(ValueError, match="off the swept support"):
-        # the residual -1 lands on (-1, 1), outside the original support
-        decompose_character({W(1, -1): 1, W(0, 0): 1}, datum)
-    with pytest.raises(ValueError, match="negative residual"):
-        decompose_character({W(1, -1): 2, W(0, 0): 1, W(-1, 1): 2}, datum)
-    with pytest.raises(ValueError, match="not dominant integral"):
-        decompose_character({W(-1, 1): 1}, datum)
+        decompose_character({(1, -1): 1}, datum)  # missing the rest of F
+    with pytest.raises(ValueError, match="dimension 3 for a character of dimension 2"):
+        # m = 1 at (1, -1) and 0 at (0, 0): V_(1,-1) alone has dimension 3
+        decompose_character({(1, -1): 1, (0, 0): 1}, datum)
+    with pytest.raises(ValueError, match="negative multiplicity -1 at"):
+        decompose_character({(1, -1): 2, (0, 0): 1, (-1, 1): 2}, datum)
+    with pytest.raises(ValueError, match="dimension 0 for a character of dimension 1"):
+        # no dominant weight in the support
+        decompose_character({(-1, 1): 1}, datum)
+    with pytest.raises(ValueError, match="not integral"):
+        decompose_character({(0, 0): 1}, datum, W(Fraction(1, 4), Fraction(-1, 4)))
 
 
 # ---------------------------------------------------------------------------
-# greedy oracle: the peel that takes the maximal remaining weight each step
+# peel oracles: they take absolute Weight characters and subtract Freudenthal
+# characters of the constituents they find
 # ---------------------------------------------------------------------------
+
+def sweep_peel(char, datum):
+    """One sweep down the support, sorted once by `regular_order_key`.  The
+    other weights of V_mu lie strictly below mu, so a residual is final when
+    the sweep reaches it; a nonzero one is a multiplicity, and that module's
+    character is subtracted."""
+    from vermabranch.liealg import regular_order_key
+
+    work = {w: m for w, m in char.items() if m}
+    out = []
+    for mu in sorted(work, key=regular_order_key, reverse=True):
+        mult = work.get(mu, 0)
+        if not mult:
+            continue
+        if mult < 0 or not datum.is_dominant_integral(mu):
+            raise ValueError("not a module character at %r" % (mu,))
+        for w, m in freudenthal_character(datum, mu).items():
+            c = work.get(w, 0) - mult * m
+            if c:
+                work[w] = c
+            else:
+                del work[w]
+        out.append((mu, mult))
+    if work:
+        raise ValueError("residual left off the swept support at %d weights" % len(work))
+    return out
+
 
 def greedy_peel(char, datum):
     """Peel by repeatedly taking the maximal remaining weight for
@@ -217,40 +249,114 @@ def greedy_peel(char, datum):
     return out
 
 
+def _absolute(char, base):
+    """Weight-keyed form of a displacement character against base."""
+    return {(Weight(d) if base is None else base + Weight(d)): m for d, m in char.items()}
+
+
 def _peeled_characters(monkeypatch, argv):
-    """Run one CLI command and record every character the engine peels."""
-    from vermabranch import branching
-    from vermabranch.cli import config_from_args, run_command
+    """Run one CLI job in process and record every character the engine
+    peels, with the exit code."""
+    from vermabranch.cli import main
 
     seen = []
-    sweep = branching.decompose_character
+    peel = branching.decompose_character
 
-    def spy(char, datum):
-        out = sweep(char, datum)
-        seen.append((dict(char), datum, out))
+    def spy(char, datum, base=None):
+        out = peel(char, datum, base)
+        seen.append((dict(char), datum, base, out))
         return out
 
     monkeypatch.delenv("VERMABRANCH_CACHE_DIR", raising=False)
     monkeypatch.setattr(branching, "decompose_character", spy)
-    env, code = run_command(config_from_args(argv.split()))
-    assert code == 0, env.payload.get("error")
-    return seen
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv.split() + ["--format", "json"])
+    return code, seen
+
+
+def _peel_jobs():
+    """The branch and verify jobs of the golden corpus, after three branch
+    jobs at degree 4 (one character per degree), one with a rational
+    central lambda."""
+    from tests.test_golden import JOBS
+
+    return list(dict.fromkeys([
+        "branch --pair sp_down_gl:n=3 --parabolic siegel --degree 4",
+        "branch --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --degree 4",
+        "branch --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 "
+        "--lambda 1/3,4/3,1/3,-2/3,-4/3 --degree 4",
+    ] + [j for j in JOBS if j.split()[0] in ("branch", "verify")]))
+
+
+@pytest.mark.parametrize("argv", _peel_jobs())
+def test_sweep_peel_matches_greedy_oracle(monkeypatch, argv):
+    """The engine's Weyl-denominator peel, the sweep oracle and the greedy
+    oracle agree on every character the job peels."""
+    from tests.test_golden import INDEX, _load
+
+    code, seen = _peeled_characters(monkeypatch, argv)
+    assert code == _load(INDEX).get(argv, 0)
+    assert bool(seen) == (code == 0)
+    if "--degree 4" in argv:
+        assert len(seen) == 5  # one character per degree 0..4
+    for char, datum, base, out in seen:
+        absolute = _absolute(char, base)
+        expected = dict(sweep_peel(absolute, datum))
+        assert dict(greedy_peel(absolute, datum)) == expected
+        assert _absolute(dict(out), base) == expected
+        assert len(out) == len(expected) and all(m > 0 for _, m in out)
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         "branch --pair sp_down_gl:n=3 --parabolic siegel --degree 4",
-        "branch --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --degree 4",
-        "branch --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 "
-        "--lambda 1/3,4/3,1/3,-2/3,-4/3 --degree 4",
+        "branch --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1/3,4/3,1/3,-2/3,-4/3 --degree 4",
+        "verify --law BD --n 3 --degree 3",
     ],
 )
-def test_sweep_peel_matches_greedy_oracle(monkeypatch, argv):
-    seen = _peeled_characters(monkeypatch, argv)
-    assert len(seen) == 5  # one character per degree 0..4
-    for char, datum, out in seen:
-        assert out == greedy_peel(char, datum)
+def test_racah_speiser_route_matches_weyl_shift_route(monkeypatch, argv):
+    # above the Weyl rank cap the peel reflects each weight + rho instead
+    peel = branching.decompose_character
+    _, seen = _peeled_characters(monkeypatch, argv)
+    assert seen
+    monkeypatch.setattr(branching, "WEYL_RANK_CAP", -1)
+    for char, datum, base, out in seen:
+        assert sorted(peel(char, datum, base)) == sorted(out)
+
+
+def test_racah_speiser_route_rejects_non_module_characters(algebras, monkeypatch):
+    monkeypatch.setattr(branching, "WEYL_RANK_CAP", -1)
+    datum = root_datum(algebras("A", 1))
+    assert decompose_character({(1, -1): 1, (0, 0): 2, (-1, 1): 1}, datum) == [
+        ((1, -1), 1), ((0, 0), 1)
+    ]
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        decompose_character({(1, -1): 2, (0, 0): 1, (-1, 1): 2}, datum)
+    with pytest.raises(ValueError, match="dimension 4 for a character of dimension 2"):
+        # not W-invariant: (0, 0) + rho is regular dominant here
+        decompose_character({(1, -1): 1, (0, 0): 1}, datum)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    ("branch --pair sp_down_gl:n=3 --parabolic siegel --degree 6", 0),
+    ("branch --pair sp_down_gl:n=3 --parabolic siegel --lambda 2,1,0 --degree 6", 1),
+])
+def test_branch_runs_freudenthal_only_for_the_levi_module(monkeypatch, argv, calls):
+    from vermabranch import liealg
+
+    counted = []
+    real = liealg.freudenthal_character
+
+    def counting(datum, lam):
+        counted.append(lam)
+        return real(datum, lam)
+
+    monkeypatch.setattr(liealg, "freudenthal_character", counting)
+    monkeypatch.setattr(branching, "freudenthal_character", counting)
+    code, seen = _peeled_characters(monkeypatch, argv)
+    assert code == 0 and len(seen) == 7
+    assert len(counted) == calls
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +437,7 @@ def test_character_series_degree_zero_is_levi_block(pairs):
     base = pair.restrict_weight(lam)
     degree0 = series.at_degree(0)
     expected = restrict_finite_module(pair, siegel.levi_datum(), lam)
-    assert degree0 == {w - base: m for w, m in expected.items()}
+    assert degree0 == {(w - base).coords: m for w, m in expected.items()}
 
 
 def test_character_series_displacements_are_weight_sums(pairs):
@@ -339,7 +445,7 @@ def test_character_series_displacements_are_weight_sums(pairs):
     series = character_series(spec, pair, 2)
     for (deg, disp), mult in series.terms.items():
         assert mult > 0
-        total = sum(-c for c in disp.coords)
+        total = sum(-c for c in disp)
         assert total == deg  # each u'' weight lowers one coordinate by one
 
 
@@ -481,6 +587,15 @@ def test_closed_form_bd_small():
 def test_closed_form_db_small():
     table = closed_form_law("DB", {"n": 2}, 1)
     assert set(table.as_dict()) == {(0, 0), (-1, 0), (0, -1)}
+
+
+def test_boxed_tuples_match_product_and_filter():
+    for length in range(5):
+        for cap in range(7):
+            oracle = [
+                t for t in itertools.product(range(cap + 1), repeat=length) if sum(t) <= cap
+            ]
+            assert sorted(branching._boxed_tuples(length, cap)) == oracle
 
 
 def test_closed_form_all_multiplicity_one():

@@ -47,8 +47,10 @@ def test_root_level_split_matches_matrix_route(pairs, spec):
             continue
         assert comp.fixed_params == pair.g.eps_params(h_fixed).coords, where
         ctx = _engine_context(VermaSpec.generic(p), pair)
-        assert (ctx.u_prime_weights, ctx.u_second_weights) == (plus, minus), where
-        assert ctx.level_params == level_params(pair, p), where
+        keyed = ({w.coords: m for w, m in plus.items()}, {w.coords: m for w, m in minus.items()})
+        assert (ctx.u_prime_weights, ctx.u_second_weights) == keyed, where
+        scaled = tuple(-ctx.level_scale * c for c in level_params(pair, p))
+        assert ctx.level_vec == scaled, where
 
 
 def test_tau_on_parameters_moves_an_outer_cartan(pairs):
