@@ -14,12 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from operator import add
+from operator import add, mul
 from typing import Iterable, NamedTuple, Optional
 
 from .liealg import (
     MF_SCAN_RANK_CAP,
-    WEYL_RANK_CAP,
     RootDatum,
     Weight,
     _dot,
@@ -98,7 +97,9 @@ class BranchingTable:
 
 
 def _sorted_entries(entries: Iterable[BranchEntry]) -> tuple:
-    return tuple(sorted(entries, key=lambda e: (e.first_degree, e.delta_displacement)))
+    return tuple(
+        sorted(entries, key=lambda e: (e.first_degree, e.delta_displacement))
+    )
 
 
 class CharacterSeries(NamedTuple):
@@ -182,13 +183,12 @@ def decompose_character(char: dict, datum: RootDatum, base: Optional[Weight] = N
 
     `char` maps integer displacements d to the multiplicity of the weight
     base + d (base 0 when None); the result lists (d, m), m > 0, for the
-    highest weights base + d.  Brauer-Klimyk (Humphreys, GTM 9, 24.3): for
-    dominant mu, m_mu = sum over w in W of sign(w) char(mu + rho - w rho),
-    read off the datum's `weyl_shifts`; above the Weyl rank cap each
-    weight + rho is reflected into the dominant chamber instead
-    (Racah-Speiser).  Two exact checks reject what is not a module
-    character: no m_mu is negative, and sum m_mu dim V_mu = sum char, with
-    dim V_mu from Weyl's formula in integers.
+    highest weights base + d.  Racah-Speiser (Humphreys, GTM 9, 24.3): each
+    weight nu adds sign(w) char(nu) to m_mu where w(nu + rho) = mu + rho is
+    dominant, and nothing when nu + rho lies on a wall.  Exact checks reject
+    what is not a module character: each weight is integral and keeps its
+    multiplicity under every simple reflection, no m_mu is negative, and
+    sum m_mu dim V_mu = sum char (Weyl's formula in integers).
     """
     roots = datum.positive_roots
     offs = [0] * len(roots) if base is None else [2 * base.dot(a) for a in roots]
@@ -198,32 +198,34 @@ def decompose_character(char: dict, datum: RootDatum, base: Optional[Weight] = N
     # per positive root: (alpha, |alpha|^2, 2 <base, alpha>, <2 rho, alpha>)
     pairing = {a: (a.coords, a.dot(a), int(x), _dot(two_rho, a.coords)) for a, x in zip(roots, offs)}
     simple = [pairing[a] for a in datum.simple_roots]
+    # row i: how a reflection in alpha_i moves the labels, <alpha_i, alpha_j^vee>
+    cartan = [[2 * _dot(a, b) // bb for b, bb, _, _ in simple] for a, _, _, _ in simple]
     found = {}
-    if len(simple) <= WEYL_RANK_CAP:
-        shifts = datum.weyl_shifts
-        walls = [(tuple(2 * c for c in a), -off) for a, _, off, _ in simple]
-        for d in char:
-            if all(_dot(d, a2) >= t for a2, t in walls):
-                found[d] = sum(s * char.get(_vsum(d, sh), 0) for sh, s in shifts)
-    else:
-        for d, c in char.items():
-            e = tuple(2 * x + r for x, r in zip(d, two_rho))  # 2 (d + rho)
-            while hit := next(((a, aa, p) for a, aa, off, _ in simple if (p := _dot(e, a) + off) < 0), None):
-                a, aa, p = hit  # p = |alpha|^2 <base + e/2, alpha^vee> < 0: reflect
-                q, r = divmod(p, aa)
-                if r:
-                    raise ValueError("weights not integral for the datum: not a module character")
-                e, c = tuple(x - 2 * q * y for x, y in zip(e, a)), -c
-            if all(_dot(e, a) + off for a, _, off, _ in simple):  # regular
-                mu = tuple((x - r) // 2 for x, r in zip(e, two_rho))
-                found[mu] = found.get(mu, 0) + c
+    for d, c in char.items():
+        labels = []  # <base + d + rho, alpha^vee> over the simple roots
+        for a, aa, off, _ in simple:
+            q, r = divmod(2 * _dot(d, a) + off, aa)  # q = <base + d, alpha^vee>
+            if r:
+                raise ValueError("weight at %r not integral: not a module character" % (d,))
+            if q and char.get(tuple(x - q * y for x, y in zip(d, a)), 0) != c:
+                raise ValueError("multiplicity at %r not W-invariant: not a module character" % (d,))
+            labels.append(q + 1)
+        mu = d  # reflect base + mu + rho in simple roots with a negative label
+        while True:
+            for i, x in enumerate(labels):
+                if x < 0:
+                    break
+            else:
+                break
+            labels = [y - x * z for y, z in zip(labels, cartan[i])]
+            mu, c = tuple(y - x * z for y, z in zip(mu, simple[i][0])), -c
+        if all(labels):  # regular: base + mu is a highest weight
+            found[mu] = found.get(mu, 0) + c
     out, total, rho_dim = [], 0, math.prod(r2 for *_, r2 in pairing.values())
     for d, m in found.items():
         if m < 0:
             raise ValueError("negative multiplicity %d at %r: not a module character" % (m, d))
         if m:
-            if any((2 * _dot(d, a) + off) % aa for a, aa, off, _ in simple):
-                raise ValueError("weight at %r not integral: not a module character" % (d,))
             num = math.prod(2 * _dot(d, a) + off + r2 for a, _, off, r2 in pairing.values())
             out.append((d, m))
             total += m * (num // rho_dim)  # Weyl: prod <mu + rho, a> / <rho, a>
@@ -294,7 +296,15 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
     params = pair.jtau_params(comp.fixed_params)
     scale = math.lcm(*(c.denominator for c in params))
     level_vec = tuple(-c for c in scaled_coords(params, scale))
-    return _EngineContext(u_prime, u_second, l_prime, f_block, base, scale, level_vec)
+    return _EngineContext(
+        u_prime_weights=u_prime,
+        u_second_weights=u_second,
+        l_prime_datum=l_prime,
+        f_block=f_block,
+        base=base,
+        level_scale=scale,
+        level_vec=level_vec,
+    )
 
 
 def _convolve(a: dict, b: dict) -> dict:
@@ -339,15 +349,25 @@ def _branching_table(ctx: _EngineContext, spec: VermaSpec, degree_bound: int) ->
     for k, char_k in _graded_characters(ctx, degree_bound):
         for disp, mult in decompose_character(char_k, ctx.l_prime_datum, ctx.base):
             acc.setdefault(disp, [0, k])[0] += mult
-    entries = _sorted_entries(BranchEntry(d, m, k) for d, (m, k) in acc.items())
-    return BranchingTable(ctx.base, entries, degree_bound, _assumptions_for(spec))
+    entries = [
+        BranchEntry(delta_displacement=d, multiplicity=m, first_degree=k)
+        for d, (m, k) in acc.items()
+    ]
+    return BranchingTable(
+        base_offset=ctx.base,
+        entries=_sorted_entries(entries),
+        degree_bound=degree_bound,
+        genericity_assumptions=_assumptions_for(spec),
+    )
 
 
 def _assumptions_for(spec: VermaSpec) -> tuple:
-    notes = ("identity holds in the Grothendieck group of the restricted category",)
+    notes = ["identity holds in the Grothendieck group of the restricted category"]
     if spec.lam is None:
-        notes += ("lambda generic of scalar type: central values stay symbolic",)
-    return notes
+        notes.append(
+            "lambda generic of scalar type: central values stay symbolic"
+        )
+    return tuple(notes)
 
 
 def finiteness_bound(spec: VermaSpec, pair: SymmetricPair, displacement) -> Optional[int]:
@@ -475,40 +495,60 @@ def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: in
             "parabolic is not stable under the involution"
         )
     weights = _u_minus_split(p, pair)[1]
-    seq = strongly_orthogonal_sequence(map(Weight, weights), pair.ambient_restricted_roots())
+    seq = strongly_orthogonal_sequence(
+        map(Weight, weights), pair.ambient_restricted_roots()
+    )
     eps = pair.restricted_eps_dim
     support = {Weight.zero(eps): 0}
     for total in range(1, degree_bound + 1):
         for comb in _decreasing_tuples(len(seq), total):
-            support[Weight(_dot(comb, column) for column in zip(*seq))] = total
+            support[Weight(sum(map(mul, comb, column)) for column in zip(*seq))] = total
     l_tau_datum = _levi_prime_datum(p, pair)
     powers = sym_power_characters(weights, degree_bound)
     for k in range(degree_bound + 1):
         char_k = powers[k] if powers[k] else ({(0,) * eps: 1} if k == 0 else {})
         constituents = decompose_character(char_k, l_tau_datum)
-        for _, mult in constituents:
+        expected = {w.coords for w, deg in support.items() if deg == k}
+        found = set()
+        for hw, mult in constituents:
             if mult != 1:
                 raise AssertionError(
                     "multiplicity %d at degree %d: S(u_-^{-tau}) is not "
                     "multiplicity-free here" % (mult, k)
                 )
-        if {hw for hw, _ in constituents} != {w.coords for w, deg in support.items() if deg == k}:
+            found.add(hw)
+        if found != expected:
             raise AssertionError(
-                "degree %d constituents do not match the strongly orthogonal support" % k
+                "degree %d constituents do not match the strongly orthogonal "
+                "support" % k
             )
-    return SchmidReport(seq, support, degree_bound, multiplicity_free=True)
+    return SchmidReport(
+        sequence=seq,
+        support=support,
+        degree_bound=degree_bound,
+        multiplicity_free=True,
+    )
 
 
-def _decreasing_tuples(length: int, total: int, cap: Optional[int] = None):
-    """Weakly decreasing tuples of naturals with the given sum, each entry at
-    most the cap, in decreasing lexicographic order."""
+def _decreasing_tuples(length: int, total: int):
+    """Weakly decreasing tuples of naturals with the given sum."""
     if length == 0:
         if total == 0:
             yield ()
         return
-    for a in range(min(total if cap is None else cap, total), -1, -1):
-        for rest in _decreasing_tuples(length - 1, total - a, a):
-            yield (a,) + rest
+
+    def rec(remaining, cap, acc):
+        slots_left = length - len(acc)
+        if slots_left == 0:
+            if remaining == 0:
+                yield tuple(acc)
+            return
+        for a in range(min(cap, remaining), -1, -1):
+            if remaining - a > a * (slots_left - 1):
+                continue
+            yield from rec(remaining - a, a, acc + [a])
+
+    yield from rec(total, total, [])
 
 
 # ---------------------------------------------------------------------------
@@ -531,20 +571,37 @@ def closed_form_law(family: str, params: dict, degree_bound: int) -> BranchingTa
         others = [i for i in range(n + 1) if i != l - 1]
         for k in _boxed_tuples(n, degree_bound):
             disp = [0] * (n + 1)
+            ind = 0
             for pos, ki in zip(others, k):
-                disp[pos] = -ki if pos < l - 1 else ki
-            disp[l - 1] = -sum(disp)
-            entries.append(BranchEntry(tuple(disp), 1, sum(k)))
-        labels = ", ".join(str(i + 1) for i in others)
-        assumptions = ("lambda_i - lambda_j not in Z for distinct i, j in {%s}" % labels,)
+                if pos < l - 1:
+                    disp[pos] = -ki
+                    ind += ki
+                else:
+                    disp[pos] = ki
+                    ind -= ki
+            disp[l - 1] = ind
+            entries.append(
+                BranchEntry(tuple(disp), 1, sum(k))
+            )
+        labels = [str(i + 1) for i in others]
+        assumptions = (
+            "lambda_i - lambda_j not in Z for distinct i, j in {%s}" % ", ".join(labels),
+        )
     elif fam in ("BD", "DB"):
         n = params["n"]
         for k in _boxed_tuples(n, degree_bound):
             entries.append(BranchEntry(tuple(-ki for ki in k), 1, sum(k)))
-        assumptions = ("lambda_i +/- lambda_j not in Z for 1 <= i < j <= %d" % n,)
+        assumptions = (
+            "lambda_i +/- lambda_j not in Z for 1 <= i < j <= %d" % n,
+        )
     else:
         raise ValueError("unknown closed-form family %r" % family)
-    return BranchingTable(None, _sorted_entries(entries), degree_bound, assumptions)
+    return BranchingTable(
+        base_offset=None,
+        entries=_sorted_entries(entries),
+        degree_bound=degree_bound,
+        genericity_assumptions=assumptions,
+    )
 
 
 def _boxed_tuples(length: int, total_cap: int):
@@ -589,10 +646,14 @@ def genericity_check(
     if spec.lam is not None:
         datum = spec.parabolic.datum
         levi = set(spec.parabolic.levi_roots)
-        simple = not any(
-            (val := datum.coroot_pairing(spec.lam + datum.rho, beta)).denominator == 1 and val >= 1
-            for beta in datum.positive_roots if beta not in levi
-        )
+        simple = True
+        for beta in datum.positive_roots:
+            if beta in levi:
+                continue
+            val = datum.coroot_pairing(spec.lam + datum.rho, beta)
+            if val.denominator == 1 and val >= 1:
+                simple = False
+                break
     distinct = None
     if table is not None:
         if pair is None or spec.lam is None:
@@ -627,17 +688,34 @@ def mf_scan(rank_bound: int, include_failing: bool = False):
     rows = []
     seen = set()
     for spec in catalog_pairs(rank_bound, simple_only=True):
-        if (spec.kind == "gl_down_gl" and spec.get("l") != 1) or spec.id in seen:
+        if spec.kind == "gl_down_gl":
+            if spec.get("l") != 1:
+                continue
+        if spec.id in seen:
             continue
         seen.add(spec.id)
         pair = build_pair(spec)
-        centre = int(spec.kind == "gl_down_gl")  # drop the centre of gl
-        dim_g, dim_fixed = pair.g.dim - centre, pair.fixed.dim - centre
-        rank_g, rank_fixed = pair.g.rank - centre, len(pair.j_tau_basis) - centre
+        dim_g, dim_fixed = pair.g.dim, pair.fixed.dim
+        rank_g = pair.g.rank
+        rank_fixed = len(pair.j_tau_basis)
+        if spec.kind == "gl_down_gl":
+            dim_g -= 1
+            dim_fixed -= 1
+            rank_g = pair.g.rank - 1
+            rank_fixed -= 1
         if rank_g > rank_bound:
             continue
         passes = dim_g - dim_fixed <= rank_g + rank_fixed
-        rows.append(MfScanRow(spec.id, dim_g, dim_fixed, rank_g, rank_fixed, passes))
+        rows.append(
+            MfScanRow(
+                spec_id=spec.id,
+                dim_g=dim_g,
+                dim_fixed=dim_fixed,
+                rank_g=rank_g,
+                rank_fixed=rank_fixed,
+                passes=passes,
+            )
+        )
     if include_failing:
         return rows
     return [r for r in rows if r.passes]

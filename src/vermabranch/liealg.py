@@ -322,27 +322,6 @@ class RootDatum:
         """Entry i is the index of -roots[i]."""
         return [self.index[-a] for a in self.roots]
 
-    @cached_property
-    def weyl_shifts(self) -> list:
-        """(rho - w rho, sign of w) for every w in W, as integer tuples: the
-        W-orbit of the regular integer vector 2 rho under simple reflections,
-        each of which flips the sign (identity first)."""
-        check_weyl_rank(self)
-        simple = [(a.coords, _dot(a.coords, a.coords)) for a in self.simple_roots]
-        top = scaled_coords(self.rho.coords, 2)
-        sign, frontier = {top: 1}, [top]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for a, aa in simple:
-                    q = 2 * _dot(v, a) // aa
-                    u = tuple(x - q * y for x, y in zip(v, a))
-                    if u not in sign:
-                        sign[u] = -sign[v]
-                        nxt.append(u)
-            frontier = nxt
-        return [(tuple((x - y) // 2 for x, y in zip(top, v)), s) for v, s in sign.items()]
-
     def sign_masks(self, params) -> tuple:
         """Root-index bitmasks (vanishing, positive) of the roots by their
         sign on eps-parameters; exact, as `params` is scaled to integers by a

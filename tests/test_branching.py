@@ -136,8 +136,6 @@ def test_decompose_torus_character(pairs):
     torus = _levi_prime_datum(borel, pair)
     char = {(1, 0): 2, (0, -1): 1}
     assert sorted(decompose_character(char, torus)) == [((0, -1), 1), ((1, 0), 2)]
-    # a torus has the one Weyl shift (0, +1): every weight is a constituent
-    assert torus.weyl_shifts == [((0, 0), 1)]
 
 
 def test_decompose_a1_adjoint_plus_trivial(algebras):
@@ -180,18 +178,51 @@ def test_decompose_roundtrip_random_characters(algebras):
 
 def test_decompose_rejects_non_module_character(algebras):
     datum = root_datum(algebras("A", 1))
-    with pytest.raises(ValueError):
+    reflected = "multiplicity at .* not W-invariant"
+    with pytest.raises(ValueError, match=reflected):
         decompose_character({(1, -1): 1}, datum)  # missing the rest of F
-    with pytest.raises(ValueError, match="dimension 3 for a character of dimension 2"):
-        # m = 1 at (1, -1) and 0 at (0, 0): V_(1,-1) alone has dimension 3
+    with pytest.raises(ValueError, match=reflected):
+        # m = 1 at (1, -1) and 0 at (0, 0), but (-1, 1) is missing
         decompose_character({(1, -1): 1, (0, 0): 1}, datum)
     with pytest.raises(ValueError, match="negative multiplicity -1 at"):
         decompose_character({(1, -1): 2, (0, 0): 1, (-1, 1): 2}, datum)
-    with pytest.raises(ValueError, match="dimension 0 for a character of dimension 1"):
+    with pytest.raises(ValueError, match=reflected):
         # no dominant weight in the support
         decompose_character({(-1, 1): 1}, datum)
+    with pytest.raises(ValueError, match=reflected):
+        # m = 1 at (1, -1), 0 at (0, 0), and 3 = 3 in dimension, but (-2, 2)
+        # is not the reflection of (1, -1)
+        decompose_character({(1, -1): 1, (0, 0): 1, (-2, 2): 1}, datum)
     with pytest.raises(ValueError, match="not integral"):
         decompose_character({(0, 0): 1}, datum, W(Fraction(1, 4), Fraction(-1, 4)))
+
+
+def test_decompose_dimension_check_catches_an_inconsistent_datum(algebras):
+    # a W-invariant character with every m_mu >= 0 has the right dimension,
+    # so only a fault in the peel or its datum reaches this check: here a
+    # datum of A2 that leaves its highest root out of the positive roots
+    datum = root_datum(algebras("A", 2))
+    adjoint = {w.coords: m for w, m in freudenthal_character(datum, W(1, 0, -1)).items()}
+    assert decompose_character(adjoint, datum) == [((1, 0, -1), 1)]
+    partial = SimpleNamespace(
+        positive_roots=datum.simple_roots, simple_roots=datum.simple_roots, rho=datum.rho
+    )
+    with pytest.raises(ValueError, match="dimension 4 for a character of dimension 8"):
+        decompose_character(adjoint, partial)
+
+
+def test_decompose_above_weyl_rank_six(algebras):
+    # V (x) V = S^2 V + Lambda^2 V for the natural module V of gl_8, peeled
+    # over the A7 datum (|W| = 8!)
+    datum = root_datum(algebras("A", 7))
+    units = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    char = {}
+    for u, v in itertools.product(units, units):
+        key = tuple(x + y for x, y in zip(u, v))
+        char[key] = char.get(key, 0) + 1
+    assert sorted(decompose_character(char, datum)) == [
+        ((1, 1, 0, 0, 0, 0, 0, 0), 1), ((2, 0, 0, 0, 0, 0, 0, 0), 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -305,37 +336,6 @@ def test_sweep_peel_matches_greedy_oracle(monkeypatch, argv):
         assert dict(greedy_peel(absolute, datum)) == expected
         assert _absolute(dict(out), base) == expected
         assert len(out) == len(expected) and all(m > 0 for _, m in out)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "branch --pair sp_down_gl:n=3 --parabolic siegel --degree 4",
-        "branch --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1/3,4/3,1/3,-2/3,-4/3 --degree 4",
-        "verify --law BD --n 3 --degree 3",
-    ],
-)
-def test_racah_speiser_route_matches_weyl_shift_route(monkeypatch, argv):
-    # above the Weyl rank cap the peel reflects each weight + rho instead
-    peel = branching.decompose_character
-    _, seen = _peeled_characters(monkeypatch, argv)
-    assert seen
-    monkeypatch.setattr(branching, "WEYL_RANK_CAP", -1)
-    for char, datum, base, out in seen:
-        assert sorted(peel(char, datum, base)) == sorted(out)
-
-
-def test_racah_speiser_route_rejects_non_module_characters(algebras, monkeypatch):
-    monkeypatch.setattr(branching, "WEYL_RANK_CAP", -1)
-    datum = root_datum(algebras("A", 1))
-    assert decompose_character({(1, -1): 1, (0, 0): 2, (-1, 1): 1}, datum) == [
-        ((1, -1), 1), ((0, 0), 1)
-    ]
-    with pytest.raises(ValueError, match="negative multiplicity"):
-        decompose_character({(1, -1): 2, (0, 0): 1, (-1, 1): 2}, datum)
-    with pytest.raises(ValueError, match="dimension 4 for a character of dimension 2"):
-        # not W-invariant: (0, 0) + rho is regular dominant here
-        decompose_character({(1, -1): 1, (0, 0): 1}, datum)
 
 
 @pytest.mark.parametrize("argv, calls", [

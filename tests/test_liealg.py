@@ -459,48 +459,8 @@ def test_weyl_rank_cap():
 
 
 # ---------------------------------------------------------------------------
-# Weyl shift and negation tables
+# negation table
 # ---------------------------------------------------------------------------
-
-def _weyl_order(family, n):
-    fact = 1
-    for i in range(2, n + 2 if family == "A" else n + 1):
-        fact *= i
-    return {"A": fact, "B": 2 ** n * fact, "C": 2 ** n * fact, "D": 2 ** (n - 1) * fact}[family]
-
-
-def _determinant(w):
-    """det of a signed permutation: sign of the permutation times the signs."""
-    det = 1
-    for i, j in itertools.combinations(range(len(w.perm)), 2):
-        if w.perm[i] > w.perm[j]:
-            det = -det
-    for s in w.signs:
-        det *= s
-    return det
-
-
-@pytest.mark.parametrize(
-    "family, rank",
-    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)],
-)
-def test_weyl_shifts_are_rho_minus_w_rho_with_signs(algebras, family, rank):
-    datum = root_datum(algebras(family, rank))
-    shifts = datum.weyl_shifts
-    assert len(shifts) == len(set(shifts)) == _weyl_order(family, rank)
-    assert shifts[0] == ((0,) * datum.eps_dim, 1)
-    assert sum(s for _, s in shifts) == 0
-    rho = datum.rho
-    expected = {(rho - w.apply(rho)).int_coords(): _determinant(w) for w in weyl_group(datum)}
-    assert dict(shifts) == expected
-
-
-def test_weyl_shifts_of_a_torus_and_the_rank_cap(pairs):
-    torus = restricted_root_data(pairs("so_down_so", m=4)).sub_datum(())
-    assert torus.weyl_shifts == [((0, 0), 1)]
-    with pytest.raises(RankCapError):
-        root_datum(build_classical(ClassicalType("A", 7))).weyl_shifts
-
 
 def test_negation_table(algebras):
     for family, rank in [("A", 3), ("B", 2), ("C", 3), ("D", 4)]:
