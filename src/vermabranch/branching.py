@@ -198,8 +198,6 @@ def decompose_character(char: dict, datum: RootDatum, base: Optional[Weight] = N
     # per positive root: (alpha, |alpha|^2, 2 <base, alpha>, <2 rho, alpha>)
     pairing = {a: (a.coords, a.dot(a), int(x), _dot(two_rho, a.coords)) for a, x in zip(roots, offs)}
     simple = [pairing[a] for a in datum.simple_roots]
-    # row i: how a reflection in alpha_i moves the labels, <alpha_i, alpha_j^vee>
-    cartan = [[2 * _dot(a, b) // bb for b, bb, _, _ in simple] for a, _, _, _ in simple]
     found = {}
     for d, c in char.items():
         labels = []  # <base + d + rho, alpha^vee> over the simple roots
@@ -210,17 +208,9 @@ def decompose_character(char: dict, datum: RootDatum, base: Optional[Weight] = N
             if q and char.get(tuple(x - q * y for x, y in zip(d, a)), 0) != c:
                 raise ValueError("multiplicity at %r not W-invariant: not a module character" % (d,))
             labels.append(q + 1)
-        mu = d  # reflect base + mu + rho in simple roots with a negative label
-        while True:
-            for i, x in enumerate(labels):
-                if x < 0:
-                    break
-            else:
-                break
-            labels = [y - x * z for y, z in zip(labels, cartan[i])]
-            mu, c = tuple(y - x * z for y, z in zip(mu, simple[i][0])), -c
+        mu, labels, det = datum.to_dominant(d, labels)  # base + mu + rho is dominant
         if all(labels):  # regular: base + mu is a highest weight
-            found[mu] = found.get(mu, 0) + c
+            found[mu] = found.get(mu, 0) + det * c
     out, total, rho_dim = [], 0, math.prod(r2 for *_, r2 in pairing.values())
     for d, m in found.items():
         if m < 0:
@@ -686,14 +676,9 @@ def mf_scan(rank_bound: int, include_failing: bool = False):
     """
     check_cap("rank bound", rank_bound, MF_SCAN_RANK_CAP)
     rows = []
-    seen = set()
     for spec in catalog_pairs(rank_bound, simple_only=True):
-        if spec.kind == "gl_down_gl":
-            if spec.get("l") != 1:
-                continue
-        if spec.id in seen:
+        if spec.kind == "gl_down_gl" and spec.get("l") != 1:
             continue
-        seen.add(spec.id)
         pair = build_pair(spec)
         dim_g, dim_fixed = pair.g.dim, pair.fixed.dim
         rank_g = pair.g.rank
@@ -703,8 +688,6 @@ def mf_scan(rank_bound: int, include_failing: bool = False):
             dim_fixed -= 1
             rank_g = pair.g.rank - 1
             rank_fixed -= 1
-        if rank_g > rank_bound:
-            continue
         passes = dim_g - dim_fixed <= rank_g + rank_fixed
         rows.append(
             MfScanRow(

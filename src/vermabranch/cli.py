@@ -286,27 +286,18 @@ def _cmd_analyze(config: RunConfig, payload: dict):
         "nilpotent": rep.closed,
         "lcs_length": rep.lcs_length,
     }
-    payload["spot_check_iii"] = condition_iii_spot_check(
-        p, pair, samples=20, seed=config.seed
-    )
+    payload["spot_check_iii"] = condition_iii_spot_check(p, pair, seed=config.seed)
     payload["result"] = "closed" if rep.closed else "not closed"
 
 
 def _cmd_census(config: RunConfig, payload: dict):
-    from .liealg import Weight
     from .parabolic import closed_orbit_census
 
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
-    # standard type of p: the Weyl-dominant representative of its H
-    datum = p.datum
-    dominant = datum.dominant_representative(Weight(p.params))
-    levi_indices = frozenset(
-        i
-        for i, a in enumerate(datum.simple_roots)
-        if a.dot(dominant) == 0
-    )
-    report = closed_orbit_census(pair, levi_indices)
+    # standard type of p: the zero labels of the dominant conjugate of its H
+    _, labels, _ = p.datum.to_dominant(p.params, p.datum.labels(p.params))
+    report = closed_orbit_census(pair, frozenset(i for i, x in enumerate(labels) if not x))
     payload["census"] = {
         "total_parabolics_containing_j": report.total_parabolics_containing_j,
         "closed_count": report.closed_count,
@@ -321,22 +312,21 @@ def _cmd_census(config: RunConfig, payload: dict):
 def _cmd_branch(config: RunConfig, payload: dict):
     from .branching import branch_multiplicities, genericity_check
     from .liealg import DEGREE_CAP
-    from .parabolic import IncompatibleRestrictionError, closedness_report, compatibility_report
+    from .parabolic import IncompatibleRestrictionError, closedness_report
 
     _check_size("degree", config.degree, DEGREE_CAP)
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
     spec = _resolve_lambda(pair, p, config.lam)
-    comp = compatibility_report(p, pair)
-    payload["compatible"] = comp.compatible
-    if not comp.compatible:
-        raise IncompatibleRestrictionError(
-            "restriction not discretely decomposable for this embedding"
-        )
+    try:
+        table = branch_multiplicities(spec, pair, config.degree)
+    except IncompatibleRestrictionError:
+        payload["compatible"] = False
+        raise
+    payload["compatible"] = True
     rep = closedness_report(p, pair)
     payload["closed"] = rep.closed
     payload["gk_dim"] = rep.gk_dim
-    table = branch_multiplicities(spec, pair, config.degree)
     payload["summands"] = _table_json(table)
     payload["base_offset"] = (
         None
@@ -534,19 +524,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Discretely decomposable restrictions of generalized "
         "Verma modules to symmetric subalgebras",
     )
+    default = RunConfig._field_defaults
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--pair", dest="pair_id")
     parser.add_argument("--parabolic", default=None)
-    parser.add_argument("--lambda", dest="lam", default="generic")
-    parser.add_argument("--degree", type=int, default=6)
-    parser.add_argument("--level", type=int, default=4)
+    parser.add_argument("--lambda", dest="lam", default=default["lam"])
+    parser.add_argument("--degree", type=int, default=default["degree"])
+    parser.add_argument("--level", type=int, default=default["level"])
     parser.add_argument("--law")
     parser.add_argument("--n", type=int)
     parser.add_argument("--l", type=int)
-    parser.add_argument("--rank-bound", type=int, default=4)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--rank-bound", type=int, default=default["rank_bound"])
+    parser.add_argument("--format", choices=("text", "json"), default=default["format"])
     parser.add_argument("--cache-dir")
-    parser.add_argument("--seed", type=int, default=20260810)
+    parser.add_argument("--seed", type=int, default=default["seed"])
     parser.add_argument("--config", dest="config_file")
     return parser
 

@@ -292,17 +292,25 @@ def _dot(u, v):
 
 class RootDatum:
     """Roots of a Lie algebra in the coordinates of its Cartan (eps- or
-    restricted coordinates).  Every root is an integer vector, which the
-    integer kernels below rely on; only weights and rho carry denominators."""
+    restricted coordinates), with the positive system of the fixed regular
+    functional, its simple roots and rho.  Every root is an integer vector,
+    which the integer kernels below rely on; only weights and rho carry
+    denominators."""
 
-    def __init__(self, eps_dim: int, roots: tuple, positive_roots: tuple, simple_roots: tuple,
-                 rho: Weight, root_spaces: dict, zero_space: Optional[Subspace] = None):
+    def __init__(self, eps_dim: int, root_spaces: dict, zero_space: Optional[Subspace] = None):
+        roots = tuple(sorted(root_spaces, key=regular_order_key, reverse=True))
         for a in roots:
             if not all(type(c) is int for c in a.coords):
                 raise ValueError("root %r is not an integer vector" % (a,))
-        self.eps_dim, self.roots, self.positive_roots = eps_dim, roots, positive_roots
-        self.simple_roots, self.rho, self.root_spaces = simple_roots, rho, root_spaces
-        self.zero_space = zero_space
+        if any(regular_order_key(r)[0] == 0 for r in roots):
+            raise ValueError("a root vanishes on the fixed regular element")
+        positive = tuple(r for r in roots if regular_order_key(r)[0] > 0)
+        if len(positive) * 2 != len(roots):
+            raise ValueError("regular functional failed to split the roots")
+        self.eps_dim, self.roots, self.positive_roots = eps_dim, roots, positive
+        self.simple_roots = _indecomposables(positive)
+        self.rho = Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
+        self.root_spaces, self.zero_space = root_spaces, zero_space
 
     @cached_property
     def index(self) -> dict:
@@ -348,19 +356,58 @@ class RootDatum:
         p = self.coroot_pairing(w, alpha)
         return Weight(x - p * a for x, a in zip(w.coords, alpha.coords))
 
+    # -- the Weyl action on coordinate tuples, by simple reflections
+
+    @cached_property
+    def simple_coords(self) -> list:
+        """(coordinates, squared length) of each simple root."""
+        return [(a.coords, _dot(a.coords, a.coords)) for a in self.simple_roots]
+
+    @cached_property
+    def cartan(self) -> list:
+        """Row i, <alpha_i, alpha_j^vee> over j: how s_i moves the labels."""
+        return [[2 * _dot(a, b) // bb for b, bb in self.simple_coords] for a, _ in self.simple_coords]
+
+    def labels(self, w) -> list:
+        """<w, alpha_i^vee> over the simple roots of a coordinate tuple w, an
+        int wherever the quotient is exact."""
+        out = []
+        for a, aa in self.simple_coords:
+            q, r = divmod(p := 2 * _dot(w, a), aa)
+            out.append(Fraction(p, aa) if r else q)
+        return out
+
+    def simple_reflection(self, w, labels, i) -> tuple:
+        """(s_i w, its labels) from w and its labels: w - labels[i] alpha_i."""
+        x = labels[i]
+        return (tuple(y - x * z for y, z in zip(w, self.simple_coords[i][0])),
+                [y - x * z for y, z in zip(labels, self.cartan[i])])
+
+    def to_dominant(self, w, labels) -> tuple:
+        """(w', labels', det): w reflected in the first simple root of negative
+        label until none is left, and the sign of the element applied.  The
+        labels may belong to a shift w + c of w (e.g. c = rho): then w' + c
+        is the dominant conjugate of w + c."""
+        det = 1
+        while True:
+            for i, x in enumerate(labels):
+                if x < 0:
+                    break
+            else:
+                return w, labels, det
+            (w, labels), det = self.simple_reflection(w, labels, i), -det
+
     def is_dominant_integral(self, lam: Weight) -> bool:
+        scale = math.lcm(*(c.denominator for c in lam.coords))
         return all(
-            (p := self.coroot_pairing(lam, a)) >= 0 and p.denominator == 1
-            for a in self.simple_roots
+            x >= 0 and x % scale == 0 for x in self.labels(scaled_coords(lam.coords, scale))
         )
 
     def dominant_representative(self, w: Weight) -> Weight:
-        # the roots are integral, so w is scaled by its common denominator d
-        # and each reflection quotient is the integer <d * w, alpha^vee>
+        # w scaled by its common denominator d: every label is d <w, alpha^vee>
         scale = math.lcm(*(c.denominator for c in w.coords))
-        simple = [a.coords for a in self.simple_roots]
-        top = _int_dominant(scaled_coords(w.coords, scale), simple, [_dot(a, a) for a in simple])
-        return Weight(Fraction(c, scale) for c in top)
+        t = scaled_coords(w.coords, scale)
+        return Weight(Fraction(c, scale) for c in self.to_dominant(t, self.labels(t))[0])
 
     def sub_datum(self, roots: Iterable[Weight]) -> "RootDatum":
         """Datum of a root subsystem (e.g. a Levi factor), same coordinates."""
@@ -370,19 +417,7 @@ class RootDatum:
                 raise ValueError("not a root of the ambient datum: %r" % (r,))
             if -r not in rootset:
                 raise ValueError("root subset is not symmetric")
-        pos = tuple(sorted((r for r in rootset if r in set(self.positive_roots)),
-                           key=regular_order_key, reverse=True))
-        simple = _indecomposables(pos)
-        rho = _half_sum(pos, self.eps_dim)
-        return RootDatum(
-            eps_dim=self.eps_dim,
-            roots=tuple(sorted(rootset, key=regular_order_key, reverse=True)),
-            positive_roots=pos,
-            simple_roots=simple,
-            rho=rho,
-            root_spaces={r: self.root_spaces[r] for r in rootset},
-            zero_space=self.zero_space,
-        )
+        return RootDatum(self.eps_dim, {r: self.root_spaces[r] for r in rootset}, self.zero_space)
 
 
 def _indecomposables(positive: Sequence[Weight]) -> tuple:
@@ -394,10 +429,6 @@ def _indecomposables(positive: Sequence[Weight]) -> tuple:
     ]
     simple.sort(key=lambda a: a.coords, reverse=True)
     return tuple(simple)
-
-
-def _half_sum(positive: Sequence[Weight], eps_dim: int) -> Weight:
-    return Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
 
 
 def datum_from_decomposition(eps_dim: int, parts) -> RootDatum:
@@ -412,23 +443,7 @@ def datum_from_decomposition(eps_dim: int, parts) -> RootDatum:
         if space.dim != 1:
             raise ValueError("root space of dimension %d at %r" % (space.dim, w))
         root_spaces[w] = space
-    roots = tuple(sorted(root_spaces, key=regular_order_key, reverse=True))
-    if any(regular_order_key(r)[0] == 0 for r in roots):
-        raise ValueError("a root vanishes on the fixed regular element")
-    positive = tuple(r for r in roots if regular_order_key(r)[0] > 0)
-    if len(positive) * 2 != len(roots):
-        raise ValueError("regular functional failed to split the roots")
-    simple = _indecomposables(positive)
-    rho = _half_sum(positive, eps_dim)
-    return RootDatum(
-        eps_dim=eps_dim,
-        roots=roots,
-        positive_roots=positive,
-        simple_roots=simple,
-        rho=rho,
-        root_spaces=root_spaces,
-        zero_space=zero_space,
-    )
+    return RootDatum(eps_dim, root_spaces, zero_space)
 
 
 def root_datum(g: AlgebraRealization) -> RootDatum:
@@ -446,22 +461,6 @@ def root_datum(g: AlgebraRealization) -> RootDatum:
 # Freudenthal weight multiplicities
 # ---------------------------------------------------------------------------
 
-def _int_dominant(w: tuple, simple, norms) -> tuple:
-    """Dominant Weyl conjugate of an integer tuple by simple reflections (which
-    any integer multiples of the roots give alike); each quotient must be exact."""
-    while True:
-        for a, aa in zip(simple, norms):
-            p = _dot(w, a)
-            if p < 0:
-                q, r = divmod(2 * p, aa)
-                if r:
-                    raise AssertionError("non-integral coroot pairing in a reflection")
-                w = tuple(x - q * y for x, y in zip(w, a))
-                break
-        else:
-            return w
-
-
 def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
     """Full weight multiset of the simple module with highest weight lam.
 
@@ -476,7 +475,6 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
     scale = math.lcm(*(c.denominator for c in lam.coords + datum.rho.coords))
     simple = [tuple(scale * c for c in a) for a in datum.simple_roots]
-    norms = [_dot(a, a) for a in simple]
     roots = [(a, _dot(a, a)) for a in (tuple(scale * c for c in a) for a in datum.positive_roots)]
     rho = scaled_coords(datum.rho.coords, scale)
     top = scaled_coords(lam.coords, scale)
@@ -490,7 +488,7 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
             if all(_dot(mu, a) >= 0 for a in simple):
                 m = _freudenthal_mult(mu, mult, roots, rho, top_rho_sq)
             else:
-                m = mult.get(_int_dominant(mu, simple, norms), 0)
+                m = mult.get(datum.to_dominant(mu, datum.labels(mu))[0], 0)
             if m:
                 mult[mu] = m
                 nxt.append(mu)

@@ -403,12 +403,8 @@ def catalog_pairs(rank_bound: int, simple_only: bool = False):
             q = total - p
             if p <= q:
                 specs.append(PairSpec("sl_s_glgl", p=p, q=q))
-    for m in range(4, 2 * rank_bound + 1):
-        ambient_rank = (m // 2) if m % 2 == 0 else (m + 1) // 2
-        if m % 2 == 1 and ambient_rank < 3:
-            continue
-        if ambient_rank <= rank_bound:
-            specs.append(PairSpec("so_down_so", m=m))
+    for m in range(4, 2 * rank_bound + 1):  # ambient rank (m + 1) // 2 is within the bound
+        specs.append(PairSpec("so_down_so", m=m))
     for n in range(2, rank_bound + 1):
         specs.append(PairSpec("sp_down_gl", n=n))
     if not simple_only:

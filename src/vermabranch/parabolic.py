@@ -8,6 +8,7 @@ lazily when a report needs them.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +23,7 @@ from .liealg import (
     check_weyl_rank,
     reflection_element,
     root_datum,
+    scaled_coords,
 )
 from .pairs import SymmetricPair, restricted_root_data, tau_projection
 
@@ -283,40 +285,33 @@ def _union_find(items):
     return find, union
 
 
-def _reflection(f, v):
-    """The map t -> t - <f, t> v on eps-parameters."""
-
-    def reflect(t):
-        c = sum(a * x for a, x in zip(f, t) if a)
-        return tuple(x - c * y for x, y in zip(t, v))
-
-    return reflect
-
-
 def enumerate_weyl_translates(pair: SymmetricPair, subset):
     """Distinct parabolics containing j of the given standard type.
 
     They are the W(g)-orbit of the standard t0, one point per parabolic (the
     stabilizer of the dominant t0 is W_S), walked breadth-first under the
-    simple reflections t -> t - <alpha^vee, t> alpha.
+    simple reflections `RootDatum.simple_reflection` on t0 scaled to
+    integers; a reflection whose label is 0 fixes the point and is skipped.
 
     Returns (pattern -> ParabolicData, pattern -> {its eps-params}).
     """
     g = pair.g
     datum = root_datum(g)
     check_weyl_rank(datum)
-    reflections = [
-        _reflection([_q(Fraction(2 * c, a.dot(a))) for c in a], a) for a in datum.simple_roots
-    ]
-    orbit = [parabolic_from_simple_subset(g, subset).params]
-    seen = set(orbit)
-    for t in orbit:  # appended to while walked: breadth-first order
-        for s in reflections:
-            u = s(t)
-            if u not in seen:
-                seen.add(u)
-                orbit.append(u)
-    by_pattern = {p.pattern: p for p in (parabolic_from_params(g, t) for t in orbit)}
+    t0 = parabolic_from_simple_subset(g, subset).params
+    scale = math.lcm(*(c.denominator for c in t0))
+    start = scaled_coords(t0, scale)
+    orbit = [(start, datum.labels(start))]
+    seen = {start}
+    for t, labels in orbit:  # appended to while walked: breadth-first order
+        for i, x in enumerate(labels):
+            if x:
+                u, u_labels = datum.simple_reflection(t, labels, i)
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append((u, u_labels))
+    points = (parabolic_from_params(g, [Fraction(c, scale) for c in t]) for t, _ in orbit)
+    by_pattern = {p.pattern: p for p in points}
     if len(by_pattern) != len(orbit):
         raise AssertionError("two points of the Weyl orbit of t0 give one parabolic")
     return by_pattern, {key: {p.params} for key, p in by_pattern.items()}
@@ -343,7 +338,12 @@ def _census_generators(pair: SymmetricPair):
     def generator(beta):
         f = [_q(Fraction(2 * c.dot(beta), beta.dot(beta))) for c in coords]
         v = [sum(b * p[i] for b, p in zip(beta, probes)) for i in range(n)]
-        return _reflection(f, v)
+
+        def reflect(t):
+            c = sum(a * x for a, x in zip(f, t) if a)
+            return tuple(x - c * y for x, y in zip(t, v))
+
+        return reflect
 
     return [generator(b) for b in rdatum.simple_roots]
 

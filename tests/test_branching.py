@@ -205,7 +205,8 @@ def test_decompose_dimension_check_catches_an_inconsistent_datum(algebras):
     adjoint = {w.coords: m for w, m in freudenthal_character(datum, W(1, 0, -1)).items()}
     assert decompose_character(adjoint, datum) == [((1, 0, -1), 1)]
     partial = SimpleNamespace(
-        positive_roots=datum.simple_roots, simple_roots=datum.simple_roots, rho=datum.rho
+        positive_roots=datum.simple_roots, simple_roots=datum.simple_roots, rho=datum.rho,
+        to_dominant=datum.to_dominant,
     )
     with pytest.raises(ValueError, match="dimension 4 for a character of dimension 8"):
         decompose_character(adjoint, partial)

@@ -121,6 +121,40 @@ def test_incompatible_triple_exits_two():
     assert env.payload["summands"] is None  # no partial table
 
 
+@pytest.mark.parametrize("pair_id, parabolic", [
+    ("so_down_so:m=5", "1"),
+    ("group_case:type=A1", "0"),
+    ("so_down_so:m=5", "H=1/2,1/2,3/2"),
+])
+def test_incompatible_branch_envelope(monkeypatch, pair_id, parabolic):
+    # compatible false, closed and gk_dim null, exit 2; compatibility checked once
+    from vermabranch import branching
+
+    calls = []
+    check = branching.compatibility_report
+    monkeypatch.setattr(branching, "compatibility_report", lambda *a: calls.append(a) or check(*a))
+    config = config_from_args(["branch", "--pair", pair_id, "--parabolic", parabolic])
+    env, code = run_command(config)
+    expected = cli._base_payload(config)
+    expected.update(
+        compatible=False,
+        error="restriction not discretely decomposable for this embedding",
+        result="precondition violation",
+    )
+    assert (code, env.payload, len(calls)) == (2, expected, 1)
+
+
+def test_branch_checks_compatibility_once(monkeypatch):
+    from vermabranch import branching, parabolic
+
+    calls = []
+    check = parabolic.compatibility_report
+    for module in (branching, parabolic):
+        monkeypatch.setattr(module, "compatibility_report", lambda *a: calls.append(a) or check(*a))
+    env, code = run(["branch", "--pair", "so_down_so:m=4", "--parabolic", "borel", "--degree", "2"])
+    assert (code, env.payload["compatible"], len(calls)) == (0, True, 1)
+
+
 def test_bad_lambda_exits_two():
     env, code = run(
         ["branch", "--pair", "so_down_so:m=4", "--parabolic", "borel", "--lambda", "1,2,3"]
@@ -375,6 +409,11 @@ def test_cache_env_var(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # config file and entry point
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_flag_defaults_are_the_config_defaults(command):
+    assert config_from_args([command]) == RunConfig(command)
+
 
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"

@@ -18,6 +18,7 @@ from vermabranch import (
     weyl_dimension,
     weyl_group,
 )
+from vermabranch.liealg import regular_order_key
 from vermabranch.pairs import catalog_pairs
 
 
@@ -372,6 +373,92 @@ def test_dominant_representative_matches_fraction_oracle(algebras):
 
 
 # ---------------------------------------------------------------------------
+# the Weyl walk on labels, and RootDatum against the former assembly
+# ---------------------------------------------------------------------------
+
+def _fraction_walk(datum, w):
+    """(dominant conjugate, sign of the element applied) by `Fraction`
+    reflections in the first simple root of negative coroot pairing."""
+    det = 1
+    while True:
+        for a in datum.simple_roots:
+            if datum.coroot_pairing(w, a) < 0:
+                w, det = datum.reflect(w, a), -det
+                break
+        else:
+            return w, det
+
+
+def _random_weights(datum, rng, count):
+    """Integral weights, then weights with denominators up to 4."""
+    for k in range(count):
+        den = 1 if k < count // 2 else rng.randint(2, 4)
+        yield Weight(Fraction(rng.randint(-6, 6), den) for _ in range(datum.eps_dim))
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 3), ("B", 3), ("C", 2), ("C", 3), ("D", 4)])
+def test_to_dominant_matches_the_fraction_reflection_oracle(algebras, fam, rank):
+    datum = root_datum(algebras(fam, rank))
+    for w in _random_weights(datum, random.Random(20261019), 60):
+        top, det = _fraction_walk(datum, w)
+        moved, labels, sign = datum.to_dominant(w.coords, datum.labels(w.coords))
+        assert (Weight(moved), sign) == (top, det)
+        assert labels == datum.labels(moved) and min(labels) >= 0
+        # labels of a shift, as in the peel: moved + rho is the dominant conjugate of w + rho
+        shifted, det = _fraction_walk(datum, w + datum.rho)
+        moved, _, sign = datum.to_dominant(w.coords, datum.labels((w + datum.rho).coords))
+        assert (Weight(moved) + datum.rho, sign) == (shifted, det)
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_simple_reflection_moves_labels_with_the_vector(algebras, fam, rank):
+    datum = root_datum(algebras(fam, rank))
+    assert datum.cartan == [
+        [datum.coroot_pairing(a, b) for b in datum.simple_roots] for a in datum.simple_roots
+    ]
+    for w in _random_weights(datum, random.Random(20261019), 20):
+        for i, a in enumerate(datum.simple_roots):
+            moved, labels = datum.simple_reflection(w.coords, datum.labels(w.coords), i)
+            assert Weight(moved) == datum.reflect(w, a)
+            assert labels == datum.labels(moved)
+
+
+def _former_assembly(eps_dim, roots, ambient=None):
+    """(roots, positive roots, simple roots, rho) as `datum_from_decomposition`
+    (ambient None) and `RootDatum.sub_datum` of an ambient datum assembled
+    them before the constructor did."""
+    ordered = tuple(sorted(roots, key=regular_order_key, reverse=True))
+    if ambient is None:
+        positive = tuple(r for r in ordered if regular_order_key(r)[0] > 0)
+    else:
+        positive = tuple(sorted((r for r in roots if r in set(ambient.positive_roots)),
+                                key=regular_order_key, reverse=True))
+    pos = set(positive)
+    simple = [a for a in positive if not any((a - b) in pos for b in pos if b != a)]
+    simple.sort(key=lambda a: a.coords, reverse=True)
+    rho = Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
+    return ordered, positive, tuple(simple), rho
+
+
+@pytest.mark.parametrize("spec", catalog_pairs(4), ids=str)
+def test_root_datum_matches_the_former_assembly(pairs, spec):
+    from vermabranch.branching import _levi_prime_datum
+
+    pair = pairs(spec.kind, **dict(spec.params))
+    datum, rdatum = root_datum(pair.g), restricted_root_data(pair)
+    checks = [(datum, None), (rdatum, None)]
+    nsimple = len(datum.simple_roots)
+    for k in range(nsimple + 1):
+        for subset in itertools.combinations(range(nsimple), k):
+            p = parabolic_from_simple_subset(pair.g, set(subset))
+            checks += [(p.levi_datum(), datum), (_levi_prime_datum(p, pair), rdatum)]
+    for d, ambient in checks:
+        assert (d.roots, d.positive_roots, d.simple_roots, d.rho) == _former_assembly(
+            d.eps_dim, d.root_spaces, ambient
+        )
+
+
+# ---------------------------------------------------------------------------
 # one weight representation: canonical exact coordinates, integer roots
 # ---------------------------------------------------------------------------
 
@@ -392,7 +479,7 @@ def test_freudenthal_keys_are_ints_for_an_integral_lambda(algebras):
 def test_root_datum_rejects_a_half_integer_root():
     half = Weight((Fraction(1, 2), Fraction(-1, 2)))
     with pytest.raises(ValueError, match="not an integer vector"):
-        RootDatum(2, (half, -half), (half,), (half,), half, {})
+        RootDatum(2, {half: None, -half: None})
 
 
 def test_coroot_pairings_are_exact(algebras):

@@ -305,3 +305,15 @@ def test_root_table_matches_the_matrix_route(pairs, spec):
             fixed_part = span_of_matrices([x + tau_x], n)
             assert pair.fixed.contains_subspace(fixed_part)
             assert restricted_weights(pair, fixed_part) == {rdatum.roots[table.sigma[i]]: 1}
+
+
+def test_catalog_ids_are_unique_and_within_the_rank_bound():
+    # `mf_scan` neither de-duplicates nor filters by rank: both hold here
+    from vermabranch.pairs import _ambient_rank
+
+    for rank_bound in range(1, 7):
+        for simple_only in (False, True):
+            specs = catalog_pairs(rank_bound, simple_only)
+            ids = [s.id for s in specs]
+            assert len(set(ids)) == len(ids)
+            assert all(_ambient_rank(s) <= rank_bound for s in specs), rank_bound

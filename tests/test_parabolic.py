@@ -375,6 +375,31 @@ def test_census_invariant_under_subgroup_translate(pairs):
         assert again == set(by_pattern)
 
 
+# Closed K-orbits on G/P are the images of closed K-orbits on G/B under the
+# K-equivariant projection, so no standard type has more closed classes than
+# the Borel type.  For these outer involutions the census breaks the bound:
+# `_census_generators` extends each restricted reflection by the identity on
+# j^{-tau}, which is not the action of N_K(j) (for group_case it does not even
+# permute the roots of g).  Joining translates by the W(g)^theta lifts gives 1
+# class in every case below.
+@pytest.mark.xfail(strict=True, reason="outer-involution census joins too few translates")
+@pytest.mark.parametrize("pair_id, subset", [
+    ("so_down_so:m=5", {1}),  # 4 closed classes
+    ("so_down_so:m=5", {2}),  # 4
+    ("so_down_so:m=7", {3}),  # 8
+    ("group_case:type=A1", {0}),  # 2
+    ("group_case:type=A1", {1}),  # 2
+    ("group_case:type=A2", {0}),  # 4
+    ("group_case:type=B2", {0}),  # 4
+], ids=str)
+def test_closed_count_is_at_most_the_borel_count(pairs, pair_id, subset):
+    spec = PairSpec.parse(pair_id)
+    pair = pairs(spec.kind, **dict(spec.params))
+    borel = closed_orbit_census(pair, set()).closed_count
+    assert borel == 1
+    assert closed_orbit_census(pair, subset).closed_count <= borel
+
+
 def test_census_representative_descriptors_are_deterministic(pairs):
     pair = pairs("sp_down_gl", n=2)
     one = closed_orbit_census(pair, {0})
