@@ -1,18 +1,19 @@
 """Command-line surface: reproducible runs, JSON serialization and caching.
 
-Exit codes: 0 success, 2 precondition violation (unknown pair, invalid
-parabolic, incompatible triple, rank caps), 1 internal error.  Rationals are
-serialized as "p/q" strings, never floats, and identical configurations
-produce byte-identical JSON.  Engine modules are imported by the command
-that runs them, so a cache hit or a rejected argument loads none.
+Exit codes: 0 success, 2 precondition violation (unknown or missing
+``--pair``, invalid parabolic, incompatible triple, rank caps), 1 internal
+error.  Rationals are serialized as "p/q" strings, never floats, and
+identical configurations produce byte-identical JSON.  Engine modules are
+imported by the command that runs them, once ``--pair`` and the sizes are
+checked; a cache hit or an argument the parser rejects loads none.
+``hashlib`` and ``glob`` load only with a cache directory, ``random`` only
+in ``analyze`` and through ``tempfile`` when a cache entry is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import glob
-import hashlib
 import json
 import os
 import sys
@@ -65,6 +66,8 @@ class RunConfig(NamedTuple):
         return ";".join(items)
 
     def cache_key(self) -> str:
+        import hashlib  # only a cache directory hashes: OpenSSL stays unloaded
+
         text = "%s|%s|%s" % (SCHEMA_VERSION, engine_digest(), self.canonical_encoding())
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -73,6 +76,9 @@ class RunConfig(NamedTuple):
 def engine_digest() -> str:
     """sha256 of the package's *.py sources (names and bytes), once per process:
     any engine change moves every cache key."""
+    import glob
+    import hashlib
+
     h = hashlib.sha256()
     for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
         with open(path, "rb") as fh:
@@ -143,6 +149,11 @@ def _check_size(name: str, value: int, cap: Optional[int] = None) -> None:
         check_cap(name, value, cap)
     if value < 0:
         raise PreconditionError("%s must be non-negative, got %d" % (name, value))
+
+
+def _require_pair(config: RunConfig) -> None:
+    if not config.pair_id:
+        raise PreconditionError("%s needs --pair" % config.command)
 
 
 def _resolve_pair(pair_id: str):
@@ -264,14 +275,16 @@ def _base_payload(config: RunConfig) -> dict:
 
 def _cmd_pairs(config: RunConfig, payload: dict):
     from .liealg import MF_SCAN_RANK_CAP
-    from .pairs import catalog_pairs
 
     _check_size("rank bound", config.rank_bound, MF_SCAN_RANK_CAP)
+    from .pairs import catalog_pairs
+
     payload["catalog"] = [s.id for s in catalog_pairs(config.rank_bound)]
     payload["result"] = "%d catalog pairs" % len(payload["catalog"])
 
 
 def _cmd_analyze(config: RunConfig, payload: dict):
+    _require_pair(config)
     from .parabolic import closedness_report, compatibility_report, condition_iii_spot_check
 
     pair = _resolve_pair(config.pair_id)
@@ -291,6 +304,7 @@ def _cmd_analyze(config: RunConfig, payload: dict):
 
 
 def _cmd_census(config: RunConfig, payload: dict):
+    _require_pair(config)
     from .parabolic import closed_orbit_census
 
     pair = _resolve_pair(config.pair_id)
@@ -310,11 +324,13 @@ def _cmd_census(config: RunConfig, payload: dict):
 
 
 def _cmd_branch(config: RunConfig, payload: dict):
-    from .branching import branch_multiplicities, genericity_check
+    _require_pair(config)
     from .liealg import DEGREE_CAP
-    from .parabolic import IncompatibleRestrictionError, closedness_report
 
     _check_size("degree", config.degree, DEGREE_CAP)
+    from .branching import branch_multiplicities, genericity_check
+    from .parabolic import IncompatibleRestrictionError, closedness_report
+
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
     spec = _resolve_lambda(pair, p, config.lam)
@@ -355,10 +371,11 @@ def _cmd_verify(config: RunConfig, payload: dict):
             params["l"] = config.l if config.l is not None else 1
             if not 1 <= params["l"] <= n + 1:
                 raise PreconditionError("law AA needs 1 <= --l <= n+1 = %d" % (n + 1))
-        from .branching import branch_multiplicities, closed_form_law, law_setting
         from .liealg import DEGREE_CAP
 
         _check_size("degree", config.degree, DEGREE_CAP)
+        from .branching import branch_multiplicities, closed_form_law, law_setting
+
         pair, spec = law_setting(config.law, params)
         engine = branch_multiplicities(spec, pair, config.degree)
         law = closed_form_law(config.law, params, config.degree)
@@ -370,10 +387,12 @@ def _cmd_verify(config: RunConfig, payload: dict):
             raise AssertionError("closed-form law disagrees with the engine")
         payload["assumptions"] = list(law.genericity_assumptions)
         return
-    from .branching import verify_character_identity
+    _require_pair(config)
     from .liealg import LEVEL_CAP
 
     _check_size("level", config.level, LEVEL_CAP)
+    from .branching import verify_character_identity
+
     pair = _resolve_pair(config.pair_id)
     p = _resolve_parabolic(pair, config.parabolic)
     spec = _resolve_lambda(pair, p, config.lam)
@@ -385,9 +404,11 @@ def _cmd_verify(config: RunConfig, payload: dict):
 
 
 def _cmd_mf_scan(config: RunConfig, payload: dict):
+    from .liealg import MF_SCAN_RANK_CAP
+
+    _check_size("rank bound", config.rank_bound, MF_SCAN_RANK_CAP)
     from .branching import mf_scan
 
-    _check_size("rank bound", config.rank_bound)
     rows = mf_scan(config.rank_bound, include_failing=True)
     payload["scan"] = [
         {

@@ -9,7 +9,6 @@ lazily when a report needs them.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -226,6 +225,8 @@ def condition_iii_spot_check(
     in [g, g], on which ad z is nilpotent exactly when the matrix z is
     (`exactla.ad_nilpotent`), so each element is tested by z^N = 0.
     """
+    import random  # only `analyze` samples
+
     mats = tau_projection(pair, p.u_plus).matrices()
     if not all(map(nilpotent_matrix, mats)):
         return False

@@ -115,6 +115,13 @@ def test_unknown_pair_exits_two_and_lists_catalog():
     assert "catalog" in env.payload["error"]
 
 
+@pytest.mark.parametrize("command", ["analyze", "census", "branch", "verify"])
+def test_missing_pair_exits_two(command):
+    env, code = run([command, "--parabolic", "borel"])
+    assert code == 2
+    assert env.payload["error"] == "%s needs --pair" % command
+
+
 def test_incompatible_triple_exits_two():
     env, code = run(["branch", "--pair", "group_case:type=A1", "--parabolic", "1"])
     assert code == 2
