@@ -1,13 +1,15 @@
 """Command-line surface: reproducible runs, JSON serialization and caching.
 
 Exit codes: 0 success, 2 precondition violation (unknown or missing
-``--pair``, invalid parabolic, incompatible triple, rank caps), 1 internal
-error.  Rationals are serialized as "p/q" strings, never floats, and
-identical configurations produce byte-identical JSON.  Engine modules are
-imported by the command that runs them, once ``--pair`` and the sizes are
-checked; a cache hit or an argument the parser rejects loads none.
+``--pair``, invalid parabolic, incompatible triple, rank caps) or unwritable
+output, 1 internal error.  Rationals are serialized as "p/q" strings, never
+floats, and identical configurations produce byte-identical JSON.  Engine
+modules are imported by the command that runs them, once ``--pair`` and the
+sizes are checked; a cache hit or an argument the parser rejects loads none.
 ``hashlib`` and ``glob`` load only with a cache directory, ``random`` only
-in ``analyze`` and through ``tempfile`` when a cache entry is written.
+in ``analyze`` and through ``tempfile`` when a cache entry is written.  A
+process runs ``run``, which skips interpreter teardown with ``os._exit``
+once ``main`` has flushed the envelope; ``main`` only returns its code.
 """
 
 from __future__ import annotations
@@ -590,7 +592,22 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # a rejected flag or config file
         return _reject_arguments(argv, exc)
     env, code = run_command(config)
-    sys.stdout.write(serialize_envelope(env, config.format))
+    return _write_out(serialize_envelope(env, config.format), code)
+
+
+def _write_out(text: str, code: int) -> int:
+    """Write and flush text on stdout, or exit 2: a lost envelope never exits 0."""
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            sys.stderr.write("error: cannot write output: %s\n" % exc)
+        except (AttributeError, OSError):  # a closed or failing stderr
+            pass
+        return 2
     return code
 
 
@@ -606,9 +623,22 @@ def _reject_arguments(argv, exc) -> int:
         return 2
     payload = {"schema": SCHEMA_VERSION, "engine": ENGINE_VERSION, "command": known.command,
                "result": "precondition violation", "error": str(exc)}
-    sys.stdout.write(serialize_envelope(ResultEnvelope(payload=payload)))
-    return 2
+    return _write_out(serialize_envelope(ResultEnvelope(payload=payload)), 2)
+
+
+def run() -> None:
+    """Entry point of a CLI process: ``main``, then ``os._exit``.  Under a
+    profiler or tracer, which reports at exit, the process exits normally."""
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # where 3.12+ profilers hook in
+    if sys.getprofile() or sys.gettrace() or monitoring and any(map(monitoring.get_tool, range(6))):
+        sys.exit(code)
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # a closed or failing stderr
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

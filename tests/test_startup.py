@@ -2,6 +2,10 @@
 
 (a) ``python -m vermabranch.cli`` in a fresh process prints the golden
 envelope bytes and exit code of a census, a branch and an exit-2 input.
+Such a process ends in ``os._exit`` (``cli.run``), so the tests of the
+process path also check that a cache miss and hit, a corrupt cache entry's
+warning, an envelope larger than a pipe buffer and a ``cProfile`` table
+all still reach the reader, and that output which cannot be written exits 2.
 
 (b) A fresh interpreter runs ``cli.main`` and reports the ``vermabranch``
 modules it loaded: a cache hit, an argument the parser rejects and a
@@ -13,6 +17,8 @@ and ``analyze`` load no ``branching``, and no command loads
 names are asserted, no timings.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -21,6 +27,7 @@ import sys
 import pytest
 
 import vermabranch
+from vermabranch import cli
 from tests.test_golden import GOLDEN, INDEX, _file_name
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -40,10 +47,23 @@ GUARD = (
 ) % (WATCHED,)
 
 
-def _run(args):
+def _env(unbuffered=None):
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("VERMABRANCH_CACHE_DIR", None)
-    return subprocess.run([sys.executable] + args, capture_output=True, env=env, timeout=120)
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _run(args, unbuffered=None, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable] + args, stdout=stdout, stderr=subprocess.PIPE,
+                          env=_env(unbuffered), timeout=120)
+
+
+def _cli(job, **kwargs):
+    return _run(["-m", "vermabranch.cli"] + job.split() + ["--format", "json"], **kwargs)
 
 
 def _guard(job):
@@ -66,8 +86,88 @@ def test_entry_point_prints_the_golden_envelope(job):
         code = json.load(fh)[job]
     with open(os.path.join(GOLDEN, _file_name(job)), "rb") as fh:
         recorded = fh.read()
-    proc = _run(["-m", "vermabranch.cli"] + job.split() + ["--format", "json"])
+    proc = _cli(job)
     assert (proc.returncode, proc.stdout) == (code, recorded)
+
+
+def test_entry_point_cache_miss_and_hit_print_the_same_bytes(tmp_path):
+    job = "census --pair so_down_so:m=5 --parabolic 1 --cache-dir %s" % tmp_path
+    miss, hit = _cli(job), _cli(job)
+    assert miss.returncode == hit.returncode == 0
+    assert miss.stdout == hit.stdout
+    (entry,) = tmp_path.iterdir()
+    assert json.loads(entry.read_text(encoding="utf-8")) == json.loads(miss.stdout)
+
+
+def test_entry_point_warns_of_a_corrupt_cache_entry(tmp_path):
+    job = "census --pair so_down_so:m=5 --parabolic 1 --cache-dir %s" % tmp_path
+    first = _cli(job)
+    (entry,) = tmp_path.iterdir()
+    entry.write_text("{not json", encoding="utf-8")
+    proc = _cli(job)
+    assert proc.returncode == 0
+    assert proc.stdout == first.stdout
+    assert "corrupt cache entry %s ignored" % entry in proc.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_entry_point_delivers_an_envelope_larger_than_a_pipe_buffer(unbuffered):
+    job = "branch --pair so_down_so:m=8 --parabolic borel --degree 12"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(job.split() + ["--format", "json"]) == 0
+    expected = out.getvalue().encode("ascii")
+    assert len(expected) > 65536
+    proc = _cli(job, unbuffered=unbuffered)
+    assert (proc.returncode, proc.stdout) == (0, expected)
+
+
+def test_profiled_entry_point_prints_its_table():
+    proc = _run(["-m", "cProfile", "-m", "vermabranch.cli", "pairs", "--rank-bound", "1",
+                 "--format", "json"])
+    assert proc.returncode == 0
+    envelope, table = proc.stdout.decode().split("\n", 1)
+    assert json.loads(envelope)["result"] == "3 catalog pairs"
+    assert "function calls" in table
+
+
+def test_script_entry_is_run_and_main_returns_its_code(capsys):
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as fh:
+        assert 'vermabranch = "vermabranch.cli:run"' in fh.read().split("[project.scripts]")[1]
+    assert cli.main(["pairs", "--rank-bound", "1"]) == 0
+    assert cli.main(["pairs", "--rank-bound", "-1"]) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize(
+    "job",
+    [
+        "census --pair sl_s_glgl:p=2,q=2 --parabolic borel",
+        "branch --pair so_down_so:m=8 --parabolic borel --degree 12",  # fails inside write
+        "census --frobnicate",  # the exit-2 envelope of a rejected flag
+    ],
+)
+def test_unwritable_output_exits_two(job, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = _cli(job, unbuffered=unbuffered, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize(
+    "redirect, message",
+    [(">&-", "error: cannot write output: stdout is closed\n"), (">&- 2>&-", "")],
+)
+def test_closed_stdout_exits_two(redirect, message, unbuffered):
+    job = "census --pair sl_s_glgl:p=2,q=2 --parabolic borel --format json"
+    proc = subprocess.run(
+        ["sh", "-c", '"$@" ' + redirect, "sh", sys.executable, "-m", "vermabranch.cli"]
+        + job.split(),
+        capture_output=True, env=_env(unbuffered), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr.decode()) == (2, message)
 
 
 def test_cache_hit_loads_no_engine_module(tmp_path):
