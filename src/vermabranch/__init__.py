@@ -13,10 +13,18 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+class PreconditionError(ValueError):
+    """A configuration problem (unknown or missing ``--pair``, an invalid
+    parabolic, a rank cap): the CLI maps it to exit code 2.  It lives here so
+    that ``commands`` raises the class ``cli`` catches without importing
+    ``cli``, which runs as ``__main__`` under ``python -m vermabranch.cli``."""
+
+
 _EXPORTS = {
     "exactla": (
-        "MatrixElement NilpotencyReport Rational Subspace ad_nilpotent bracket "
-        "echelon_span nilpotent_subalgebra_test span_of_matrices weight_decomposition"
+        "MatrixElement NilpotencyReport Rational Subspace bracket echelon_span "
+        "nilpotent_subalgebra_test span_of_matrices weight_decomposition"
     ),
     "liealg": (
         "AlgebraRealization ClassicalType RankCapError RootDatum Weight WeylElement "
@@ -29,15 +37,14 @@ _EXPORTS = {
     "parabolic": (
         "ClosednessReport CompatibilityReport IncompatibleRestrictionError "
         "OrbitCensusReport ParabolicData closed_orbit_census closedness_report "
-        "compatibility_report condition_iii_spot_check double_coset_count "
-        "parabolic_from_H parabolic_from_simple_subset tensor_closedness"
+        "compatibility_report condition_iii_spot_check parabolic_from_H "
+        "parabolic_from_simple_subset"
     ),
     "branching": (
         "BranchEntry BranchingTable CharacterSeries GenericityReport MfScanRow "
-        "SchmidReport VermaSpec branch_multiplicities character_series "
-        "closed_form_law decompose_character finiteness_bound genericity_check "
-        "law_setting mf_scan restrict_finite_module schmid_decomposition "
-        "strongly_orthogonal_sequence sym_power_character verify_character_identity"
+        "VermaSpec branch_multiplicities character_series closed_form_law "
+        "decompose_character genericity_check law_setting mf_scan "
+        "restrict_finite_module sym_power_character verify_character_identity"
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from operator import add, mul
+from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from .liealg import (
@@ -24,7 +24,6 @@ from .liealg import (
     _dot,
     check_cap,
     freudenthal_character,
-    regular_order_key,
     scaled_coords,
 )
 from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data
@@ -360,22 +359,6 @@ def _assumptions_for(spec: VermaSpec) -> tuple:
     return tuple(notes)
 
 
-def finiteness_bound(spec: VermaSpec, pair: SymmetricPair, displacement) -> Optional[int]:
-    """Largest degree that can still contribute to a given displacement.
-
-    Contributions at degree k move the level by at least k*a with a the
-    minimal positive eigenvalue of -ad(H) on u_-'', so k <= level/a.
-    """
-    ctx = _engine_context(spec, pair)
-    if not ctx.u_second_weights:
-        return 0
-    a_min = min(map(ctx.level_of, ctx.u_second_weights))
-    lvl = ctx.level_of(displacement)
-    if lvl < 0:
-        return None
-    return lvl // a_min
-
-
 # ---------------------------------------------------------------------------
 # character identity verification
 # ---------------------------------------------------------------------------
@@ -436,109 +419,6 @@ def verify_character_identity(
     rhs = _inv_euler_expand(rhs_start, ctx.u_prime_weights, lev, level_cap)
 
     return lhs == {w: m for w, m in rhs.items() if m}
-
-
-# ---------------------------------------------------------------------------
-# strongly orthogonal roots and Schmid decompositions
-# ---------------------------------------------------------------------------
-
-def strongly_orthogonal_sequence(weights, ambient_roots) -> list:
-    """Greedy maximal strongly orthogonal sequence from a weight set.
-
-    At each step the highest remaining weight (fixed regular order) that is
-    strongly orthogonal to everything selected so far is appended; alpha and
-    beta are strongly orthogonal when neither the sum nor the difference is
-    an ambient restricted root.
-    """
-    roots = set(ambient_roots)
-    pool = sorted(set(weights), key=regular_order_key, reverse=True)
-    seq = []
-    for cand in pool:
-        ok = all(
-            (cand + prev) not in roots and (cand - prev) not in roots
-            for prev in seq
-        )
-        if ok:
-            seq.append(cand)
-    return seq
-
-
-class SchmidReport(NamedTuple):
-    sequence: list
-    support: dict  # displacement Weight -> its symmetric degree
-    degree_bound: int
-    multiplicity_free: bool
-
-
-def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: int) -> SchmidReport:
-    """Decomposition of S(u_-^{-tau}) with the strongly-orthogonal support.
-
-    Requires an abelian nilradical and a stable parabolic; verifies degree by
-    degree that the decomposition is multiplicity-free with highest weights
-    in the predicted cone and returns the truncated support.
-    """
-    if not p.nilradical_abelian():
-        raise ValueError("nilradical is not abelian: hypothesis violated")
-    comp = compatibility_report(p, pair)
-    if not comp.compatible:
-        raise IncompatibleRestrictionError(
-            "parabolic is not stable under the involution"
-        )
-    weights = _u_minus_split(p, pair)[1]
-    seq = strongly_orthogonal_sequence(
-        map(Weight, weights), pair.ambient_restricted_roots()
-    )
-    eps = pair.restricted_eps_dim
-    support = {Weight.zero(eps): 0}
-    for total in range(1, degree_bound + 1):
-        for comb in _decreasing_tuples(len(seq), total):
-            support[Weight(sum(map(mul, comb, column)) for column in zip(*seq))] = total
-    l_tau_datum = _levi_prime_datum(p, pair)
-    powers = sym_power_characters(weights, degree_bound)
-    for k in range(degree_bound + 1):
-        char_k = powers[k] if powers[k] else ({(0,) * eps: 1} if k == 0 else {})
-        constituents = decompose_character(char_k, l_tau_datum)
-        expected = {w.coords for w, deg in support.items() if deg == k}
-        found = set()
-        for hw, mult in constituents:
-            if mult != 1:
-                raise AssertionError(
-                    "multiplicity %d at degree %d: S(u_-^{-tau}) is not "
-                    "multiplicity-free here" % (mult, k)
-                )
-            found.add(hw)
-        if found != expected:
-            raise AssertionError(
-                "degree %d constituents do not match the strongly orthogonal "
-                "support" % k
-            )
-    return SchmidReport(
-        sequence=seq,
-        support=support,
-        degree_bound=degree_bound,
-        multiplicity_free=True,
-    )
-
-
-def _decreasing_tuples(length: int, total: int):
-    """Weakly decreasing tuples of naturals with the given sum."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-
-    def rec(remaining, cap, acc):
-        slots_left = length - len(acc)
-        if slots_left == 0:
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        for a in range(min(cap, remaining), -1, -1):
-            if remaining - a > a * (slots_left - 1):
-                continue
-            yield from rec(remaining - a, a, acc + [a])
-
-    yield from rec(total, total, [])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -419,40 +418,6 @@ def nilpotent_matrix(z: MatrixElement) -> bool:
     while exponent < z.dim and not power.is_zero():
         power, exponent = power @ power, 2 * exponent
     return power.is_zero()
-
-
-@functools.lru_cache(maxsize=16)
-def _scalars_in(alg: Subspace) -> bool:
-    """Whether the identity lies in `alg`, given [g, g] = g (False) or
-    [g, g] + QI = g with I in g (True); raises ValueError otherwise."""
-    n = _matrix_dim(alg)
-    mats = alg.matrices()
-    derived = span_of_matrices([bracket(a, b) for i, a in enumerate(mats) for b in mats[:i]], n)
-    if derived == alg:
-        return False
-    if derived.sum(span_of_matrices([MatrixElement.identity(n)])) == alg:
-        return True
-    raise ValueError("ad_nilpotent needs [g, g] = g, or [g, g] + QI = g with I in g")
-
-
-def ad_nilpotent(z: MatrixElement, ambient) -> bool:
-    """Whether ad(z) is nilpotent on the ambient algebra.
-
-    Assumes the ambient is reductive with centre zero or the scalars, as
-    every catalog realization is, and raises ValueError unless [g, g] = g or
-    [g, g] + QI = g with I in g, which that assumption implies.  Its derived
-    algebra is then semisimple, and a faithful representation of a
-    semisimple algebra preserves the Jordan decomposition (Humphreys, GTM 9,
-    6.4): ad(z) is nilpotent exactly when z, less its scalar part
-    (tr z / N) I when I lies in the ambient, is a nilpotent matrix.
-    """
-    alg = _ambient_subspace(ambient)
-    n = _matrix_dim(alg)
-    if not alg.contains_matrix(z):
-        raise ValueError("element does not lie in the ambient algebra")
-    if _scalars_in(alg):
-        z = z - MatrixElement.identity(n).scale(Fraction(sum(z.diagonal_entries()), n))
-    return nilpotent_matrix(z)
 
 
 def weight_decomposition(commuting_family, space: Subspace):

@@ -20,7 +20,6 @@ from .liealg import (
     Weight,
     _solve,
     check_weyl_rank,
-    reflection_element,
     root_datum,
     scaled_coords,
 )
@@ -222,8 +221,10 @@ def condition_iii_spot_check(
     Basis elements are always tested; `samples` fixed-seed rational
     combinations with coefficients in {-3,...,3} follow.  This is the
     validation layer for the restricted-root criterion of `closedness_report`.  pr_tau(u) lies
-    in [g, g], on which ad z is nilpotent exactly when the matrix z is
-    (`exactla.ad_nilpotent`), so each element is tested by z^N = 0.
+    in [g, g], which is semisimple, and a faithful representation of a
+    semisimple algebra preserves the Jordan decomposition (Humphreys, GTM 9,
+    6.4): ad z is nilpotent exactly when the matrix z is, so each element is
+    tested by z^N = 0.
     """
     import random  # only `analyze` samples
 
@@ -237,25 +238,6 @@ def condition_iii_spot_check(
         if not z.is_zero() and not nilpotent_matrix(z):
             return False
     return True
-
-
-class TensorClosednessReport(NamedTuple):
-    closed: bool
-
-
-def tensor_closedness(p1: ParabolicData, p2: ParabolicData) -> TensorClosednessReport:
-    """Root-wise criterion: p1 cap p2 parabolic iff each root or its negative
-    lies in both."""
-    if p1.g is not p2.g:
-        raise ValueError("parabolics live on different ambient algebras")
-    datum = p1.datum
-    r1 = p1.levi_roots | p1.nilradical_roots
-    r2 = p2.levi_roots | p2.nilradical_roots
-    ok = all(
-        (a in r1 and a in r2) or (-a in r1 and -a in r2)
-        for a in datum.positive_roots
-    )
-    return TensorClosednessReport(closed=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -390,25 +372,3 @@ def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
         closed_count=len(classes),
         representatives=representatives,
     )
-
-
-# ---------------------------------------------------------------------------
-# double cosets (secondary census oracle for inner involutions)
-# ---------------------------------------------------------------------------
-
-def double_coset_count(elements, left_gens, right_gens) -> int:
-    """|L \\ W / R| by orbit partitioning under generator multiplication."""
-    index = {w: w for w in elements}
-    find, union = _union_find(elements)
-    for w in elements:
-        for s in left_gens:
-            union(w, index[s.compose(w)])
-        for r in right_gens:
-            union(w, index[w.compose(r)])
-    return len({find(w) for w in elements})
-
-
-def levi_weyl_generators(p: ParabolicData):
-    """Reflections in the simple roots of the Levi factor."""
-    levi = p.levi_datum()
-    return [reflection_element(levi, a) for a in levi.simple_roots]

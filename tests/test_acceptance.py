@@ -10,6 +10,7 @@ import random
 import pytest
 
 from tests.matrix_route import matrix_levi_split
+from tests.oracles import finiteness_bound, schmid_decomposition
 from vermabranch import (
     BranchingTable,
     MatrixElement,
@@ -23,12 +24,10 @@ from vermabranch import (
     compatibility_report,
     condition_iii_spot_check,
     decompose_character,
-    finiteness_bound,
     freudenthal_character,
     law_setting,
     mf_scan,
     parabolic_from_simple_subset,
-    schmid_decomposition,
     verify_character_identity,
     weyl_dimension,
 )

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from vermabranch import ad_nilpotent, bracket, condition_iii_spot_check
+from tests.oracles import ad_nilpotent
+from vermabranch import bracket, condition_iii_spot_check
 from vermabranch.exactla import MatrixElement, _ambient_subspace, _matrix_dim, _vec_axpy
 from vermabranch.liealg import root_datum
 from vermabranch.pairs import catalog_pairs, tau_projection

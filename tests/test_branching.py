@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from tests.oracles import finiteness_bound, schmid_decomposition, strongly_orthogonal_sequence
 from vermabranch import (
     BranchingTable,
     IncompatibleRestrictionError,
@@ -17,7 +18,6 @@ from vermabranch import (
     character_series,
     closed_form_law,
     decompose_character,
-    finiteness_bound,
     freudenthal_character,
     genericity_check,
     law_setting,
@@ -26,8 +26,6 @@ from vermabranch import (
     parabolic_from_simple_subset,
     restrict_finite_module,
     restricted_root_data,
-    schmid_decomposition,
-    strongly_orthogonal_sequence,
     sym_power_character,
     verify_character_identity,
 )

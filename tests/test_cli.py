@@ -1,6 +1,10 @@
 import contextlib
+import glob
+import hashlib
 import io
 import json
+import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -392,6 +396,67 @@ def test_cache_key_follows_engine_sources(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "engine_digest", lambda: "0" * 64)
     assert config.cache_key() != key
     assert cache_lookup(config) is None
+
+
+def _hashlib_key(config):
+    text = "%s|%s|%s" % (cli.SCHEMA_VERSION, cli.engine_digest(), config.canonical_encoding())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_cache_key_is_the_sha256_of_its_text():
+    config = config_from_args(["census", "--pair", "sp_down_gl:n=2", "--parabolic", "siegel"])
+    assert config.cache_key() == _hashlib_key(config)
+
+
+def test_cache_key_falls_back_to_hashlib(monkeypatch):
+    config = config_from_args(["branch", "--pair", "so_down_so:m=4", "--degree", "3"])
+    builtin = config.cache_key()
+    monkeypatch.setitem(sys.modules, "_sha256", None)  # import now raises ImportError
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    assert type(cli._sha256()) is type(hashlib.sha256())
+    assert config.cache_key() == builtin == _hashlib_key(config)
+
+
+def test_engine_digest_matches_the_glob_reference():
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py"))):
+        with open(path, "rb") as fh:
+            h.update(os.path.basename(path).encode("utf-8") + b"\0" + fh.read() + b"\0")
+    assert cli.engine_digest() == h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "root, reason",
+    [
+        ("file", "File exists"),  # a regular file
+        ("file/sub", "Not a directory"),  # under a regular file
+        ("sub", "No such file or directory"),  # in a working directory that is gone
+    ],
+)
+def test_unusable_cache_dir_warns_and_keeps_the_envelope(tmp_path, monkeypatch, caplog, capsys, root, reason):
+    argv = ["census", "--pair", "sp_down_gl:n=2", "--parabolic", "siegel", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    (tmp_path / "file").write_text("")
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    assert main(argv + ["--cache-dir", str(tmp_path / root) if "file" in root else root]) == 0
+    assert capsys.readouterr().out == expected
+    (record,) = caplog.records
+    assert record.levelname == "WARNING"
+    assert record.getMessage().startswith("cannot store cache entry ")
+    assert reason in record.getMessage()
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+def test_cache_dir_with_a_nul_byte_warns(tmp_path, caplog, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cache_dir = a\0b\n")
+    assert main(["pairs", "--rank-bound", "1", "--config", str(cfg), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "3 catalog pairs"
+    assert "embedded null byte" in caplog.text
 
 
 def test_cache_corruption_is_a_miss(tmp_path, caplog):

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from tests.matrix_route import u_minus_space
+from tests.oracles import ad_nilpotent
 from vermabranch import (
     MatrixElement,
     PairSpec,
     Subspace,
-    ad_nilpotent,
     bracket,
     build_pair,
     echelon_span,

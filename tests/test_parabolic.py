@@ -13,6 +13,7 @@ from tests.matrix_route import (
     matrix_levi_split,
     u_minus_space,
 )
+from tests.oracles import double_coset_count, levi_weyl_generators, tensor_closedness
 from vermabranch import (
     MatrixElement,
     NilpotencyReport,
@@ -23,12 +24,10 @@ from vermabranch import (
     closedness_report,
     compatibility_report,
     condition_iii_spot_check,
-    double_coset_count,
     nilpotent_subalgebra_test,
     parabolic_from_H,
     parabolic_from_simple_subset,
     restricted_root_data,
-    tensor_closedness,
     weyl_group,
 )
 from vermabranch.liealg import root_datum
@@ -36,7 +35,6 @@ from vermabranch.pairs import catalog_pairs, tau_projection
 from vermabranch.parabolic import (
     ParabolicData,
     enumerate_weyl_translates,
-    levi_weyl_generators,
     _census_generators,
 )
 

@@ -8,13 +8,15 @@ warning, an envelope larger than a pipe buffer and a ``cProfile`` table
 all still reach the reader, and that output which cannot be written exits 2.
 
 (b) A fresh interpreter runs ``cli.main`` and reports the ``vermabranch``
-modules it loaded: a cache hit, an argument the parser rejects and a
-missing ``--pair`` load no engine module, a rejected ``--degree`` or
-``--level`` loads no ``pairs``, ``parabolic`` or ``branching``, ``census``
-and ``analyze`` load no ``branching``, and no command loads
-``dataclasses``.  Without a cache directory no command loads ``_hashlib``
-(OpenSSL) or ``glob``, and only ``analyze`` loads ``random``.  Only module
-names are asserted, no timings.
+modules it loaded: a cache hit and an argument the parser rejects load
+neither ``commands`` nor an engine module, a missing ``--pair`` loads no
+engine module, a rejected ``--degree`` or ``--level`` loads no ``pairs``,
+``parabolic`` or ``branching``, ``census`` and ``analyze`` load no
+``branching``, and no command loads ``dataclasses``.  No process loads
+``_hashlib`` (OpenSSL) or ``glob``, with a cache directory or without, and
+without one only ``analyze`` loads ``random``.  A ``python -m
+vermabranch.cli`` process never imports ``vermabranch.cli`` besides its
+``__main__``.  Only module names are asserted, no timings.
 """
 
 import contextlib
@@ -32,8 +34,9 @@ from tests.test_golden import GOLDEN, INDEX, _file_name
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CLI_ONLY = ["vermabranch", "vermabranch.cli"]
+COMMANDS = CLI_ONLY + ["vermabranch.commands"]  # a cache miss
 ENGINE = ["vermabranch." + m for m in ("exactla", "liealg", "pairs", "parabolic")]
-CACHE = ["_hashlib", "glob"]  # the cache key's sha256 of the package sources
+OPENSSL = ["_hashlib", "glob"]  # what hashlib's sha256 and a glob of the sources would load
 
 # runs cli.main on its arguments, then prints [exit code, loaded modules]
 # (the package's, and those of WATCHED if loaded) as the last line
@@ -71,6 +74,19 @@ def _guard(job):
     proc = _run(["-S", "-c", GUARD] + job.split() + ["--format", "json"])
     assert proc.returncode == 0, proc.stderr.decode()
     return tuple(json.loads(proc.stdout.decode().splitlines()[-1]))
+
+
+# runs ``python -m vermabranch.cli`` as the interpreter does, and prints the
+# loaded modules on stderr when the process ends in os._exit
+MAIN_GUARD = (
+    "import json, os, runpy, sys\n"
+    "def _exit(code, _exit=os._exit):\n"
+    "    names = (m for m in sys.modules if m.split('.')[0] in %r)\n"
+    "    sys.stderr.write(json.dumps(sorted(names)) + '\\n')\n"
+    "    _exit(code)\n"
+    "os._exit = _exit\n"
+    "runpy._run_module_as_main('vermabranch.cli')\n"
+) % (WATCHED,)
 
 
 @pytest.mark.parametrize(
@@ -173,8 +189,8 @@ def test_closed_stdout_exits_two(redirect, message, unbuffered):
 def test_cache_hit_loads_no_engine_module(tmp_path):
     job = "census --pair sl_s_glgl:p=2,q=2 --parabolic borel --cache-dir %s" % tmp_path
     # the miss: no branching; tempfile, which writes the entry, loads random
-    assert _guard(job) == (0, sorted(CLI_ONLY + ENGINE + CACHE + ["random"]))
-    assert _guard(job) == (0, sorted(CLI_ONLY + CACHE))
+    assert _guard(job) == (0, sorted(COMMANDS + ENGINE + ["random"]))
+    assert _guard(job) == (0, CLI_ONLY)
 
 
 @pytest.mark.parametrize(
@@ -183,14 +199,37 @@ def test_cache_hit_loads_no_engine_module(tmp_path):
         "branch --pair so_down_so:m=4 --degree x",
         "census --pair so_down_so:m=4 --frobnicate",
         "pairs --config /nonexistent/run.cfg",
-        "analyze --parabolic borel",
-        "census --parabolic borel",
-        "branch --degree 2",
-        "verify --level 2",
     ],
 )
-def test_rejected_arguments_load_no_engine_module(job):
+def test_rejected_arguments_load_no_command_module(job):
     assert _guard(job) == (2, CLI_ONLY)
+
+
+@pytest.mark.parametrize(
+    "job", ["analyze --parabolic borel", "census --parabolic borel", "branch --degree 2", "verify --level 2"]
+)
+def test_missing_pair_loads_no_engine_module(job):
+    assert _guard(job) == (2, COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "job, code",
+    [
+        ("census --pair sl_s_glgl:p=2,q=2 --parabolic borel", 0),
+        ("census --pair so_down_so:m=4 --frobnicate", 2),  # rejected by the parser
+        ("analyze --parabolic borel", 2),  # PreconditionError raised in commands
+        ("branch --pair sl_s_glgl:p=2,q=2 --parabolic borel --degree 13", 2),  # RankCapError
+    ],
+)
+def test_module_entry_point_never_imports_cli_again(tmp_path, job, code):
+    argv = job.split() + ["--cache-dir", str(tmp_path), "--format", "json"]
+    for _ in ("miss", "hit"):
+        proc = _run(["-S", "-c", MAIN_GUARD] + argv)
+        assert proc.returncode == code, proc.stderr.decode()
+        assert json.loads(proc.stdout)["command"] == job.split()[0]
+        modules = json.loads(proc.stderr.decode().splitlines()[-1])
+        assert "vermabranch.cli" not in modules
+        assert not set(OPENSSL) & set(modules)
 
 
 @pytest.mark.parametrize(
@@ -206,7 +245,7 @@ def test_rejected_arguments_load_no_engine_module(job):
 )
 def test_rejected_sizes_load_only_the_caps(job):
     # the caps live in liealg; pairs, parabolic and branching stay unloaded
-    assert _guard(job) == (2, sorted(CLI_ONLY + ["vermabranch.exactla", "vermabranch.liealg"]))
+    assert _guard(job) == (2, sorted(COMMANDS + ["vermabranch.exactla", "vermabranch.liealg"]))
 
 
 @pytest.mark.parametrize(
@@ -224,7 +263,7 @@ def test_rejected_sizes_load_only_the_caps(job):
 def test_each_command_loads_only_its_modules(job, loads_branching):
     code, modules = _guard(job)
     assert code == 0
-    assert not {"dataclasses", *CACHE} & set(modules)
+    assert not {"dataclasses", *OPENSSL} & set(modules)
     assert ("vermabranch.branching" in modules) == loads_branching
     assert ("random" in modules) == job.startswith("analyze")  # the spot check
 
