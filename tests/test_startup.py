@@ -3,9 +3,10 @@
 (a) ``python -m vermabranch.cli`` in a fresh process prints the golden
 envelope bytes and exit code of a census, a branch and an exit-2 input.
 Such a process ends in ``os._exit`` (``cli.run``), so the tests of the
-process path also check that a cache miss and hit, a corrupt cache entry's
-warning, an envelope larger than a pipe buffer and a ``cProfile`` table
-all still reach the reader, and that output which cannot be written exits 2.
+process path also check that a cache miss and hit, the warnings of a
+corrupt cache entry and of a cache directory that cannot hold the entry, an
+envelope larger than a pipe buffer and a ``cProfile`` table all still reach
+the reader, and that output which cannot be written exits 2.
 
 (b) A fresh interpreter runs ``cli.main`` and reports the ``vermabranch``
 modules it loaded: a cache hit and an argument the parser rejects load
@@ -126,6 +127,16 @@ def test_entry_point_warns_of_a_corrupt_cache_entry(tmp_path):
     assert "corrupt cache entry %s ignored" % entry in proc.stderr.decode()
 
 
+def test_entry_point_warns_of_an_unusable_cache_dir(tmp_path):
+    job = "census --pair so_down_so:m=5 --parabolic 1"
+    root = tmp_path / "file"
+    root.write_text("")
+    proc = _cli(job + " --cache-dir %s" % root)
+    assert (proc.returncode, proc.stdout) == (0, _cli(job).stdout)
+    (line,) = proc.stderr.decode().splitlines()
+    assert line.startswith("cannot store cache entry %s/" % root)
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_entry_point_delivers_an_envelope_larger_than_a_pipe_buffer(unbuffered):
     job = "branch --pair so_down_so:m=8 --parabolic borel --degree 12"
@@ -201,7 +212,7 @@ def test_cache_hit_loads_no_engine_module(tmp_path):
         "pairs --config /nonexistent/run.cfg",
     ],
 )
-def test_rejected_arguments_load_no_command_module(job):
+def test_rejected_arguments_load_no_engine_module(job):
     assert _guard(job) == (2, CLI_ONLY)
 
 
