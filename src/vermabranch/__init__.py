@@ -16,9 +16,11 @@ __version__ = "0.1.0"
 
 class PreconditionError(ValueError):
     """A configuration problem (unknown or missing ``--pair``, an invalid
-    parabolic, a rank cap): the CLI maps it to exit code 2.  It lives here so
-    that ``commands`` raises the class ``cli`` catches without importing
-    ``cli``, which runs as ``__main__`` under ``python -m vermabranch.cli``."""
+    parabolic, a rank cap): the CLI maps it to exit code 2.  The engine's
+    ``RankCapError`` and ``IncompatibleRestrictionError`` subclass it.  It
+    lives here so that ``commands`` and the engine raise the class ``cli``
+    catches without importing ``cli``, which runs as ``__main__`` under
+    ``python -m vermabranch.cli``."""
 
 
 _EXPORTS = {

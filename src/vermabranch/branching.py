@@ -31,6 +31,7 @@ from .parabolic import (
     IncompatibleRestrictionError,
     ParabolicData,
     compatibility_report,
+    mask_indices,
     parabolic_from_simple_subset,
     root_tau_split,
 )
@@ -233,10 +234,12 @@ def decompose_character(char: dict, datum: RootDatum, base: Optional[Weight] = N
 def _u_minus_split(p: ParabolicData, pair: SymmetricPair) -> tuple:
     """j^tau-weight multisets (integer tuples) of u_-^tau and u_-^{-tau} from
     the tau*-orbits of the roots of u_-; tau* must map those roots onto
-    themselves."""
-    if {pair.tau_star(a) for a in p.negative_roots} != p.negative_roots:
+    themselves, so that the split gives one vector per root."""
+    negation = p.datum.negation
+    u_minus = [negation[i] for i in mask_indices(p.pattern[1])]
+    plus, minus = root_tau_split(pair, u_minus)
+    if len(plus) + len(minus) != len(u_minus):
         raise AssertionError("u_- failed to split under a stable parabolic")
-    plus, minus = root_tau_split(pair, p.negative_roots)
     restriction = pair.root_table.restriction
     return (Counter(restriction[i].int_coords() for i in plus),
             Counter(restriction[i].int_coords() for i in minus))
@@ -245,7 +248,7 @@ def _u_minus_split(p: ParabolicData, pair: SymmetricPair) -> tuple:
 def _levi_prime_datum(p: ParabolicData, pair: SymmetricPair) -> RootDatum:
     """Root datum of l' = l cap g^tau: the restricted roots carrying a nonzero
     tau-fixed vector of l (needs no tau-stability of p)."""
-    plus, _ = root_tau_split(pair, p.levi_roots)
+    plus, _ = root_tau_split(pair, mask_indices(p.pattern[0]))
     restriction = pair.root_table.restriction
     return restricted_root_data(pair).sub_datum({restriction[i] for i in plus})
 

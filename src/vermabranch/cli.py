@@ -177,7 +177,7 @@ def run_command(config: RunConfig):
 
         DISPATCH[config.command](config, payload)
     except Exception as exc:  # internal error contract, unless a precondition
-        if _is_precondition(exc):
+        if isinstance(exc, PreconditionError):  # RankCapError, IncompatibleRestrictionError too
             payload["error"] = str(exc)
             payload["result"] = "precondition violation"
             payload["summands"] = None
@@ -189,19 +189,6 @@ def run_command(config: RunConfig):
     env = ResultEnvelope(payload=payload)
     cache_store(config, env)
     return env, 0
-
-
-def _is_precondition(exc: Exception) -> bool:
-    """PreconditionError, or the engine's RankCapError or
-    IncompatibleRestrictionError.  Those two are looked up among the loaded
-    modules only: the module that raised one is loaded."""
-    if isinstance(exc, PreconditionError):
-        return True
-    for module, name in (("liealg", "RankCapError"), ("parabolic", "IncompatibleRestrictionError")):
-        loaded = sys.modules.get("%s.%s" % (__package__, module))
-        if loaded is not None and isinstance(exc, getattr(loaded, name)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

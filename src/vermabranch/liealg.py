@@ -15,6 +15,7 @@ from functools import cached_property
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
+from . import PreconditionError
 from .exactla import (
     MatrixElement,
     Subspace,
@@ -22,7 +23,6 @@ from .exactla import (
     _frac,
     _q,
     _rref,
-    bracket,
     span_of_matrices,
     weight_decomposition,
 )
@@ -35,7 +35,7 @@ DEGREE_CAP = 12
 LEVEL_CAP = 12
 
 
-class RankCapError(ValueError):
+class RankCapError(PreconditionError):
     """Raised when a rank, degree or level exceeds its cap."""
 
 
@@ -133,12 +133,10 @@ class AlgebraRealization:
     keeps root coordinates canonical (coordinates summing to zero).
     """
 
-    def __init__(self, type: Optional[ClassicalType], label: str, matrix_dim: int,
-                 algebra: Subspace, cartan_basis: list, eps_probes: list,
-                 eps_positions: list, has_center: bool = False):
-        self.type, self.label, self.matrix_dim, self.algebra = type, label, matrix_dim, algebra
+    def __init__(self, type: Optional[ClassicalType], matrix_dim: int, algebra: Subspace,
+                 cartan_basis: list, eps_probes: list, eps_positions: list):
+        self.type, self.matrix_dim, self.algebra = type, matrix_dim, algebra
         self.cartan_basis, self.eps_probes, self.eps_positions = cartan_basis, eps_probes, eps_positions
-        self.has_center = has_center
         self._datum = None  # the root datum, built by `root_datum`
 
     @property
@@ -220,38 +218,23 @@ def build_classical(ctype: ClassicalType, with_center: bool = False) -> AlgebraR
         units = [MatrixElement.unit(m, i, j) for i in range(m) for j in range(m) if i != j]
         if with_center:
             diag = [MatrixElement.unit(m, i, i) for i in range(m)]
-            label = "gl%d" % m
         else:
             diag = [
                 MatrixElement.unit(m, i, i) - MatrixElement.unit(m, i + 1, i + 1)
                 for i in range(m - 1)
             ]
-            label = "sl%d" % m
         algebra = span_of_matrices(units + diag, m)
         probes = [MatrixElement.unit(m, i, i) for i in range(m)]
         return AlgebraRealization(
             type=ctype,
-            label=label,
             matrix_dim=m,
             algebra=algebra,
             cartan_basis=diag,
             eps_probes=probes,
             eps_positions=list(range(m)),
-            has_center=with_center,
         )
-    if fam == "B":
-        m = 2 * n + 1
-        form = _anti_identity(m)
-        label = "so%d" % m
-    elif fam == "D":
-        m = 2 * n
-        form = _anti_identity(m)
-        label = "so%d" % m
-    else:  # C
-        m = 2 * n
-        form = _symplectic_form(n)
-        label = "sp%d" % m
-    algebra = _form_algebra(m, form)
+    m = 2 * n + (fam == "B")
+    algebra = _form_algebra(m, _symplectic_form(n) if fam == "C" else _anti_identity(m))
     cartan = [
         MatrixElement.unit(m, i, i) - MatrixElement.unit(m, m - 1 - i, m - 1 - i)
         for i in range(n)
@@ -261,7 +244,6 @@ def build_classical(ctype: ClassicalType, with_center: bool = False) -> AlgebraR
             raise AssertionError("Cartan element escaped the realization")
     return AlgebraRealization(
         type=ctype,
-        label=label,
         matrix_dim=m,
         algebra=algebra,
         cartan_basis=cartan,
@@ -431,29 +413,21 @@ def _indecomposables(positive: Sequence[Weight]) -> tuple:
     return tuple(simple)
 
 
-def datum_from_decomposition(eps_dim: int, parts) -> RootDatum:
-    """Build a RootDatum from (weight, subspace) pairs of an adjoint action."""
-    root_spaces = {}
-    zero_space = None
-    for wt, space in parts:
-        w = Weight(wt)
-        if w.is_zero():
-            zero_space = space
-            continue
-        if space.dim != 1:
-            raise ValueError("root space of dimension %d at %r" % (space.dim, w))
-        root_spaces[w] = space
-    return RootDatum(eps_dim, root_spaces, zero_space)
-
-
 def root_datum(g: AlgebraRealization) -> RootDatum:
     """Roots of g for its diagonal Cartan, with the fixed positive system."""
     if g._datum is None:
-        parts = weight_decomposition(g.eps_probes, g.algebra)
-        datum = datum_from_decomposition(g.eps_dim, parts)
-        if datum.zero_space is None or datum.zero_space.dim != g.rank:
+        root_spaces, zero_space = {}, None
+        for wt, space in weight_decomposition(g.eps_probes, g.algebra):
+            w = Weight(wt)
+            if w.is_zero():
+                zero_space = space
+            elif space.dim != 1:
+                raise ValueError("root space of dimension %d at %r" % (space.dim, w))
+            else:
+                root_spaces[w] = space
+        if zero_space is None or zero_space.dim != g.rank:
             raise ValueError("zero-weight space does not match the Cartan")
-        g._datum = datum
+        g._datum = RootDatum(g.eps_dim, root_spaces, zero_space)
     return g._datum
 
 

@@ -1,11 +1,13 @@
-"""Symmetric pair catalog: involutions, fixed subalgebras and restricted roots.
+"""Symmetric pair catalog: involutions, the root table and restricted roots.
 
 Every involution is stored as conjugation by an explicit rational matrix
-(the factor swap of the group case is conjugation by the block permutation),
-so fixed spaces, the projection (Z + tau Z)/2 and all nilpotency checks stay
-pure exact linear algebra.  The distinguished Cartan is diagonal and every
-catalog conjugator is diagonal or a permutation-reflection, hence tau j = j
-(`build_pair` checks it, with tau g = g, before projecting).
+(the factor swap of the group case is conjugation by the block permutation).
+The distinguished Cartan is diagonal and every catalog conjugator is diagonal
+or a permutation-reflection, hence tau j = j (`build_pair` checks it, with
+tau g = g and tau^2 = 1).  After set-up the pair's one account of tau is its
+root table: tau* and the signs of tau on the root vectors of g, and the
+restricted roots Sigma(g^tau, j^tau), read from one vector of g^tau per
+tau*-orbit.  The eigenspaces g^{+-tau} are built only where they are read.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .exactla import (
-    MatrixElement,
-    Subspace,
-    span_of_matrices,
-    weight_decomposition,
-)
+from .exactla import MatrixElement, Subspace, span_of_matrices
 from .liealg import (
     AlgebraRealization,
     ClassicalType,
@@ -30,7 +27,6 @@ from .liealg import (
     _solve,
     build_classical,
     check_cap,
-    datum_from_decomposition,
     root_datum,
 )
 
@@ -94,9 +90,8 @@ class PairSpec:
 class Involution:
     """Algebra involution realized as conjugation Z -> A Z A^{-1}."""
 
-    def __init__(self, conjugator: MatrixElement, is_inner: bool):
+    def __init__(self, conjugator: MatrixElement):
         self.conjugator = conjugator
-        self.is_inner = is_inner
         sq = conjugator @ conjugator
         if sq != MatrixElement.identity(conjugator.dim):
             raise ValueError("conjugator must square to the identity")
@@ -116,24 +111,37 @@ class RootTable(NamedTuple):
     tau*(root i) is root tau[i], tau X_i = sign[i] X_{tau[i]} for the root
     vectors X_i (the echelon rows of the root spaces), restriction[i] is the
     restriction of root i to j^tau and sigma[i] its index in
-    `restricted_root_data(pair).roots`, None for a noncompact imaginary root
-    (tau* fixes it and tau X_i = -X_i, so it gives no vector of g^tau)."""
+    `restricted.roots`, None for a noncompact imaginary root (tau* fixes it
+    and tau X_i = -X_i, so it gives no vector of g^tau).  `restricted` is
+    the root datum of (g^tau, j^tau)."""
 
     tau: tuple
     sign: tuple
     restriction: tuple
     sigma: tuple
+    restricted: RootDatum
 
 
 class SymmetricPair:
-    """A catalog pair: g, its involution tau, g^{+-tau} and the j^tau basis and
-    probes; the restricted datum and the root table fill on use."""
+    """A catalog pair: g, its involution tau and the j^tau basis and probes.
+    The root table, and with it the restricted datum, fills on first use, as
+    do the eigenspaces g^{+-tau} (`fixed`, `minus`), which only `mf_scan`
+    and `tau_split` read."""
 
-    def __init__(self, spec: PairSpec, g: AlgebraRealization, tau: Involution, fixed: Subspace,
-                 minus: Subspace, j_tau_basis: list, j_tau_probes: list):
-        self.spec, self.g, self.tau, self.fixed, self.minus = spec, g, tau, fixed, minus
+    def __init__(self, spec: PairSpec, g: AlgebraRealization, tau: Involution,
+                 j_tau_basis: list, j_tau_probes: list):
+        self.spec, self.g, self.tau = spec, g, tau
         self.j_tau_basis, self.j_tau_probes = j_tau_basis, j_tau_probes
-        self._restricted_datum = None
+
+    @cached_property
+    def fixed(self) -> Subspace:
+        """g^tau."""
+        return _eigen_subspace(self.tau, self.g.algebra, 1)
+
+    @cached_property
+    def minus(self) -> Subspace:
+        """g^{-tau}."""
+        return _eigen_subspace(self.tau, self.g.algebra, -1)
 
     @property
     def restricted_eps_dim(self) -> int:
@@ -182,29 +190,43 @@ class SymmetricPair:
 
     @cached_property
     def root_table(self) -> RootTable:
-        """Catalog involutions permute the root spaces up to sign: each tau X_i
-        is read from the matrices once, at first use, and checked on read."""
+        """Catalog involutions permute the root spaces up to sign: each tau X_a
+        is read from the matrices once, at first use, and checked on read.
+        The same pass keys one root vector of g^tau per tau*-orbit by the
+        restriction of a: X_a + tau X_a, listed once for a != tau* a and
+        equal to 2 X_a for a compact imaginary root; a noncompact imaginary
+        root gives none.  Each spans a restricted root space, and j^tau is
+        the zero space, when j^tau is a Cartan of g^tau."""
         datum = root_datum(self.g)
         roots, spaces, n = datum.roots, datum.root_spaces, self.g.matrix_dim
-        tau, sign = tuple(datum.index[self.tau_star(a)] for a in roots), []
-        for a, k in zip(roots, tau):
-            image = self.tau(MatrixElement.from_vector(n, spaces[a].rows[0]))
-            coords = spaces[roots[k]].coordinates_of(image.vectorize())
-            if coords is None:
-                raise AssertionError("tau X_a does not lie in its target space (%s)" % k)
-            sign.append(coords[0])
+        tau = tuple(datum.index[self.tau_star(a)] for a in roots)
         restriction = tuple(map(self.restrict_weight, roots))
-        sigma_of = restricted_root_data(self).index
+        sign, restricted = [], {}
+        try:
+            for i, (a, k) in enumerate(zip(roots, tau)):
+                x = MatrixElement.from_vector(n, spaces[a].rows[0])
+                image = self.tau(x)
+                coords = spaces[roots[k]].coordinates_of(image.vectorize())
+                if coords is None:
+                    raise AssertionError("tau X_a does not lie in its target space (%s)" % k)
+                sign.append(coords[0])
+                if i < k or i == k and coords[0] > 0:
+                    w = restriction[i]
+                    if w.is_zero() or w in restricted:
+                        raise ValueError("g^tau has a second vector of weight %r" % (w,))
+                    restricted[w] = span_of_matrices([x + image], n)
+            rdatum = RootDatum(
+                self.restricted_eps_dim, restricted, span_of_matrices(self.j_tau_basis, n)
+            )
+        except ValueError as exc:
+            raise ValueError(
+                "restricted datum failed (j^tau is not a Cartan of g^tau?): %s" % exc
+            ) from exc
         sigma = tuple(
-            None if k == i and c < 0 else sigma_of[w]
+            None if k == i and c < 0 else rdatum.index[w]
             for i, (k, c, w) in enumerate(zip(tau, sign, restriction))
         )
-        return RootTable(tau, tuple(sign), restriction, sigma)
-
-    def ambient_restricted_roots(self) -> set:
-        """Nonzero j^tau-weights of g: the restrictions of the roots of g (none
-        is zero, as j^tau is a Cartan of g^tau; `root_table` checks it)."""
-        return set(self.root_table.restriction)
+        return RootTable(tau, tuple(sign), restriction, sigma, rdatum)
 
 
 def _apply_rows(rows, w: Weight) -> Weight:
@@ -238,16 +260,7 @@ def tau_split(pair: SymmetricPair, space: Subspace) -> TauSplit:
 
 def restricted_root_data(pair: SymmetricPair) -> RootDatum:
     """Root datum of (g^tau, j^tau) in the pair's restricted coordinates."""
-    if pair._restricted_datum is None:
-        parts = weight_decomposition(pair.j_tau_probes, pair.fixed)
-        try:
-            datum = datum_from_decomposition(pair.restricted_eps_dim, parts)
-        except ValueError as exc:
-            raise ValueError(
-                "restricted datum failed (j^tau is not a Cartan of g^tau?): %s" % exc
-            ) from exc
-        pair._restricted_datum = datum
-    return pair._restricted_datum
+    return pair.root_table.restricted
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +289,11 @@ def _doubled_realization(factor: AlgebraRealization) -> AlgebraRealization:
     positions = list(factor.eps_positions) + [p + m for p in factor.eps_positions]
     return AlgebraRealization(
         type=None,
-        label="%s+%s" % (factor.label, factor.label),
         matrix_dim=total,
         algebra=algebra,
         cartan_basis=cartan,
         eps_probes=probes,
         eps_positions=positions,
-        has_center=factor.has_center,
     )
 
 
@@ -317,14 +328,14 @@ def _conjugator_and_probes(spec: PairSpec):
         diag = [1] * (n + 1)
         diag[l - 1] = -1
         conj = MatrixElement.diagonal(diag)
-        return g, Involution(conj, is_inner=True), list(g.eps_probes)
+        return g, Involution(conj), list(g.eps_probes)
     if kind == "sl_s_glgl":
         p, q = spec.get("p"), spec.get("q")
         if p < 1 or q < 1 or p + q < 2:
             raise ValueError("sl_s_glgl requires p, q >= 1")
         g = build_classical(ClassicalType("A", p + q - 1))
         conj = MatrixElement.diagonal([1] * p + [-1] * q)
-        return g, Involution(conj, is_inner=True), list(g.eps_probes)
+        return g, Involution(conj), list(g.eps_probes)
     if kind == "so_down_so":
         m = spec.get("m")
         if m < 4:
@@ -335,7 +346,7 @@ def _conjugator_and_probes(spec: PairSpec):
             diag = [1] * (2 * n + 1)
             diag[n] = -1
             conj = MatrixElement.diagonal(diag)
-            return g, Involution(conj, is_inner=True), list(g.eps_probes)
+            return g, Involution(conj), list(g.eps_probes)
         n = (m - 1) // 2
         g = build_classical(ClassicalType("D", n + 1))  # ambient so_{2n+2}
         size = 2 * n + 2
@@ -343,14 +354,14 @@ def _conjugator_and_probes(spec: PairSpec):
         data[(n, n + 1)] = Fraction(1)
         data[(n + 1, n)] = Fraction(1)
         conj = MatrixElement(size, data)
-        return g, Involution(conj, is_inner=False), list(g.eps_probes[:n])
+        return g, Involution(conj), list(g.eps_probes[:n])
     if kind == "sp_down_gl":
         n = spec.get("n")
         if n < 2:
             raise ValueError("sp_down_gl requires n >= 2")
         g = build_classical(ClassicalType("C", n))
         conj = MatrixElement.diagonal([1] * n + [-1] * n)
-        return g, Involution(conj, is_inner=True), list(g.eps_probes)
+        return g, Involution(conj), list(g.eps_probes)
     # group case
     factor = build_classical(_group_type(spec))
     g = _doubled_realization(factor)
@@ -364,29 +375,28 @@ def _conjugator_and_probes(spec: PairSpec):
         _block_embed(p, 2 * m, 0) + _block_embed(p, 2 * m, m)
         for p in factor.eps_probes
     ]
-    return g, Involution(conj, is_inner=False), probes
+    return g, Involution(conj), probes
 
 
 def build_pair(spec: PairSpec) -> SymmetricPair:
-    """Construct a catalog symmetric pair with all derived subspaces."""
+    """Construct a catalog symmetric pair, checking that tau is an involution
+    of g that preserves j."""
     check_cap("ambient rank", _ambient_rank(spec), PAIR_RANK_CAP)
     g, tau, probes = _conjugator_and_probes(spec)
     cartan_space = span_of_matrices(g.cartan_basis, g.matrix_dim)
-    # the projections below are the eigenspaces only on tau-stable spaces
+    # the projections (Z +- tau Z)/2 are the eigenspaces only on tau-stable
+    # spaces, and they exhaust g only when tau^2 = 1
     for space, name in ((g.algebra, "algebra"), (cartan_space, "Cartan")):
         for b in space.matrices():
-            if not space.contains_matrix(tau(b)):
+            image = tau(b)
+            if not space.contains_matrix(image):
                 raise AssertionError("conjugator does not preserve the %s" % name)
-    fixed = _eigen_subspace(tau, g.algebra, 1)
-    minus = _eigen_subspace(tau, g.algebra, -1)
-    if fixed.dim + minus.dim != g.dim:
-        raise AssertionError("tau eigenspaces do not exhaust the algebra")
+            if tau(image) != b:
+                raise AssertionError("tau^2 != 1: tau eigenspaces do not exhaust the algebra")
     return SymmetricPair(
         spec=spec,
         g=g,
         tau=tau,
-        fixed=fixed,
-        minus=minus,
         j_tau_basis=_eigen_subspace(tau, cartan_space, 1).matrices(),
         j_tau_probes=probes,
     )

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
+from . import PreconditionError
 from .exactla import MatrixElement, Subspace, _q, nilpotent_matrix
 from .liealg import (
     AlgebraRealization,
@@ -26,7 +27,7 @@ from .liealg import (
 from .pairs import SymmetricPair, restricted_root_data, tau_projection
 
 
-class IncompatibleRestrictionError(ValueError):
+class IncompatibleRestrictionError(PreconditionError):
     """The parabolic is not stable under the pair involution."""
 
 
@@ -50,11 +51,6 @@ class ParabolicData:
     def nilradical_roots(self) -> frozenset:
         return self.datum.roots_of_mask(self.pattern[1])
 
-    @cached_property
-    def negative_roots(self) -> frozenset:
-        """The roots of u_-: minus those of the nilradical."""
-        return frozenset(-a for a in self.nilradical_roots)
-
     @property
     def datum(self) -> RootDatum:
         return root_datum(self.g)
@@ -72,11 +68,6 @@ class ParabolicData:
 
     def levi_datum(self) -> RootDatum:
         return self.datum.sub_datum(self.levi_roots)
-
-    def nilradical_abelian(self) -> bool:
-        """[u, u] = 0: no two nilradical roots sum to a root."""
-        roots = self.datum.root_spaces
-        return not any(a + b in roots for a in self.nilradical_roots for b in self.nilradical_roots)
 
     def __eq__(self, other):
         return (
@@ -143,29 +134,34 @@ class ClosednessReport(NamedTuple):
     gk_dim: Optional[int] = None
 
 
+def mask_indices(mask: int) -> list:
+    """The root indices of a root-index bitmask."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def compatibility_report(p: ParabolicData, pair: SymmetricPair) -> CompatibilityReport:
     """tau-stability of p, equivalent to g^tau-compatibility for symmetric tau."""
     if p.g is not pair.g:
         raise ValueError("parabolic and pair live on different realizations")
-    roots_of_p = p.levi_roots | p.nilradical_roots
-    stable = {pair.tau_star(a) for a in roots_of_p} == roots_of_p
+    roots_of_p, tau = p.pattern[0] | p.pattern[1], pair.root_table.tau
+    stable = all(roots_of_p >> tau[i] & 1 for i in mask_indices(roots_of_p))  # tau* is 1-1
     fixed = pair.fixed_params(p.params) if stable else None
     if stable and p.datum.sign_masks(fixed) != p.pattern:
         raise AssertionError("p(H + tau H) differs from p for a stable parabolic")
     return CompatibilityReport(compatible=stable, fixed_params=fixed)
 
 
-def root_tau_split(pair: SymmetricPair, roots) -> tuple:
+def root_tau_split(pair: SymmetricPair, indices) -> tuple:
     """(plus, minus): the root indices of one tau-eigenvector each, of
     eigenvalue +1 or -1, in the tau-stable part of the span of the root
-    spaces of `roots`.
+    spaces of the roots with these indices.
 
     Counted over the tau*-orbits inside the set: an orbit {a, tau* a} of two
     roots gives X_a + tau X_a and X_a - tau X_a, one to each side (listed
     under a), and a fixed root a goes to the side of s in tau X_a = s X_a.
     """
     table = pair.root_table
-    indices = {root_datum(pair.g).index[a] for a in roots}
+    indices = set(indices)
     plus, minus = [], []
     for i in sorted(indices):
         j = table.tau[i]

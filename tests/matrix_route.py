@@ -14,6 +14,8 @@ from vermabranch import MatrixElement, Subspace, Weight, restricted_root_data, w
 from vermabranch.liealg import _solve, reflection_element
 from vermabranch.pairs import tau_projection
 
+from tests.oracles import negative_roots
+
 
 def cartan_matrix(g, params) -> MatrixElement:
     """The Cartan element with these eps-parameters."""
@@ -37,7 +39,7 @@ def levi_space(p) -> Subspace:
 
 
 def u_minus_space(p) -> Subspace:
-    return span_roots(p, p.negative_roots)
+    return span_roots(p, negative_roots(p))
 
 
 def matrix_levi_split(pair, p) -> tuple:

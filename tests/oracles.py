@@ -1,6 +1,7 @@
 """Paper results and criteria that no command runs, kept as test oracles.
 
-Schmid's decomposition of S(u_-^{-tau}) for an abelian nilradical, the
+Root sets that no command reads (u_-, the ambient restricted roots) and the
+abelian-nilradical test come first.  Schmid's decomposition of S(u_-^{-tau}) for an abelian nilradical, the
 finiteness bound of the branching engine, the ad-nilpotency test on an
 ambient algebra, the tensor-case closedness criterion and the double-coset
 count of the inner-involution census are each checked against the engine
@@ -38,6 +39,28 @@ from vermabranch.parabolic import (
     _union_find,
     compatibility_report,
 )
+
+
+# ---------------------------------------------------------------------------
+# root sets
+# ---------------------------------------------------------------------------
+
+def negative_roots(p: ParabolicData) -> frozenset:
+    """The roots of u_-: minus those of the nilradical."""
+    return frozenset(-a for a in p.nilradical_roots)
+
+
+def nilradical_abelian(p: ParabolicData) -> bool:
+    """[u, u] = 0: no two nilradical roots sum to a root."""
+    roots = p.datum.root_spaces
+    return not any(a + b in roots for a in p.nilradical_roots for b in p.nilradical_roots)
+
+
+def ambient_restricted_roots(pair: SymmetricPair) -> set:
+    """Nonzero j^tau-weights of g: the restrictions of the roots of g (none
+    is zero: a root fixed by tau* vanishes on j^{-tau}, and `root_table`
+    checks the others)."""
+    return set(pair.root_table.restriction)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +201,7 @@ def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: in
     degree that the decomposition is multiplicity-free with highest weights
     in the predicted cone and returns the truncated support.
     """
-    if not p.nilradical_abelian():
+    if not nilradical_abelian(p):
         raise ValueError("nilradical is not abelian: hypothesis violated")
     comp = compatibility_report(p, pair)
     if not comp.compatible:
@@ -187,7 +210,7 @@ def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: in
         )
     weights = _u_minus_split(p, pair)[1]
     seq = strongly_orthogonal_sequence(
-        map(Weight, weights), pair.ambient_restricted_roots()
+        map(Weight, weights), ambient_restricted_roots(pair)
     )
     eps = pair.restricted_eps_dim
     support = {Weight.zero(eps): 0}

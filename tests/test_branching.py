@@ -7,7 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from tests.oracles import finiteness_bound, schmid_decomposition, strongly_orthogonal_sequence
+from tests.oracles import (
+    ambient_restricted_roots,
+    finiteness_bound,
+    schmid_decomposition,
+    strongly_orthogonal_sequence,
+)
 from vermabranch import (
     BranchingTable,
     IncompatibleRestrictionError,
@@ -491,14 +496,14 @@ def test_verify_identity_numeric_lambda(pairs):
 def test_strongly_orthogonal_siegel(pairs):
     pair = pairs("sp_down_gl", n=2)
     seq = strongly_orthogonal_sequence(
-        [W(-2, 0), W(-1, -1), W(0, -2)], pair.ambient_restricted_roots()
+        [W(-2, 0), W(-1, -1), W(0, -2)], ambient_restricted_roots(pair)
     )
     assert seq == [W(0, -2), W(-2, 0)]
 
 
 def test_strongly_orthogonal_single_weight(pairs):
     pair = pairs("sp_down_gl", n=2)
-    assert strongly_orthogonal_sequence([W(-1, -1)], pair.ambient_restricted_roots()) == [
+    assert strongly_orthogonal_sequence([W(-1, -1)], ambient_restricted_roots(pair)) == [
         W(-1, -1)
     ]
 
@@ -511,7 +516,7 @@ def test_strongly_orthogonal_sl4_split_rank(pairs):
     p22 = parabolic_from_simple_subset(pair.g, {0, 2})
     minus = tau_split(pair, u_minus_space(p22)).minus
     weights = [Weight(w) for w, _ in weight_decomposition(pair.j_tau_probes, minus)]
-    seq = strongly_orthogonal_sequence(weights, pair.ambient_restricted_roots())
+    seq = strongly_orthogonal_sequence(weights, ambient_restricted_roots(pair))
     assert len(seq) == 2  # min(p, q)
 
 
@@ -520,7 +525,7 @@ def test_strongly_orthogonal_greedy_is_maximal_each_step(pairs):
     from vermabranch.liealg import regular_order_key
 
     pair = pairs("sp_down_gl", n=3)
-    roots = pair.ambient_restricted_roots()
+    roots = ambient_restricted_roots(pair)
     weights = [W(-2, 0, 0), W(0, -2, 0), W(0, 0, -2),
                W(-1, -1, 0), W(-1, 0, -1), W(0, -1, -1)]
     seq = strongly_orthogonal_sequence(weights, roots)

@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 from vermabranch import (
     ClassicalType,
     MatrixElement,
+    RootDatum,
     Subspace,
+    Weight,
     build_classical,
     build_pair,
     catalog_pairs,
+    restricted_root_data,
     span_of_matrices,
     weight_decomposition,
 )
@@ -152,12 +155,18 @@ def test_projections_match_kernel_oracle_on_catalog(spec):
     assert pair.minus == oracle_eigen_subspace(tau, g.algebra, -1)
     cartan = span_of_matrices(g.cartan_basis, g.matrix_dim)
     assert pair.j_tau_basis == oracle_eigen_subspace(tau, cartan, 1).matrices()
-    # the parts behind root_datum and restricted_root_data
+    # the parts behind root_datum, and those of g^tau
     assert _typed(weight_decomposition(g.eps_probes, g.algebra)) == _typed(
         oracle_weight_decomposition(g.eps_probes, g.algebra)
     )
-    assert _typed(weight_decomposition(pair.j_tau_probes, pair.fixed)) == _typed(
-        oracle_weight_decomposition(pair.j_tau_probes, fixed)
+    parts = weight_decomposition(pair.j_tau_probes, pair.fixed)
+    assert _typed(parts) == _typed(oracle_weight_decomposition(pair.j_tau_probes, fixed))
+    # the root table's restricted datum is the weight decomposition of g^tau
+    spaces = {Weight(wt): space for wt, space in parts}
+    zero = spaces.pop(Weight.zero(pair.restricted_eps_dim))
+    expected, rdatum = RootDatum(pair.restricted_eps_dim, spaces, zero), restricted_root_data(pair)
+    assert (rdatum.roots, rdatum.root_spaces, rdatum.zero_space) == (
+        expected.roots, expected.root_spaces, expected.zero_space
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from vermabranch import (
     ClassicalType,
+    MatrixElement,
     RankCapError,
     RootDatum,
     Weight,
@@ -113,7 +114,8 @@ def test_build_d3_dimension_and_roots(algebras):
 
 def test_gl_variant_has_center(algebras):
     g = algebras("A", 2, True)
-    assert g.dim == 9 and g.rank == 3 and g.has_center
+    assert g.dim == 9 and g.rank == 3
+    assert g.algebra.contains_matrix(MatrixElement.identity(3))  # the center of gl3
 
 
 def test_invalid_ranks_rejected():

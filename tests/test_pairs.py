@@ -71,16 +71,16 @@ def test_build_sp4_gl2(pairs):
 def test_build_group_case(pairs):
     pair = pairs("group_case", type="A1")
     assert pair.g.dim == 6 and pair.fixed.dim == 3
-    assert not pair.tau.is_inner
+    assert not pair.acts_trivially_on_j()  # the factor swap is outer
 
 
 @pytest.mark.parametrize(
     "family,rank,tau,message",
     [
         # diag(1, 1, 1, -1) does not fix the symplectic form of sp4
-        ("C", 2, Involution(MatrixElement.diagonal([1, 1, 1, -1]), True), "preserve the algebra"),
+        ("C", 2, Involution(MatrixElement.diagonal([1, 1, 1, -1])), "preserve the algebra"),
         # [[1, 1], [0, -1]] squares to 1 but moves the diagonal Cartan of sl2
-        ("A", 1, Involution(MatrixElement(2, {(0, 0): 1, (0, 1): 1, (1, 1): -1}), True),
+        ("A", 1, Involution(MatrixElement(2, {(0, 0): 1, (0, 1): 1, (1, 1): -1})),
          "preserve the Cartan"),
         # Z -> 3Z preserves everything but is no involution
         ("A", 1, lambda z: z.scale(3), "do not exhaust"),
@@ -249,6 +249,14 @@ def test_jtau_is_cartan_of_fixed_algebra(pairs):
         pair = pairs(kind, **params)
         datum = restricted_root_data(pair)
         assert datum.zero_space.dim == len(pair.j_tau_basis)
+
+
+@pytest.mark.parametrize("weight", [(1, 0, 0, 0), (0, 0, 0, 0)], ids=["collide", "zero"])
+def test_restricted_datum_rejects_a_second_vector_of_one_weight(monkeypatch, weight):
+    pair = build_pair(PairSpec("sl_s_glgl", p=2, q=2))  # fresh: no root table yet
+    monkeypatch.setattr(pair, "restrict_weight", lambda w: Weight(weight))
+    with pytest.raises(ValueError, match=r"restricted datum failed \(j\^tau is not a Cartan"):
+        restricted_root_data(pair)
 
 
 def test_jtau_probes_span_jtau(pairs):

@@ -38,6 +38,8 @@ JOBS = (
     "census --pair sp_down_gl:n=3 --parabolic siegel",
     "analyze --pair group_case:type=A2 --parabolic borel",
     "pairs --rank-bound 3",
+    "branch --pair sp_down_gl:n=4 --parabolic siegel --degree 4",
+    "mf-scan --rank-bound 6",
 )
 BARE = "import os; os._exit(0)"
 
