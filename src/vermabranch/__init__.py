@@ -29,13 +29,11 @@ _EXPORTS = {
         "nilpotent_subalgebra_test span_of_matrices weight_decomposition"
     ),
     "liealg": (
-        "AlgebraRealization ClassicalType RankCapError RootDatum Weight WeylElement "
-        "build_classical freudenthal_character root_datum weyl_dimension weyl_group"
+        "ClassicalType RankCapError RootDatum Weight WeylElement "
+        "freudenthal_character root_datum weyl_dimension weyl_group"
     ),
-    "pairs": (
-        "Involution PairSpec SymmetricPair build_pair catalog_pairs "
-        "restricted_root_data tau_split"
-    ),
+    "pairs": "PairSpec SymmetricPair build_pair catalog_pairs restricted_root_data tau_split",
+    "realization": "AlgebraRealization Involution build_classical",
     "parabolic": (
         "ClosednessReport CompatibilityReport IncompatibleRestrictionError "
         "OrbitCensusReport ParabolicData closed_orbit_census closedness_report "

@@ -22,6 +22,7 @@ from .liealg import (
     RootDatum,
     Weight,
     _dot,
+    _rref,
     check_cap,
     freudenthal_character,
     scaled_coords,
@@ -562,26 +563,19 @@ def mf_scan(rank_bound: int, include_failing: bool = False):
     for spec in catalog_pairs(rank_bound, simple_only=True):
         if spec.kind == "gl_down_gl" and spec.get("l") != 1:
             continue
-        pair = build_pair(spec)
-        dim_g, dim_fixed = pair.g.dim, pair.fixed.dim
-        rank_g = pair.g.rank
-        rank_fixed = len(pair.j_tau_basis)
-        if spec.kind == "gl_down_gl":
-            dim_g -= 1
-            dim_fixed -= 1
-            rank_g = pair.g.rank - 1
-            rank_fixed -= 1
-        passes = dim_g - dim_fixed <= rank_g + rank_fixed
-        rows.append(
-            MfScanRow(
-                spec_id=spec.id,
-                dim_g=dim_g,
-                dim_fixed=dim_fixed,
-                rank_g=rank_g,
-                rank_fixed=rank_fixed,
-                passes=passes,
-            )
+        pair, trace = build_pair(spec), int(spec.kind == "gl_down_gl")  # gl: its sl part
+        table, g = pair.root_table, pair.g
+        # dim j^tau: the rank of (x + tau x)/2 over a basis x of j
+        rank_fixed = len(_rref(
+            [{i: x for i, x in enumerate(pair.fixed_params(c)) if x} for c in g.cartan_columns]
+        )) - trace
+        # dim g^tau = dim j^tau + #{i < tau*(i)} + #{compact imaginary roots}
+        dim_fixed = rank_fixed + sum(
+            i < k or i == k and s > 0 for i, (k, s) in enumerate(zip(table.tau, table.sign))
         )
+        dim_g, rank_g = g.dim - trace, g.rank - trace
+        passes = dim_g - dim_fixed <= rank_g + rank_fixed
+        rows.append(MfScanRow(spec.id, dim_g, dim_fixed, rank_g, rank_fixed, passes))
     if include_failing:
         return rows
     return [r for r in rows if r.passes]

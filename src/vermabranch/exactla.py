@@ -2,60 +2,23 @@
 
 Matrices are square grids of `fractions.Fraction` stored sparsely; subspaces
 live in the column-major vectorization Q^(n*n) and are kept in reduced row
-echelon form, so equality, membership and dimension are exact and canonical.
-No floating point is used anywhere.
+echelon form (`liealg._rref`, the engine's one elimination routine), so
+equality, membership and dimension are exact and canonical.  No floating
+point is used anywhere.  Only the matrix realization (`realization`), which
+`analyze` and the tests read, imports this module.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .liealg import _q, _rref, _vec_axpy
+
 Rational = Fraction
 
 SparseVec = dict  # index -> nonzero Fraction
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _q(x):
-    """Canonical exact scalar: plain int when integral (much faster), else
-    Fraction.  Mixed int/Fraction arithmetic stays exact in Python; a float
-    (or any other type) is refused, since it holds no exact rational."""
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError("exact scalar expected (int or Fraction), got %r" % (x,))
-
-
-def _inv(x):
-    """Exact reciprocal; never uses integer division."""
-    if isinstance(x, int):
-        if x in (1, -1):
-            return x
-        return Fraction(1, x)
-    return 1 / x
-
-
-# ---------------------------------------------------------------------------
-# sparse vector helpers
-# ---------------------------------------------------------------------------
-
-def _vec_axpy(dst: SparseVec, c: Fraction, src: SparseVec) -> None:
-    """dst += c*src in place, dropping zero entries."""
-    if not c:
-        return
-    for k, v in src.items():
-        w = dst.get(k, 0) + c * v
-        if w:
-            dst[k] = w
-        else:
-            dst.pop(k, None)
 
 
 def _as_sparse(vector) -> SparseVec:
@@ -285,15 +248,6 @@ class Subspace:
                 out.append({k - n: v for k, v in row.items()})
         return Subspace(n, out, _canonical=True)
 
-    def dense_basis(self):
-        out = []
-        for row in self.rows:
-            dense = [Fraction(0)] * self.ambient_dim
-            for k, v in row.items():
-                dense[k] = v
-            out.append(tuple(dense))
-        return tuple(out)
-
     def matrices(self):
         """Basis as matrices; ambient_dim must be a perfect square."""
         n = math.isqrt(self.ambient_dim)
@@ -317,30 +271,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(ambient=%d, dim=%d)" % (self.ambient_dim, self.dim)
-
-
-def _rref(rows) -> list:
-    """Reduced row echelon form of sparse rows; destructive on the input list."""
-    basis, pivots = [], []  # sorted by pivot index; a row's pivot never moves
-    for row in rows:
-        for piv, b in zip(pivots, basis):
-            c = row.get(piv)
-            if c:
-                _vec_axpy(row, -c, b)
-        if not row:
-            continue
-        piv = min(row)
-        inv = _inv(row[piv])
-        if inv != 1:  # _q keeps integral entries as (faster) ints
-            row = {k: _q(inv * v) for k, v in row.items()}
-        for b in basis:
-            c = b.get(piv)
-            if c:
-                _vec_axpy(b, -c, row)
-        at = bisect.bisect(pivots, piv)
-        basis.insert(at, row)
-        pivots.insert(at, piv)
-    return basis
 
 
 def echelon_span(vectors: Iterable, ambient_dim=None) -> Subspace:

@@ -1,14 +1,16 @@
-"""Classical matrix Lie algebras, root data, characters and Weyl groups.
+"""Root data of reductive Lie algebras, characters and Weyl groups.
 
-All realizations carry a diagonal Cartan: type A as trace-zero (or full gl)
-matrices, types B/D as so(m) for the anti-diagonal symmetric form and type C
-as sp(2n) for the anti-diagonal symplectic form.  With these choices the
-upper-triangular intersection is the standard Borel and weights live in
-epsilon-coordinates read off the first diagonal entries.
+An algebra is held by its roots in epsilon-coordinates (Bourbaki, Lie VI,
+Plates I-IV) and the eps-parameters of a basis of its Cartan j.  Its matrix
+realization is built on first use of `Algebra.matrices` (module
+`realization`), which only `analyze` and the tests read.  The one exact
+elimination routine, `_rref`, lives here on every command's path, and
+`exactla` imports it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -16,16 +18,6 @@ from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from . import PreconditionError
-from .exactla import (
-    MatrixElement,
-    Subspace,
-    _as_sparse,
-    _frac,
-    _q,
-    _rref,
-    span_of_matrices,
-    weight_decomposition,
-)
 
 # size caps: exceeding one raises RankCapError
 PAIR_RANK_CAP = 12  # ambient rank of a catalog pair, checked before it is built
@@ -42,6 +34,85 @@ class RankCapError(PreconditionError):
 def check_cap(name: str, value: int, cap: int) -> None:
     if value > cap:
         raise RankCapError("%s capped at %d" % (name, cap))
+
+
+# ---------------------------------------------------------------------------
+# Exact scalars and the reduced row echelon form of sparse rows
+# ---------------------------------------------------------------------------
+
+def _q(x):
+    """Canonical exact scalar: plain int when integral (much faster), else
+    Fraction.  Mixed int/Fraction arithmetic stays exact in Python; a float
+    (or any other type) is refused, since it holds no exact rational."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError("exact scalar expected (int or Fraction), got %r" % (x,))
+
+
+def _inv(x):
+    """Exact reciprocal; never uses integer division."""
+    if isinstance(x, int):
+        if x in (1, -1):
+            return x
+        return Fraction(1, x)
+    return 1 / x
+
+
+def _vec_axpy(dst: dict, c, src: dict) -> None:
+    """dst += c*src in place for sparse rows (index -> nonzero scalar),
+    dropping zero entries."""
+    if not c:
+        return
+    for k, v in src.items():
+        w = dst.get(k, 0) + c * v
+        if w:
+            dst[k] = w
+        else:
+            dst.pop(k, None)
+
+
+def _rref(rows) -> list:
+    """Reduced row echelon form of sparse rows; destructive on the input list."""
+    basis, pivots = [], []  # sorted by pivot index; a row's pivot never moves
+    for row in rows:
+        for piv, b in zip(pivots, basis):
+            c = row.get(piv)
+            if c:
+                _vec_axpy(row, -c, b)
+        if not row:
+            continue
+        piv = min(row)
+        inv = _inv(row[piv])
+        if inv != 1:  # _q keeps integral entries as (faster) ints
+            row = {k: _q(inv * v) for k, v in row.items()}
+        for b in basis:
+            c = b.get(piv)
+            if c:
+                _vec_axpy(b, -c, row)
+        at = bisect.bisect(pivots, piv)
+        basis.insert(at, row)
+        pivots.insert(at, piv)
+    return basis
+
+
+def _solve(columns, target):
+    """Exact x with sum_j x_j * columns[j] = target (free unknowns 0), or None:
+    the canonical RREF of [A | b] has a pivot in the b column exactly when
+    there is no solution, else each pivot unknown is its row's b entry."""
+    k = len(columns)
+    rows = [
+        {j: _q(v) for j, v in enumerate([col[i] for col in columns] + [t]) if v}
+        for i, t in enumerate(target)
+    ]
+    sol = [Fraction(0)] * k
+    for row in _rref(rows):
+        piv = min(row)
+        if piv == k:
+            return None
+        sol[piv] = Fraction(row.get(k, 0))
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +175,7 @@ class Weight:
 
 
 # ---------------------------------------------------------------------------
-# Classical types and realizations
+# Classical types and their root data
 # ---------------------------------------------------------------------------
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
@@ -124,44 +195,18 @@ class ClassicalType:
         return "%s%d" % (self.family, self.rank)
 
 
-class AlgebraRealization:
-    """A matrix Lie algebra with a distinguished diagonal Cartan.
+class Algebra:
+    """A reductive Lie algebra by its root data: `roots` in eps-coordinates
+    and `cartan_columns`, the eps-parameters of a basis of its Cartan j.
+    `type` is its classical type, or None for the sum of two copies of
+    `factor` (the group case)."""
 
-    `eps_probes` are diagonal matrices dual to the epsilon-coordinates: the
-    tuple of ad-eigenvalues under the probes is the coordinate vector of a
-    weight.  For type A (sl variant) the probes are the gl matrix units, which
-    keeps root coordinates canonical (coordinates summing to zero).
-    """
-
-    def __init__(self, type: Optional[ClassicalType], matrix_dim: int, algebra: Subspace,
-                 cartan_basis: list, eps_probes: list, eps_positions: list):
-        self.type, self.matrix_dim, self.algebra = type, matrix_dim, algebra
-        self.cartan_basis, self.eps_probes, self.eps_positions = cartan_basis, eps_probes, eps_positions
+    def __init__(self, type: Optional[ClassicalType], roots: tuple, cartan_columns: list,
+                 factor: Optional["Algebra"] = None):
+        self.type, self.roots, self.cartan_columns, self.factor = type, roots, cartan_columns, factor
+        self.rank, self.eps_dim = len(cartan_columns), len(cartan_columns[0])
+        self.dim = self.rank + len(roots)
         self._datum = None  # the root datum, built by `root_datum`
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    @property
-    def rank(self) -> int:
-        return len(self.cartan_basis)
-
-    @property
-    def eps_dim(self) -> int:
-        return len(self.eps_probes)
-
-    def eps_params(self, h: MatrixElement) -> Weight:
-        """Epsilon-parameters of a diagonal Cartan element."""
-        if not h.is_diagonal():
-            raise ValueError("not a diagonal Cartan element")
-        diag = h.diagonal_entries()
-        return Weight(diag[p] for p in self.eps_positions)
-
-    @cached_property
-    def cartan_columns(self) -> list:
-        """Epsilon-parameters of the Cartan basis, one tuple per element."""
-        return [self.eps_params(h).coords for h in self.cartan_basis]
 
     def cartan_params(self, params) -> tuple:
         """Epsilon-parameters of a Cartan element, checked to be realizable."""
@@ -171,85 +216,33 @@ class AlgebraRealization:
             raise ValueError("parameters not realizable in the Cartan")
         return tuple(params)
 
+    @cached_property
+    def matrices(self):
+        """The matrix realization, a `realization.AlgebraRealization`."""
+        from .realization import realize
 
-def _solve(columns, target):
-    """Exact x with sum_j x_j * columns[j] = target (free unknowns 0), or None:
-    the canonical RREF of [A | b] has a pivot in the b column exactly when
-    there is no solution, else each pivot unknown is its row's b entry."""
-    k = len(columns)
-    rows = [_as_sparse([col[i] for col in columns] + [t]) for i, t in enumerate(target)]
-    sol = [Fraction(0)] * k
-    for row in _rref(rows):
-        piv = min(row)
-        if piv == k:
-            return None
-        sol[piv] = _frac(row.get(k, 0))
-    return sol
+        return realize(self)
 
 
-def _anti_identity(m: int) -> MatrixElement:
-    return MatrixElement(m, {(i, m - 1 - i): Fraction(1) for i in range(m)})
-
-
-def _symplectic_form(n: int) -> MatrixElement:
-    m = 2 * n
-    data = {}
-    for i in range(m):
-        data[(i, m - 1 - i)] = Fraction(1 if i < n else -1)
-    return MatrixElement(m, data)
-
-
-def _form_algebra(m: int, g: MatrixElement) -> Subspace:
-    """{X : X^T G + G X = 0}: the fixed space of the involution
-    X -> -G^T X^T G (G is an anti-diagonal signed permutation, so G^-1 = G^T),
-    spanned by E - G^T E^T G over the matrix units E."""
-    gt = g.transpose()
-    units = [MatrixElement.unit(m, i, j) for i in range(m) for j in range(m)]
-    return span_of_matrices([e - gt @ e.transpose() @ g for e in units], m)
-
-
-def build_classical(ctype: ClassicalType, with_center: bool = False) -> AlgebraRealization:
-    """Standard split realization; `with_center` selects gl over sl in type A."""
+def classical_algebra(ctype: ClassicalType, with_center: bool = False) -> Algebra:
+    """Roots and Cartan basis of a classical type: e_i - e_j in type A (sl,
+    or gl with `with_center`, the Cartan then spanned by the e_i), and
+    +-e_i +- e_j with +-e_i (B) or +-2e_i (C) in types B, C, D."""
     fam, n = ctype.family, ctype.rank
     if with_center and fam != "A":
         raise ValueError("central variant only exists for family A")
+    m = n + (fam == "A")
+    unit = [Weight(int(i == k) for i in range(m)) for k in range(m)]
     if fam == "A":
-        m = n + 1
-        units = [MatrixElement.unit(m, i, j) for i in range(m) for j in range(m) if i != j]
-        if with_center:
-            diag = [MatrixElement.unit(m, i, i) for i in range(m)]
-        else:
-            diag = [
-                MatrixElement.unit(m, i, i) - MatrixElement.unit(m, i + 1, i + 1)
-                for i in range(m - 1)
-            ]
-        algebra = span_of_matrices(units + diag, m)
-        probes = [MatrixElement.unit(m, i, i) for i in range(m)]
-        return AlgebraRealization(
-            type=ctype,
-            matrix_dim=m,
-            algebra=algebra,
-            cartan_basis=diag,
-            eps_probes=probes,
-            eps_positions=list(range(m)),
-        )
-    m = 2 * n + (fam == "B")
-    algebra = _form_algebra(m, _symplectic_form(n) if fam == "C" else _anti_identity(m))
-    cartan = [
-        MatrixElement.unit(m, i, i) - MatrixElement.unit(m, m - 1 - i, m - 1 - i)
-        for i in range(n)
-    ]
-    for h in cartan:
-        if not algebra.contains_matrix(h):
-            raise AssertionError("Cartan element escaped the realization")
-    return AlgebraRealization(
-        type=ctype,
-        matrix_dim=m,
-        algebra=algebra,
-        cartan_basis=cartan,
-        eps_probes=list(cartan),
-        eps_positions=list(range(n)),
-    )
+        roots = [a - b for a in unit for b in unit if a != b]
+        cartan = unit if with_center else [unit[i] - unit[i + 1] for i in range(n)]
+    else:
+        roots = [x + y for i, a in enumerate(unit) for b in unit[i + 1:]
+                 for x in (a, -a) for y in (b, -b)]
+        if fam != "D":
+            roots += [x + x if fam == "C" else x for a in unit for x in (a, -a)]
+        cartan = unit
+    return Algebra(ctype, tuple(roots), [h.coords for h in cartan])
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +272,8 @@ class RootDatum:
     which the integer kernels below rely on; only weights and rho carry
     denominators."""
 
-    def __init__(self, eps_dim: int, root_spaces: dict, zero_space: Optional[Subspace] = None):
-        roots = tuple(sorted(root_spaces, key=regular_order_key, reverse=True))
+    def __init__(self, eps_dim: int, roots: Iterable[Weight]):
+        roots = tuple(sorted(roots, key=regular_order_key, reverse=True))
         for a in roots:
             if not all(type(c) is int for c in a.coords):
                 raise ValueError("root %r is not an integer vector" % (a,))
@@ -292,7 +285,6 @@ class RootDatum:
         self.eps_dim, self.roots, self.positive_roots = eps_dim, roots, positive
         self.simple_roots = _indecomposables(positive)
         self.rho = Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
-        self.root_spaces, self.zero_space = root_spaces, zero_space
 
     @cached_property
     def index(self) -> dict:
@@ -395,11 +387,11 @@ class RootDatum:
         """Datum of a root subsystem (e.g. a Levi factor), same coordinates."""
         rootset = set(roots)
         for r in rootset:
-            if r not in self.root_spaces:
+            if r not in self.index:
                 raise ValueError("not a root of the ambient datum: %r" % (r,))
             if -r not in rootset:
                 raise ValueError("root subset is not symmetric")
-        return RootDatum(self.eps_dim, {r: self.root_spaces[r] for r in rootset}, self.zero_space)
+        return RootDatum(self.eps_dim, rootset)
 
 
 def _indecomposables(positive: Sequence[Weight]) -> tuple:
@@ -413,21 +405,10 @@ def _indecomposables(positive: Sequence[Weight]) -> tuple:
     return tuple(simple)
 
 
-def root_datum(g: AlgebraRealization) -> RootDatum:
-    """Roots of g for its diagonal Cartan, with the fixed positive system."""
+def root_datum(g: Algebra) -> RootDatum:
+    """Roots of g for its Cartan, with the fixed positive system."""
     if g._datum is None:
-        root_spaces, zero_space = {}, None
-        for wt, space in weight_decomposition(g.eps_probes, g.algebra):
-            w = Weight(wt)
-            if w.is_zero():
-                zero_space = space
-            elif space.dim != 1:
-                raise ValueError("root space of dimension %d at %r" % (space.dim, w))
-            else:
-                root_spaces[w] = space
-        if zero_space is None or zero_space.dim != g.rank:
-            raise ValueError("zero-weight space does not match the Cartan")
-        g._datum = RootDatum(g.eps_dim, root_spaces, zero_space)
+        g._datum = RootDatum(g.eps_dim, g.roots)
     return g._datum
 
 

@@ -14,11 +14,11 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from . import PreconditionError
-from .exactla import MatrixElement, Subspace, _q, nilpotent_matrix
 from .liealg import (
-    AlgebraRealization,
+    Algebra,
     RootDatum,
     Weight,
+    _q,
     _solve,
     check_weyl_rank,
     root_datum,
@@ -36,7 +36,7 @@ class IncompatibleRestrictionError(PreconditionError):
 # ---------------------------------------------------------------------------
 
 class ParabolicData:
-    def __init__(self, g: AlgebraRealization, params: tuple, pattern: tuple):
+    def __init__(self, g: Algebra, params: tuple, pattern: tuple):
         self.g = g
         self.params = params  # eps-parameters of the defining H
         # canonical key: a parabolic containing j is its root sign pattern,
@@ -56,11 +56,9 @@ class ParabolicData:
         return root_datum(self.g)
 
     @cached_property
-    def u_plus(self) -> Subspace:
+    def u_plus(self):
         """The nilradical as a matrix subspace (for the spot check)."""
-        spaces = self.datum.root_spaces
-        rows = [dict(r) for a in self.nilradical_roots for r in spaces[a].rows]
-        return Subspace(self.g.matrix_dim ** 2, rows)
+        return self.g.matrices.root_span(self.nilradical_roots)
 
     @property
     def is_borel(self) -> bool:
@@ -84,21 +82,23 @@ class ParabolicData:
         return "ParabolicData(levi=%d roots, nilradical=%d roots)" % counts
 
 
-def parabolic_from_params(g: AlgebraRealization, params) -> ParabolicData:
+def parabolic_from_params(g: Algebra, params) -> ParabolicData:
     """Parabolic defined by the sign of the roots on the Cartan element H with
     these eps-parameters (realizable ones: see `cartan_params`)."""
     params = tuple(map(_q, params))
     return ParabolicData(g=g, params=params, pattern=root_datum(g).sign_masks(params))
 
 
-def parabolic_from_H(g: AlgebraRealization, h: MatrixElement) -> ParabolicData:
-    """Parabolic defined by the sign of the roots on a diagonal H in j."""
-    if not h.is_diagonal() or not g.algebra.contains_matrix(h):
+def parabolic_from_H(g: Algebra, h) -> ParabolicData:
+    """Parabolic defined by the sign of the roots on a diagonal matrix H in
+    the Cartan of g's matrix realization."""
+    m = g.matrices
+    if not h.is_diagonal() or not m.algebra.contains_matrix(h):
         raise ValueError("H must lie in the diagonal Cartan of the realization")
-    return parabolic_from_params(g, g.eps_params(h).coords)
+    return parabolic_from_params(g, m.eps_params(h).coords)
 
 
-def parabolic_from_simple_subset(g: AlgebraRealization, subset) -> ParabolicData:
+def parabolic_from_simple_subset(g: Algebra, subset) -> ParabolicData:
     """Standard parabolic whose Levi system is generated by the given simples.
 
     H is the sum of fundamental coweights dual to the simple roots outside
@@ -224,13 +224,15 @@ def condition_iii_spot_check(
     """
     import random  # only `analyze` samples
 
+    from .exactla import MatrixElement, nilpotent_matrix
+
     mats = tau_projection(pair, p.u_plus).matrices()
     if not all(map(nilpotent_matrix, mats)):
         return False
     rng = random.Random(seed)
     for _ in range(samples):
         coeffs = [rng.randint(-3, 3) for _ in mats]
-        z = MatrixElement.combination(pair.g.matrix_dim, coeffs, mats)
+        z = MatrixElement.combination(pair.g.matrices.matrix_dim, coeffs, mats)
         if not z.is_zero() and not nilpotent_matrix(z):
             return False
     return True

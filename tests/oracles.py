@@ -52,7 +52,7 @@ def negative_roots(p: ParabolicData) -> frozenset:
 
 def nilradical_abelian(p: ParabolicData) -> bool:
     """[u, u] = 0: no two nilradical roots sum to a root."""
-    roots = p.datum.root_spaces
+    roots = p.datum.index
     return not any(a + b in roots for a in p.nilradical_roots for b in p.nilradical_roots)
 
 

@@ -7,8 +7,6 @@ checks are exact (rational arithmetic, no tolerances).
 import itertools
 import random
 
-import pytest
-
 from tests.matrix_route import matrix_levi_split
 from tests.oracles import finiteness_bound, schmid_decomposition
 from vermabranch import (
@@ -229,7 +227,7 @@ def test_criterion_8_levi_decomposition(pairs):
                         continue
                     pr, l_tau, p_tau = matrix_levi_split(pair, p)
                     assert p_tau.dim == l_tau.dim + pr.dim
-                    assert rep.gk_dim == pair.fixed.dim - p_tau.dim == pr.dim
+                    assert rep.gk_dim == pair.matrices.fixed.dim - p_tau.dim == pr.dim
 
 
 def test_criterion_9_mf_scan(pairs):
@@ -268,13 +266,13 @@ def test_criterion_11_property_suites(pairs, algebras):
     with _Criterion(11, "Jacobi, Weyl-dimension, peel round-trip, finiteness bound"):
         # Jacobi on random triples, exact
         pair = pairs("sp_down_gl", n=2)
-        basis = pair.g.algebra.matrices()
+        basis = pair.g.matrices.algebra.matrices()
         rng = random.Random(20260810)
         for _ in range(8):
             x, y, z = (
                 sum(
                     (b.scale(rng.randint(-2, 2)) for b in rng.sample(basis, 3)),
-                    MatrixElement.zero(pair.g.matrix_dim),
+                    MatrixElement.zero(pair.g.matrices.matrix_dim),
                 )
                 for _ in range(3)
             )

@@ -115,12 +115,12 @@ def operator_chain_spot_check(p, pair, samples=20, seed=20260810) -> bool:
     mats = tau_projection(pair, p.u_plus).matrices()
     if not mats:
         return True
-    basis_columns = [ad_operator_columns(z, pair.g.algebra) for z in mats]
+    basis_columns = [ad_operator_columns(z, pair.g.matrices.algebra) for z in mats]
     for columns in basis_columns:
         if not nilpotent_operator_chain(columns):
             return False
     rng = random.Random(seed)
-    d = pair.g.algebra.dim
+    d = pair.g.matrices.algebra.dim
     for _ in range(samples):
         coeffs = [rng.randint(-3, 3) for _ in mats]
         combined = [{} for _ in range(d)]
@@ -172,12 +172,12 @@ def test_ad_nilpotent_matches_operator_chain(pairs):
     algebras = {}
     for spec in catalog_pairs(3):
         pair = pairs(spec.kind, **dict(spec.params))
-        algebras.setdefault(pair.g.algebra, pair)
+        algebras.setdefault(pair.g.matrices.algebra, pair)
     rng = random.Random(20260810)
     values = set()
     for pair in algebras.values():
-        alg = pair.g.algebra
-        n = pair.g.matrix_dim
+        alg = pair.g.matrices.algebra
+        n = pair.g.matrices.matrix_dim
         basis = alg.matrices()
         nilradical = parabolic_from_simple_subset(pair.g, set()).u_plus.matrices()
         elements = list(basis)

@@ -30,7 +30,6 @@ from vermabranch import (
     parabolic_from_H,
     parabolic_from_simple_subset,
     restrict_finite_module,
-    restricted_root_data,
     sym_power_character,
     verify_character_identity,
 )
@@ -515,7 +514,7 @@ def test_strongly_orthogonal_sl4_split_rank(pairs):
     pair = pairs("sl_s_glgl", p=2, q=2)
     p22 = parabolic_from_simple_subset(pair.g, {0, 2})
     minus = tau_split(pair, u_minus_space(p22)).minus
-    weights = [Weight(w) for w, _ in weight_decomposition(pair.j_tau_probes, minus)]
+    weights = [Weight(w) for w, _ in weight_decomposition(pair.matrices.j_tau_probes, minus)]
     seq = strongly_orthogonal_sequence(weights, ambient_restricted_roots(pair))
     assert len(seq) == 2  # min(p, q)
 

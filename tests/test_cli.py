@@ -16,7 +16,6 @@ from vermabranch.cli import (
     ResultEnvelope,
     RunConfig,
     cache_lookup,
-    cache_store,
     config_from_args,
     main,
     parse_envelope,
@@ -282,7 +281,7 @@ def test_pair_rank_cap_is_checked_before_the_pair_is_built(monkeypatch):
     def building(spec):
         raise _Built(spec.id)
 
-    monkeypatch.setattr(pairs, "_conjugator_and_probes", building)
+    monkeypatch.setattr(pairs, "_root_data", building)
     above = ["sl_s_glgl:p=100,q=100", "so_down_so:m=25", "sp_down_gl:n=13",
              "gl_down_gl:n=13,l=1", "group_case:type=C7"]
     for pair_id in above:

@@ -1,15 +1,17 @@
-"""A cold census, branch, verify or analyze run decomposes only g.
+"""A cold census, branch or verify run builds no matrix; a cold analyze run
+decomposes g once.
 
-The first run on a fresh pair splits g into root spaces once
-(`root_datum`, the one `weight_decomposition` call).  The restricted roots
-of (g^tau, j^tau) come from the pair's root table, one root vector
-X_a + tau X_a of g^tau per tau*-orbit, so the run builds neither
-eigenspace g^{+-tau} of the whole algebra.
+A pair is built from its root data, and the restricted roots of
+(g^tau, j^tau) come from its root table, so a cold census, branch or
+verify run never builds the matrix realization (`realization`) and never
+calls `weight_decomposition`.  `analyze` alone builds it, for its spot
+check of condition (iii): it splits g into root spaces once and builds
+neither eigenspace g^{+-tau} of the whole algebra.
 """
 
 import pytest
 
-from vermabranch import exactla, liealg, pairs
+from vermabranch import exactla, pairs, realization
 from vermabranch.cli import config_from_args, run_command
 
 CASES = [
@@ -23,7 +25,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("job", CASES)
-def test_cold_run_decomposes_only_g(monkeypatch, job):
+def test_cold_run_builds_matrices_only_for_analyze(monkeypatch, job):
     monkeypatch.delenv("VERMABRANCH_CACHE_DIR", raising=False)
     built, decomposed, eigenspaces = [], [], []
 
@@ -34,17 +36,24 @@ def test_cold_run_decomposes_only_g(monkeypatch, job):
 
         return wrapper
 
-    for module in (exactla, liealg, pairs):  # every module that binds the name
-        if hasattr(module, "weight_decomposition"):
-            monkeypatch.setattr(
-                module, "weight_decomposition", recording(decomposed, module.weight_decomposition)
-            )
-    monkeypatch.setattr(pairs, "_eigen_subspace", recording(eigenspaces, pairs._eigen_subspace))
+    monkeypatch.setattr(
+        exactla, "weight_decomposition", recording(decomposed, exactla.weight_decomposition)
+    )
+    monkeypatch.setattr(
+        realization.PairRealization,
+        "eigenspace",
+        recording(eigenspaces, realization.PairRealization.eigenspace),
+    )
     build = pairs.build_pair
     monkeypatch.setattr(pairs, "build_pair", lambda spec: built.append(build(spec)) or built[-1])
     env, code = run_command(config_from_args(job.split()))
     assert code == 0, env.payload
     (pair,) = built
-    assert [space for _, space in decomposed] == [pair.g.algebra]
-    assert not any(space is pair.g.algebra for _, space, _ in eigenspaces)
-    assert "fixed" not in vars(pair) and "minus" not in vars(pair)
+    if not job.startswith("analyze"):
+        assert decomposed == []
+        assert "matrices" not in vars(pair) and "matrices" not in vars(pair.g)
+        return
+    g = pair.g.matrices
+    assert [space for _, space in decomposed] == [g.algebra]
+    assert not any(space is g.algebra for _, space, _ in eigenspaces)
+    assert "fixed" not in vars(pair.matrices) and "minus" not in vars(pair.matrices)

@@ -15,18 +15,16 @@ from hypothesis import strategies as st
 from vermabranch import (
     ClassicalType,
     MatrixElement,
-    RootDatum,
     Subspace,
-    Weight,
     build_classical,
     build_pair,
     catalog_pairs,
-    restricted_root_data,
     span_of_matrices,
     weight_decomposition,
 )
-from vermabranch.exactla import _as_sparse, _frac, _inv, _matrix_dim, _vec_axpy, bracket
-from vermabranch.liealg import _anti_identity, _solve, _symplectic_form
+from vermabranch.exactla import _as_sparse, _matrix_dim, _vec_axpy, bracket
+from vermabranch.liealg import _inv, _solve
+from vermabranch.realization import _anti_identity, _symplectic_form
 
 # ---------------------------------------------------------------------------
 # oracle: the dense kernel path
@@ -126,7 +124,7 @@ def oracle_form_algebra(m, g):
 
 def oracle_solve(columns, target):
     """Dense Gauss-Jordan on [A | b]; free unknowns 0."""
-    rows = [[col[i] for col in columns] + [_frac(t)] for i, t in enumerate(target)]
+    rows = [[col[i] for col in columns] + [Fraction(t)] for i, t in enumerate(target)]
     pivots = oracle_gauss_jordan(rows, len(columns))
     if any(row[-1] for row in rows[len(pivots):]):
         return None
@@ -148,26 +146,19 @@ def _typed(parts):
 
 @pytest.mark.parametrize("spec", catalog_pairs(4), ids=lambda s: s.id)
 def test_projections_match_kernel_oracle_on_catalog(spec):
-    pair = build_pair(spec)
+    pair = build_pair(spec).matrices
     g, tau = pair.g, pair.tau
     fixed = oracle_eigen_subspace(tau, g.algebra, 1)
     assert pair.fixed == fixed
     assert pair.minus == oracle_eigen_subspace(tau, g.algebra, -1)
     cartan = span_of_matrices(g.cartan_basis, g.matrix_dim)
     assert pair.j_tau_basis == oracle_eigen_subspace(tau, cartan, 1).matrices()
-    # the parts behind root_datum, and those of g^tau
+    # the parts behind the root spaces, and those of g^tau
     assert _typed(weight_decomposition(g.eps_probes, g.algebra)) == _typed(
         oracle_weight_decomposition(g.eps_probes, g.algebra)
     )
     parts = weight_decomposition(pair.j_tau_probes, pair.fixed)
     assert _typed(parts) == _typed(oracle_weight_decomposition(pair.j_tau_probes, fixed))
-    # the root table's restricted datum is the weight decomposition of g^tau
-    spaces = {Weight(wt): space for wt, space in parts}
-    zero = spaces.pop(Weight.zero(pair.restricted_eps_dim))
-    expected, rdatum = RootDatum(pair.restricted_eps_dim, spaces, zero), restricted_root_data(pair)
-    assert (rdatum.roots, rdatum.root_spaces, rdatum.zero_space) == (
-        expected.roots, expected.root_spaces, expected.zero_space
-    )
 
 
 @pytest.mark.parametrize(

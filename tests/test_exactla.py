@@ -8,7 +8,6 @@ from tests.oracles import ad_nilpotent
 from vermabranch import (
     MatrixElement,
     PairSpec,
-    Subspace,
     bracket,
     build_pair,
     echelon_span,
@@ -57,7 +56,7 @@ def test_bracket_dimension_mismatch():
 def test_echelon_span_dependent_vectors():
     s = echelon_span([(1, 0), (2, 0)])
     assert s.dim == 1
-    assert s.dense_basis() == ((Fraction(1), Fraction(0)),)
+    assert s.rows == [{0: 1}]
 
 
 def test_echelon_span_independent_vectors():
@@ -125,7 +124,7 @@ def test_nilpotent_projected_nilradical_sl4_pair():
     pair = build_pair(PairSpec("sl_s_glgl", p=2, q=2))
     borel = parabolic_from_simple_subset(pair.g, set())
     pr = tau_split(pair, borel.u_plus).pr
-    rep = nilpotent_subalgebra_test(pr, pair.g.algebra)
+    rep = nilpotent_subalgebra_test(pr, pair.g.matrices.algebra)
     assert rep.bracket_closed and rep.nilpotent
 
 
@@ -185,7 +184,7 @@ def test_weight_decomposition_so6_down_so5_nilradical():
     pair = build_pair(PairSpec("so_down_so", m=5))
     borel = parabolic_from_simple_subset(pair.g, set())
     minus = tau_split(pair, u_minus_space(borel)).minus
-    parts = weight_decomposition(pair.j_tau_probes, minus)
+    parts = weight_decomposition(pair.matrices.j_tau_probes, minus)
     weights = sorted(tuple(w) for w, _ in parts)
     assert weights == [(-1, 0), (0, -1)]
     assert all(space.dim == 1 for _, space in parts)
@@ -206,7 +205,7 @@ def test_weight_decomposition_rejects_space_that_is_not_ad_stable():
 
 def test_weight_decomposition_exhausts_space():
     pair = build_pair(PairSpec("sp_down_gl", n=2))
-    parts = weight_decomposition(pair.j_tau_probes, pair.g.algebra)
+    parts = weight_decomposition(pair.matrices.j_tau_probes, pair.g.matrices.algebra)
     assert sum(space.dim for _, space in parts) == pair.g.dim
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
@@ -215,11 +214,11 @@ def test_weight_decomposition_exhausts_space():
 
 def test_jacobi_identity_random_triples():
     pair = build_pair(PairSpec("sl_s_glgl", p=2, q=2))
-    basis = pair.g.algebra.matrices()
+    basis = pair.g.matrices.algebra.matrices()
     rng = random.Random(20260810)
 
     def rand_elt():
-        z = MatrixElement.zero(pair.g.matrix_dim)
+        z = MatrixElement.zero(pair.g.matrices.matrix_dim)
         for b in rng.sample(basis, 4):
             c = rng.randint(-3, 3)
             if c:
@@ -242,17 +241,17 @@ def test_nilpotent_implies_ad_nilpotent_cross_check():
     pair = build_pair(PairSpec("sl_s_glgl", p=2, q=2))
     borel = parabolic_from_simple_subset(pair.g, set())
     pr = tau_split(pair, borel.u_plus).pr
-    rep = nilpotent_subalgebra_test(pr, pair.g.algebra)
+    rep = nilpotent_subalgebra_test(pr, pair.g.matrices.algebra)
     assert rep.nilpotent
     mats = pr.matrices()
     for z in mats:
-        assert ad_nilpotent(z, pair.g.algebra)
+        assert ad_nilpotent(z, pair.g.matrices.algebra)
     rng = random.Random(20260810)
     for _ in range(20):
-        z = MatrixElement.zero(pair.g.matrix_dim)
+        z = MatrixElement.zero(pair.g.matrices.matrix_dim)
         for m in mats:
             c = rng.randint(-3, 3)
             if c:
                 z = z + m.scale(c)
         if not z.is_zero():
-            assert ad_nilpotent(z, pair.g.algebra)
+            assert ad_nilpotent(z, pair.g.matrices.algebra)

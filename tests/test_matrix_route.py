@@ -35,7 +35,7 @@ def test_root_level_split_matches_matrix_route(pairs, spec):
     for subset, p in _standard_parabolics(pair):
         where = (spec.id, subset)
         h_fixed = fixed_matrix(pair, p)
-        assert pair.fixed_params(p.params) == pair.g.eps_params(h_fixed).coords, where
+        assert pair.fixed_params(p.params) == pair.g.matrices.eps_params(h_fixed).coords, where
         assert parabolic_from_H(pair.g, cartan_matrix(pair.g, p.params)) == p, where
         assert set(_levi_prime_datum(p, pair).roots) == levi_prime_roots(pair, p), where
         plus, minus, splits = u_minus_split(pair, p)
@@ -45,7 +45,7 @@ def test_root_level_split_matches_matrix_route(pairs, spec):
             with pytest.raises(AssertionError, match="u_- failed to split"):
                 _u_minus_split(p, pair)
             continue
-        assert comp.fixed_params == pair.g.eps_params(h_fixed).coords, where
+        assert comp.fixed_params == pair.g.matrices.eps_params(h_fixed).coords, where
         ctx = _engine_context(VermaSpec.generic(p), pair)
         keyed = ({w.coords: m for w, m in plus.items()}, {w.coords: m for w, m in minus.items()})
         assert (ctx.u_prime_weights, ctx.u_second_weights) == keyed, where

@@ -3,23 +3,26 @@ from fractions import Fraction
 
 import pytest
 
-from tests.matrix_route import jtau_params_of_matrix, restricted_weights, u_minus_space
+from tests.matrix_route import (
+    check_involution,
+    jtau_params_of_matrix,
+    restricted_root_spaces,
+    u_minus_space,
+)
 from vermabranch import (
     ClassicalType,
     Involution,
     MatrixElement,
     PairSpec,
+    SymmetricPair,
     Weight,
     bracket,
     build_classical,
     build_pair,
     parabolic_from_simple_subset,
     restricted_root_data,
-    span_of_matrices,
     tau_split,
 )
-from vermabranch import pairs as pairs_module
-from vermabranch.liealg import root_datum
 from vermabranch.pairs import catalog_pairs
 
 
@@ -55,22 +58,22 @@ def test_pair_spec_rejects_bad_params():
 def test_build_sl4_glgl22(pairs):
     pair = pairs("sl_s_glgl", p=2, q=2)
     assert pair.g.dim == 15
-    assert pair.fixed.dim == 7
+    assert pair.matrices.fixed.dim == 7
 
 
 def test_build_so5_so4(pairs):
     pair = pairs("so_down_so", m=4)
-    assert pair.fixed.dim == 6  # dim so4
+    assert pair.matrices.fixed.dim == 6  # dim so4
 
 
 def test_build_sp4_gl2(pairs):
     pair = pairs("sp_down_gl", n=2)
-    assert pair.fixed.dim == 4  # dim gl2
+    assert pair.matrices.fixed.dim == 4  # dim gl2
 
 
 def test_build_group_case(pairs):
     pair = pairs("group_case", type="A1")
-    assert pair.g.dim == 6 and pair.fixed.dim == 3
+    assert pair.g.dim == 6 and pair.matrices.fixed.dim == 3
     assert not pair.acts_trivially_on_j()  # the factor swap is outer
 
 
@@ -86,13 +89,10 @@ def test_build_group_case(pairs):
         ("A", 1, lambda z: z.scale(3), "do not exhaust"),
     ],
 )
-def test_build_pair_checks_the_conjugator(monkeypatch, family, rank, tau, message):
+def test_matrix_oracle_checks_the_conjugator(family, rank, tau, message):
     g = build_classical(ClassicalType(family, rank))
-    monkeypatch.setattr(
-        pairs_module, "_conjugator_and_probes", lambda spec: (g, tau, list(g.eps_probes))
-    )
     with pytest.raises(AssertionError, match=message):
-        build_pair(PairSpec("sp_down_gl", n=2))
+        check_involution(g, tau)
 
 
 def test_involution_squares_to_identity(pairs):
@@ -103,15 +103,15 @@ def test_involution_squares_to_identity(pairs):
         ("group_case", {"type": "A1"}),
     ]:
         pair = pairs(kind, **params)
-        for b in pair.g.algebra.matrices():
-            assert pair.tau(pair.tau(b)) == b
+        for b in pair.g.matrices.algebra.matrices():
+            assert pair.matrices.tau(pair.matrices.tau(b)) == b
 
 
 def test_involution_is_automorphism(pairs):
     pair = pairs("so_down_so", m=5)
-    basis = pair.g.algebra.matrices()
+    basis = pair.g.matrices.algebra.matrices()
     for x, y in itertools.islice(itertools.combinations(basis, 2), 40):
-        assert pair.tau(bracket(x, y)) == bracket(pair.tau(x), pair.tau(y))
+        assert pair.matrices.tau(bracket(x, y)) == bracket(pair.matrices.tau(x), pair.matrices.tau(y))
 
 
 def test_eigenspace_split_dimensions(pairs):
@@ -124,17 +124,17 @@ def test_eigenspace_split_dimensions(pairs):
         ("group_case", {"type": "A1"}),
     ]:
         pair = pairs(kind, **params)
-        assert pair.fixed.dim + pair.minus.dim == pair.g.dim
+        assert pair.matrices.fixed.dim + pair.matrices.minus.dim == pair.g.dim
 
 
 def _killing_form(pair):
     """trace(ad x ad y) on the algebra basis, exactly."""
-    basis = pair.g.algebra.matrices()
+    basis = pair.g.matrices.algebra.matrices()
     coords = {}
     for i, b in enumerate(basis):
         col = []
         for c in basis:
-            col.append(pair.g.algebra.coordinates_of(bracket(b, c).vectorize()))
+            col.append(pair.g.matrices.algebra.coordinates_of(bracket(b, c).vectorize()))
         coords[i] = col
 
     def killing(i, j):
@@ -156,10 +156,10 @@ def _killing_form(pair):
 
 def test_killing_orthogonality_of_eigenspaces(pairs):
     pair = pairs("sp_down_gl", n=2)
-    basis = pair.g.algebra.matrices()
+    basis = pair.g.matrices.algebra.matrices()
     killing = _killing_form(pair)
-    plus_idx = [i for i, b in enumerate(basis) if pair.fixed.contains_matrix(b)]
-    minus_idx = [i for i, b in enumerate(basis) if pair.minus.contains_matrix(b)]
+    plus_idx = [i for i, b in enumerate(basis) if pair.matrices.fixed.contains_matrix(b)]
+    minus_idx = [i for i, b in enumerate(basis) if pair.matrices.minus.contains_matrix(b)]
     # the echelon basis of sp4 splits under this diagonal involution
     assert len(plus_idx) + len(minus_idx) == len(basis)
     for i in plus_idx:
@@ -201,10 +201,10 @@ def test_restricted_datum_type_alternation(pairs):
 
 def test_tau_split_of_whole_algebra(pairs):
     pair = pairs("sl_s_glgl", p=2, q=2)
-    split = tau_split(pair, pair.g.algebra)
-    assert split.plus == pair.fixed
-    assert split.minus == pair.minus
-    assert split.pr == pair.fixed
+    split = tau_split(pair, pair.g.matrices.algebra)
+    assert split.plus == pair.matrices.fixed
+    assert split.minus == pair.matrices.minus
+    assert split.pr == pair.matrices.fixed
 
 
 def test_tau_split_borel_nilradical_so5(pairs):
@@ -214,19 +214,16 @@ def test_tau_split_borel_nilradical_so5(pairs):
     split = tau_split(pair, u_minus_space(borel))
     from vermabranch import weight_decomposition
 
-    parts = weight_decomposition(pair.j_tau_probes, split.minus)
+    parts = weight_decomposition(pair.matrices.j_tau_probes, split.minus)
     assert sorted(tuple(w) for w, _ in parts) == [(-1, 0), (0, -1)]
 
 
 def test_tau_split_type_three_root_space(pairs):
     # a single root space with tau(alpha) != alpha: plus = minus = 0, pr is a line
     pair = pairs("so_down_so", m=5)
-    from vermabranch.liealg import root_datum
-
-    datum = root_datum(pair.g)
     alpha = Weight((1, 0, -1))
     assert pair.tau_star(alpha) != alpha
-    space = datum.root_spaces[alpha]
+    space = pair.g.matrices.root_spaces[alpha]
     split = tau_split(pair, space)
     assert split.plus.dim == 0 and split.minus.dim == 0 and split.pr.dim == 1
 
@@ -247,16 +244,16 @@ def test_jtau_is_cartan_of_fixed_algebra(pairs):
         ("group_case", {"type": "A1"}),
     ]:
         pair = pairs(kind, **params)
-        datum = restricted_root_data(pair)
-        assert datum.zero_space.dim == len(pair.j_tau_basis)
+        zero = Weight.zero(pair.restricted_eps_dim)
+        assert restricted_root_spaces(pair)[zero].dim == len(pair.matrices.j_tau_basis)
 
 
 @pytest.mark.parametrize("weight", [(1, 0, 0, 0), (0, 0, 0, 0)], ids=["collide", "zero"])
 def test_restricted_datum_rejects_a_second_vector_of_one_weight(monkeypatch, weight):
-    pair = build_pair(PairSpec("sl_s_glgl", p=2, q=2))  # fresh: no root table yet
-    monkeypatch.setattr(pair, "restrict_weight", lambda w: Weight(weight))
+    # build_pair fills the root table, so the restriction is patched first
+    monkeypatch.setattr(SymmetricPair, "restrict_weight", lambda self, w: Weight(weight))
     with pytest.raises(ValueError, match=r"restricted datum failed \(j\^tau is not a Cartan"):
-        restricted_root_data(pair)
+        build_pair(PairSpec("sl_s_glgl", p=2, q=2))
 
 
 def test_jtau_probes_span_jtau(pairs):
@@ -267,9 +264,9 @@ def test_jtau_probes_span_jtau(pairs):
         ("group_case", {"type": "B2"}),
     ]:
         pair = pairs(kind, **params)
-        for h in pair.j_tau_basis:
+        for h in pair.matrices.j_tau_basis:
             # must be solvable, and agree with the solve on diagonals
-            assert pair.jtau_params(pair.g.eps_params(h)) == jtau_params_of_matrix(pair, h)
+            assert pair.jtau_params(pair.g.matrices.eps_params(h)) == jtau_params_of_matrix(pair, h)
 
 
 def test_restrict_weight_group_case_adds_factors(pairs):
@@ -285,34 +282,6 @@ def test_acts_trivially_on_j_flags(pairs):
     assert pairs("so_down_so", m=4).acts_trivially_on_j()
     assert not pairs("so_down_so", m=5).acts_trivially_on_j()
     assert not pairs("group_case", type="A1").acts_trivially_on_j()
-
-
-# catalog_pairs(4) holds so_down_so:m=7 and group_case:type=A2, B2; m=9 adds
-# an outer involution of rank 5
-@pytest.mark.parametrize(
-    "spec", catalog_pairs(4) + [PairSpec("so_down_so", m=9)], ids=str
-)
-def test_root_table_matches_the_matrix_route(pairs, spec):
-    pair = pairs(spec.kind, **dict(spec.params))
-    datum, rdatum = root_datum(pair.g), restricted_root_data(pair)
-    table, n = pair.root_table, pair.g.matrix_dim
-
-    def root_vector(a):
-        return MatrixElement.from_vector(n, datum.root_spaces[a].rows[0])
-
-    for i, a in enumerate(datum.roots):
-        b = pair.tau_star(a)
-        assert datum.roots[table.tau[i]] == b
-        x, tau_x = root_vector(a), pair.tau(root_vector(a))
-        assert tau_x == root_vector(b).scale(table.sign[i])
-        assert table.restriction[i] == pair.restrict_weight(a)
-        noncompact_imaginary = b == a and pair.minus.contains_matrix(x)
-        assert (table.sigma[i] is None) == noncompact_imaginary
-        if not noncompact_imaginary:
-            # X_a + tau X_a spans the root space of sigma[i] in g^tau
-            fixed_part = span_of_matrices([x + tau_x], n)
-            assert pair.fixed.contains_subspace(fixed_part)
-            assert restricted_weights(pair, fixed_part) == {rdatum.roots[table.sigma[i]]: 1}
 
 
 def test_catalog_ids_are_unique_and_within_the_rank_bound():

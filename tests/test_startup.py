@@ -13,7 +13,8 @@ modules it loaded: a cache hit and an argument the parser rejects load
 neither ``commands`` nor an engine module, a missing ``--pair`` loads no
 engine module, a rejected ``--degree`` or ``--level`` loads no ``pairs``,
 ``parabolic`` or ``branching``, ``census`` and ``analyze`` load no
-``branching``, and no command loads ``dataclasses``.  No process loads
+``branching``, only ``analyze`` loads ``exactla`` and the matrix
+realization (``realization``), and no command loads ``dataclasses``.  No process loads
 ``_hashlib`` (OpenSSL) or ``glob``, with a cache directory or without, and
 without one only ``analyze`` loads ``random``.  A ``python -m
 vermabranch.cli`` process never imports ``vermabranch.cli`` besides its
@@ -36,7 +37,8 @@ from tests.test_golden import GOLDEN, INDEX, _file_name
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CLI_ONLY = ["vermabranch", "vermabranch.cli"]
 COMMANDS = CLI_ONLY + ["vermabranch.commands"]  # a cache miss
-ENGINE = ["vermabranch." + m for m in ("exactla", "liealg", "pairs", "parabolic")]
+ENGINE = ["vermabranch." + m for m in ("liealg", "pairs", "parabolic")]
+MATRICES = ["vermabranch.exactla", "vermabranch.realization"]  # only analyze loads them
 OPENSSL = ["_hashlib", "glob"]  # what hashlib's sha256 and a glob of the sources would load
 
 # runs cli.main on its arguments, then prints [exit code, loaded modules]
@@ -256,7 +258,7 @@ def test_module_entry_point_never_imports_cli_again(tmp_path, job, code):
 )
 def test_rejected_sizes_load_only_the_caps(job):
     # the caps live in liealg; pairs, parabolic and branching stay unloaded
-    assert _guard(job) == (2, sorted(COMMANDS + ["vermabranch.exactla", "vermabranch.liealg"]))
+    assert _guard(job) == (2, sorted(COMMANDS + ["vermabranch.liealg"]))
 
 
 @pytest.mark.parametrize(
@@ -276,7 +278,9 @@ def test_each_command_loads_only_its_modules(job, loads_branching):
     assert code == 0
     assert not {"dataclasses", *OPENSSL} & set(modules)
     assert ("vermabranch.branching" in modules) == loads_branching
-    assert ("random" in modules) == job.startswith("analyze")  # the spot check
+    analyze = job.startswith("analyze")  # the spot check samples matrices
+    assert ("random" in modules) == analyze
+    assert {m: m in modules for m in MATRICES} == dict.fromkeys(MATRICES, analyze)
 
 
 def test_package_names_resolve_on_first_use():

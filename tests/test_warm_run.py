@@ -1,10 +1,11 @@
 """A warm branch, verify or census run builds no matrix, no subspace and no
 Weyl group element.
 
-After set-up, Cartan elements are eps-parameters and the engine's tau-splits
-and restrictions are read from the pair's root table, which a first (cold)
-run builds.  So the same run again constructs no `MatrixElement` and no
-`Subspace` (census closedness is arithmetic on restricted roots).  The census walks the Weyl
+Cartan elements are eps-parameters and the engine's tau-splits and
+restrictions are read from the pair's root table, which `build_pair` fills
+from root data (a cold run builds no matrix either: `tests/test_cold_run.py`).
+So the same run again constructs no `MatrixElement` and no `Subspace`
+(census closedness is arithmetic on restricted roots).  The census walks the Weyl
 orbit of t0 and applies its generators by reflection formulas on
 eps-parameters, so it constructs no `WeylElement`, and it restricts no
 weight to j^tau.
