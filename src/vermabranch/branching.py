@@ -111,9 +111,6 @@ class CharacterSeries(NamedTuple):
     terms: dict
     degree_bound: int
 
-    def at_degree(self, k: int) -> dict:
-        return {d: m for (deg, d), m in self.terms.items() if deg == k}
-
 
 # ---------------------------------------------------------------------------
 # symmetric power characters
@@ -165,16 +162,17 @@ def sym_power_characters(weights, top: int) -> list:
 # ---------------------------------------------------------------------------
 
 def restrict_finite_module(pair: SymmetricPair, l_datum: RootDatum, lam: Weight) -> dict:
-    """Weight multiset of F_lambda restricted to j', exactly.
+    """Weight multiset of F_lambda restricted to j', exactly, as {r: m}: the
+    weight pair.restrict_weight(lam) + r, r an integer tuple, has
+    multiplicity m.
 
     Freudenthal runs over the Levi root datum in ambient coordinates (the
-    central part of lambda rides along in the coordinates), then every
-    weight is restricted to j'.
+    central part of lambda rides along in the coordinates); the integer rows
+    `pair.probe_params` restrict each displacement d from lambda to r.
     """
-    char = freudenthal_character(l_datum, lam)
     out = {}
-    for w, m in char.items():
-        r = pair.restrict_weight(w)
+    for d, m in freudenthal_character(l_datum, lam).items():
+        r = tuple(_dot(row, d) for row in pair.probe_params)
         out[r] = out.get(r, 0) + m
     return out
 
@@ -284,8 +282,7 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
         f_block = {(0,) * pair.restricted_eps_dim: 1}
     else:
         base = pair.restrict_weight(spec.lam)
-        restricted = restrict_finite_module(pair, p.levi_datum(), spec.lam)
-        f_block = {(w - base).int_coords(): m for w, m in restricted.items()}
+        f_block = restrict_finite_module(pair, p.levi_datum(), spec.lam)
     params = pair.jtau_params(comp.fixed_params)
     scale = math.lcm(*(c.denominator for c in params))
     level_vec = tuple(-c for c in scaled_coords(params, scale))
@@ -413,13 +410,12 @@ def verify_character_identity(
     # the expansion is linear: expand sum_delta m_delta chi_delta once
     base = Weight.zero(pair.restricted_eps_dim) if ctx.base is None else ctx.base
     rhs_start = {}
-    for entry in table.entries:
-        if lev(entry.delta_displacement) > level_cap:
+    for delta, mult, _ in table.entries:
+        if lev(delta) > level_cap:
             continue
-        top = base + Weight(entry.delta_displacement)
-        for w, m in freudenthal_character(ctx.l_prime_datum, top).items():
-            if lev(d := (w - base).int_coords()) <= level_cap:
-                rhs_start[d] = rhs_start.get(d, 0) + entry.multiplicity * m
+        for d, m in freudenthal_character(ctx.l_prime_datum, base + Weight(delta)).items():
+            if lev(key := _vsum(delta, d)) <= level_cap:
+                rhs_start[key] = rhs_start.get(key, 0) + mult * m
     rhs = _inv_euler_expand(rhs_start, ctx.u_prime_weights, lev, level_cap)
 
     return lhs == {w: m for w, m in rhs.items() if m}

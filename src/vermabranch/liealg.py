@@ -371,6 +371,20 @@ class RootDatum:
                 return w, labels, det
             (w, labels), det = self.simple_reflection(w, labels, i), -det
 
+    def orbit(self, start) -> list:
+        """[(point, labels)] of the W-orbit of a coordinate tuple, walked
+        breadth-first from `start` under the simple reflections; one whose
+        label is 0 fixes the point and is skipped."""
+        orbit, seen = [(start, self.labels(start))], {start}
+        for w, labels in orbit:  # appended to while walked: breadth-first order
+            for i, x in enumerate(labels):
+                if x:
+                    u, u_labels = self.simple_reflection(w, labels, i)
+                    if u not in seen:
+                        seen.add(u)
+                        orbit.append((u, u_labels))
+        return orbit
+
     def is_dominant_integral(self, lam: Weight) -> bool:
         scale = math.lcm(*(c.denominator for c in lam.coords))
         return all(
@@ -395,11 +409,15 @@ class RootDatum:
 
 
 def _indecomposables(positive: Sequence[Weight]) -> tuple:
-    """Simple roots, ordered along the coordinate chain (lexicographically)."""
-    pos = set(positive)
+    """Simple roots, ordered along the coordinate chain (lexicographically):
+    the positive roots a with a - b a positive root for no positive root b.
+    On integer coordinate tuples; `positive` is sorted by decreasing
+    `regular_order_key`, so any such b lies after a."""
+    coords = [a.coords for a in positive]
+    pos = set(coords)
     simple = [
-        a for a in positive
-        if not any((a - b) in pos for b in pos if b != a)
+        positive[i] for i, a in enumerate(coords)
+        if not any(tuple(map(sub, a, b)) in pos for b in coords[i + 1:])
     ]
     simple.sort(key=lambda a: a.coords, reverse=True)
     return tuple(simple)
@@ -417,14 +435,17 @@ def root_datum(g: Algebra) -> RootDatum:
 # ---------------------------------------------------------------------------
 
 def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
-    """Full weight multiset of the simple module with highest weight lam.
+    """Full weight multiset of the simple module with highest weight lam, as
+    {d: m}: the weight lam + d, d an integer tuple, has multiplicity m.
 
     Standard Freudenthal recursion, processed level by level in the simple
-    root lattice; non-dominant weights are filled in from their dominant
-    Weyl representative.  The recursion runs on integer tuples: lam, rho and
-    the (integral) roots times the lcm of the denominators of lam and rho,
-    which scales every inner product by the same square and leaves the
-    Freudenthal quotients as they are.
+    root lattice.  A dominant weight of positive multiplicity fills its
+    whole W-orbit (`RootDatum.orbit`), so a non-dominant weight, whose
+    dominant conjugate lies on a strictly higher level, is a lookup.  The
+    recursion runs on integer tuples: lam, rho and the (integral) roots
+    times the lcm of the denominators of lam and rho, which scales every
+    inner product by the same square and leaves the Freudenthal quotients as
+    they are; a weight's scaled offset from lam is that lcm times d.
     """
     if not datum.is_dominant_integral(lam):
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
@@ -435,21 +456,21 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
     top = scaled_coords(lam.coords, scale)
     top_rho = tuple(map(add, top, rho))
     top_rho_sq = _dot(top_rho, top_rho)
-    mult = {top: 1}
+    mult = {w: 1 for w, _ in datum.orbit(top)}
     level = [top]
     while level:
         nxt = []
         for mu in {tuple(map(sub, nu, a)) for nu in level for a in simple}:
             if all(_dot(mu, a) >= 0 for a in simple):
                 m = _freudenthal_mult(mu, mult, roots, rho, top_rho_sq)
+                if m:
+                    mult.update((w, m) for w, _ in datum.orbit(mu))
             else:
-                m = mult.get(datum.to_dominant(mu, datum.labels(mu))[0], 0)
+                m = mult.get(mu, 0)
             if m:
-                mult[mu] = m
                 nxt.append(mu)
         level = nxt
-    values = {c: Fraction(c, scale) for mu in mult for c in mu}
-    return {Weight(values[c] for c in mu): m for mu, m in mult.items()}
+    return {tuple((c - t) // scale for c, t in zip(mu, top)): m for mu, m in mult.items()}
 
 
 def _freudenthal_mult(mu, mult, roots, rho, top_rho_sq) -> int:
@@ -498,29 +519,11 @@ class WeylElement:
     def identity(cls, n: int) -> "WeylElement":
         return cls(tuple(range(n)), (1,) * n)
 
-    def apply(self, w: Weight) -> Weight:
-        return Weight(self.signs[i] * w[self.perm[i]] for i in range(len(self.perm)))
-
-    def apply_params(self, params):
-        return tuple(self.signs[i] * params[self.perm[i]] for i in range(len(self.perm)))
-
     def compose(self, other: "WeylElement") -> "WeylElement":
         """self after other: (self*other).v = self(other(v))."""
         perm = tuple(other.perm[self.perm[i]] for i in range(len(self.perm)))
         signs = tuple(self.signs[i] * other.signs[self.perm[i]] for i in range(len(self.perm)))
         return WeylElement(perm, signs)
-
-    def inverse(self) -> "WeylElement":
-        n = len(self.perm)
-        perm = [0] * n
-        signs = [1] * n
-        for i in range(n):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return WeylElement(perm, signs)
-
-    def minus_count(self) -> int:
-        return sum(1 for s in self.signs if s < 0)
 
     def __eq__(self, other):
         return (

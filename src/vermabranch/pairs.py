@@ -129,9 +129,6 @@ class SymmetricPair:
     def restricted_eps_dim(self) -> int:
         return len(self.probe_params)
 
-    def acts_trivially_on_j(self) -> bool:
-        return all(self.fixed_params(c) == tuple(c) for c in self.g.cartan_columns)
-
     # -- weight and parameter plumbing between j and j^tau
 
     def restrict_weight(self, w: Weight) -> Weight:

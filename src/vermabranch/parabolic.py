@@ -60,10 +60,6 @@ class ParabolicData:
         """The nilradical as a matrix subspace (for the spot check)."""
         return self.g.matrices.root_span(self.nilradical_roots)
 
-    @property
-    def is_borel(self) -> bool:
-        return not self.pattern[0]
-
     def levi_datum(self) -> RootDatum:
         return self.datum.sub_datum(self.levi_roots)
 
@@ -270,9 +266,8 @@ def enumerate_weyl_translates(pair: SymmetricPair, subset):
     """Distinct parabolics containing j of the given standard type.
 
     They are the W(g)-orbit of the standard t0, one point per parabolic (the
-    stabilizer of the dominant t0 is W_S), walked breadth-first under the
-    simple reflections `RootDatum.simple_reflection` on t0 scaled to
-    integers; a reflection whose label is 0 fixes the point and is skipped.
+    stabilizer of the dominant t0 is W_S), in the breadth-first order of
+    `RootDatum.orbit` on t0 scaled to integers.
 
     Returns (pattern -> ParabolicData, pattern -> {its eps-params}).
     """
@@ -281,16 +276,7 @@ def enumerate_weyl_translates(pair: SymmetricPair, subset):
     check_weyl_rank(datum)
     t0 = parabolic_from_simple_subset(g, subset).params
     scale = math.lcm(*(c.denominator for c in t0))
-    start = scaled_coords(t0, scale)
-    orbit = [(start, datum.labels(start))]
-    seen = {start}
-    for t, labels in orbit:  # appended to while walked: breadth-first order
-        for i, x in enumerate(labels):
-            if x:
-                u, u_labels = datum.simple_reflection(t, labels, i)
-                if u not in seen:
-                    seen.add(u)
-                    orbit.append((u, u_labels))
+    orbit = datum.orbit(scaled_coords(t0, scale))
     points = (parabolic_from_params(g, [Fraction(c, scale) for c in t]) for t, _ in orbit)
     by_pattern = {p.pattern: p for p in points}
     if len(by_pattern) != len(orbit):

@@ -23,7 +23,7 @@ from vermabranch import (
 from vermabranch.liealg import _solve, reflection_element
 from vermabranch.pairs import tau_projection
 
-from tests.oracles import negative_roots
+from tests.oracles import negative_roots, weyl_apply_params
 
 
 def check_involution(g, tau) -> None:
@@ -136,7 +136,7 @@ def census_actions(pair):
         def act(t):
             h = cartan_matrix(pair.g, t)
             hp = (h + pair.matrices.tau(h)).scale(half)
-            moved = sigma.apply_params(jtau_params_of_matrix(pair, hp))
+            moved = weyl_apply_params(sigma, jtau_params_of_matrix(pair, hp))
             return pair.g.matrices.eps_params(jtau_element(pair, moved) + (h - hp)).coords
 
         return act

@@ -1,11 +1,14 @@
 """Paper results and criteria that no command runs, kept as test oracles.
 
-Root sets that no command reads (u_-, the ambient restricted roots) and the
-abelian-nilradical test come first.  Schmid's decomposition of S(u_-^{-tau}) for an abelian nilradical, the
-finiteness bound of the branching engine, the ad-nilpotency test on an
-ambient algebra, the tensor-case closedness criterion and the double-coset
-count of the inner-involution census are each checked against the engine
-by the tests that import them.  They read engine internals, as the other
+Root sets and predicates that no command reads (u_-, the ambient restricted
+roots, `is_borel`, `acts_trivially_on_j`) and the abelian-nilradical test
+come first, then the absolute forms of displacement characters and the
+Weyl-element actions that only tests use.  Schmid's decomposition of
+S(u_-^{-tau}) for an abelian nilradical, the finiteness bound of the
+branching engine, the ad-nilpotency test on an ambient algebra, the
+tensor-case closedness criterion and the double-coset count of the
+inner-involution census are each checked against the engine by the tests
+that import them.  They read engine internals, as the other
 oracles here (``matrix_route``) do.
 """
 
@@ -31,7 +34,7 @@ from vermabranch.exactla import (
     nilpotent_matrix,
     span_of_matrices,
 )
-from vermabranch.liealg import Weight, reflection_element, regular_order_key
+from vermabranch.liealg import Weight, WeylElement, reflection_element, regular_order_key
 from vermabranch.pairs import SymmetricPair
 from vermabranch.parabolic import (
     IncompatibleRestrictionError,
@@ -61,6 +64,50 @@ def ambient_restricted_roots(pair: SymmetricPair) -> set:
     is zero: a root fixed by tau* vanishes on j^{-tau}, and `root_table`
     checks the others)."""
     return set(pair.root_table.restriction)
+
+
+def is_borel(p: ParabolicData) -> bool:
+    return not p.pattern[0]
+
+
+def acts_trivially_on_j(pair: SymmetricPair) -> bool:
+    return all(pair.fixed_params(c) == tuple(c) for c in pair.g.cartan_columns)
+
+
+# ---------------------------------------------------------------------------
+# absolute forms and Weyl-element actions
+# ---------------------------------------------------------------------------
+
+def absolute(char: dict, base: Optional[Weight]) -> dict:
+    """Weight-keyed form {base + d: m} of a displacement character (base 0
+    when None), e.g. of `freudenthal_character(datum, lam)` against lam."""
+    return {(Weight(d) if base is None else base + Weight(d)): m for d, m in char.items()}
+
+
+def at_degree(series, k: int) -> dict:
+    """The degree-k part of a `CharacterSeries`, keyed by displacement."""
+    return {d: m for (deg, d), m in series.terms.items() if deg == k}
+
+
+def weyl_apply_params(w, params) -> tuple:
+    return tuple(w.signs[i] * params[w.perm[i]] for i in range(len(w.perm)))
+
+
+def weyl_apply(w, weight: Weight) -> Weight:
+    return Weight(weyl_apply_params(w, weight.coords))
+
+
+def weyl_inverse(w):
+    n = len(w.perm)
+    perm, signs = [0] * n, [1] * n
+    for i in range(n):
+        perm[w.perm[i]] = i
+        signs[w.perm[i]] = w.signs[i]
+    return WeylElement(perm, signs)
+
+
+def minus_count(w) -> int:
+    return sum(1 for s in w.signs if s < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from tests.oracles import (
+    absolute,
     ambient_restricted_roots,
+    at_degree,
     finiteness_bound,
     schmid_decomposition,
     strongly_orthogonal_sequence,
@@ -99,7 +101,7 @@ def test_restrict_borel_case_single_weight(pairs):
     lam = W(Fraction(1, 2), Fraction(1, 3))
     spec = VermaSpec.of(borel, lam)
     out = restrict_finite_module(pair, borel.levi_datum(), lam)
-    assert out == {pair.restrict_weight(lam): 1}
+    assert out == {(0, 0): 1}  # displacements from lambda restricted to j'
 
 
 def test_restrict_scalar_heisenberg(pairs):
@@ -109,7 +111,7 @@ def test_restrict_scalar_heisenberg(pairs):
     spec = VermaSpec.of(heis, W(0, 0, 0, 0))
     assert spec.scalar_type
     out = restrict_finite_module(pair, heis.levi_datum(), W(0, 0, 0, 0))
-    assert out == {W(0, 0, 0, 0): 1}
+    assert out == {(0, 0, 0, 0): 1}
 
 
 def test_restrict_siegel_levi_regular_weight(pairs):
@@ -118,7 +120,8 @@ def test_restrict_siegel_levi_regular_weight(pairs):
     lam = W(2, -1)  # <lam, (e1-e2)^> = 3: a four-dimensional gl2 module
     out = restrict_finite_module(pair, siegel.levi_datum(), lam)
     assert sum(out.values()) == 4
-    assert set(out) == {W(2, -1), W(1, 0), W(0, 1), W(-1, 2)}
+    assert set(out) == {(0, 0), (-1, 1), (-2, 2), (-3, 3)}
+    assert set(absolute(out, pair.restrict_weight(lam))) == {W(2, -1), W(1, 0), W(0, 1), W(-1, 2)}
 
 
 def test_restrict_rejects_non_dominant(pairs):
@@ -172,7 +175,7 @@ def test_decompose_roundtrip_random_characters(algebras):
                 combo[lam] = m
         char = {}
         for lam, mult in combo.items():
-            for w, m in freudenthal_character(datum, lam).items():
+            for w, m in absolute(freudenthal_character(datum, lam), lam).items():
                 char[w.coords] = char.get(w.coords, 0) + mult * m
         out = dict(decompose_character(char, datum))
         assert out == {lam.coords: m for lam, m in combo.items()}
@@ -204,7 +207,8 @@ def test_decompose_dimension_check_catches_an_inconsistent_datum(algebras):
     # so only a fault in the peel or its datum reaches this check: here a
     # datum of A2 that leaves its highest root out of the positive roots
     datum = root_datum(algebras("A", 2))
-    adjoint = {w.coords: m for w, m in freudenthal_character(datum, W(1, 0, -1)).items()}
+    lam = W(1, 0, -1)
+    adjoint = {w.coords: m for w, m in absolute(freudenthal_character(datum, lam), lam).items()}
     assert decompose_character(adjoint, datum) == [((1, 0, -1), 1)]
     partial = SimpleNamespace(
         positive_roots=datum.simple_roots, simple_roots=datum.simple_roots, rho=datum.rho,
@@ -248,7 +252,7 @@ def sweep_peel(char, datum):
             continue
         if mult < 0 or not datum.is_dominant_integral(mu):
             raise ValueError("not a module character at %r" % (mu,))
-        for w, m in freudenthal_character(datum, mu).items():
+        for w, m in absolute(freudenthal_character(datum, mu), mu).items():
             c = work.get(w, 0) - mult * m
             if c:
                 work[w] = c
@@ -272,7 +276,7 @@ def greedy_peel(char, datum):
         mult = work[mu]
         if mult < 0 or not datum.is_dominant_integral(mu):
             raise ValueError("not a module character at %r" % (mu,))
-        for w, m in freudenthal_character(datum, mu).items():
+        for w, m in absolute(freudenthal_character(datum, mu), mu).items():
             c = work.get(w, 0) - mult * m
             if c:
                 work[w] = c
@@ -281,11 +285,6 @@ def greedy_peel(char, datum):
         out.append((mu, mult))
     out.sort(key=lambda t: regular_order_key(t[0]), reverse=True)
     return out
-
-
-def _absolute(char, base):
-    """Weight-keyed form of a displacement character against base."""
-    return {(Weight(d) if base is None else base + Weight(d)): m for d, m in char.items()}
 
 
 def _peeled_characters(monkeypatch, argv):
@@ -334,10 +333,10 @@ def test_sweep_peel_matches_greedy_oracle(monkeypatch, argv):
     if "--degree 4" in argv:
         assert len(seen) == 5  # one character per degree 0..4
     for char, datum, base, out in seen:
-        absolute = _absolute(char, base)
-        expected = dict(sweep_peel(absolute, datum))
-        assert dict(greedy_peel(absolute, datum)) == expected
-        assert _absolute(dict(out), base) == expected
+        whole = absolute(char, base)
+        expected = dict(sweep_peel(whole, datum))
+        assert dict(greedy_peel(whole, datum)) == expected
+        assert absolute(dict(out), base) == expected
         assert len(out) == len(expected) and all(m > 0 for _, m in out)
 
 
@@ -360,6 +359,31 @@ def test_branch_runs_freudenthal_only_for_the_levi_module(monkeypatch, argv, cal
     code, seen = _peeled_characters(monkeypatch, argv)
     assert code == 0 and len(seen) == 7
     assert len(counted) == calls
+
+
+def test_verify_builds_fewer_weights_than_freudenthal_returns(monkeypatch):
+    """`Weight`s are built only at the edges: a cold `verify` builds fewer
+    of them than its Freudenthal characters hold weights."""
+    from vermabranch import liealg
+
+    counts = {"weights": 0, "returned": 0}
+    init, real = Weight.__init__, liealg.freudenthal_character
+
+    def counting_init(self, coords):
+        counts["weights"] += 1
+        init(self, coords)
+
+    def counting(datum, lam):
+        out = real(datum, lam)
+        counts["returned"] += len(out)
+        return out
+
+    monkeypatch.setattr(Weight, "__init__", counting_init)
+    monkeypatch.setattr(liealg, "freudenthal_character", counting)
+    monkeypatch.setattr(branching, "freudenthal_character", counting)
+    code, _ = _peeled_characters(monkeypatch, "verify --pair sp_down_gl:n=3 --parabolic siegel --level 6")
+    assert code == 0 and counts["returned"] > 0
+    assert counts["weights"] < counts["returned"]
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +461,8 @@ def test_character_series_degree_zero_is_levi_block(pairs):
     siegel = parabolic_from_simple_subset(pair.g, {0})
     lam = W(2, -1)
     series = character_series(VermaSpec.of(siegel, lam), pair, 2)
-    base = pair.restrict_weight(lam)
-    degree0 = series.at_degree(0)
-    expected = restrict_finite_module(pair, siegel.levi_datum(), lam)
-    assert degree0 == {(w - base).coords: m for w, m in expected.items()}
+    assert series.base_offset == pair.restrict_weight(lam)
+    assert at_degree(series, 0) == restrict_finite_module(pair, siegel.levi_datum(), lam)
 
 
 def test_character_series_displacements_are_weight_sums(pairs):

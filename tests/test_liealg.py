@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -19,8 +21,9 @@ from vermabranch import (
     weyl_dimension,
     weyl_group,
 )
-from vermabranch.liealg import regular_order_key
-from vermabranch.pairs import catalog_pairs
+from tests.oracles import absolute, minus_count, weyl_apply, weyl_inverse
+from vermabranch.liealg import _dot, _freudenthal_mult, _indecomposables, regular_order_key, scaled_coords
+from vermabranch.pairs import PairSpec, catalog_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +69,7 @@ def kostant_multiplicity(datum, lam, mu):
     total = 0
     for w in weyl_group(datum):
         sign = _det(w)
-        target = w.apply(lam + datum.rho) - (mu + datum.rho)
+        target = weyl_apply(w, lam + datum.rho) - (mu + datum.rho)
         total += sign * kostant_partition(datum, target, memo)
     return total
 
@@ -194,7 +197,7 @@ def test_cartan_is_self_centralizing(algebras):
 def test_freudenthal_a1_adjoint(algebras):
     datum = root_datum(algebras("A", 1))
     ch = freudenthal_character(datum, Weight((1, -1)))
-    assert ch == {Weight((1, -1)): 1, Weight((0, 0)): 1, Weight((-1, 1)): 1}
+    assert ch == {(0, 0): 1, (-1, 1): 1, (-2, 2): 1}  # displacements from lambda
 
 
 def test_freudenthal_a2_adjoint_against_kostant(algebras):
@@ -202,8 +205,8 @@ def test_freudenthal_a2_adjoint_against_kostant(algebras):
     lam = Weight((1, 0, -1))
     ch = freudenthal_character(datum, lam)
     assert sum(ch.values()) == 8
-    assert ch[Weight((0, 0, 0))] == 2
-    for mu, mult in ch.items():
+    assert ch[(-1, 0, 1)] == 2  # the zero weight
+    for mu, mult in absolute(ch, lam).items():
         assert mult == kostant_multiplicity(datum, lam, mu)
 
 
@@ -212,8 +215,8 @@ def test_freudenthal_c2_adjoint_against_kostant(algebras):
     lam = Weight((2, 0))
     ch = freudenthal_character(datum, lam)
     assert sum(ch.values()) == 10
-    assert ch[Weight((0, 0))] == 2
-    for mu, mult in ch.items():
+    assert ch[(-2, 0)] == 2  # the zero weight
+    for mu, mult in absolute(ch, lam).items():
         assert mult == kostant_multiplicity(datum, lam, mu)
 
 
@@ -322,6 +325,34 @@ def fraction_freudenthal(datum, lam):
     return mult
 
 
+def to_dominant_freudenthal(datum, lam):
+    """The integer recursion with a per-weight fill: each non-dominant
+    weight takes its multiplicity from its dominant conjugate, found by its
+    own `RootDatum.to_dominant` chain; Weight keys."""
+    if not datum.is_dominant_integral(lam):
+        raise ValueError("highest weight is not dominant integral: %r" % (lam,))
+    scale = math.lcm(*(c.denominator for c in lam.coords + datum.rho.coords))
+    simple = [tuple(scale * c for c in a) for a in datum.simple_roots]
+    roots = [(a, _dot(a, a)) for a in (tuple(scale * c for c in a) for a in datum.positive_roots)]
+    rho = scaled_coords(datum.rho.coords, scale)
+    top = scaled_coords(lam.coords, scale)
+    top_rho = tuple(map(add, top, rho))
+    mult = {top: 1}
+    level = [top]
+    while level:
+        nxt = []
+        for mu in {tuple(map(sub, nu, a)) for nu in level for a in simple}:
+            if all(_dot(mu, a) >= 0 for a in simple):
+                m = _freudenthal_mult(mu, mult, roots, rho, _dot(top_rho, top_rho))
+            else:
+                m = mult.get(datum.to_dominant(mu, datum.labels(mu))[0], 0)
+            if m:
+                mult[mu] = m
+                nxt.append(mu)
+        level = nxt
+    return {Weight(Fraction(c, scale) for c in mu): m for mu, m in mult.items()}
+
+
 def _catalog_levi_data():
     """Distinct Levi data (ambient l and restricted l') of every standard
     parabolic of the rank <= 3 catalog."""
@@ -351,14 +382,21 @@ def _small_dominant_weights(datum):
     return out
 
 
-def test_integer_freudenthal_matches_fraction_oracle():
-    data = _catalog_levi_data()
-    checked = 0
-    for datum in data:
-        for lam in _small_dominant_weights(datum):
-            assert freudenthal_character(datum, lam) == fraction_freudenthal(datum, lam)
-            checked += 1
-    assert len(data) > 20 and checked > 1000
+def test_integer_freudenthal_matches_fraction_oracle(algebras):
+    """Freudenthal equals the Fraction recursion, the per-weight
+    `to_dominant` fill and Weyl's dimension: on small weights of every Levi
+    datum of the rank <= 3 catalog, and on random dominant weights of the
+    classical types up to rank 4, whose larger orbits the fill walks."""
+    rng = random.Random(20261020)
+    inputs = [(datum, lam) for datum in _catalog_levi_data() for lam in _small_dominant_weights(datum)]
+    for fam, rank in [("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4)]:
+        datum = root_datum(algebras(fam, rank))
+        inputs += [(datum, _random_dominant(datum, rng)) for _ in range(6)]
+    for datum, lam in inputs:
+        ch = freudenthal_character(datum, lam)
+        assert absolute(ch, lam) == fraction_freudenthal(datum, lam) == to_dominant_freudenthal(datum, lam)
+        assert sum(ch.values()) == weyl_dimension(datum, lam)
+    assert len({id(d) for d, _ in inputs}) > 20 and len(inputs) > 1000
 
 
 def test_dominant_representative_matches_fraction_oracle(algebras):
@@ -424,6 +462,24 @@ def test_simple_reflection_moves_labels_with_the_vector(algebras, fam, rank):
             assert labels == datum.labels(moved)
 
 
+def _weight_indecomposables(positive):
+    """Simple roots by every difference a - b of positive roots formed as a
+    `Weight`: the reference for `_indecomposables`."""
+    pos = set(positive)
+    simple = [a for a in positive if not any((a - b) in pos for b in pos if b != a)]
+    simple.sort(key=lambda a: a.coords, reverse=True)
+    return tuple(simple)
+
+
+def test_indecomposables_match_the_weight_routine():
+    specs = catalog_pairs(6) + [PairSpec("so_down_so", m=24)]
+    for spec in specs:
+        pair = build_pair(spec)
+        for datum in (root_datum(pair.g), restricted_root_data(pair)):
+            assert _indecomposables(datum.positive_roots) == _weight_indecomposables(datum.positive_roots)
+    assert len(specs) > 50
+
+
 def _former_assembly(eps_dim, roots, ambient=None):
     """(roots, positive roots, simple roots, rho) as `datum_from_decomposition`
     (ambient None) and `RootDatum.sub_datum` of an ambient datum assembled
@@ -434,11 +490,9 @@ def _former_assembly(eps_dim, roots, ambient=None):
     else:
         positive = tuple(sorted((r for r in roots if r in set(ambient.positive_roots)),
                                 key=regular_order_key, reverse=True))
-    pos = set(positive)
-    simple = [a for a in positive if not any((a - b) in pos for b in pos if b != a)]
-    simple.sort(key=lambda a: a.coords, reverse=True)
+    simple = _weight_indecomposables(positive)
     rho = Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
-    return ordered, positive, tuple(simple), rho
+    return ordered, positive, simple, rho
 
 
 @pytest.mark.parametrize("spec", catalog_pairs(4), ids=str)
@@ -470,11 +524,14 @@ def test_catalog_roots_are_int_vectors(pairs):
             assert all(type(c) is int for a in datum.roots for c in a.coords), spec.id
 
 
-def test_freudenthal_keys_are_ints_for_an_integral_lambda(algebras):
-    # rho of B2 is (3/2, 1/2): the recursion runs at scale 2 and scales back
-    for fam, rank, lam in [("A", 2, (1, 0, -1)), ("B", 2, (1, 1)), ("C", 3, (2, 1, 0))]:
+def test_freudenthal_keys_are_int_tuples_for_integral_and_rational_lambda(algebras):
+    # rho of B2 is (3/2, 1/2): the recursion runs at scale 2 and scales back;
+    # a central 1/3 in gl-coordinates is a rational lambda of A2
+    third = Fraction(1, 3)
+    for fam, rank, lam in [("A", 2, (1, 0, -1)), ("B", 2, (1, 1)), ("C", 3, (2, 1, 0)),
+                           ("A", 2, (1 + third, third, third - 1)), ("B", 2, (Fraction(3, 2), Fraction(1, 2)))]:
         ch = freudenthal_character(root_datum(algebras(fam, rank)), Weight(lam))
-        assert all(type(c) is int for mu in ch for c in mu.coords)
+        assert all(type(d) is tuple and all(type(c) is int for c in d) for d in ch)
 
 
 def test_root_datum_rejects_a_half_integer_root():
@@ -503,10 +560,10 @@ def test_weights_refuse_floats():
 def test_freudenthal_weyl_invariance(algebras):
     datum = root_datum(algebras("B", 2))
     lam = Weight((2, 1))
-    ch = freudenthal_character(datum, lam)
+    ch = absolute(freudenthal_character(datum, lam), lam)
     for w in weyl_group(datum):
         for mu, mult in ch.items():
-            assert ch.get(w.apply(mu)) == mult
+            assert ch.get(weyl_apply(w, mu)) == mult
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +584,15 @@ def test_weyl_type_a_has_no_signs(algebras):
 
 def test_weyl_type_d_even_sign_count(algebras):
     for w in weyl_group(root_datum(algebras("D", 3))):
-        assert w.minus_count() % 2 == 0
+        assert minus_count(w) % 2 == 0
 
 
 def test_weyl_group_axioms(algebras):
     group = weyl_group(root_datum(algebras("B", 2)))
     elements = set(group)
     for w in group:
-        assert w.compose(w.inverse()) == w.inverse().compose(w)
-        assert w.compose(w.inverse()).perm == tuple(range(2))
+        assert w.compose(weyl_inverse(w)) == weyl_inverse(w).compose(w)
+        assert w.compose(weyl_inverse(w)).perm == tuple(range(2))
     for a, b in itertools.islice(itertools.product(group, group), 30):
         assert a.compose(b) in elements
 

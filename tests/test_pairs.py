@@ -9,6 +9,7 @@ from tests.matrix_route import (
     restricted_root_spaces,
     u_minus_space,
 )
+from tests.oracles import acts_trivially_on_j
 from vermabranch import (
     ClassicalType,
     Involution,
@@ -74,7 +75,7 @@ def test_build_sp4_gl2(pairs):
 def test_build_group_case(pairs):
     pair = pairs("group_case", type="A1")
     assert pair.g.dim == 6 and pair.matrices.fixed.dim == 3
-    assert not pair.acts_trivially_on_j()  # the factor swap is outer
+    assert not acts_trivially_on_j(pair)  # the factor swap is outer
 
 
 @pytest.mark.parametrize(
@@ -275,13 +276,20 @@ def test_restrict_weight_group_case_adds_factors(pairs):
     assert pair.restrict_weight(w) == Weight((Fraction(7, 2), 1))
 
 
+def test_probe_params_rows_are_integer():
+    # restrict_finite_module applies these rows to integer displacements
+    for spec in catalog_pairs(6):
+        rows = build_pair(spec).probe_params
+        assert all(type(c) is int for row in rows for c in row), spec.id
+
+
 def test_acts_trivially_on_j_flags(pairs):
-    assert pairs("sl_s_glgl", p=2, q=2).acts_trivially_on_j()
-    assert pairs("gl_down_gl", n=2, l=1).acts_trivially_on_j()
-    assert pairs("sp_down_gl", n=2).acts_trivially_on_j()
-    assert pairs("so_down_so", m=4).acts_trivially_on_j()
-    assert not pairs("so_down_so", m=5).acts_trivially_on_j()
-    assert not pairs("group_case", type="A1").acts_trivially_on_j()
+    assert acts_trivially_on_j(pairs("sl_s_glgl", p=2, q=2))
+    assert acts_trivially_on_j(pairs("gl_down_gl", n=2, l=1))
+    assert acts_trivially_on_j(pairs("sp_down_gl", n=2))
+    assert acts_trivially_on_j(pairs("so_down_so", m=4))
+    assert not acts_trivially_on_j(pairs("so_down_so", m=5))
+    assert not acts_trivially_on_j(pairs("group_case", type="A1"))
 
 
 def test_catalog_ids_are_unique_and_within_the_rank_bound():

@@ -41,6 +41,7 @@ JOBS = (
     "branch --pair sp_down_gl:n=4 --parabolic siegel --degree 4",
     "mf-scan --rank-bound 6",
     "verify --pair sp_down_gl:n=3 --parabolic siegel --level 6",
+    "verify --pair sp_down_gl:n=4 --parabolic siegel --level 12",
 )
 BARE = "import os; os._exit(0)"
 
