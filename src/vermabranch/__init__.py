@@ -23,13 +23,30 @@ class PreconditionError(ValueError):
     ``python -m vermabranch.cli``."""
 
 
+# size caps, here so that a rejected size exits 2 before any engine module loads
+PAIR_RANK_CAP = 12  # ambient rank of a catalog pair, checked before it is built
+WEYL_RANK_CAP = MF_SCAN_RANK_CAP = 6
+DEGREE_CAP = LEVEL_CAP = 12
+
+
+class RankCapError(PreconditionError):
+    """Raised by `check_cap` when a rank, degree or level exceeds its cap."""
+
+
+def check_cap(name: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise RankCapError("%s capped at %d" % (name, cap))
+    if value < 0:
+        raise PreconditionError("%s must be non-negative, got %d" % (name, value))
+
+
 _EXPORTS = {
     "exactla": (
         "MatrixElement NilpotencyReport Rational Subspace bracket echelon_span "
         "nilpotent_subalgebra_test span_of_matrices weight_decomposition"
     ),
     "liealg": (
-        "ClassicalType RankCapError RootDatum Weight WeylElement "
+        "ClassicalType RootDatum Weight WeylElement "
         "freudenthal_character root_datum weyl_dimension weyl_group"
     ),
     "pairs": "PairSpec SymmetricPair build_pair catalog_pairs restricted_root_data tau_split",
@@ -48,7 +65,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted([*_MODULE_OF, "RankCapError"])
 
 
 def __getattr__(name):

@@ -17,16 +17,8 @@ from collections import Counter
 from operator import add
 from typing import Iterable, NamedTuple, Optional
 
-from .liealg import (
-    MF_SCAN_RANK_CAP,
-    RootDatum,
-    Weight,
-    _dot,
-    _rref,
-    check_cap,
-    freudenthal_character,
-    scaled_coords,
-)
+from . import MF_SCAN_RANK_CAP, check_cap
+from .liealg import RootDatum, Weight, _dot, _rref, freudenthal_character, scaled_coords
 from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data
 from .parabolic import (
     IncompatibleRestrictionError,

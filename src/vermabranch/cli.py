@@ -7,19 +7,24 @@ output, 1 internal error.  Rationals are serialized as "p/q" strings, never
 floats, and identical configurations produce byte-identical JSON.  The
 command bodies live in ``commands``, imported on a cache miss only, and they
 import the engine modules they run; a cache hit or an argument the parser
-rejects loads neither.  Cache keys hash with the interpreter's own SHA-256,
+rejects loads neither.  Flags are read by a parser driven by one table
+built from ``RunConfig``'s fields, with argparse's grammar and messages
+(``--flag value``, ``--flag=value``, unique prefixes, ``--``) but without
+importing argparse.  Cache keys hash with the interpreter's own SHA-256,
 so no process loads OpenSSL (``_hashlib``) or ``glob``; ``random`` loads only
 in ``analyze`` and through ``tempfile`` when a cache entry is written.  A
 process runs ``run``, which skips interpreter teardown with ``os._exit``
-once ``main`` has flushed the envelope; ``main`` only returns its code.
+once ``main`` has flushed the envelope; ``main`` only returns its code,
+except that ``-h`` prints the flag table and raises ``SystemExit(0)``, as
+argparse did.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re  # loaded with json
 import sys
 from typing import NamedTuple, Optional
 
@@ -29,13 +34,6 @@ SCHEMA_VERSION = "vb-schema-1"
 CACHE_ENV_VAR = "VERMABRANCH_CACHE_DIR"
 
 COMMANDS = ("pairs", "analyze", "census", "branch", "verify", "mf-scan")
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises PreconditionError (exit 2) where argparse would exit."""
-
-    def error(self, message):
-        raise PreconditionError(message)
 
 
 class RunConfig(NamedTuple):
@@ -266,48 +264,110 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="vermabranch",
-        description="Discretely decomposable restrictions of generalized "
-        "Verma modules to symmetric subalgebras",
-    )
-    default = RunConfig._field_defaults
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--pair", dest="pair_id")
-    parser.add_argument("--parabolic", default=None)
-    parser.add_argument("--lambda", dest="lam", default=default["lam"])
-    parser.add_argument("--degree", type=int, default=default["degree"])
-    parser.add_argument("--level", type=int, default=default["level"])
-    parser.add_argument("--law")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--l", type=int)
-    parser.add_argument("--rank-bound", type=int, default=default["rank_bound"])
-    parser.add_argument("--format", choices=("text", "json"), default=default["format"])
-    parser.add_argument("--cache-dir")
-    parser.add_argument("--seed", type=int, default=default["seed"])
-    parser.add_argument("--config", dest="config_file")
-    return parser
+# flag -> RunConfig field, in argparse's order: the one table behind the
+# parser, the --config keys and the -h listing
+_FLAGS = {"-h": "help", "--help": "help", **{
+    "--" + {"pair_id": "pair", "lam": "lambda"}.get(f, f).replace("_", "-"): f
+    for f in RunConfig._fields[1:]}, "--config": "config_file"}
+_NAMES = {field: flag for flag, field in _FLAGS.items()}
+_INTS = {f for f, t in RunConfig.__annotations__.items() if "int" in t.__forward_arg__}
+_CHOICES = {"command": COMMANDS, "format": ("text", "json")}
+
+
+def _option(arg: str, flags: dict):
+    """(field, attached value or None) of a flag, its "=" form, a unique
+    prefix of a -- flag or "-h" with text attached; (None, None) of an
+    unknown flag; None of a value."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    if arg in flags or eq and name in flags:
+        return flags[name], value if eq else None
+    if arg[1] == "-":
+        matches, value = [f for f in flags if f.startswith(name)], value if eq else None
+    else:
+        matches, value = [f for f in flags if f == arg[:2]], arg[2:]
+    if len(matches) > 1:
+        raise PreconditionError("ambiguous option: %s could match %s" % (arg, ", ".join(matches)))
+    if matches:
+        return flags[matches[0]], value
+    return None if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg else (None, None)
+
+
+def _convert(field: str, text: str):
+    """A value under its field's int type or choices."""
+    name, choices = _NAMES.get(field, field), _CHOICES.get(field, (text,))
+    if field in _INTS:
+        try:
+            return int(text)
+        except ValueError:
+            raise PreconditionError("argument %s: invalid int value: %r" % (name, text)) from None
+    if text not in choices:
+        raise PreconditionError("argument %s: invalid choice: %r (choose from %s)"
+                                % (name, text, ", ".join(map(repr, choices))))
+    return text
+
+
+def _parse(argv, flags=_FLAGS, strict=True) -> dict:
+    """The fields argv gives, read as argparse reads them: the first value is
+    the command, every argument after "--" is a value, a flag takes its
+    attached value or the next argument, and the last of a repeated flag
+    wins.  Read leniently, unknown flags and extra values pass unchecked."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(arg, flags) for arg in argv[:end]] + ["--"] + [None] * len(argv)
+    given, extras, i = {}, [], 0
+    while i < len(argv):
+        kind, arg, i = kinds[i], argv[i], i + 1
+        if kind == "--" and "command" not in given and i < len(argv):
+            kind, arg, i = None, argv[i], i + 1
+        if kind is None and "command" not in given:
+            given["command"] = _convert("command", arg) if strict else arg
+            i += kinds[i] == "--"
+        elif kind is None or kind == "--" or kind[0] is None:
+            extras.append(arg)
+        elif kind[0] == "help":
+            if kind[1] is not None:
+                raise PreconditionError("argument -h/--help: ignored explicit argument %r" % kind[1])
+            raise SystemExit(_write_out(_usage(), 0))
+        else:
+            field, value = kind
+            if value is None:
+                if kinds[i] is not None:
+                    raise PreconditionError("argument %s: expected one argument" % _NAMES[field])
+                value, i = argv[i], i + 1
+            given[field] = _convert(field, value) if strict else value
+    if strict and ("command" not in given or extras):
+        raise PreconditionError("unrecognized arguments: %s" % " ".join(extras) if "command" in given
+                                else "the following arguments are required: command")
+    return given
+
+
+def _usage() -> str:
+    rows = ["usage: vermabranch {%s} [--flag VALUE | --flag=VALUE]..." % ",".join(COMMANDS),
+            "a unique prefix names a flag; the last of a repeated flag wins"]
+    for flag, field in list(_FLAGS.items())[2:]:
+        kind = "{%s}" % ",".join(_CHOICES[field]) if field in _CHOICES else "INT" if field in _INTS else "TEXT"
+        default = RunConfig._field_defaults.get(field)
+        rows.append("  %-12s %s" % (flag, kind) + ("" if default is None else "  (default %s)" % default))
+    return "\n".join(rows + ["  -h, --help   print this listing", ""])
 
 
 def config_from_args(argv) -> RunConfig:
     """Flags win over `--config` file values, which win over the defaults."""
-    parser = build_parser()
-    values = vars(parser.parse_args(argv))
-    config_file = values.pop("config_file")
-    if config_file:
-        defaults = _read_config_file(config_file)
+    given = _parse(argv)
+    path = given.pop("config_file", None)
+    if path:
+        defaults = _read_config_file(path)
         for key in defaults:
-            if key not in values:
+            if key not in RunConfig._fields:
                 raise PreconditionError("unknown config key %r" % key)
-        for key, choices in ((a.dest, a.choices) for a in parser._actions if a.choices):
-            if key in defaults and defaults[key] not in choices:  # set_defaults skips this
+        for key, choices in _CHOICES.items():
+            if defaults.get(key, choices[0]) not in choices:
                 raise PreconditionError("config %s must be one of %s" % (key, ", ".join(choices)))
-        # string defaults pass through the same type checks as the flags
-        parser.set_defaults(**defaults)
-        values = vars(parser.parse_args(argv))
-        values.pop("config_file")
-    return RunConfig(**values)
+        # string values pass through the same checks as the flags
+        given = {**{k: _convert(k, defaults[k]) for k in RunConfig._fields
+                    if k in defaults and k not in given}, **given}
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:
@@ -339,14 +399,14 @@ def _write_out(text: str, code: int) -> int:
 def _reject_arguments(argv, exc) -> int:
     """Exit 2 for arguments that form no config; the command and format are
     read leniently so that --format json still gets its envelope."""
-    lenient = argparse.ArgumentParser(add_help=False)
-    lenient.add_argument("command", nargs="?")
-    lenient.add_argument("--format")
-    known = lenient.parse_known_args(argv)[0]
-    if known.format != "json":
+    try:
+        known = _parse(argv, {"--format": "format"}, strict=False)
+    except PreconditionError:  # a --format without its value
+        known = {}
+    if known.get("format") != "json":
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    payload = {"schema": SCHEMA_VERSION, "engine": ENGINE_VERSION, "command": known.command,
+    payload = {"schema": SCHEMA_VERSION, "engine": ENGINE_VERSION, "command": known.get("command"),
                "result": "precondition violation", "error": str(exc)}
     return _write_out(serialize_envelope(ResultEnvelope(payload=payload)), 2)
 

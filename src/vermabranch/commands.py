@@ -2,33 +2,24 @@
 
 ``cli.run_command`` imports this module on a cache miss only.  Engine
 modules are imported inside each command, once ``--pair`` and the sizes are
-checked, so a rejected size loads only the caps and each call reads the
-engine module's current attribute (perfbench's tracer rebinds them).  This
-module never imports ``vermabranch.cli``: under ``python -m vermabranch.cli``
-that module is ``__main__``, and a second import would run it again with its
-own classes.
+checked, so a rejected size loads no engine module (the caps live in the
+package root) and each call reads the engine module's current attribute
+(perfbench's tracer rebinds them).  This module never imports
+``vermabranch.cli``: under ``python -m vermabranch.cli`` that module is
+``__main__``, and a second import would run it again with its own classes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from . import PreconditionError
+from . import DEGREE_CAP, LEVEL_CAP, MF_SCAN_RANK_CAP, PreconditionError, check_cap
 
 if TYPE_CHECKING:
     from .cli import RunConfig
 
 # closed-form law -> smallest n whose pair exists in the catalog
 LAW_MIN_N = {"AA": 1, "BD": 2, "DB": 2}
-
-
-def _check_size(name: str, value: int, cap: Optional[int] = None) -> None:
-    if cap is not None:
-        from .liealg import check_cap
-
-        check_cap(name, value, cap)
-    if value < 0:
-        raise PreconditionError("%s must be non-negative, got %d" % (name, value))
 
 
 def _require_pair(config: RunConfig) -> None:
@@ -134,9 +125,7 @@ def _table_json(table):
 
 
 def _cmd_pairs(config: RunConfig, payload: dict):
-    from .liealg import MF_SCAN_RANK_CAP
-
-    _check_size("rank bound", config.rank_bound, MF_SCAN_RANK_CAP)
+    check_cap("rank bound", config.rank_bound, MF_SCAN_RANK_CAP)
     from .pairs import catalog_pairs
 
     payload["catalog"] = [s.id for s in catalog_pairs(config.rank_bound)]
@@ -185,9 +174,7 @@ def _cmd_census(config: RunConfig, payload: dict):
 
 def _cmd_branch(config: RunConfig, payload: dict):
     _require_pair(config)
-    from .liealg import DEGREE_CAP
-
-    _check_size("degree", config.degree, DEGREE_CAP)
+    check_cap("degree", config.degree, DEGREE_CAP)
     from .branching import branch_multiplicities, genericity_check
     from .parabolic import IncompatibleRestrictionError, closedness_report
 
@@ -226,14 +213,14 @@ def _cmd_verify(config: RunConfig, payload: dict):
         if n < LAW_MIN_N.get(family, n + 1):
             known = ", ".join("%s with --n >= %d" % kv for kv in LAW_MIN_N.items())
             raise PreconditionError("verify --law takes %s" % known)
+        if family != "AA" and config.l is not None:  # l parametrizes law AA only
+            raise PreconditionError("--l applies to law AA only, not %s" % family)
         params = {"n": n}
         if family == "AA":
             params["l"] = config.l if config.l is not None else 1
             if not 1 <= params["l"] <= n + 1:
                 raise PreconditionError("law AA needs 1 <= --l <= n+1 = %d" % (n + 1))
-        from .liealg import DEGREE_CAP
-
-        _check_size("degree", config.degree, DEGREE_CAP)
+        check_cap("degree", config.degree, DEGREE_CAP)
         from .branching import branch_multiplicities, closed_form_law, law_setting
 
         pair, spec = law_setting(config.law, params)
@@ -248,9 +235,7 @@ def _cmd_verify(config: RunConfig, payload: dict):
         payload["assumptions"] = list(law.genericity_assumptions)
         return
     _require_pair(config)
-    from .liealg import LEVEL_CAP
-
-    _check_size("level", config.level, LEVEL_CAP)
+    check_cap("level", config.level, LEVEL_CAP)
     from .branching import verify_character_identity
 
     pair = _resolve_pair(config.pair_id)
@@ -264,9 +249,7 @@ def _cmd_verify(config: RunConfig, payload: dict):
 
 
 def _cmd_mf_scan(config: RunConfig, payload: dict):
-    from .liealg import MF_SCAN_RANK_CAP
-
-    _check_size("rank bound", config.rank_bound, MF_SCAN_RANK_CAP)
+    check_cap("rank bound", config.rank_bound, MF_SCAN_RANK_CAP)
     from .branching import mf_scan
 
     rows = mf_scan(config.rank_bound, include_failing=True)

@@ -17,23 +17,7 @@ from functools import cached_property
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
-from . import PreconditionError
-
-# size caps: exceeding one raises RankCapError
-PAIR_RANK_CAP = 12  # ambient rank of a catalog pair, checked before it is built
-WEYL_RANK_CAP = 6
-MF_SCAN_RANK_CAP = 6
-DEGREE_CAP = 12
-LEVEL_CAP = 12
-
-
-class RankCapError(PreconditionError):
-    """Raised when a rank, degree or level exceeds its cap."""
-
-
-def check_cap(name: str, value: int, cap: int) -> None:
-    if value > cap:
-        raise RankCapError("%s capped at %d" % (name, cap))
+from . import WEYL_RANK_CAP, RankCapError
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +269,7 @@ class RootDatum:
         self.eps_dim, self.roots, self.positive_roots = eps_dim, roots, positive
         self.simple_roots = _indecomposables(positive)
         self.rho = Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
+        self.characters = {}  # labels of lam -> freudenthal_character(self, lam)
 
     @cached_property
     def index(self) -> dict:
@@ -445,15 +430,19 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
     recursion runs on integer tuples: lam, rho and the (integral) roots
     times the lcm of the denominators of lam and rho, which scales every
     inner product by the same square and leaves the Freudenthal quotients as
-    they are; a weight's scaled offset from lam is that lcm times d.
+    they are; a weight's scaled offset from lam is that lcm times d.  The
+    result depends only on the labels of lam, under which the datum keeps it.
     """
     if not datum.is_dominant_integral(lam):
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
     scale = math.lcm(*(c.denominator for c in lam.coords + datum.rho.coords))
+    top = scaled_coords(lam.coords, scale)
+    key = tuple(x // scale for x in datum.labels(top))
+    if key in datum.characters:
+        return dict(datum.characters[key])
     simple = [tuple(scale * c for c in a) for a in datum.simple_roots]
     roots = [(a, _dot(a, a)) for a in (tuple(scale * c for c in a) for a in datum.positive_roots)]
     rho = scaled_coords(datum.rho.coords, scale)
-    top = scaled_coords(lam.coords, scale)
     top_rho = tuple(map(add, top, rho))
     top_rho_sq = _dot(top_rho, top_rho)
     mult = {w: 1 for w, _ in datum.orbit(top)}
@@ -470,7 +459,9 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
             if m:
                 nxt.append(mu)
         level = nxt
-    return {tuple((c - t) // scale for c, t in zip(mu, top)): m for mu, m in mult.items()}
+    char = datum.characters[key] = {tuple((c - t) // scale for c, t in zip(mu, top)): m
+                                    for mu, m in mult.items()}
+    return dict(char)
 
 
 def _freudenthal_mult(mu, mult, roots, rho, top_rho_sq) -> int:

@@ -21,14 +21,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+from . import PAIR_RANK_CAP, check_cap
 from .liealg import (
-    PAIR_RANK_CAP,
     Algebra,
     ClassicalType,
     RootDatum,
     Weight,
     _solve,
-    check_cap,
     classical_algebra,
     root_datum,
 )

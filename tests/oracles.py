@@ -8,15 +8,19 @@ S(u_-^{-tau}) for an abelian nilradical, the finiteness bound of the
 branching engine, the ad-nilpotency test on an ambient algebra, the
 tensor-case closedness criterion and the double-coset count of the
 inner-involution census are each checked against the engine by the tests
-that import them.  They read engine internals, as the other
+that import them.  Last comes the argparse front end that ``cli`` parsed its
+flags with before its table-driven parser, held to it by the parity tests.  They read engine internals, as the other
 oracles here (``matrix_route``) do.
 """
 
+import argparse
 import functools
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional
 
+from vermabranch import PreconditionError, cli
 from vermabranch.branching import (
     VermaSpec,
     _engine_context,
@@ -310,3 +314,83 @@ def _decreasing_tuples(length: int, total: int):
             yield from rec(remaining - a, a, acc + [a])
 
     yield from rec(total, total, [])
+
+
+# ---------------------------------------------------------------------------
+# the argparse front end of the CLI
+# ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Raises PreconditionError (exit 2) where argparse would exit."""
+
+    def error(self, message):
+        raise PreconditionError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="vermabranch",
+        description="Discretely decomposable restrictions of generalized "
+        "Verma modules to symmetric subalgebras",
+    )
+    default = cli.RunConfig._field_defaults
+    parser.add_argument("command", choices=cli.COMMANDS)
+    parser.add_argument("--pair", dest="pair_id")
+    parser.add_argument("--parabolic", default=None)
+    parser.add_argument("--lambda", dest="lam", default=default["lam"])
+    parser.add_argument("--degree", type=int, default=default["degree"])
+    parser.add_argument("--level", type=int, default=default["level"])
+    parser.add_argument("--law")
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--l", type=int)
+    parser.add_argument("--rank-bound", type=int, default=default["rank_bound"])
+    parser.add_argument("--format", choices=("text", "json"), default=default["format"])
+    parser.add_argument("--cache-dir")
+    parser.add_argument("--seed", type=int, default=default["seed"])
+    parser.add_argument("--config", dest="config_file")
+    return parser
+
+
+def config_from_args(argv) -> cli.RunConfig:
+    """Flags win over `--config` file values, which win over the defaults."""
+    parser = build_parser()
+    values = vars(parser.parse_args(argv))
+    config_file = values.pop("config_file")
+    if config_file:
+        defaults = cli._read_config_file(config_file)
+        for key in defaults:
+            if key not in values:
+                raise PreconditionError("unknown config key %r" % key)
+        for key, choices in ((a.dest, a.choices) for a in parser._actions if a.choices):
+            if key in defaults and defaults[key] not in choices:  # set_defaults skips this
+                raise PreconditionError("config %s must be one of %s" % (key, ", ".join(choices)))
+        # string defaults pass through the same type checks as the flags
+        parser.set_defaults(**defaults)
+        values = vars(parser.parse_args(argv))
+        values.pop("config_file")
+    return cli.RunConfig(**values)
+
+
+def reject_arguments(argv, exc) -> int:
+    """Exit 2 for arguments that form no config; the command and format are
+    read leniently so that --format json still gets its envelope."""
+    lenient = argparse.ArgumentParser(add_help=False)
+    lenient.add_argument("command", nargs="?")
+    lenient.add_argument("--format")
+    known = lenient.parse_known_args(argv)[0]
+    if known.format != "json":
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    payload = {"schema": cli.SCHEMA_VERSION, "engine": cli.ENGINE_VERSION, "command": known.command,
+               "result": "precondition violation", "error": str(exc)}
+    return cli._write_out(cli.serialize_envelope(cli.ResultEnvelope(payload=payload)), 2)
+
+
+def main(argv) -> int:
+    """`cli.main` on the argparse front end."""
+    try:
+        config = config_from_args(argv)
+    except (ValueError, OSError) as exc:  # a rejected flag or config file
+        return reject_arguments(argv, exc)
+    env, code = cli.run_command(config)
+    return cli._write_out(cli.serialize_envelope(env, config.format), code)

@@ -180,6 +180,8 @@ def test_bad_lambda_exits_two():
         "verify --pair sp_down_gl:n=2 --parabolic siegel --level -3",
         "verify --law AA --n 0",
         "verify --law AA --n 2 --l 7",
+        "verify --law BD --n 3 --l 7",
+        "verify --law DB --n 3 --l 1",
         "verify --law BD --n 0",
         "verify --law DB --n 0",
         "analyze --pair sl_s_glgl:p=2,q=2 --parabolic H=1,0",
@@ -241,6 +243,12 @@ def test_parse_stage_errors_exit_two_with_envelope(argv, config_text, tmp_path, 
     assert payload["command"] == "branch" and payload["error"]
     assert main(argv) == 2  # text format: the message goes to stderr
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law", ["BD", "DB"])
+def test_l_applies_to_law_aa_only(law):
+    env, code = run(["verify", "--law", law, "--n", "3", "--l", "7"])
+    assert code == 2 and env.payload["error"] == "--l applies to law AA only, not %s" % law
 
 
 def test_mf_scan_rank_cap_message():

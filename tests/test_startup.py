@@ -10,15 +10,16 @@ the reader, and that output which cannot be written exits 2.
 
 (b) A fresh interpreter runs ``cli.main`` and reports the ``vermabranch``
 modules it loaded: a cache hit and an argument the parser rejects load
-neither ``commands`` nor an engine module, a missing ``--pair`` loads no
-engine module, a rejected ``--degree`` or ``--level`` loads no ``pairs``,
-``parabolic`` or ``branching``, ``census`` and ``analyze`` load no
-``branching``, only ``analyze`` loads ``exactla`` and the matrix
-realization (``realization``), and no command loads ``dataclasses``.  No process loads
-``_hashlib`` (OpenSSL) or ``glob``, with a cache directory or without, and
-without one only ``analyze`` loads ``random``.  A ``python -m
-vermabranch.cli`` process never imports ``vermabranch.cli`` besides its
-``__main__``.  Only module names are asserted, no timings.
+neither ``commands`` nor an engine module, a missing ``--pair`` or a
+rejected ``--degree``, ``--level`` or ``--rank-bound`` loads ``commands``
+and no engine module (the caps live in the package root), ``census`` and
+``analyze`` load no ``branching``, only ``analyze`` loads ``exactla`` and
+the matrix realization (``realization``), and no command loads
+``dataclasses``.  No process loads ``argparse``, ``_hashlib`` (OpenSSL) or
+``glob``, on a miss, a hit or a rejection, and without a cache directory
+only ``analyze`` loads ``random``.  A ``python -m vermabranch.cli`` process
+never imports ``vermabranch.cli`` besides its ``__main__``, and its ``-h``
+names every flag and command.  Only module names are asserted, no timings.
 """
 
 import contextlib
@@ -40,10 +41,11 @@ COMMANDS = CLI_ONLY + ["vermabranch.commands"]  # a cache miss
 ENGINE = ["vermabranch." + m for m in ("liealg", "pairs", "parabolic")]
 MATRICES = ["vermabranch.exactla", "vermabranch.realization"]  # only analyze loads them
 OPENSSL = ["_hashlib", "glob"]  # what hashlib's sha256 and a glob of the sources would load
+UNLOADED = {"argparse", "dataclasses", *OPENSSL}  # by every CLI process
 
 # runs cli.main on its arguments, then prints [exit code, loaded modules]
 # (the package's, and those of WATCHED if loaded) as the last line
-WATCHED = ("vermabranch", "dataclasses", "_hashlib", "glob", "random")
+WATCHED = ("vermabranch", "argparse", "dataclasses", "_hashlib", "glob", "random")
 GUARD = (
     "import json, sys\n"
     "from vermabranch import cli\n"
@@ -242,7 +244,7 @@ def test_module_entry_point_never_imports_cli_again(tmp_path, job, code):
         assert json.loads(proc.stdout)["command"] == job.split()[0]
         modules = json.loads(proc.stderr.decode().splitlines()[-1])
         assert "vermabranch.cli" not in modules
-        assert not set(OPENSSL) & set(modules)
+        assert not UNLOADED & set(modules)
 
 
 @pytest.mark.parametrize(
@@ -257,8 +259,17 @@ def test_module_entry_point_never_imports_cli_again(tmp_path, job, code):
     ],
 )
 def test_rejected_sizes_load_only_the_caps(job):
-    # the caps live in liealg; pairs, parabolic and branching stay unloaded
-    assert _guard(job) == (2, sorted(COMMANDS + ["vermabranch.liealg"]))
+    # the caps live in the package root: no engine module is loaded
+    assert _guard(job) == (2, COMMANDS)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_lists_every_flag_and_command(flag):
+    proc = _run(["-m", "vermabranch.cli", "census", flag, "--degree", "x"])
+    assert proc.returncode == 0 and not proc.stderr
+    listing = proc.stdout.decode()
+    for word in [*cli._FLAGS, *cli.COMMANDS]:
+        assert word in listing
 
 
 @pytest.mark.parametrize(
@@ -276,7 +287,7 @@ def test_rejected_sizes_load_only_the_caps(job):
 def test_each_command_loads_only_its_modules(job, loads_branching):
     code, modules = _guard(job)
     assert code == 0
-    assert not {"dataclasses", *OPENSSL} & set(modules)
+    assert not UNLOADED & set(modules)
     assert ("vermabranch.branching" in modules) == loads_branching
     analyze = job.startswith("analyze")  # the spot check samples matrices
     assert ("random" in modules) == analyze
@@ -288,7 +299,8 @@ def test_package_names_resolve_on_first_use():
     assert proc.stdout.decode().split() == ["['vermabranch']"]
     for name in vermabranch.__all__:
         value = getattr(vermabranch, name)
-        assert value is getattr(sys.modules["vermabranch." + vermabranch._MODULE_OF[name]], name)
+        module = sys.modules["vermabranch." + vermabranch._MODULE_OF.get(name, "liealg")]
+        assert value is getattr(module, name)  # RankCapError: the root's, re-imported by liealg
     assert set(vermabranch.__all__) <= set(dir(vermabranch))
     with pytest.raises(AttributeError):
         vermabranch.no_such_name

@@ -18,17 +18,20 @@ that follows.  The budget splits the first job's hit into a bare interpreter
 (``import os; os._exit(0)``), the imports (a process that imports the
 modules the hit loads and hard-exits, less bare) and the rest (the hit less
 the imports).  Parent and change alternate, the parent first on odd
-repetitions.  FILE gets each side's medians and whether every process of a
-job, miss or hit, printed the same stdout bytes on both sides.
+repetitions.  FILE gets each side's medians and quartiles (inclusive
+method), the repetitions in which the change used less CPU time than the
+parent, and whether every process of a job, miss or hit, printed the same
+stdout bytes on both sides.
 """
 
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
+
+from perf_ab import spread
 
 ROOT = os.getcwd()
 
@@ -109,12 +112,11 @@ def plan_runs(srcs, imports, reps, tmp):
 
 
 def medians(rows):
-    return {
-        "cpu_ms_median": round(1000 * statistics.median(r[1] for r in rows), 1),
-        "peak_rss_mb_median": round(statistics.median(r[2] for r in rows) / 1024, 2),
-        "wall_ms_median": round(1000 * statistics.median(r[3] for r in rows), 1),
-        "exit": sorted({os.waitstatus_to_exitcode(r[0]) for r in rows}),
-    }
+    out = {"exit": sorted({os.waitstatus_to_exitcode(r[0]) for r in rows})}
+    for name, column, unit in (("cpu_ms", 1, 1000), ("peak_rss_mb", 2, 1 / 1024), ("wall_ms", 3, 1000)):
+        q1, median, q3 = spread([unit * r[column] for r in rows])
+        out.update({name + "_q1": round(q1, 2), name + "_median": round(median, 2), name + "_q3": round(q3, 2)})
+    return out
 
 
 def main(argv=None):
@@ -165,6 +167,8 @@ def main(argv=None):
             parent, change = row["parent"], row["change"]
             row["rss_saved_mb"] = round(parent["peak_rss_mb_median"] - change["peak_rss_mb_median"], 2)
             row["cpu_saved_ms"] = round(parent["cpu_ms_median"] - change["cpu_ms_median"], 1)
+            pairs = zip(samples["parent|" + key], samples["change|" + key])  # by repetition
+            row["change_cpu_wins"] = sum(c[1] < p[1] for p, c in pairs)
             rows.append(row)
     budget = {"job": JOBS[0] + " (cache hit)"}
     for side in ("parent", "change"):
