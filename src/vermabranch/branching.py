@@ -399,15 +399,19 @@ def verify_character_identity(
         a_min = min(map(lev, ctx.u_second_weights), default=None)
         table = _branching_table(ctx, spec, 0 if a_min is None else level_cap // a_min)
 
-    # the expansion is linear: expand sum_delta m_delta chi_delta once
+    # the expansion is linear: expand sum_delta m_delta chi_delta once; a character
+    # depends only on the labels of its highest weight, so entries sharing them share it
     base = Weight.zero(pair.restricted_eps_dim) if ctx.base is None else ctx.base
-    rhs_start = {}
+    datum, groups, rhs_start = ctx.l_prime_datum, {}, {}
     for delta, mult, _ in table.entries:
-        if lev(delta) > level_cap:
-            continue
-        for d, m in freudenthal_character(ctx.l_prime_datum, base + Weight(delta)).items():
-            if lev(key := _vsum(delta, d)) <= level_cap:
-                rhs_start[key] = rhs_start.get(key, 0) + mult * m
+        if lev(delta) <= level_cap:
+            lam = base + Weight(delta)
+            groups.setdefault(tuple(datum.labels(lam.coords)), (lam, []))[1].append((delta, mult))
+    for lam, group in groups.values():
+        for d, m in freudenthal_character(datum, lam).items():
+            for delta, mult in group:
+                if lev(key := _vsum(delta, d)) <= level_cap:
+                    rhs_start[key] = rhs_start.get(key, 0) + mult * m
     rhs = _inv_euler_expand(rhs_start, ctx.u_prime_weights, lev, level_cap)
 
     return lhs == {w: m for w, m in rhs.items() if m}

@@ -7,16 +7,14 @@ output, 1 internal error.  Rationals are serialized as "p/q" strings, never
 floats, and identical configurations produce byte-identical JSON.  The
 command bodies live in ``commands``, imported on a cache miss only, and they
 import the engine modules they run; a cache hit or an argument the parser
-rejects loads neither.  Flags are read by a parser driven by one table
-built from ``RunConfig``'s fields, with argparse's grammar and messages
-(``--flag value``, ``--flag=value``, unique prefixes, ``--``) but without
-importing argparse.  Cache keys hash with the interpreter's own SHA-256,
+rejects loads neither.  The parser reads flags from one table built from
+``RunConfig``'s fields, with argparse's grammar and messages but without
+importing it.  Cache keys hash with the interpreter's own SHA-256,
 so no process loads OpenSSL (``_hashlib``) or ``glob``; ``random`` loads only
 in ``analyze`` and through ``tempfile`` when a cache entry is written.  A
 process runs ``run``, which skips interpreter teardown with ``os._exit``
-once ``main`` has flushed the envelope; ``main`` only returns its code,
-except that ``-h`` prints the flag table and raises ``SystemExit(0)``, as
-argparse did.
+once ``main`` has flushed the envelope; ``main`` only returns its code, but
+``-h`` prints the flags and raises ``SystemExit(0)``, as argparse did.
 """
 
 from __future__ import annotations
@@ -270,21 +268,22 @@ _FLAGS = {"-h": "help", "--help": "help", **{
     "--" + {"pair_id": "pair", "lam": "lambda"}.get(f, f).replace("_", "-"): f
     for f in RunConfig._fields[1:]}, "--config": "config_file"}
 _NAMES = {field: flag for flag, field in _FLAGS.items()}
-_INTS = {f for f, t in RunConfig.__annotations__.items() if "int" in t.__forward_arg__}
+_INTS = {"degree", "level", "n", "l", "rank_bound", "seed"}
 _CHOICES = {"command": COMMANDS, "format": ("text", "json")}
+_USAGE = "usage: vermabranch {%s} [--flag VALUE | --flag=VALUE]...\nflags: %s\n" % (
+    ",".join(COMMANDS), " ".join(_FLAGS))
 
 
 def _option(arg: str, flags: dict):
     """(field, attached value or None) of a flag, its "=" form, a unique
-    prefix of a -- flag or "-h" with text attached; (None, None) of an
-    unknown flag; None of a value."""
+    prefix of a -- flag or a one-letter flag with text attached; (None, None)
+    of an unknown flag; None of a value."""
     if arg[:1] != "-" or arg == "-":
         return None
     name, eq, value = arg.partition("=")
-    if arg in flags or eq and name in flags:
-        return flags[name], value if eq else None
-    if arg[1] == "-":
-        matches, value = [f for f in flags if f.startswith(name)], value if eq else None
+    if name in flags or arg[1] == "-":
+        matches = [name] if name in flags else [f for f in flags if f.startswith(name)]
+        value = value if eq else None
     else:
         matches, value = [f for f in flags if f == arg[:2]], arg[2:]
     if len(matches) > 1:
@@ -328,7 +327,7 @@ def _parse(argv, flags=_FLAGS, strict=True) -> dict:
         elif kind[0] == "help":
             if kind[1] is not None:
                 raise PreconditionError("argument -h/--help: ignored explicit argument %r" % kind[1])
-            raise SystemExit(_write_out(_usage(), 0))
+            raise SystemExit(_write_out(_USAGE, 0))
         else:
             field, value = kind
             if value is None:
@@ -340,16 +339,6 @@ def _parse(argv, flags=_FLAGS, strict=True) -> dict:
         raise PreconditionError("unrecognized arguments: %s" % " ".join(extras) if "command" in given
                                 else "the following arguments are required: command")
     return given
-
-
-def _usage() -> str:
-    rows = ["usage: vermabranch {%s} [--flag VALUE | --flag=VALUE]..." % ",".join(COMMANDS),
-            "a unique prefix names a flag; the last of a repeated flag wins"]
-    for flag, field in list(_FLAGS.items())[2:]:
-        kind = "{%s}" % ",".join(_CHOICES[field]) if field in _CHOICES else "INT" if field in _INTS else "TEXT"
-        default = RunConfig._field_defaults.get(field)
-        rows.append("  %-12s %s" % (flag, kind) + ("" if default is None else "  (default %s)" % default))
-    return "\n".join(rows + ["  -h, --help   print this listing", ""])
 
 
 def config_from_args(argv) -> RunConfig:

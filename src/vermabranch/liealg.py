@@ -269,7 +269,6 @@ class RootDatum:
         self.eps_dim, self.roots, self.positive_roots = eps_dim, roots, positive
         self.simple_roots = _indecomposables(positive)
         self.rho = Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
-        self.characters = {}  # labels of lam -> freudenthal_character(self, lam)
 
     @cached_property
     def index(self) -> dict:
@@ -430,19 +429,15 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
     recursion runs on integer tuples: lam, rho and the (integral) roots
     times the lcm of the denominators of lam and rho, which scales every
     inner product by the same square and leaves the Freudenthal quotients as
-    they are; a weight's scaled offset from lam is that lcm times d.  The
-    result depends only on the labels of lam, under which the datum keeps it.
+    they are; a weight's scaled offset from lam is that lcm times d.
     """
     if not datum.is_dominant_integral(lam):
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
     scale = math.lcm(*(c.denominator for c in lam.coords + datum.rho.coords))
-    top = scaled_coords(lam.coords, scale)
-    key = tuple(x // scale for x in datum.labels(top))
-    if key in datum.characters:
-        return dict(datum.characters[key])
     simple = [tuple(scale * c for c in a) for a in datum.simple_roots]
     roots = [(a, _dot(a, a)) for a in (tuple(scale * c for c in a) for a in datum.positive_roots)]
     rho = scaled_coords(datum.rho.coords, scale)
+    top = scaled_coords(lam.coords, scale)
     top_rho = tuple(map(add, top, rho))
     top_rho_sq = _dot(top_rho, top_rho)
     mult = {w: 1 for w, _ in datum.orbit(top)}
@@ -459,9 +454,7 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
             if m:
                 nxt.append(mu)
         level = nxt
-    char = datum.characters[key] = {tuple((c - t) // scale for c, t in zip(mu, top)): m
-                                    for mu, m in mult.items()}
-    return dict(char)
+    return {tuple((c - t) // scale for c, t in zip(mu, top)): m for mu, m in mult.items()}
 
 
 def _freudenthal_mult(mu, mult, roots, rho, top_rho_sq) -> int:

@@ -220,22 +220,14 @@ def test_freudenthal_c2_adjoint_against_kostant(algebras):
         assert mult == kostant_multiplicity(datum, lam, mu)
 
 
-def test_freudenthal_character_is_kept_by_labels(algebras):
+def test_freudenthal_character_depends_only_on_the_labels():
     # gl(3)-style roots in 3 coordinates: a central shift keeps the labels
     roots = [Weight(tuple(int(k == i) - int(k == j) for k in range(3)))
              for i in range(3) for j in range(3) if i != j]
     datum = RootDatum(3, roots)
     lam, shifted = Weight((2, 1, 0)), Weight((Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)))
-    first = freudenthal_character(datum, lam)
-    assert freudenthal_character(datum, shifted) == first  # a hit, on other denominators
-    assert list(datum.characters) == [(1, 1)]
-    assert first == freudenthal_character(RootDatum(3, roots), shifted)  # computed afresh
-    first[(0, 0, 0)] = 99  # callers get a copy
-    assert freudenthal_character(datum, lam)[(0, 0, 0)] == 1
-    for fam, rank, lam in [("B", 2, (2, 1)), ("C", 3, (2, 1, 1)), ("D", 4, (1, 1, 0, 0))]:
-        datum = root_datum(algebras(fam, rank))
-        hit = (freudenthal_character(datum, Weight(lam)), freudenthal_character(datum, Weight(lam)))
-        assert hit[0] == hit[1] == freudenthal_character(RootDatum(datum.eps_dim, datum.roots), Weight(lam))
+    assert datum.labels(lam.coords) == datum.labels(shifted.coords) == [1, 1]
+    assert freudenthal_character(datum, shifted) == freudenthal_character(datum, lam)
 
 
 def test_freudenthal_rejects_non_dominant(algebras):
