@@ -387,7 +387,11 @@ def test_verify_builds_fewer_weights_than_freudenthal_returns(monkeypatch):
 
 
 
-def test_verify_runs_freudenthal_once_per_label_vector(monkeypatch):
+@pytest.mark.parametrize("argv, runs, entries", [
+    ("verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --level 6", 7, 50),
+    ("verify --pair sp_down_gl:n=3 --parabolic siegel --level 6", 16, 23),
+])
+def test_verify_runs_freudenthal_once_per_label_vector(monkeypatch, argv, runs, entries):
     """The verify loop runs Freudenthal once per label vector of its entries'
     highest weights, and each entry's own character, computed afresh, is the
     one reused."""
@@ -402,21 +406,20 @@ def test_verify_runs_freudenthal_once_per_label_vector(monkeypatch):
 
     for name in names:
         monkeypatch.setattr(branching, name, spy(name))
-    argv = "verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --level 6"
     code, _ = _peeled_characters(monkeypatch, argv)
     [(_, ctx)], [(_, table)] = seen["_engine_context"], seen["_branching_table"]
     datum = ctx.l_prime_datum
-    runs = [(lam, char) for (d, lam), char in seen["freudenthal_character"] if d is datum]
-    reused = {tuple(datum.labels(lam.coords)): char for lam, char in runs}
-    assert code == 0 and len(reused) == len(runs) == 7
+    made = [(lam, char) for (d, lam), char in seen["freudenthal_character"] if d is datum]
+    reused = {tuple(datum.labels(lam.coords)): char for lam, char in made}
+    assert code == 0 and len(reused) == len(made) == runs
     checked = 0
     for delta, _, _ in table.entries:
-        lam = ctx.base + Weight(delta)
+        lam = (Weight.zero(len(delta)) if ctx.base is None else ctx.base) + Weight(delta)
         char = reused.get(tuple(datum.labels(lam.coords)))
         if char is not None:
             assert real["freudenthal_character"](datum, lam) == char
             checked += 1
-    assert checked >= 51  # the entries within the level: one run each before
+    assert checked >= entries  # the entries within the level: one run each before
 
 
 # ---------------------------------------------------------------------------
