@@ -18,7 +18,7 @@ from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from . import MF_SCAN_RANK_CAP, check_cap
-from .liealg import RootDatum, Weight, _dot, _rref, freudenthal_character, scaled_coords
+from .liealg import RootDatum, Weight, _dot, _rref, freudenthal_character, root_datum, scaled_coords
 from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data
 from .parabolic import (
     IncompatibleRestrictionError,
@@ -555,8 +555,9 @@ def mf_scan(rank_bound: int, include_failing: bool = False):
     for spec in catalog_pairs(rank_bound, simple_only=True):
         if spec.kind == "gl_down_gl" and spec.get("l") != 1:
             continue
-        pair, trace = build_pair(spec), int(spec.kind == "gl_down_gl")  # gl: its sl part
+        pair = build_pair(spec)
         table, g = pair.root_table, pair.g
+        trace = g.rank - len(root_datum(g).simple_roots)  # the centre of gl: its sl part
         # dim j^tau: the rank of (x + tau x)/2 over a basis x of j
         rank_fixed = len(_rref(
             [{i: x for i, x in enumerate(pair.fixed_params(c)) if x} for c in g.cartan_columns]

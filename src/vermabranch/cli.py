@@ -169,8 +169,14 @@ def run_command(config: RunConfig):
         cached = cache_lookup(config)
         if cached is not None:
             return cached, 0
-        from .commands import DISPATCH  # a cache hit compiles no command body
+        from .commands import DISPATCH, READS  # a cache hit compiles no command body
 
+        law = config.command == "verify" and config.law is not None  # else verify reads the pair
+        reads = READS["verify --law" if law else config.command] + ("format", "cache_dir")
+        unread = [_NAMES[f] for f, v in RunConfig._field_defaults.items()
+                  if f not in reads and getattr(config, f) != v]
+        if unread:  # a flag the command ignores would only split the cache key
+            raise PreconditionError("%s does not read %s" % (config.command, ", ".join(unread)))
         DISPATCH[config.command](config, payload)
     except Exception as exc:  # internal error contract, unless a precondition
         if isinstance(exc, PreconditionError):  # RankCapError, IncompatibleRestrictionError too

@@ -21,6 +21,17 @@ if TYPE_CHECKING:
 # closed-form law -> smallest n whose pair exists in the catalog
 LAW_MIN_N = {"AA": 1, "BD": 2, "DB": 2}
 
+# command -> the RunConfig fields it reads besides format and cache_dir
+READS = {
+    "pairs": ("rank_bound",),
+    "analyze": ("pair_id", "parabolic", "seed"),
+    "census": ("pair_id", "parabolic"),
+    "branch": ("pair_id", "parabolic", "lam", "degree"),
+    "verify": ("pair_id", "parabolic", "lam", "level"),
+    "verify --law": ("law", "n", "l", "degree"),
+    "mf-scan": ("rank_bound",),
+}
+
 
 def _require_pair(config: RunConfig) -> None:
     if not config.pair_id:
@@ -205,7 +216,7 @@ def _cmd_branch(config: RunConfig, payload: dict):
 
 
 def _cmd_verify(config: RunConfig, payload: dict):
-    if config.law:
+    if config.law is not None:
         n = config.n
         if n is None:
             raise PreconditionError("verify --law needs --n")

@@ -1,17 +1,17 @@
 """Symmetric pair catalog: each involution as root data, the root table and
 the restricted roots.
 
-A catalog pair is one row of root data (`_root_data`), for the kinds of
-Cartan's list (Helgason, Differential Geometry, Lie Groups, and Symmetric
-Spaces, Ch. X): the roots of g in Bourbaki's eps-coordinates (Lie VI,
-Plates I-IV), tau* as a signed permutation of the coordinates, an element h
-of j with tau X_a = (-1)^{a(h)} X_a on each tau*-fixed root a (tau is
-Ad exp(pi i h) on the inner kinds; for so_down_so with m odd every fixed
-root is compact, and the group case has none), and the rows that restrict a
-j-weight to j^tau.  The root table holds tau*, these signs and the
-restricted roots Sigma(g^tau, j^tau).  The matrices, which only `analyze`
-and the tests read, are built on first use of `SymmetricPair.matrices`
-(module `realization`).
+A catalog kind is one row of `PAIR_KINDS` (kinds of Cartan's list: Helgason,
+Differential Geometry, Lie Groups, and Symmetric Spaces, Ch. X): parameters,
+ambient rank, catalog range and root data, that is the roots of g in
+Bourbaki's eps-coordinates (Lie VI, Plates I-IV), tau* as a signed
+permutation of the coordinates, an element h of j with tau X_a =
+(-1)^{a(h)} X_a on each tau*-fixed root a (tau is Ad exp(pi i h) on the
+inner kinds; for so_down_so with m odd every fixed root is compact, and the
+group case has none), and the rows that restrict a j-weight to j^tau.  The
+root table holds tau*, these signs and the restricted roots
+Sigma(g^tau, j^tau).  The matrices, which only `analyze` and the tests read,
+are built on first use of `SymmetricPair.matrices` (module `realization`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import PAIR_RANK_CAP, check_cap
 from .liealg import (
@@ -27,20 +27,11 @@ from .liealg import (
     ClassicalType,
     RootDatum,
     Weight,
+    _RANK_MIN,
     _solve,
     classical_algebra,
     root_datum,
 )
-
-# pair kind -> the names of its parameters
-PAIR_KINDS = {
-    "gl_down_gl": ("n", "l"),
-    "sl_s_glgl": ("p", "q"),
-    "so_down_so": ("m",),
-    "sp_down_gl": ("n",),
-    "group_case": ("type",),
-}
-
 
 class PairSpec:
     """Catalog identifier with parameters, e.g. PairSpec('sl_s_glgl', p=2, q=2)."""
@@ -48,7 +39,7 @@ class PairSpec:
     def __init__(self, kind: str, **params):
         if kind not in PAIR_KINDS:
             raise ValueError("unknown pair kind %r (known: %s)" % (kind, ", ".join(PAIR_KINDS)))
-        takes = PAIR_KINDS[kind]
+        takes = PAIR_KINDS[kind].params
         wrong = [("unknown", k) for k in params if k not in takes]
         wrong += [("missing", k) for k in takes if k not in params]
         if wrong:
@@ -107,13 +98,13 @@ class RootTable(NamedTuple):
 
 
 class SymmetricPair:
-    """A catalog pair from its root data: g, tau* as rows (row k: the
-    eps-parameters of tau applied to the k-th eps probe), h, and the
+    """A catalog pair from its root data: g, tau* as the signed permutation
+    `tau` ((tau* a)_i = s a_k for the entry (k, s) at i), h, and the
     restriction rows `probe_params` (row k restricts a j-weight to
     coordinate k of j^tau, and spans the j^tau parameters as column k)."""
 
-    def __init__(self, spec: PairSpec, g: Algebra, tau_rows: list, h: Weight, probe_params: list):
-        self.spec, self.g, self.tau_rows, self.h, self.probe_params = spec, g, tau_rows, h, probe_params
+    def __init__(self, spec: PairSpec, g: Algebra, tau: tuple, h: Weight, probe_params: list):
+        self.spec, self.g, self.tau, self.h, self.probe_params = spec, g, tau, h, probe_params
         self.root_table = self._root_table()
 
     @cached_property
@@ -132,7 +123,7 @@ class SymmetricPair:
 
     def restrict_weight(self, w: Weight) -> Weight:
         """Restriction of a j-weight to j^tau, in the pair's coordinates."""
-        return _apply_rows(self.probe_params, w)
+        return Weight(sum(a * r for a, r in zip(w.coords, row) if r) for row in self.probe_params)
 
     def jtau_params(self, params) -> tuple:
         """Probe coordinates of the j^tau element with these eps-parameters."""
@@ -143,17 +134,12 @@ class SymmetricPair:
 
     def tau_star(self, alpha: Weight) -> Weight:
         """Pullback of a j-weight along tau (tau permutes the root spaces)."""
-        return _apply_rows(self.tau_rows, alpha)
+        return Weight(s * alpha.coords[k] for k, s in self.tau)
 
     def fixed_params(self, params) -> tuple:
-        """eps-parameters of (h + tau h)/2 for h with these eps-parameters.
-
-        tau acts on parameters by the transpose of the tau* rows, since
-        alpha(tau h) = (tau* alpha)(h)."""
-        return tuple(
-            (t + sum((r[i] * s for r, s in zip(self.tau_rows, params) if s), Fraction(0))) / 2
-            for i, t in enumerate(params)
-        )
+        """eps-parameters of (h + tau h)/2 for h with these eps-parameters: tau acts on
+        them by the transpose of tau* (alpha(tau h) = (tau* alpha)(h)), which is tau*."""
+        return tuple(Fraction(t + s * params[k], 2) for t, (k, s) in zip(params, self.tau))
 
     def _root_table(self) -> RootTable:
         """tau* must permute the roots as an involution, with sign[i] =
@@ -188,11 +174,6 @@ class SymmetricPair:
         return RootTable(tau, sign, restriction, sigma, rdatum)
 
 
-def _apply_rows(rows, w: Weight) -> Weight:
-    """The weight with coordinates row . w, one per row of a rational matrix."""
-    return Weight(sum(a * r for a, r in zip(w.coords, row) if r) for row in rows)
-
-
 def tau_projection(pair: SymmetricPair, space):
     """pr_tau(V) = {(Z + tau Z)/2 : Z in V} for a matrix subspace V of g."""
     return pair.matrices.eigenspace(space, 1)
@@ -212,100 +193,98 @@ def restricted_root_data(pair: SymmetricPair) -> RootDatum:
 # catalog construction
 # ---------------------------------------------------------------------------
 
-def _group_type(spec: PairSpec) -> ClassicalType:
+def _group_type(name: str) -> ClassicalType:
     """The factor type of a group case, e.g. type=B2."""
-    tname = spec.get("type")
-    m = re.fullmatch(r"([A-D])([0-9]+)", tname)
+    m = re.fullmatch(r"([A-D])([0-9]+)", name)
     if not m:
-        raise ValueError("group_case type %r is not a letter A-D followed by a rank, e.g. B2" % tname)
+        raise ValueError("group_case type %r is not a letter A-D followed by a rank, e.g. B2" % name)
     return ClassicalType(m.group(1), int(m.group(2)))
-
-
-def _ambient_rank(spec: PairSpec) -> int:
-    """Rank of g (semisimple rank for gl), read from the spec's parameters."""
-    get = spec.get
-    if spec.kind == "group_case":
-        return 2 * _group_type(spec).rank
-    if spec.kind == "sl_s_glgl":
-        return get("p") + get("q") - 1
-    if spec.kind == "so_down_so":
-        return (get("m") + 1) // 2
-    return get("n")  # gl_down_gl, sp_down_gl
 
 
 def _eye(n: int) -> list:
     return [tuple(int(i == k) for i in range(n)) for k in range(n)]
 
 
-def _root_data(spec: PairSpec):
-    """(g, tau* rows, h, restriction rows) of a catalog pair.  tau* is the
-    identity for the inner kinds, negates the last coordinate for so_down_so
-    with m odd and swaps the two halves for the group case; the restriction
-    to j^tau is the identity, drops the last coordinate or sums the halves.
-    h is the indicator of coordinate l (gl_down_gl), of the last q
-    coordinates (sl_s_glgl), (1, ..., 1) (so_down_so, m even), (1/2, ...,
-    1/2) (sp_down_gl), and 0 for the outer kinds."""
-    kind, get = spec.kind, spec.get
-    if kind == "group_case":
-        f = classical_algebra(_group_type(spec))
-        k, zero = f.eps_dim, (0,) * f.eps_dim
-        roots = tuple(Weight(a.coords + zero) for a in f.roots) + tuple(Weight(zero + a.coords) for a in f.roots)
-        cartan = [c + zero for c in f.cartan_columns] + [zero + c for c in f.cartan_columns]
-        eye = _eye(2 * k)
-        return Algebra(None, roots, cartan, f), eye[k:] + eye[:k], Weight(zero + zero), [u + u for u in _eye(k)]
-    if kind == "gl_down_gl":
-        n, l = get("n"), get("l")
-        if n < 1 or not 1 <= l <= n + 1:
-            raise ValueError("gl_down_gl requires n >= 1 and 1 <= l <= n+1")
-        g, h = classical_algebra(ClassicalType("A", n), with_center=True), _eye(n + 1)[l - 1]
-    elif kind == "sl_s_glgl":
-        p, q = get("p"), get("q")
-        if p < 1 or q < 1 or p + q < 2:
-            raise ValueError("sl_s_glgl requires p, q >= 1")
-        g, h = classical_algebra(ClassicalType("A", p + q - 1)), (0,) * p + (1,) * q
-    elif kind == "so_down_so":
-        m = get("m")
-        if m < 4:
-            raise ValueError("so_down_so requires m >= 4")
-        n = m // 2
-        if m % 2:  # so(2n+2) over so(2n+1)
-            eye = _eye(n + 1)
-            g = classical_algebra(ClassicalType("D", n + 1))
-            return g, eye[:n] + [tuple(-c for c in eye[n])], Weight.zero(n + 1), eye[:n]
-        g, h = classical_algebra(ClassicalType("B", n)), (1,) * n  # so(2n+1) over so(2n)
-    else:
-        n = get("n")
-        if n < 2:
-            raise ValueError("sp_down_gl requires n >= 2")
-        g, h = classical_algebra(ClassicalType("C", n)), (Fraction(1, 2),) * n
-    eye = _eye(g.eps_dim)
-    return g, eye, Weight(h), eye
+def _inner(family: str, rank: int, h, with_center: bool = False) -> tuple:
+    """Root data of an inner kind, tau = Ad exp(pi i h): tau* and the restriction are the identity."""
+    g = classical_algebra(ClassicalType(family, rank), with_center)
+    return g, tuple((i, 1) for i in range(g.eps_dim)), Weight(h), _eye(g.eps_dim)
+
+
+def _so_odd(n: int) -> tuple:
+    """so(2n+2) over so(2n+1): tau* negates the last coordinate, which the restriction drops."""
+    tau = tuple((i, 1) for i in range(n)) + ((n, -1),)
+    return classical_algebra(ClassicalType("D", n + 1)), tau, Weight.zero(n + 1), _eye(n + 1)[:n]
+
+
+def _group_case(type: str) -> tuple:
+    """g = f + f: tau* swaps the two halves, and the restriction sums them."""
+    f = classical_algebra(_group_type(type))
+    k, zero = f.eps_dim, (0,) * f.eps_dim
+    roots = tuple(Weight(a.coords + zero) for a in f.roots) + tuple(Weight(zero + a.coords) for a in f.roots)
+    cartan = [c + zero for c in f.cartan_columns] + [zero + c for c in f.cartan_columns]
+    swap = tuple(((i + k) % (2 * k), 1) for i in range(2 * k))
+    return Algebra(None, roots, cartan, f), swap, Weight(zero + zero), [u + u for u in _eye(k)]
+
+
+class PairKind(NamedTuple):
+    """A catalog kind; `rank`, `root_data` and the test in `requires` take its
+    parameters by name.  The rows' comments name h (0 on the outer kinds)."""
+
+    params: tuple  # the names of its parameters
+    rank: Callable  # ambient rank (semisimple rank for gl)
+    root_data: Callable  # (g, tau*, h, restriction rows)
+    catalog: Callable  # rank bound -> parameters of its pairs up to it, in catalog order
+    requires: tuple = ()  # (the parameters' domain as text, its test), if not every value is valid
+    simple: bool = True  # g is simple or gl; the group case is not
+
+
+PAIR_KINDS = {
+    "gl_down_gl": PairKind(  # h: the indicator of coordinate l
+        ("n", "l"), lambda n, l: n,
+        lambda n, l: _inner("A", n, _eye(n + 1)[l - 1], with_center=True),
+        lambda bound: ({"n": n, "l": l} for n in range(1, bound + 1) for l in range(1, n + 2)),
+        ("n >= 1 and 1 <= l <= n+1", lambda n, l: n >= 1 and 1 <= l <= n + 1),
+    ),
+    "sl_s_glgl": PairKind(  # h: the indicator of the last q coordinates
+        ("p", "q"), lambda p, q: p + q - 1,
+        lambda p, q: _inner("A", p + q - 1, (0,) * p + (1,) * q),
+        lambda bound: ({"p": p, "q": t - p} for t in range(2, bound + 2) for p in range(1, t // 2 + 1)),
+        ("p, q >= 1", lambda p, q: p >= 1 and q >= 1),
+    ),
+    "so_down_so": PairKind(  # so(m + 1) over so(m); h = (1, ..., 1) for m even
+        ("m",), lambda m: (m + 1) // 2,
+        lambda m: _so_odd(m // 2) if m % 2 else _inner("B", m // 2, (1,) * (m // 2)),
+        lambda bound: ({"m": m} for m in range(4, 2 * bound + 1)),  # (m + 1) // 2 <= bound
+        ("m >= 4", lambda m: m >= 4),
+    ),
+    "sp_down_gl": PairKind(  # h = (1/2, ..., 1/2)
+        ("n",), lambda n: n,
+        lambda n: _inner("C", n, (Fraction(1, 2),) * n),
+        lambda bound: ({"n": n} for n in range(2, bound + 1)),
+        ("n >= 2", lambda n: n >= 2),
+    ),
+    "group_case": PairKind(
+        ("type",), lambda type: 2 * _group_type(type).rank,
+        _group_case,
+        lambda bound: ({"type": "%s%d" % (fam, r)}
+                       for fam, lo in _RANK_MIN.items() for r in range(lo, bound // 2 + 1)),
+        simple=False,
+    ),
+}
 
 
 def build_pair(spec: PairSpec) -> SymmetricPair:
     """Construct a catalog symmetric pair from its root data; its root table
     checks that tau* is an involutive permutation of the roots."""
-    check_cap("ambient rank", _ambient_rank(spec), PAIR_RANK_CAP)
-    return SymmetricPair(spec, *_root_data(spec))
+    kind, params = PAIR_KINDS[spec.kind], dict(spec.params)
+    check_cap("ambient rank", kind.rank(**params), PAIR_RANK_CAP)
+    if kind.requires and not kind.requires[1](**params):
+        raise ValueError("%s requires %s" % (spec.kind, kind.requires[0]))
+    return SymmetricPair(spec, *kind.root_data(**params))
 
 
 def catalog_pairs(rank_bound: int, simple_only: bool = False):
     """All catalog specs with ambient rank up to the bound."""
-    specs = []
-    for n in range(1, rank_bound + 1):
-        for l in range(1, n + 2):
-            specs.append(PairSpec("gl_down_gl", n=n, l=l))
-    for total in range(2, rank_bound + 2):
-        for p in range(1, total):
-            q = total - p
-            if p <= q:
-                specs.append(PairSpec("sl_s_glgl", p=p, q=q))
-    for m in range(4, 2 * rank_bound + 1):  # ambient rank (m + 1) // 2 is within the bound
-        specs.append(PairSpec("so_down_so", m=m))
-    for n in range(2, rank_bound + 1):
-        specs.append(PairSpec("sp_down_gl", n=n))
-    if not simple_only:
-        for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-            for r in range(lo, rank_bound // 2 + 1):
-                specs.append(PairSpec("group_case", type="%s%d" % (fam, r)))
-    return specs
+    return [PairSpec(name, **params) for name, kind in PAIR_KINDS.items()
+            if kind.simple or not simple_only for params in kind.catalog(rank_bound)]

@@ -267,7 +267,7 @@ def enumerate_weyl_translates(pair: SymmetricPair, subset):
 
     They are the W(g)-orbit of the standard t0, one point per parabolic (the
     stabilizer of the dominant t0 is W_S), in the breadth-first order of
-    `RootDatum.orbit` on t0 scaled to integers.
+    `RootDatum.orbit` on t0 scaled to integers, which give the sign patterns.
 
     Returns (pattern -> ParabolicData, pattern -> {its eps-params}).
     """
@@ -277,7 +277,8 @@ def enumerate_weyl_translates(pair: SymmetricPair, subset):
     t0 = parabolic_from_simple_subset(g, subset).params
     scale = math.lcm(*(c.denominator for c in t0))
     orbit = datum.orbit(scaled_coords(t0, scale))
-    points = (parabolic_from_params(g, [Fraction(c, scale) for c in t]) for t, _ in orbit)
+    points = (ParabolicData(g, tuple(_q(Fraction(c, scale)) for c in t), datum.sign_masks(t))
+              for t, _ in orbit)
     by_pattern = {p.pattern: p for p in points}
     if len(by_pattern) != len(orbit):
         raise AssertionError("two points of the Weyl orbit of t0 give one parabolic")

@@ -286,10 +286,11 @@ class _Built(Exception):
 def test_pair_rank_cap_is_checked_before_the_pair_is_built(monkeypatch):
     from vermabranch import pairs
 
-    def building(spec):
-        raise _Built(spec.id)
+    def building(**params):
+        raise _Built(params)
 
-    monkeypatch.setattr(pairs, "_root_data", building)
+    for name, kind in pairs.PAIR_KINDS.items():
+        monkeypatch.setitem(pairs.PAIR_KINDS, name, kind._replace(root_data=building))
     above = ["sl_s_glgl:p=100,q=100", "so_down_so:m=25", "sp_down_gl:n=13",
              "gl_down_gl:n=13,l=1", "group_case:type=C7"]
     for pair_id in above:
@@ -503,6 +504,55 @@ def test_config_file_defaults(tmp_path):
     # explicit flags win over the config file
     config2 = config_from_args(["branch", "--config", str(cfg), "--degree", "1"])
     assert config2.degree == 1
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        ("pairs --seed 3", "--seed"),
+        ("analyze --pair so_down_so:m=4 --lambda 1,2", "--lambda"),
+        ("census --pair sl_s_glgl:p=2,q=2 --parabolic borel --degree 5", "--degree"),
+        ("branch --pair so_down_so:m=4 --parabolic borel --level 3 --n 2", "--level, --n"),
+        ("verify --pair sp_down_gl:n=2 --parabolic siegel --degree 3", "--degree"),
+        ("verify --law AA --n 2 --parabolic borel", "--parabolic"),
+        ("mf-scan --rank-bound 3 --pair so_down_so:m=4", "--pair"),
+    ],
+)
+def test_a_flag_the_command_does_not_read_exits_two(argv, unread):
+    env, code = run(argv.split())
+    assert code == 2 and env.payload["error"] == "%s does not read %s" % (argv.split()[0], unread)
+
+
+def test_an_empty_law_and_a_config_file_value_follow_the_rule(tmp_path):
+    # --law "" is a law, so verify reads --n and --l, not the pair fields
+    argv = ["verify", "--pair", "sp_down_gl:n=2", "--parabolic", "siegel", "--level", "2", "--l", "7", "--law", ""]
+    env, code = run(argv)
+    assert code == 2 and env.payload["error"] == "verify does not read --pair, --parabolic, --level"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("degree = 5\n")  # a config file value follows the same rule
+    env, code = run(["census", "--pair", "so_down_so:m=4", "--config", str(cfg)])
+    assert code == 2 and env.payload["error"] == "census does not read --degree"
+
+
+def test_analyze_reads_the_seed():
+    # no benchmark or golden job passes --seed, so the guard below cannot see it
+    _, code = run(["analyze", "--pair", "so_down_so:m=4", "--parabolic", "borel", "--seed", "3"])
+    assert code == 0
+
+
+def test_every_benchmark_and_golden_job_reads_its_fields(monkeypatch):
+    from tests.test_golden import INDEX
+    from tests.test_parser_parity import _perfbench_jobs
+    from vermabranch import commands
+
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    monkeypatch.setattr(commands, "DISPATCH", {c: lambda config, payload: None for c in cli.COMMANDS})
+    with open(INDEX, encoding="utf-8") as fh:
+        jobs = _perfbench_jobs() + list(json.load(fh))
+    assert len(jobs) == 261
+    for job in jobs:
+        env, code = run(job.split())
+        assert code == 0, (job, env.payload.get("error"))
 
 
 def test_main_writes_json(capsys):

@@ -22,9 +22,10 @@ from vermabranch import (
     build_pair,
     parabolic_from_simple_subset,
     restricted_root_data,
+    root_datum,
     tau_split,
 )
-from vermabranch.pairs import catalog_pairs
+from vermabranch.pairs import PAIR_KINDS, catalog_pairs
 
 
 def test_pair_spec_parse_roundtrip():
@@ -294,11 +295,24 @@ def test_acts_trivially_on_j_flags(pairs):
 
 def test_catalog_ids_are_unique_and_within_the_rank_bound():
     # `mf_scan` neither de-duplicates nor filters by rank: both hold here
-    from vermabranch.pairs import _ambient_rank
-
     for rank_bound in range(1, 7):
         for simple_only in (False, True):
             specs = catalog_pairs(rank_bound, simple_only)
             ids = [s.id for s in specs]
             assert len(set(ids)) == len(ids)
-            assert all(_ambient_rank(s) <= rank_bound for s in specs), rank_bound
+            assert all(PAIR_KINDS[s.kind].rank(**dict(s.params)) <= rank_bound for s in specs), rank_bound
+
+
+@pytest.mark.parametrize("spec", catalog_pairs(6) + [PairSpec("so_down_so", m=24)], ids=str)
+def test_kind_row_rank_and_tau_star(spec):
+    # the row's ambient rank is the semisimple rank of the algebra it builds,
+    # and tau* is an involution of the eps-coordinates that maps the roots onto
+    # themselves
+    pair = build_pair(spec)
+    datum = root_datum(pair.g)
+    assert PAIR_KINDS[spec.kind].rank(**dict(spec.params)) == len(datum.simple_roots)
+    n = pair.g.eps_dim
+    assert sorted(k for k, _ in pair.tau) == list(range(n)) and {s for _, s in pair.tau} <= {1, -1}
+    probe = Weight(range(1, n + 1))
+    assert pair.tau_star(pair.tau_star(probe)) == probe
+    assert set(map(pair.tau_star, datum.roots)) == set(datum.roots)

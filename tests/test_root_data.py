@@ -1,8 +1,8 @@
 """Pairs from root data against the matrix pairs they replace.
 
-`build_pair` builds a pair from one row of root data: the roots of g, tau*
-as a signed permutation of eps-coordinates, the element h that gives the
-sign of tau on the tau*-fixed roots, and the restriction rows to j^tau.  The
+`build_pair` builds a pair from its kind's row of root data: the roots of
+g, tau* as a signed permutation of eps-coordinates, the element h that gives
+the sign of tau on the tau*-fixed roots, and the restriction rows to j^tau.  The
 matrix realization (`pair.matrices`, conjugation by an explicit matrix)
 stays as the oracle: on every pair of rank <= 6 it must give the same
 tau*, restriction, `sigma`, signs on the tau*-fixed roots (a sign on a
@@ -40,7 +40,8 @@ def test_root_level_pair_matches_the_matrix_pair(pairs, spec):
     assert g is pair.g.matrices and g.algebra.dim == pair.g.dim
     assert g.root_spaces[Weight.zero(g.eps_dim)] == span_of_matrices(g.cartan_basis, g.matrix_dim)
     assert [g.eps_params(h).coords for h in g.cartan_basis] == list(pair.g.cartan_columns)
-    assert [g.eps_params(tau(p)).coords for p in g.eps_probes] == list(pair.tau_rows)
+    units = [Weight(int(i == k) for i in range(g.eps_dim)) for k in range(g.eps_dim)]
+    assert [g.eps_params(tau(p)).coords for p in g.eps_probes] == [pair.tau_star(u).coords for u in units]
     assert [g.eps_params(p).coords for p in m.j_tau_probes] == list(pair.probe_params)
     datum, table, rdatum = root_datum(pair.g), pair.root_table, restricted_root_data(pair)
     n = g.matrix_dim
@@ -102,12 +103,12 @@ def test_tau_star_must_be_an_involution_of_the_roots(monkeypatch):
 def test_tau_star_must_keep_the_signs(monkeypatch):
     # h = e_0 on the group case: the root e_0 - e_1 of the first factor gets
     # the sign -1 and its tau*-image e_2 - e_3 the sign +1
-    root_data = pairs_module._root_data
+    kind = pairs_module.PAIR_KINDS["group_case"]
 
-    def with_h(spec):
-        g, tau_rows, h, rows = root_data(spec)
-        return g, tau_rows, Weight((1, 0, 0, 0)), rows
+    def with_h(**params):
+        g, tau, h, rows = kind.root_data(**params)
+        return g, tau, Weight((1, 0, 0, 0)), rows
 
-    monkeypatch.setattr(pairs_module, "_root_data", with_h)
+    monkeypatch.setitem(pairs_module.PAIR_KINDS, "group_case", kind._replace(root_data=with_h))
     with pytest.raises(AssertionError, match="keeps the signs"):
         build_pair(PairSpec("group_case", type="A1"))

@@ -5,19 +5,21 @@ A traced benchmark run (``--trace 1``) rebinds each name in ``TARGETS`` and
 fails with ``KeyError`` when one is missing, so renaming or deleting a
 traced function must update the harness too.  A counter in ``COUNTERS``
 that cannot read a changed return value raises inside every traced call.
-The harness file is only read here (compiled from its text; no bytecode is
-written next to it).
+The per-layer list of ``BENCHMARK.json`` is the harness's metric list plus
+its three trace-overhead metrics, so a rename there must update that file
+too.  The harness file is only read here (compiled from its text; no
+bytecode is written next to it).
 """
 
 import importlib
+import json
 import os
 
 from vermabranch import PairSpec, build_pair
 from vermabranch.parabolic import enumerate_weyl_translates
 
-TRACING = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
 
 
 def _tracing_namespace() -> dict:
@@ -47,3 +49,10 @@ def test_translate_counter_reads_a_census_enumeration():
     _, counter = _tracing_namespace()["COUNTERS"]["parabolic.enumerate_weyl_translates"]
     args = (build_pair(PairSpec("sl_s_glgl", p=2, q=2)), set())
     assert counter(args, enumerate_weyl_translates(*args)) == {"translates": 24, "distinct": 24}
+
+
+def test_benchmark_per_layer_list_is_the_traced_metrics():
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        per_layer = [(m["name"], m["unit"]) for m in json.load(fh)["per_layer"]]
+    overhead = [("trace." + key, "s") for key in ("untraced_wall_s", "traced_wall_s", "overhead_s")]
+    assert per_layer == _tracing_namespace()["metric_names"]() + overhead
