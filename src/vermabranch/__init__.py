@@ -42,15 +42,15 @@ def check_cap(name: str, value: int, cap: int) -> None:
 
 _EXPORTS = {
     "exactla": (
-        "MatrixElement NilpotencyReport Rational Subspace bracket echelon_span "
-        "nilpotent_subalgebra_test span_of_matrices weight_decomposition"
+        "MatrixElement NilpotencyReport Rational Subspace bracket nilpotent_subalgebra_test "
+        "span_of_matrices weight_decomposition"
     ),
     "liealg": (
         "ClassicalType RootDatum Weight WeylElement "
-        "freudenthal_character root_datum weyl_dimension weyl_group"
+        "freudenthal_character root_datum weyl_group"
     ),
     "pairs": "PairSpec SymmetricPair build_pair catalog_pairs restricted_root_data tau_split",
-    "realization": "AlgebraRealization Involution build_classical",
+    "realization": "AlgebraRealization Involution",
     "parabolic": (
         "ClosednessReport CompatibilityReport IncompatibleRestrictionError "
         "OrbitCensusReport ParabolicData closed_orbit_census closedness_report "
@@ -58,10 +58,9 @@ _EXPORTS = {
         "parabolic_from_simple_subset"
     ),
     "branching": (
-        "BranchEntry BranchingTable CharacterSeries GenericityReport MfScanRow "
-        "VermaSpec branch_multiplicities character_series closed_form_law "
-        "decompose_character genericity_check law_setting mf_scan "
-        "restrict_finite_module sym_power_character verify_character_identity"
+        "BranchEntry BranchingTable GenericityReport MfScanRow VermaSpec "
+        "branch_multiplicities closed_form_law decompose_character genericity_check "
+        "law_setting mf_scan restrict_finite_module verify_character_identity"
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -23,6 +23,7 @@ from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricte
 from .parabolic import (
     IncompatibleRestrictionError,
     ParabolicData,
+    closedness_report,
     compatibility_report,
     mask_indices,
     parabolic_from_simple_subset,
@@ -95,58 +96,46 @@ def _sorted_entries(entries: Iterable[BranchEntry]) -> tuple:
     )
 
 
-class CharacterSeries(NamedTuple):
-    """Graded displacement multiset: (degree, integer displacement tuple) ->
-    multiplicity."""
-
-    base_offset: Optional[Weight]
-    terms: dict
-    degree_bound: int
-
-
 # ---------------------------------------------------------------------------
-# symmetric power characters
+# the PBW series of S(u_-)
 # ---------------------------------------------------------------------------
 
 def _vsum(u: tuple, v: tuple) -> tuple:
     return tuple(map(add, u, v))
 
 
-def sym_power_character(weights, k: int) -> dict:
-    """Weight multiset of S^k of a module with the given weight multiset of
-    integer tuples.
-
-    One-variable-at-a-time convolution: appending a weight w of multiplicity
-    m multiplies the series by (1 - e^w)^{-m}, i.e. degree a contributes the
-    binomial C(a+m-1, m-1).
-    """
-    if k < 0:
-        raise ValueError("negative symmetric power")
-    return sym_power_characters(weights, k)[k]
+def _expand(layers: list, weights: dict, grade) -> list:
+    """Multiply the graded series `layers` (layer k: the terms of grade k) in
+    place by prod (1 - e^w)^{-m} over the weights w of multiplicity m and
+    grade(w) > 0, truncated at the top layer: degree a of w adds the
+    binomial C(a+m-1, m-1) times layer k - a * grade(w) to layer k."""
+    top = len(layers) - 1
+    for w, m in sorted(weights.items()):
+        step = grade(w)
+        if step <= 0:
+            raise AssertionError("u_- weight with non-positive level")
+        shifts = [(tuple(a * x for x in w), math.comb(a + m - 1, m - 1))
+                  for a in range(1, top // step + 1)]  # (a * w, its binomial)
+        for k in range(top, step - 1, -1):  # layer k reads only the lower layers
+            layer = layers[k]
+            for a, (shift, coeff) in enumerate(shifts[:k // step], 1):
+                for d, c in layers[k - a * step].items():
+                    key = tuple(map(add, d, shift))  # _vsum, inlined in the hot loop
+                    layer[key] = layer.get(key, 0) + c * coeff
+    return layers
 
 
 def sym_power_characters(weights, top: int) -> list:
-    """All S^0 .. S^top weight multisets at once (shared recursion).
+    """All S^0 .. S^top weight multisets of a weight multiset of integer tuples.
 
     An empty weight set yields empty layers; callers treat degree 0 as the
     neutral element then.
     """
     ms = {w: m for w, m in weights.items() if m}
-    layers = [{} for _ in range(top + 1)]
     if not ms:
-        return layers
-    zero = (0,) * len(next(iter(ms)))
-    layers[0] = {zero: 1}
-    for w, m in sorted(ms.items()):
-        for k in range(top, 0, -1):  # layer k reads only the lower layers
-            layer, shift = layers[k], zero
-            for a in range(1, k + 1):
-                coeff = math.comb(a + m - 1, m - 1)
-                shift = _vsum(shift, w)
-                for d, c in layers[k - a].items():
-                    key = _vsum(d, shift)
-                    layer[key] = layer.get(key, 0) + c * coeff
-    return layers
+        return [{} for _ in range(top + 1)]
+    layers = [{(0,) * len(next(iter(ms))): 1}] + [{} for _ in range(top)]
+    return _expand(layers, ms, lambda w: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +251,11 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
     p = spec.parabolic
     comp = compatibility_report(p, pair)
     if not comp.compatible:
+        if closedness_report(p, pair).closed:  # decomposable, but the engine needs p^tau = p
+            raise IncompatibleRestrictionError(
+                "parabolic is closed but not tau-stable; the engine branches only "
+                "g^tau-compatible parabolics"
+            )
         raise IncompatibleRestrictionError(
             "restriction not discretely decomposable for this embedding"
         )
@@ -308,15 +302,6 @@ def _graded_characters(ctx: _EngineContext, degree_bound: int):
             yield k, _convolve(ctx.f_block, powers[k])
 
 
-def character_series(spec: VermaSpec, pair: SymmetricPair, degree_bound: int) -> CharacterSeries:
-    """Degree-graded displacement character of F_lambda|_{l'} (x) S(u_-'')."""
-    ctx = _engine_context(spec, pair)
-    terms = {
-        (k, w): m for k, char_k in _graded_characters(ctx, degree_bound) for w, m in char_k.items()
-    }
-    return CharacterSeries(base_offset=ctx.base, terms=terms, degree_bound=degree_bound)
-
-
 def branch_multiplicities(spec: VermaSpec, pair: SymmetricPair, degree_bound: int) -> BranchingTable:
     """Branching multiplicities m(delta; lambda) up to symmetric degree N.
 
@@ -358,20 +343,13 @@ def _assumptions_for(spec: VermaSpec) -> tuple:
 
 def _inv_euler_expand(start: dict, weights: dict, level_of, level_cap: int) -> dict:
     """Multiply a displacement multiset by prod (1-e^w)^{-mult}, truncated at
-    the level cap; every start key must lie within the cap."""
-    current = dict(start)
-    for w, m in sorted(weights.items()):
-        step = level_of(w)
-        if step <= 0:
-            raise AssertionError("u_- weight with non-positive level")
-        nxt = dict(current)
-        for d, c in current.items():
-            key = d
-            for a in range(1, (level_cap - level_of(d)) // step + 1):
-                key = _vsum(key, w)
-                nxt[key] = nxt.get(key, 0) + c * math.comb(a + m - 1, m - 1)
-        current = nxt
-    return current
+    the level cap; every start key must lie at a level in 0..cap."""
+    layers = [{} for _ in range(level_cap + 1)]
+    for d, c in start.items():
+        if not 0 <= (lvl := level_of(d)) <= level_cap:
+            raise AssertionError("start term at level %d outside 0..%d" % (lvl, level_cap))
+        layers[lvl][d] = c
+    return {d: c for layer in _expand(layers, weights, level_of) for d, c in layer.items()}
 
 
 def verify_character_identity(
@@ -392,8 +370,7 @@ def verify_character_identity(
     lev = ctx.level_of
 
     u_all = Counter(ctx.u_prime_weights) + Counter(ctx.u_second_weights)
-    lhs_start = {w: m for w, m in ctx.f_block.items() if lev(w) <= level_cap}
-    lhs = _inv_euler_expand(lhs_start, u_all, lev, level_cap)
+    lhs = _inv_euler_expand(ctx.f_block, u_all, lev, level_cap)  # F_lambda sits at level 0
 
     if table is None:
         a_min = min(map(lev, ctx.u_second_weights), default=None)

@@ -273,20 +273,6 @@ class Subspace:
         return "Subspace(ambient=%d, dim=%d)" % (self.ambient_dim, self.dim)
 
 
-def echelon_span(vectors: Iterable, ambient_dim=None) -> Subspace:
-    """Canonical echelon span of coordinate vectors.
-
-    Empty input yields the zero subspace (ambient_dim then required).
-    """
-    vectors = list(vectors)
-    if ambient_dim is None:
-        dense = [v for v in vectors if not isinstance(v, Mapping)]
-        if not dense:
-            raise ValueError("ambient_dim required for empty or sparse input")
-        ambient_dim = len(dense[0])
-    return Subspace(ambient_dim, [_as_sparse(v) for v in vectors])
-
-
 def span_of_matrices(mats: Iterable[MatrixElement], dim=None) -> Subspace:
     mats = list(mats)
     if dim is None:

@@ -476,16 +476,6 @@ def _freudenthal_mult(mu, mult, roots, rho, top_rho_sq) -> int:
     return value
 
 
-def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
-    """Weyl dimension formula; independent oracle for character sizes."""
-    num = Fraction(1)
-    for a in datum.positive_roots:
-        num *= Fraction((lam + datum.rho).dot(a), datum.rho.dot(a))
-    if num.denominator != 1:
-        raise AssertionError("Weyl dimension came out non-integral")
-    return int(num)
-
-
 # ---------------------------------------------------------------------------
 # Weyl groups as signed permutations
 # ---------------------------------------------------------------------------

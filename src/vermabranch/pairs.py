@@ -67,7 +67,12 @@ class PairSpec:
                 key, val = m.group(1), m.group(2)
                 if key in params:
                     raise ValueError("duplicate pair parameter %r" % key)
-                params[key] = val if key == "type" else int(val)
+                if key != "type":
+                    val = int(val)
+                    if "%d" % val != m.group(2):
+                        raise ValueError("pair parameter %s=%s is not canonical: write %s=%d"
+                                         % (key, m.group(2), key, val))
+                params[key] = val
         return cls(kind, **params)
 
     def __str__(self):
@@ -198,7 +203,10 @@ def _group_type(name: str) -> ClassicalType:
     m = re.fullmatch(r"([A-D])([0-9]+)", name)
     if not m:
         raise ValueError("group_case type %r is not a letter A-D followed by a rank, e.g. B2" % name)
-    return ClassicalType(m.group(1), int(m.group(2)))
+    family, rank = m.group(1), int(m.group(2))
+    if "%s%d" % (family, rank) != name:
+        raise ValueError("group_case type %r is not canonical: write %s%d" % (name, family, rank))
+    return ClassicalType(family, rank)
 
 
 def _eye(n: int) -> list:

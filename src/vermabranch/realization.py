@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import exactla
 from .exactla import MatrixElement, Subspace, span_of_matrices
-from .liealg import Algebra, ClassicalType, Weight, classical_algebra
+from .liealg import Algebra, Weight
 
 
 class AlgebraRealization(Algebra):
@@ -82,11 +82,6 @@ def _form_algebra(m: int, g: MatrixElement) -> Subspace:
     gt = g.transpose()
     units = [MatrixElement.unit(m, i, j) for i in range(m) for j in range(m)]
     return span_of_matrices([e - gt @ e.transpose() @ g for e in units], m)
-
-
-def build_classical(ctype: ClassicalType, with_center: bool = False) -> AlgebraRealization:
-    """Standard split realization; `with_center` selects gl over sl in type A."""
-    return realize(classical_algebra(ctype, with_center))
 
 
 def realize(g: Algebra) -> AlgebraRealization:

@@ -1,6 +1,7 @@
 import pytest
 
-from vermabranch import ClassicalType, PairSpec, build_classical, build_pair
+from tests.oracles import build_classical
+from vermabranch import ClassicalType, PairSpec, build_pair
 
 
 @pytest.fixture(scope="session")

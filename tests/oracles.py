@@ -3,7 +3,10 @@
 Root sets and predicates that no command reads (u_-, the ambient restricted
 roots, `is_borel`, `acts_trivially_on_j`) and the abelian-nilradical test
 come first, then the absolute forms of displacement characters and the
-Weyl-element actions that only tests use.  Schmid's decomposition of
+Weyl-element actions that only tests use, then the oracles that left the
+package: Weyl's dimension formula (for Freudenthal), `echelon_span` and the
+classical matrix realizations `build_classical`.  The term-by-term inverse
+Euler expansion is the oracle of the layered one.  Schmid's decomposition of
 S(u_-^{-tau}) for an abelian nilradical, the finiteness bound of the
 branching engine, the ad-nilpotency test on an ambient algebra, the
 tensor-case closedness criterion and the double-coset count of the
@@ -15,10 +18,11 @@ oracles here (``matrix_route``) do.
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from vermabranch import PreconditionError, cli
 from vermabranch.branching import (
@@ -26,6 +30,7 @@ from vermabranch.branching import (
     _engine_context,
     _levi_prime_datum,
     _u_minus_split,
+    _vsum,
     decompose_character,
     sym_power_characters,
 )
@@ -33,12 +38,21 @@ from vermabranch.exactla import (
     MatrixElement,
     Subspace,
     _ambient_subspace,
+    _as_sparse,
     _matrix_dim,
     bracket,
     nilpotent_matrix,
     span_of_matrices,
 )
-from vermabranch.liealg import Weight, WeylElement, reflection_element, regular_order_key
+from vermabranch.liealg import (
+    ClassicalType,
+    RootDatum,
+    Weight,
+    WeylElement,
+    classical_algebra,
+    reflection_element,
+    regular_order_key,
+)
 from vermabranch.pairs import SymmetricPair
 from vermabranch.parabolic import (
     IncompatibleRestrictionError,
@@ -46,6 +60,7 @@ from vermabranch.parabolic import (
     _union_find,
     compatibility_report,
 )
+from vermabranch.realization import AlgebraRealization, realize
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +103,6 @@ def absolute(char: dict, base: Optional[Weight]) -> dict:
     return {(Weight(d) if base is None else base + Weight(d)): m for d, m in char.items()}
 
 
-def at_degree(series, k: int) -> dict:
-    """The degree-k part of a `CharacterSeries`, keyed by displacement."""
-    return {d: m for (deg, d), m in series.terms.items() if deg == k}
-
-
 def weyl_apply_params(w, params) -> tuple:
     return tuple(w.signs[i] * params[w.perm[i]] for i in range(len(w.perm)))
 
@@ -112,6 +122,39 @@ def weyl_inverse(w):
 
 def minus_count(w) -> int:
     return sum(1 for s in w.signs if s < 0)
+
+
+# ---------------------------------------------------------------------------
+# Weyl's dimension formula, echelon spans and classical realizations
+# ---------------------------------------------------------------------------
+
+def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
+    """Weyl dimension formula; independent oracle for character sizes."""
+    num = Fraction(1)
+    for a in datum.positive_roots:
+        num *= Fraction((lam + datum.rho).dot(a), datum.rho.dot(a))
+    if num.denominator != 1:
+        raise AssertionError("Weyl dimension came out non-integral")
+    return int(num)
+
+
+def echelon_span(vectors: Iterable, ambient_dim=None) -> Subspace:
+    """Canonical echelon span of coordinate vectors.
+
+    Empty input yields the zero subspace (ambient_dim then required).
+    """
+    vectors = list(vectors)
+    if ambient_dim is None:
+        dense = [v for v in vectors if not isinstance(v, Mapping)]
+        if not dense:
+            raise ValueError("ambient_dim required for empty or sparse input")
+        ambient_dim = len(dense[0])
+    return Subspace(ambient_dim, [_as_sparse(v) for v in vectors])
+
+
+def build_classical(ctype: ClassicalType, with_center: bool = False) -> AlgebraRealization:
+    """Standard split realization; `with_center` selects gl over sl in type A."""
+    return realize(classical_algebra(ctype, with_center))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +255,28 @@ def finiteness_bound(spec: VermaSpec, pair: SymmetricPair, displacement) -> Opti
     if lvl < 0:
         return None
     return lvl // a_min
+
+# ---------------------------------------------------------------------------
+# the term-by-term inverse Euler expansion
+# ---------------------------------------------------------------------------
+
+def term_by_term_expand(start: dict, weights: dict, level_of, level_cap: int) -> dict:
+    """Multiply a displacement multiset by prod (1-e^w)^{-mult}, truncated at
+    the level cap, one start term and one weight at a time: the loop
+    `branching._inv_euler_expand` ran before it expanded by layers."""
+    current = dict(start)
+    for w, m in sorted(weights.items()):
+        step = level_of(w)
+        if step <= 0:
+            raise AssertionError("u_- weight with non-positive level")
+        nxt = dict(current)
+        for d, c in current.items():
+            key = d
+            for a in range(1, (level_cap - level_of(d)) // step + 1):
+                key = _vsum(key, w)
+                nxt[key] = nxt.get(key, 0) + c * math.comb(a + m - 1, m - 1)
+        current = nxt
+    return current
 
 # ---------------------------------------------------------------------------
 # strongly orthogonal roots and Schmid decompositions

@@ -8,7 +8,13 @@ import itertools
 import random
 
 from tests.matrix_route import matrix_levi_split
-from tests.oracles import absolute, acts_trivially_on_j, finiteness_bound, schmid_decomposition
+from tests.oracles import (
+    absolute,
+    acts_trivially_on_j,
+    finiteness_bound,
+    schmid_decomposition,
+    weyl_dimension,
+)
 from vermabranch import (
     BranchingTable,
     MatrixElement,
@@ -27,7 +33,6 @@ from vermabranch import (
     mf_scan,
     parabolic_from_simple_subset,
     verify_character_identity,
-    weyl_dimension,
 )
 from vermabranch.branching import BranchEntry
 from vermabranch.liealg import root_datum

@@ -6,14 +6,16 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.oracles import (
     absolute,
     ambient_restricted_roots,
-    at_degree,
     finiteness_bound,
     schmid_decomposition,
     strongly_orthogonal_sequence,
+    term_by_term_expand,
 )
 from vermabranch import (
     BranchingTable,
@@ -22,7 +24,6 @@ from vermabranch import (
     VermaSpec,
     Weight,
     branch_multiplicities,
-    character_series,
     closed_form_law,
     decompose_character,
     freudenthal_character,
@@ -32,11 +33,17 @@ from vermabranch import (
     parabolic_from_H,
     parabolic_from_simple_subset,
     restrict_finite_module,
-    sym_power_character,
     verify_character_identity,
 )
 from vermabranch import branching
-from vermabranch.branching import BranchEntry, _levi_prime_datum
+from vermabranch.branching import (
+    BranchEntry,
+    _engine_context,
+    _graded_characters,
+    _inv_euler_expand,
+    _levi_prime_datum,
+    sym_power_characters,
+)
 from vermabranch.liealg import root_datum
 
 
@@ -64,18 +71,18 @@ def brute_force_sym_power(weights, k):
 
 
 def test_sym_power_two_lines():
-    result = sym_power_character({(-1, 0): 1, (0, -1): 1}, 2)
+    result = sym_power_characters({(-1, 0): 1, (0, -1): 1}, 2)[2]
     assert result == {(-2, 0): 1, (-1, -1): 1, (0, -2): 1}
 
 
 def test_sym_power_single_weight():
-    for k in range(4):
-        assert sym_power_character({(2, 1): 1}, k) == {(2 * k, k): 1}
+    layers = sym_power_characters({(2, 1): 1}, 3)
+    assert layers == [{(2 * k, k): 1} for k in range(4)]
 
 
 def test_sym_power_siegel_example():
     weights = {(-2, 0): 1, (-1, -1): 1, (0, -2): 1}
-    result = sym_power_character(weights, 2)
+    result = sym_power_characters(weights, 2)[2]
     assert result == brute_force_sym_power(weights, 2)
     assert len(result) == 5 and result[(-2, -2)] == 2
 
@@ -87,8 +94,64 @@ def test_sym_power_with_multiplicities_matches_brute_force():
         for _ in range(3):
             w = (rng.randint(-2, 2), rng.randint(-2, 2))
             weights[w] = weights.get(w, 0) + rng.randint(1, 2)
-        for k in range(4):
-            assert sym_power_character(weights, k) == brute_force_sym_power(weights, k)
+        layers = sym_power_characters(weights, 3)
+        assert layers == [brute_force_sym_power(weights, k) for k in range(4)]
+
+
+small_weights = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(1, 3), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_weights)
+def test_sym_power_layers_match_brute_force(weights):
+    layers = sym_power_characters(weights, 6)
+    assert layers == [brute_force_sym_power(weights, k) for k in range(7)]
+
+
+def test_sym_power_of_no_weights_is_empty():
+    assert sym_power_characters({}, 3) == [{}, {}, {}, {}]
+    assert sym_power_characters({(1, 0): 0}, 2) == [{}, {}, {}]
+
+
+def grade_of(vec):
+    """A level functional: the dot product with an integer vector."""
+    return lambda d: sum(x * y for x, y in zip(vec, d))
+
+
+def at_level(g, y):
+    """The integer tuple of level g under `grade_of((1, 3))` whose second
+    coordinate is y."""
+    return (g - 3 * y, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inv_euler_expand_matches_term_by_term(data):
+    # weights of grades 1..5 and start terms at levels 0..cap, caps up to 12
+    cap = data.draw(st.integers(0, 12))
+    weights = data.draw(st.dictionaries(
+        st.builds(at_level, st.integers(1, 5), st.integers(-1, 1)), st.integers(1, 3), max_size=4
+    ))
+    start = data.draw(st.dictionaries(
+        st.builds(at_level, st.integers(0, cap), st.integers(-2, 2)), st.integers(1, 4), max_size=4
+    ))
+    level = grade_of((1, 3))
+    expected = term_by_term_expand(start, weights, level, cap)
+    assert _inv_euler_expand(start, weights, level, cap) == expected
+
+
+def test_inv_euler_expand_rejects_a_weight_of_grade_zero():
+    with pytest.raises(AssertionError, match="u_- weight with non-positive level"):
+        _inv_euler_expand({(0, 0): 1}, {(1, -1): 1}, grade_of((1, 1)), 4)
+
+
+@pytest.mark.parametrize("start", [{(-1, 0): 1}, {(5, 0): 1}, {(0, 0): 1, (3, 2): 2}])
+def test_inv_euler_expand_rejects_a_start_term_outside_the_cap(start):
+    # level 4 is the cap: -1 and 5 lie outside 0..4
+    with pytest.raises(AssertionError, match="start term at level -?[0-9]+ outside 0..4"):
+        _inv_euler_expand(start, {(1, 0): 1}, grade_of((1, 1)), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +221,7 @@ def test_decompose_siegel_sym_square(pairs):
     pair = pairs("sp_down_gl", n=2)
     siegel = parabolic_from_simple_subset(pair.g, {0})
     ldatum = _levi_prime_datum(siegel, pair)
-    char = sym_power_character({(-2, 0): 1, (-1, -1): 1, (0, -2): 1}, 2)
+    char = sym_power_characters({(-2, 0): 1, (-1, -1): 1, (0, -2): 1}, 2)[2]
     out = decompose_character(char, ldatum)
     assert sorted(out) == [((-2, -2), 1), ((0, -4), 1)]
 
@@ -492,22 +555,22 @@ def test_branch_group_case_kostant_multiplicities(pairs, algebras):
                 assert entry.multiplicity == expected
 
 
-def test_character_series_degree_zero_is_levi_block(pairs):
+def test_graded_characters_degree_zero_is_levi_block(pairs):
     pair = pairs("sp_down_gl", n=2)
     siegel = parabolic_from_simple_subset(pair.g, {0})
     lam = W(2, -1)
-    series = character_series(VermaSpec.of(siegel, lam), pair, 2)
-    assert series.base_offset == pair.restrict_weight(lam)
-    assert at_degree(series, 0) == restrict_finite_module(pair, siegel.levi_datum(), lam)
+    ctx = _engine_context(VermaSpec.of(siegel, lam), pair)
+    assert ctx.base == pair.restrict_weight(lam)
+    assert dict(_graded_characters(ctx, 2))[0] == restrict_finite_module(pair, siegel.levi_datum(), lam)
 
 
-def test_character_series_displacements_are_weight_sums(pairs):
+def test_graded_characters_displacements_are_weight_sums(pairs):
     pair, spec = law_setting("BD", {"n": 2})
-    series = character_series(spec, pair, 2)
-    for (deg, disp), mult in series.terms.items():
-        assert mult > 0
-        total = sum(-c for c in disp)
-        assert total == deg  # each u'' weight lowers one coordinate by one
+    for deg, char in _graded_characters(_engine_context(spec, pair), 2):
+        for disp, mult in char.items():
+            assert mult > 0
+            total = sum(-c for c in disp)
+            assert total == deg  # each u'' weight lowers one coordinate by one
 
 
 # ---------------------------------------------------------------------------

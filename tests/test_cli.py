@@ -131,13 +131,23 @@ def test_incompatible_triple_exits_two():
     assert env.payload["summands"] is None  # no partial table
 
 
-@pytest.mark.parametrize("pair_id, parabolic", [
-    ("so_down_so:m=5", "1"),
-    ("group_case:type=A1", "0"),
-    ("so_down_so:m=5", "H=1/2,1/2,3/2"),
-])
+CLOSED_NOT_STABLE = (
+    "parabolic is closed but not tau-stable; the engine branches only g^tau-compatible parabolics"
+)
+NOT_CLOSED = "restriction not discretely decomposable for this embedding"
+# (pair, parabolic) -> the error of branch and verify; none of them is tau-stable,
+# and the closed ones have a discretely decomposable restriction
+INCOMPATIBLE = {
+    ("so_down_so:m=5", "1"): CLOSED_NOT_STABLE,
+    ("group_case:type=A1", "0"): CLOSED_NOT_STABLE,
+    ("so_down_so:m=5", "H=1/2,1/2,3/2"): NOT_CLOSED,
+}
+
+
+@pytest.mark.parametrize("pair_id, parabolic", INCOMPATIBLE)
 def test_incompatible_branch_envelope(monkeypatch, pair_id, parabolic):
-    # compatible false, closed and gk_dim null, exit 2; compatibility checked once
+    # compatible false, closed and gk_dim null, exit 2; compatibility checked once;
+    # a closed parabolic is named as such, since its restriction does decompose
     from vermabranch import branching
 
     calls = []
@@ -147,11 +157,30 @@ def test_incompatible_branch_envelope(monkeypatch, pair_id, parabolic):
     env, code = run_command(config)
     expected = cli._base_payload(config)
     expected.update(
-        compatible=False,
-        error="restriction not discretely decomposable for this embedding",
-        result="precondition violation",
+        compatible=False, error=INCOMPATIBLE[pair_id, parabolic], result="precondition violation"
     )
     assert (code, env.payload, len(calls)) == (2, expected, 1)
+
+
+@pytest.mark.parametrize("pair_id, parabolic", INCOMPATIBLE)
+def test_incompatible_verify_message(pair_id, parabolic):
+    message = INCOMPATIBLE[pair_id, parabolic]
+    env, code = run(["verify", "--pair", pair_id, "--parabolic", parabolic])
+    analyze, _ = run(["analyze", "--pair", pair_id, "--parabolic", parabolic])
+    assert (code, env.payload["error"]) == (2, message)
+    assert analyze.payload["closed"] == (message == CLOSED_NOT_STABLE)
+
+
+@pytest.mark.parametrize("pair_id, canonical", [
+    ("so_down_so:m=04", "m=4"),
+    ("group_case:type=A01", "A1"),
+    ("sl_s_glgl:p=02,q=2", "p=2"),
+])
+def test_pair_id_with_leading_zero_exits_two(pair_id, canonical):
+    env, code = run(["analyze", "--pair", pair_id, "--parabolic", "borel"])
+    assert code == 2
+    assert env.payload["error"].startswith("cannot resolve pair %r" % pair_id)
+    assert "not canonical: write %s)" % canonical in env.payload["error"]
 
 
 def test_branch_checks_compatibility_once(monkeypatch):

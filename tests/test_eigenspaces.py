@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.oracles import build_classical
 from vermabranch import (
     ClassicalType,
     MatrixElement,
     Subspace,
-    build_classical,
     build_pair,
     catalog_pairs,
     span_of_matrices,

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from tests.matrix_route import u_minus_space
-from tests.oracles import ad_nilpotent
+from tests.oracles import ad_nilpotent, echelon_span
 from vermabranch import (
     MatrixElement,
     PairSpec,
     bracket,
     build_pair,
-    echelon_span,
     nilpotent_subalgebra_test,
     parabolic_from_simple_subset,
     span_of_matrices,

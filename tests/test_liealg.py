@@ -12,16 +12,14 @@ from vermabranch import (
     RankCapError,
     RootDatum,
     Weight,
-    build_classical,
     build_pair,
     freudenthal_character,
     parabolic_from_simple_subset,
     restricted_root_data,
     root_datum,
-    weyl_dimension,
     weyl_group,
 )
-from tests.oracles import absolute, minus_count, weyl_apply, weyl_inverse
+from tests.oracles import absolute, build_classical, minus_count, weyl_apply, weyl_dimension, weyl_inverse
 from vermabranch.liealg import _dot, _freudenthal_mult, _indecomposables, regular_order_key, scaled_coords
 from vermabranch.pairs import PairSpec, catalog_pairs
 

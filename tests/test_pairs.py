@@ -9,7 +9,7 @@ from tests.matrix_route import (
     restricted_root_spaces,
     u_minus_space,
 )
-from tests.oracles import acts_trivially_on_j
+from tests.oracles import acts_trivially_on_j, build_classical
 from vermabranch import (
     ClassicalType,
     Involution,
@@ -18,7 +18,6 @@ from vermabranch import (
     SymmetricPair,
     Weight,
     bracket,
-    build_classical,
     build_pair,
     parabolic_from_simple_subset,
     restricted_root_data,
@@ -32,6 +31,22 @@ def test_pair_spec_parse_roundtrip():
     spec = PairSpec.parse("gl_down_gl:n=3,l=2")
     assert spec.kind == "gl_down_gl" and spec.get("n") == 3 and spec.get("l") == 2
     assert PairSpec.parse(spec.id) == spec
+
+
+def test_catalog_ids_parse_back_to_themselves():
+    for spec in catalog_pairs(7):
+        assert PairSpec.parse(spec.id).id == spec.id
+    # parameters may come in any order; the id lists them sorted
+    assert PairSpec.parse("gl_down_gl:n=4,l=1").id == "gl_down_gl:l=1,n=4"
+
+
+def test_pair_ids_with_leading_zeros_are_rejected():
+    with pytest.raises(ValueError, match=r"^pair parameter m=04 is not canonical: write m=4$"):
+        PairSpec.parse("so_down_so:m=04")
+    with pytest.raises(ValueError, match=r"^pair parameter p=02 is not canonical: write p=2$"):
+        PairSpec.parse("sl_s_glgl:p=02,q=2")
+    with pytest.raises(ValueError, match=r"^group_case type 'A01' is not canonical: write A1$"):
+        build_pair(PairSpec.parse("group_case:type=A01"))
 
 
 def test_pair_spec_rejects_unknown_kind():

@@ -45,6 +45,7 @@ JOBS = (
     "mf-scan --rank-bound 6",
     "verify --pair sp_down_gl:n=3 --parabolic siegel --level 6",
     "verify --pair sp_down_gl:n=4 --parabolic siegel --level 12",
+    "branch --pair sp_down_gl:n=5 --parabolic siegel --degree 12",
 )
 BARE = "import os; os._exit(0)"
 
