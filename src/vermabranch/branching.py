@@ -17,7 +17,7 @@ from collections import Counter
 from operator import add
 from typing import Iterable, NamedTuple, Optional
 
-from . import MF_SCAN_RANK_CAP, check_cap
+from . import LEVI_DIM_CAP, MF_SCAN_RANK_CAP, check_cap
 from .liealg import RootDatum, Weight, _dot, _rref, freudenthal_character, root_datum, scaled_coords
 from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data
 from .parabolic import (
@@ -44,23 +44,26 @@ class VermaSpec(NamedTuple):
 
     parabolic: ParabolicData
     lam: Optional[Weight]
-    scalar_type: bool
 
     @classmethod
     def generic(cls, parabolic: ParabolicData) -> "VermaSpec":
-        return cls(parabolic=parabolic, lam=None, scalar_type=True)
+        return cls(parabolic=parabolic, lam=None)
 
     @classmethod
     def of(cls, parabolic: ParabolicData, lam: Weight) -> "VermaSpec":
-        datum = parabolic.datum
-        for a in parabolic.levi_roots:
-            pairing = datum.coroot_pairing(lam, a)
-            if pairing.denominator != 1:
-                raise ValueError("lambda is not integral on the Levi coroots")
-            if a in set(datum.positive_roots) and pairing < 0:
-                raise ValueError("lambda is not dominant for the Levi factor")
-        scalar = all(datum.coroot_pairing(lam, a) == 0 for a in parabolic.levi_roots)
-        return cls(parabolic=parabolic, lam=lam, scalar_type=scalar)
+        # the simple coroots of l span its coroot lattice, and its positive
+        # coroots are non-negative sums of them
+        levi = parabolic.levi_datum()
+        labels = levi.labels(lam.coords)
+        if any(type(x) is not int for x in labels):
+            raise ValueError("lambda is not integral on the Levi coroots")
+        if any(x < 0 for x in labels):
+            raise ValueError("lambda is not dominant for the Levi factor")
+        lam_rho, rho = (lam + levi.rho).coords, levi.rho.coords
+        positive = [a.coords for a in levi.positive_roots]  # Weyl: prod <lam + rho, a> / <rho, a>
+        dim = math.prod(_dot(lam_rho, a) for a in positive) // math.prod(_dot(rho, a) for a in positive)
+        check_cap("dim F_lambda", dim, LEVI_DIM_CAP)
+        return cls(parabolic=parabolic, lam=lam)
 
 
 class BranchEntry(NamedTuple):
@@ -262,8 +265,6 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
     u_prime, u_second = _u_minus_split(p, pair)
     l_prime = _levi_prime_datum(p, pair)
     if spec.lam is None:
-        if not spec.scalar_type:
-            raise ValueError("symbolic lambda requires scalar type")
         base = None
         f_block = {(0,) * pair.restricted_eps_dim: 1}
     else:
@@ -488,13 +489,11 @@ def genericity_check(
     simple = None
     if spec.lam is not None:
         datum = spec.parabolic.datum
-        levi = set(spec.parabolic.levi_roots)
+        lam_rho = (spec.lam + datum.rho).coords
         simple = True
-        for beta in datum.positive_roots:
-            if beta in levi:
-                continue
-            val = datum.coroot_pairing(spec.lam + datum.rho, beta)
-            if val.denominator == 1 and val >= 1:
+        for beta in datum.positive_roots:  # is <lambda + rho, beta^vee> a positive integer?
+            q, r = divmod(2 * _dot(lam_rho, beta.coords), _dot(beta.coords, beta.coords))
+            if not r and q >= 1 and beta not in spec.parabolic.levi_roots:
                 simple = False
                 break
     distinct = None
@@ -504,10 +503,12 @@ def genericity_check(
         rdatum = restricted_root_data(pair)
         base = pair.restrict_weight(spec.lam)
         # two weights share a Weyl orbit iff their dominant conjugates agree
-        dominant = [
-            rdatum.dominant_representative(Weight(e.delta_displacement) + base + rdatum.rho)
-            for e in table.entries
-        ]
+        scale = math.lcm(*(c.denominator for c in base.coords + rdatum.rho.coords))
+        shift = scaled_coords((base + rdatum.rho).coords, scale)
+        dominant = []
+        for e in table.entries:
+            t = tuple(scale * d + c for d, c in zip(e.delta_displacement, shift))
+            dominant.append(rdatum.to_dominant(t, rdatum.labels(t))[0])
         distinct = len(set(dominant)) == len(dominant)
     return GenericityReport(simple_certified=simple, distinct_infchar=distinct)
 

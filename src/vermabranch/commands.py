@@ -21,6 +21,8 @@ if TYPE_CHECKING:
 # closed-form law -> smallest n whose pair exists in the catalog
 LAW_MIN_N = {"AA": 1, "BD": 2, "DB": 2}
 
+RATIONAL_DIGIT_CAP = 100  # digits of p and of q in one --lambda or H= entry
+
 # command -> the RunConfig fields it reads besides format and cache_dir
 READS = {
     "pairs": ("rank_bound",),
@@ -51,9 +53,21 @@ def _resolve_pair(pair_id: str):
         ) from exc
 
 
-def _resolve_parabolic(pair, descriptor: str):
+def _rational(text: str):
+    """The Fraction a --lambda or H= entry spells: a signed integer, decimal
+    or p/q in ASCII digits.  An exponent such as 1e5000 is refused, since it
+    builds a 5001-digit integer from 6 characters."""
     from fractions import Fraction
 
+    text = text.strip()
+    if not set(text) <= set("+-./0123456789"):
+        raise ValueError("%r is not an integer, decimal or p/q" % text)
+    if any(sum(map(str.isdigit, part)) > RATIONAL_DIGIT_CAP for part in text.split("/")):
+        raise ValueError("%r has over %d digits in p or q" % (text, RATIONAL_DIGIT_CAP))
+    return Fraction(text)
+
+
+def _resolve_parabolic(pair, descriptor: str):
     from .liealg import root_datum
     from .parabolic import parabolic_from_params, parabolic_from_simple_subset
 
@@ -75,7 +89,7 @@ def _resolve_parabolic(pair, descriptor: str):
         return parabolic_from_simple_subset(g, set(range(nsimple - 1)))
     if text.startswith("h="):
         try:
-            params = g.cartan_params([Fraction(v) for v in text[2:].split(",")])
+            params = g.cartan_params([_rational(v) for v in text[2:].split(",")])
         except (ValueError, ZeroDivisionError) as exc:
             raise PreconditionError(
                 "bad Cartan parameters %r: %s" % (descriptor, exc)
@@ -102,8 +116,6 @@ def _resolve_parabolic(pair, descriptor: str):
 
 
 def _resolve_lambda(pair, parabolic, text: str):
-    from fractions import Fraction
-
     from .branching import VermaSpec
     from .liealg import Weight
 
@@ -111,7 +123,7 @@ def _resolve_lambda(pair, parabolic, text: str):
     if text.lower() == "generic":
         return VermaSpec.generic(parabolic)
     try:
-        coords = [Fraction(v.strip()) for v in text.split(",")]
+        coords = [_rational(v) for v in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError("bad lambda %r" % text) from exc
     if len(coords) != pair.g.eps_dim:

@@ -307,13 +307,6 @@ class RootDatum:
     def roots_of_mask(self, mask: int) -> frozenset:
         return frozenset(a for i, a in enumerate(self.roots) if mask >> i & 1)
 
-    def coroot_pairing(self, lam: Weight, alpha: Weight) -> Fraction:
-        return Fraction(2 * lam.dot(alpha), alpha.dot(alpha))
-
-    def reflect(self, w: Weight, alpha: Weight) -> Weight:
-        p = self.coroot_pairing(w, alpha)
-        return Weight(x - p * a for x, a in zip(w.coords, alpha.coords))
-
     # -- the Weyl action on coordinate tuples, by simple reflections
 
     @cached_property
@@ -369,18 +362,6 @@ class RootDatum:
                         orbit.append((u, u_labels))
         return orbit
 
-    def is_dominant_integral(self, lam: Weight) -> bool:
-        scale = math.lcm(*(c.denominator for c in lam.coords))
-        return all(
-            x >= 0 and x % scale == 0 for x in self.labels(scaled_coords(lam.coords, scale))
-        )
-
-    def dominant_representative(self, w: Weight) -> Weight:
-        # w scaled by its common denominator d: every label is d <w, alpha^vee>
-        scale = math.lcm(*(c.denominator for c in w.coords))
-        t = scaled_coords(w.coords, scale)
-        return Weight(Fraction(c, scale) for c in self.to_dominant(t, self.labels(t))[0])
-
     def sub_datum(self, roots: Iterable[Weight]) -> "RootDatum":
         """Datum of a root subsystem (e.g. a Levi factor), same coordinates."""
         rootset = set(roots)
@@ -431,13 +412,13 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
     inner product by the same square and leaves the Freudenthal quotients as
     they are; a weight's scaled offset from lam is that lcm times d.
     """
-    if not datum.is_dominant_integral(lam):
-        raise ValueError("highest weight is not dominant integral: %r" % (lam,))
     scale = math.lcm(*(c.denominator for c in lam.coords + datum.rho.coords))
+    top = scaled_coords(lam.coords, scale)
+    if any(x < 0 or x % scale for x in datum.labels(top)):  # scale <lam, alpha_i^vee> each
+        raise ValueError("highest weight is not dominant integral: %r" % (lam,))
     simple = [tuple(scale * c for c in a) for a in datum.simple_roots]
     roots = [(a, _dot(a, a)) for a in (tuple(scale * c for c in a) for a in datum.positive_roots)]
     rho = scaled_coords(datum.rho.coords, scale)
-    top = scaled_coords(lam.coords, scale)
     top_rho = tuple(map(add, top, rho))
     top_rho_sq = _dot(top_rho, top_rho)
     mult = {w: 1 for w, _ in datum.orbit(top)}
@@ -513,24 +494,6 @@ class WeylElement:
         return "WeylElement(perm=%r, signs=%r)" % (self.perm, self.signs)
 
 
-def reflection_element(datum: RootDatum, alpha: Weight) -> WeylElement:
-    """The reflection s_alpha as a signed permutation of coordinates."""
-    n = datum.eps_dim
-    perm = [None] * n
-    signs = [0] * n
-    for k in range(n):
-        e = Weight([int(i == k) for i in range(n)])
-        img = datum.reflect(e, alpha)
-        hits = [(i, c) for i, c in enumerate(img.coords) if c]
-        if len(hits) != 1 or abs(hits[0][1]) != 1:
-            raise ValueError("reflection is not a signed permutation")
-        j, c = hits[0]
-        # e_k maps to c*e_j, i.e. coordinate j of the image reads sign*coord k
-        perm[j] = k
-        signs[j] = 1 if c > 0 else -1
-    return WeylElement(perm, signs)
-
-
 def check_weyl_rank(datum: RootDatum) -> None:
     """Cap on the rank of any enumeration over W (the group, a Weyl orbit)."""
     if len(datum.simple_roots) > WEYL_RANK_CAP:
@@ -540,18 +503,18 @@ def check_weyl_rank(datum: RootDatum) -> None:
 
 
 def weyl_group(datum: RootDatum) -> list:
-    """Full enumeration of the Weyl group generated by simple reflections."""
+    """The Weyl group as signed permutations, each read off its image u of
+    (n, ..., 1), which is strictly dominant (`regular_order_key` is the
+    pairing with it): perm[i] = n - |u[i]|.  A reflection permutes
+    coordinates up to sign exactly when its root is c e_i or c (e_i +- e_j)."""
     check_weyl_rank(datum)
-    gens = [reflection_element(datum, a) for a in datum.simple_roots]
-    seen = {WeylElement.identity(datum.eps_dim)}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for w in frontier:
-            for s in gens:
-                x = s.compose(w)
-                if x not in seen:
-                    seen.add(x)
-                    new.append(x)
-        frontier = new
-    return sorted(seen, key=lambda w: (w.perm, w.signs))
+    for a, _ in datum.simple_coords:
+        nonzero = [abs(c) for c in a if c]
+        if len(nonzero) > 2 or len(set(nonzero)) > 1:
+            raise ValueError("Weyl group does not act by signed permutations")
+    n = datum.eps_dim
+    return sorted(
+        (WeylElement([n - abs(c) for c in u], [1 if c > 0 else -1 for c in u])
+         for u, _ in datum.orbit(tuple(range(n, 0, -1)))),
+        key=lambda w: (w.perm, w.signs),
+    )

@@ -20,10 +20,10 @@ from vermabranch import (
     span_of_matrices,
     weight_decomposition,
 )
-from vermabranch.liealg import _solve, reflection_element
+from vermabranch.liealg import _solve
 from vermabranch.pairs import tau_projection
 
-from tests.oracles import negative_roots, weyl_apply_params
+from tests.oracles import negative_roots, reflection_element, weyl_apply_params
 
 
 def check_involution(g, tau) -> None:

@@ -4,7 +4,9 @@ Root sets and predicates that no command reads (u_-, the ambient restricted
 roots, `is_borel`, `acts_trivially_on_j`) and the abelian-nilradical test
 come first, then the absolute forms of displacement characters and the
 Weyl-element actions that only tests use, then the oracles that left the
-package: Weyl's dimension formula (for Freudenthal), `echelon_span` and the
+package: the `Fraction` coroot pairings and reflections of `RootDatum`,
+with the dominance tests and the breadth-first Weyl group built on them,
+Weyl's dimension formula (for Freudenthal), `echelon_span` and the
 classical matrix realizations `build_classical`.  The term-by-term inverse
 Euler expansion is the oracle of the layered one.  Schmid's decomposition of
 S(u_-^{-tau}) for an abelian nilradical, the finiteness bound of the
@@ -49,8 +51,8 @@ from vermabranch.liealg import (
     RootDatum,
     Weight,
     WeylElement,
+    check_weyl_rank,
     classical_algebra,
-    reflection_element,
     regular_order_key,
 )
 from vermabranch.pairs import SymmetricPair
@@ -122,6 +124,74 @@ def weyl_inverse(w):
 
 def minus_count(w) -> int:
     return sum(1 for s in w.signs if s < 0)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction reflection API and the breadth-first Weyl group
+# ---------------------------------------------------------------------------
+
+def coroot_pairing(lam: Weight, alpha: Weight) -> Fraction:
+    return Fraction(2 * lam.dot(alpha), alpha.dot(alpha))
+
+
+def reflect(w: Weight, alpha: Weight) -> Weight:
+    p = coroot_pairing(w, alpha)
+    return Weight(x - p * a for x, a in zip(w.coords, alpha.coords))
+
+
+def is_dominant_integral(datum: RootDatum, lam: Weight) -> bool:
+    return all(
+        (p := coroot_pairing(lam, a)).denominator == 1 and p >= 0 for a in datum.simple_roots
+    )
+
+
+def dominant_representative(datum: RootDatum, w: Weight) -> Weight:
+    """w reflected in the first simple root of negative pairing until none is left."""
+    while True:
+        for a in datum.simple_roots:
+            if coroot_pairing(w, a) < 0:
+                w = reflect(w, a)
+                break
+        else:
+            return w
+
+
+def reflection_element(datum: RootDatum, alpha: Weight) -> WeylElement:
+    """The reflection s_alpha as a signed permutation of coordinates."""
+    n = datum.eps_dim
+    perm = [None] * n
+    signs = [0] * n
+    for k in range(n):
+        e = Weight([int(i == k) for i in range(n)])
+        img = reflect(e, alpha)
+        hits = [(i, c) for i, c in enumerate(img.coords) if c]
+        if len(hits) != 1 or abs(hits[0][1]) != 1:
+            raise ValueError("reflection is not a signed permutation")
+        j, c = hits[0]
+        # e_k maps to c*e_j, i.e. coordinate j of the image reads sign*coord k
+        perm[j] = k
+        signs[j] = 1 if c > 0 else -1
+    return WeylElement(perm, signs)
+
+
+def bfs_weyl_group(datum: RootDatum) -> list:
+    """Full enumeration of the Weyl group generated by simple reflections:
+    the breadth-first search over composed signed permutations that
+    `liealg.weyl_group` ran before it read the group off an orbit."""
+    check_weyl_rank(datum)
+    gens = [reflection_element(datum, a) for a in datum.simple_roots]
+    seen = {WeylElement.identity(datum.eps_dim)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for w in frontier:
+            for s in gens:
+                x = s.compose(w)
+                if x not in seen:
+                    seen.add(x)
+                    new.append(x)
+        frontier = new
+    return sorted(seen, key=lambda w: (w.perm, w.signs))
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,21 @@ from hypothesis import strategies as st
 from tests.oracles import (
     absolute,
     ambient_restricted_roots,
+    coroot_pairing,
+    dominant_representative,
     finiteness_bound,
+    is_dominant_integral,
     schmid_decomposition,
     strongly_orthogonal_sequence,
     term_by_term_expand,
+    weyl_dimension,
 )
 from vermabranch import (
+    LEVI_DIM_CAP,
     BranchingTable,
     IncompatibleRestrictionError,
     MatrixElement,
+    RankCapError,
     VermaSpec,
     Weight,
     branch_multiplicities,
@@ -45,6 +51,7 @@ from vermabranch.branching import (
     sym_power_characters,
 )
 from vermabranch.liealg import root_datum
+from vermabranch.pairs import build_pair, catalog_pairs, restricted_root_data
 
 
 def W(*coords):
@@ -172,7 +179,7 @@ def test_restrict_scalar_heisenberg(pairs):
     pair = pairs("sl_s_glgl", p=2, q=2)
     heis = parabolic_from_simple_subset(pair.g, {1})
     spec = VermaSpec.of(heis, W(0, 0, 0, 0))
-    assert spec.scalar_type
+    assert all(coroot_pairing(spec.lam, a) == 0 for a in heis.levi_roots)
     out = restrict_finite_module(pair, heis.levi_datum(), W(0, 0, 0, 0))
     assert out == {(0, 0, 0, 0): 1}
 
@@ -313,7 +320,7 @@ def sweep_peel(char, datum):
         mult = work.get(mu, 0)
         if not mult:
             continue
-        if mult < 0 or not datum.is_dominant_integral(mu):
+        if mult < 0 or not is_dominant_integral(datum, mu):
             raise ValueError("not a module character at %r" % (mu,))
         for w, m in absolute(freudenthal_character(datum, mu), mu).items():
             c = work.get(w, 0) - mult * m
@@ -337,7 +344,7 @@ def greedy_peel(char, datum):
     while work:
         mu = max(work, key=regular_order_key)
         mult = work[mu]
-        if mult < 0 or not datum.is_dominant_integral(mu):
+        if mult < 0 or not is_dominant_integral(datum, mu):
             raise ValueError("not a module character at %r" % (mu,))
         for w, m in absolute(freudenthal_character(datum, mu), mu).items():
             c = work.get(w, 0) - mult * m
@@ -771,6 +778,91 @@ def test_genericity_collision_detected(pairs):
     table = branch_multiplicities(spec, pair, 2)
     rep = genericity_check(spec, pair, table)
     assert rep.distinct_infchar is False
+
+
+def _levi_verdict(p, lam):
+    """The message VermaSpec.of should raise, by `Fraction` coroot pairings
+    over every Levi root and Weyl's dimension formula, or None."""
+    pairings = {a: coroot_pairing(lam, a) for a in p.levi_roots}
+    if any(x.denominator != 1 for x in pairings.values()):
+        return "lambda is not integral on the Levi coroots"
+    if any(x < 0 for a, x in pairings.items() if a in set(p.datum.positive_roots)):
+        return "lambda is not dominant for the Levi factor"
+    if weyl_dimension(p.levi_datum(), lam) > LEVI_DIM_CAP:
+        return "dim F_lambda capped at %d" % LEVI_DIM_CAP
+    return None
+
+
+def _random_specs(rng, count):
+    """(pair, parabolic, lambda) over the rank <= 3 catalog, lambda with
+    coordinates in [-3, 3] of denominator 1 to 3."""
+    pairs = [build_pair(spec) for spec in catalog_pairs(3)]
+    for _ in range(count):
+        pair = rng.choice(pairs)
+        nsimple = len(root_datum(pair.g).simple_roots)
+        p = parabolic_from_simple_subset(pair.g, {i for i in range(nsimple) if rng.random() < 0.6})
+        den = rng.randint(1, 3)
+        yield pair, p, W(*(Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(pair.g.eps_dim)))
+
+
+def test_verma_spec_of_matches_the_fraction_oracle():
+    seen = set()
+    for _, p, lam in _random_specs(random.Random(20261021), 1500):
+        expected = _levi_verdict(p, lam)
+        if expected is None:
+            assert VermaSpec.of(p, lam) == (p, lam)
+        else:
+            with pytest.raises(ValueError) as exc:
+                VermaSpec.of(p, lam)
+            assert str(exc.value) == expected
+        seen.add(expected)
+    assert len(seen) == 4
+
+
+def test_a_lambda_failing_both_levi_tests_is_not_integral(pairs):
+    # Levi A3 of sl_4: labels (-1/2, 1/2, -1), neither integral nor dominant
+    pair = pairs("sl_s_glgl", p=2, q=2)
+    full = parabolic_from_simple_subset(pair.g, {0, 1, 2})
+    with pytest.raises(ValueError, match="^lambda is not integral on the Levi coroots$"):
+        VermaSpec.of(full, W(0, Fraction(1, 2), 0, 1))
+
+
+def test_levi_dimension_cap(pairs):
+    # Levi gl_2 of sp_4: dim F_lambda = lambda_1 - lambda_2 + 1
+    siegel = parabolic_from_simple_subset(pairs("sp_down_gl", n=2).g, {0})
+    assert VermaSpec.of(siegel, W(LEVI_DIM_CAP - 1, 0)).lam == W(LEVI_DIM_CAP - 1, 0)
+    with pytest.raises(RankCapError, match="dim F_lambda capped at %d" % LEVI_DIM_CAP):
+        VermaSpec.of(siegel, W(LEVI_DIM_CAP, 0))
+
+
+def test_genericity_check_matches_the_fraction_oracle():
+    """Both genericity answers against `Fraction` pairings and reflections;
+    each table also holds a reflected entry, so that some collide."""
+    rng = random.Random(20261022)
+    answers = set()
+    for pair, p, lam in _random_specs(rng, 400):
+        if _levi_verdict(p, lam) is not None:
+            continue
+        spec = VermaSpec.of(p, lam)
+        datum, rdatum = p.datum, restricted_root_data(pair)
+        simple = not any(
+            (x := coroot_pairing(lam + datum.rho, b)).denominator == 1 and x >= 1
+            for b in datum.positive_roots if b not in p.levi_roots
+        )
+        base = pair.restrict_weight(lam)
+        deltas = {tuple(rng.randint(-2, 2) for _ in range(len(base))) for _ in range(4)}
+        d0 = min(deltas)
+        for a in rdatum.simple_roots:
+            x = coroot_pairing(Weight(d0) + base + rdatum.rho, a)
+            if x and x.denominator == 1:  # base + rho + d0 reflected in a, as a displacement
+                deltas.add(Weight(c - x * y for c, y in zip(d0, a.coords)).int_coords())
+                break
+        table = BranchingTable(None, tuple(BranchEntry(d, 1, 0) for d in sorted(deltas)), 0, ())
+        dominant = [dominant_representative(rdatum, Weight(d) + base + rdatum.rho) for d in sorted(deltas)]
+        rep = genericity_check(spec, pair, table)
+        assert rep == (simple, len(set(dominant)) == len(dominant))
+        answers.add(rep)
+    assert len(answers) == 4
 
 
 def test_mf_scan_examples():

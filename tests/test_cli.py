@@ -5,6 +5,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -330,6 +331,39 @@ def test_pair_rank_cap_is_checked_before_the_pair_is_built(monkeypatch):
     for pair_id in at_cap:
         with pytest.raises(_Built):
             pairs.build_pair(pairs.PairSpec.parse(pair_id))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("branch --pair so_down_so:m=4 --parabolic borel --lambda 1e5000,0 --degree 1",
+         "bad lambda '1e5000,0'"),
+        ("branch --pair so_down_so:m=4 --parabolic borel --lambda 1_0,0 --degree 1", "bad lambda '1_0,0'"),
+        ("branch --pair so_down_so:m=4 --parabolic borel --lambda 1/%s,0 --degree 1" % ("1" * 101),
+         "bad lambda '1/%s,0'" % ("1" * 101)),
+        ("analyze --pair so_down_so:m=5 --parabolic H=1e9999999,0,1",
+         "bad Cartan parameters 'H=1e9999999,0,1': '1e9999999' is not an integer, decimal or p/q"),
+        ("analyze --pair so_down_so:m=5 --parabolic H=%s,0,1" % ("9" * 101),
+         "bad Cartan parameters 'H=%s,0,1': '%s' has over 100 digits in p or q" % ("9" * 101, "9" * 101)),
+        ("branch --pair sp_down_gl:n=2 --parabolic siegel --lambda 30000,0 --degree 1",
+         "dim F_lambda capped at 1500"),
+        ("branch --pair sl_s_glgl:p=2,q=2 --parabolic 1 --lambda %s,%s,0,0 --degree 1" % ("9" * 100, "9" * 100),
+         "dim F_lambda capped at 1500"),
+        ("verify --pair sp_down_gl:n=2 --parabolic siegel --lambda 30000,0 --level 1",
+         "dim F_lambda capped at 1500"),
+    ],
+)
+def test_oversized_numbers_and_levi_modules_exit_two_at_once(argv, message):
+    start = time.perf_counter()
+    env, code = run(argv.split())
+    assert time.perf_counter() - start < 1
+    assert code == 2 and env.payload["error"] == message
+
+
+def test_decimals_and_signs_still_parse():
+    env, code = run("branch --pair so_down_so:m=4 --parabolic borel --lambda=+0.5,-1/3 --degree 1".split())
+    assert code == 0 and env.payload["base_offset"] == ["1/2", "-1/3"]
+    assert run("analyze --pair so_down_so:m=5 --parabolic H=.5,1.,3/2".split())[1] == 0
 
 
 def test_degree_cap_exits_two():

@@ -19,7 +19,19 @@ from vermabranch import (
     root_datum,
     weyl_group,
 )
-from tests.oracles import absolute, build_classical, minus_count, weyl_apply, weyl_dimension, weyl_inverse
+from tests.oracles import (
+    absolute,
+    bfs_weyl_group,
+    build_classical,
+    coroot_pairing,
+    dominant_representative,
+    is_dominant_integral,
+    minus_count,
+    reflect,
+    weyl_apply,
+    weyl_dimension,
+    weyl_inverse,
+)
 from vermabranch.liealg import _dot, _freudenthal_mult, _indecomposables, regular_order_key, scaled_coords
 from vermabranch.pairs import PairSpec, catalog_pairs
 
@@ -170,7 +182,7 @@ def test_rho_pairs_to_one_with_simples(algebras):
     for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 3)]:
         datum = root_datum(algebras(fam, rank))
         for a in datum.simple_roots:
-            assert datum.coroot_pairing(datum.rho, a) == 1
+            assert coroot_pairing(datum.rho, a) == 1
 
 
 def test_root_count_matches_dimension(algebras):
@@ -265,7 +277,7 @@ def _random_dominant(datum, rng):
     for ri, pc in enumerate(pivots):
         coords[pc] = rows[ri][-1]
     lam = Weight(coords)
-    assert datum.is_dominant_integral(lam)
+    assert is_dominant_integral(datum, lam)
     return lam
 
 
@@ -288,22 +300,12 @@ def test_freudenthal_total_matches_weyl_dimension(algebras):
 # ---------------------------------------------------------------------------
 
 def _fraction_is_dominant(datum, mu):
-    return all(datum.coroot_pairing(mu, a) >= 0 for a in datum.simple_roots)
-
-
-def _fraction_dominant_representative(datum, w):
-    while True:
-        for a in datum.simple_roots:
-            if datum.coroot_pairing(w, a) < 0:
-                w = datum.reflect(w, a)
-                break
-        else:
-            return w
+    return all(coroot_pairing(mu, a) >= 0 for a in datum.simple_roots)
 
 
 def fraction_freudenthal(datum, lam):
     """Freudenthal recursion in `Fraction` arithmetic on `Weight`s."""
-    if not datum.is_dominant_integral(lam):
+    if not is_dominant_integral(datum, lam):
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
     rho = datum.rho
     lam_rho_sq = (lam + rho).dot(lam + rho)
@@ -325,7 +327,7 @@ def fraction_freudenthal(datum, lam):
                 assert value.denominator == 1 and value >= 0
                 m = int(value)
             else:
-                m = mult.get(_fraction_dominant_representative(datum, mu), 0)
+                m = mult.get(dominant_representative(datum, mu), 0)
             if m:
                 mult[mu] = m
                 nxt.add(mu)
@@ -337,7 +339,7 @@ def to_dominant_freudenthal(datum, lam):
     """The integer recursion with a per-weight fill: each non-dominant
     weight takes its multiplicity from its dominant conjugate, found by its
     own `RootDatum.to_dominant` chain; Weight keys."""
-    if not datum.is_dominant_integral(lam):
+    if not is_dominant_integral(datum, lam):
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
     scale = math.lcm(*(c.denominator for c in lam.coords + datum.rho.coords))
     simple = [tuple(scale * c for c in a) for a in datum.simple_roots]
@@ -385,7 +387,7 @@ def _small_dominant_weights(datum):
     for coords in itertools.product((-1, 0, 1), repeat=datum.eps_dim):
         for shift in (0, Fraction(1, 3), Fraction(1, 2)):
             lam = Weight(c + shift for c in coords)
-            if datum.is_dominant_integral(lam):
+            if is_dominant_integral(datum, lam):
                 out.append(lam)
     return out
 
@@ -407,16 +409,34 @@ def test_integer_freudenthal_matches_fraction_oracle(algebras):
     assert len({id(d) for d, _ in inputs}) > 20 and len(inputs) > 1000
 
 
+def test_freudenthal_rejects_what_the_fraction_oracle_rejects():
+    rng = random.Random(20261021)
+    outcomes = set()
+    for datum in _catalog_levi_data():
+        for _ in range(6):
+            den = rng.randint(1, 3)
+            lam = Weight(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(datum.eps_dim))
+            if is_dominant_integral(datum, lam):
+                assert sum(freudenthal_character(datum, lam).values()) == weyl_dimension(datum, lam)
+            else:
+                with pytest.raises(ValueError, match="highest weight is not dominant integral"):
+                    freudenthal_character(datum, lam)
+            outcomes.add(is_dominant_integral(datum, lam))
+    assert outcomes == {True, False}
+
+
 def test_dominant_representative_matches_fraction_oracle(algebras):
+    # `to_dominant` on w scaled by its common denominator, as genericity_check runs it
     rng = random.Random(20260810)
     for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
         datum = root_datum(algebras(fam, rank))
         for _ in range(40):
             w = Weight(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                        for _ in range(datum.eps_dim))
-            assert datum.dominant_representative(w) == (
-                _fraction_dominant_representative(datum, w)
-            )
+            scale = math.lcm(*(c.denominator for c in w.coords))
+            t = scaled_coords(w.coords, scale)
+            top = datum.to_dominant(t, datum.labels(t))[0]
+            assert Weight(Fraction(c, scale) for c in top) == dominant_representative(datum, w)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +449,8 @@ def _fraction_walk(datum, w):
     det = 1
     while True:
         for a in datum.simple_roots:
-            if datum.coroot_pairing(w, a) < 0:
-                w, det = datum.reflect(w, a), -det
+            if coroot_pairing(w, a) < 0:
+                w, det = reflect(w, a), -det
                 break
         else:
             return w, det
@@ -461,12 +481,12 @@ def test_to_dominant_matches_the_fraction_reflection_oracle(algebras, fam, rank)
 def test_simple_reflection_moves_labels_with_the_vector(algebras, fam, rank):
     datum = root_datum(algebras(fam, rank))
     assert datum.cartan == [
-        [datum.coroot_pairing(a, b) for b in datum.simple_roots] for a in datum.simple_roots
+        [coroot_pairing(a, b) for b in datum.simple_roots] for a in datum.simple_roots
     ]
     for w in _random_weights(datum, random.Random(20261019), 20):
         for i, a in enumerate(datum.simple_roots):
             moved, labels = datum.simple_reflection(w.coords, datum.labels(w.coords), i)
-            assert Weight(moved) == datum.reflect(w, a)
+            assert Weight(moved) == reflect(w, a)
             assert labels == datum.labels(moved)
 
 
@@ -553,7 +573,7 @@ def test_coroot_pairings_are_exact(algebras):
     datum = root_datum(algebras("C", 2))
     for lam in (Weight((3, 1)), Weight((Fraction(1, 2), -2))):
         for a in datum.roots:
-            p = datum.coroot_pairing(lam, a)
+            p = coroot_pairing(lam, a)
             assert isinstance(p, Fraction)
             assert p == 2 * sum(Fraction(x) * y for x, y in zip(lam, a)) / sum(y * y for y in a)
 
@@ -603,6 +623,37 @@ def test_weyl_group_axioms(algebras):
         assert w.compose(weyl_inverse(w)).perm == tuple(range(2))
     for a, b in itertools.islice(itertools.product(group, group), 30):
         assert a.compose(b) in elements
+
+
+def test_weyl_group_matches_the_breadth_first_oracle():
+    """The orbit reading equals the search over composed reflections on
+    every distinct ambient, restricted and standard Levi datum of the
+    rank <= 6 catalog."""
+    data = {}
+    for spec in catalog_pairs(6):
+        pair = build_pair(spec)
+        datum = root_datum(pair.g)
+        levis = (
+            parabolic_from_simple_subset(pair.g, set(subset)).levi_datum()
+            for k in range(len(datum.simple_roots))
+            for subset in itertools.combinations(range(len(datum.simple_roots)), k)
+        )
+        for d in (datum, restricted_root_data(pair), *levis):
+            data.setdefault((d.eps_dim, d.positive_roots), d)
+    assert len(data) > 400
+    for d in data.values():
+        assert weyl_group(d) == bfs_weyl_group(d)
+
+
+def test_weyl_group_rejects_a_datum_not_acting_by_signed_permutations():
+    # the reflection in e1 + e2 + e3 is not a signed permutation, though it
+    # takes the regular point (3, 2, 1) to (-1, -2, -3)
+    alpha = Weight((1, 1, 1))
+    datum = RootDatum(3, [alpha, -alpha])
+    with pytest.raises(ValueError, match="signed permutation"):
+        weyl_group(datum)
+    with pytest.raises(ValueError, match="signed permutation"):
+        bfs_weyl_group(datum)
 
 
 def test_weyl_rank_cap():

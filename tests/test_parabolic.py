@@ -20,6 +20,7 @@ from tests.oracles import (
     levi_weyl_generators,
     negative_roots,
     nilradical_abelian,
+    reflection_element,
     tensor_closedness,
     weyl_apply_params,
 )
@@ -348,8 +349,6 @@ def test_census_inner_case_double_coset_oracle(pairs):
         census = closed_orbit_census(pair, subset)
         ambient = weyl_group(root_datum(pair.g))
         rdatum = restricted_root_data(pair)
-        from vermabranch.liealg import reflection_element
-
         left = [reflection_element(rdatum, a) for a in rdatum.simple_roots]
         p0 = parabolic_from_simple_subset(pair.g, subset)
         right = levi_weyl_generators(p0)

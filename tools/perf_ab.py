@@ -65,6 +65,20 @@ def spread(values):
     return q1, median, q3
 
 
+def verdict(parent, change):
+    """"faster", "slower" or "unresolved" for samples paired by position,
+    lower reading better: a side is ahead when it wins at least nine tenths
+    of the pairs (ties count for neither) and the medians differ by more than
+    the parent's interquartile range."""
+    q1, parent_median, q3 = spread(parent)
+    gap = spread(change)[1] - parent_median
+    if sum(c < p for p, c in zip(parent, change)) >= 0.9 * len(parent) and -gap > q3 - q1:
+        return "faster"
+    if sum(c > p for p, c in zip(parent, change)) >= 0.9 * len(parent) and gap > q3 - q1:
+        return "slower"
+    return "unresolved"
+
+
 def summarize(pairs, directions, bounds):
     names = sorted({n for p in pairs for side in ("parent", "change") for n in p[side]["result"]["metrics"]})
     summary = {}
@@ -81,7 +95,8 @@ def summarize(pairs, directions, bounds):
             row.update({side + "_median": median, side + "_q1": q1, side + "_q3": q3})
         gain = sign * (row["parent_median"] - row["change_median"])
         row["gain_over_parent_iqr"] = gain > row["parent_q3"] - row["parent_q1"]
-        row["gain_shown"] = wins >= 0.9 * len(pairs) and row["gain_over_parent_iqr"]
+        signed = {side: [sign * v for v in values[side]] for side in ("parent", "change")}
+        row["gain_shown"] = verdict(signed["parent"], signed["change"]) == "faster"
         if row["parent_median"]:
             row["worse_by_rel"] = -gain / abs(row["parent_median"])
         if name in bounds:

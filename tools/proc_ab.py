@@ -20,8 +20,11 @@ modules the hit loads and hard-exits, less bare) and the rest (the hit less
 the imports).  Parent and change alternate, the parent first on odd
 repetitions.  FILE gets each side's medians and quartiles (inclusive
 method), the repetitions in which the change used less CPU time than the
-parent, and whether every process of a job, miss or hit, printed the same
-stdout bytes on both sides.
+parent, a CPU verdict (``faster``, ``slower`` or ``unresolved``: one side
+wins at least nine tenths of the repetitions and the medians differ by more
+than the parent's interquartile range, ``perf_ab.verdict``), and whether
+every process of a job, miss or hit, printed the same stdout bytes on both
+sides.  Below ten repetitions a side must win every one.
 """
 
 import argparse
@@ -31,7 +34,7 @@ import subprocess
 import sys
 import tempfile
 
-from perf_ab import spread
+from perf_ab import spread, verdict
 
 ROOT = os.getcwd()
 
@@ -168,8 +171,9 @@ def main(argv=None):
             parent, change = row["parent"], row["change"]
             row["rss_saved_mb"] = round(parent["peak_rss_mb_median"] - change["peak_rss_mb_median"], 2)
             row["cpu_saved_ms"] = round(parent["cpu_ms_median"] - change["cpu_ms_median"], 1)
-            pairs = zip(samples["parent|" + key], samples["change|" + key])  # by repetition
-            row["change_cpu_wins"] = sum(c[1] < p[1] for p, c in pairs)
+            parent_cpu, change_cpu = ([r[1] for r in samples[side + "|" + key]] for side in ("parent", "change"))
+            row["change_cpu_wins"] = sum(c < p for p, c in zip(parent_cpu, change_cpu))  # by repetition
+            row["verdict"] = verdict(parent_cpu, change_cpu)
             rows.append(row)
     budget = {"job": JOBS[0] + " (cache hit)"}
     for side in ("parent", "change"):
