@@ -47,7 +47,7 @@ _EXPORTS = {
         "span_of_matrices weight_decomposition"
     ),
     "liealg": (
-        "ClassicalType RootDatum Weight WeylElement "
+        "ClassicalType RootDatum WeylElement "
         "freudenthal_character root_datum weyl_group"
     ),
     "pairs": "PairSpec SymmetricPair build_pair catalog_pairs restricted_root_data tau_split",

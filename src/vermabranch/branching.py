@@ -18,7 +18,7 @@ from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from . import LEVI_DIM_CAP, MF_SCAN_RANK_CAP, check_cap
-from .liealg import RootDatum, Weight, _dot, _rref, freudenthal_character, root_datum, scaled_coords
+from .liealg import RootDatum, _dot, _q, _rref, _vsum, freudenthal_character, root_datum, scaled_coords
 from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data
 from .parabolic import (
     IncompatibleRestrictionError,
@@ -43,24 +43,25 @@ class VermaSpec(NamedTuple):
     """
 
     parabolic: ParabolicData
-    lam: Optional[Weight]
+    lam: Optional[tuple]
 
     @classmethod
     def generic(cls, parabolic: ParabolicData) -> "VermaSpec":
         return cls(parabolic=parabolic, lam=None)
 
     @classmethod
-    def of(cls, parabolic: ParabolicData, lam: Weight) -> "VermaSpec":
+    def of(cls, parabolic: ParabolicData, lam) -> "VermaSpec":
         # the simple coroots of l span its coroot lattice, and its positive
         # coroots are non-negative sums of them
+        lam = tuple(map(_q, lam))
         levi = parabolic.levi_datum()
-        labels = levi.labels(lam.coords)
+        labels = levi.labels(lam)
         if any(type(x) is not int for x in labels):
             raise ValueError("lambda is not integral on the Levi coroots")
         if any(x < 0 for x in labels):
             raise ValueError("lambda is not dominant for the Levi factor")
-        lam_rho, rho = (lam + levi.rho).coords, levi.rho.coords
-        positive = [a.coords for a in levi.positive_roots]  # Weyl: prod <lam + rho, a> / <rho, a>
+        lam_rho, rho = _vsum(lam, levi.rho), levi.rho
+        positive = levi.positive_roots  # Weyl: prod <lam + rho, a> / <rho, a>
         dim = math.prod(_dot(lam_rho, a) for a in positive) // math.prod(_dot(rho, a) for a in positive)
         check_cap("dim F_lambda", dim, LEVI_DIM_CAP)
         return cls(parabolic=parabolic, lam=lam)
@@ -75,7 +76,7 @@ class BranchEntry(NamedTuple):
 class BranchingTable:
     """The summands (delta, m(delta; lambda)) of a branching identity."""
 
-    def __init__(self, base_offset: Optional[Weight], entries: tuple, degree_bound: int,
+    def __init__(self, base_offset: Optional[tuple], entries: tuple, degree_bound: int,
                  genericity_assumptions: tuple):
         self.base_offset, self.entries = base_offset, entries
         self.degree_bound, self.genericity_assumptions = degree_bound, genericity_assumptions
@@ -102,10 +103,6 @@ def _sorted_entries(entries: Iterable[BranchEntry]) -> tuple:
 # ---------------------------------------------------------------------------
 # the PBW series of S(u_-)
 # ---------------------------------------------------------------------------
-
-def _vsum(u: tuple, v: tuple) -> tuple:
-    return tuple(map(add, u, v))
-
 
 def _expand(layers: list, weights: dict, grade) -> list:
     """Multiply the graded series `layers` (layer k: the terms of grade k) in
@@ -145,8 +142,8 @@ def sym_power_characters(weights, top: int) -> list:
 # Levi restriction and character peeling
 # ---------------------------------------------------------------------------
 
-def restrict_finite_module(pair: SymmetricPair, l_datum: RootDatum, lam: Weight) -> dict:
-    """Weight multiset of F_lambda restricted to j', exactly, as {r: m}: the
+def restrict_finite_module(pair: SymmetricPair, l_datum: RootDatum, lam: tuple) -> dict:
+    """The weight multiset of F_lambda restricted to j', exactly, as {r: m}: the
     weight pair.restrict_weight(lam) + r, r an integer tuple, has
     multiplicity m.
 
@@ -161,7 +158,7 @@ def restrict_finite_module(pair: SymmetricPair, l_datum: RootDatum, lam: Weight)
     return out
 
 
-def decompose_character(char: dict, datum: RootDatum, base: Optional[Weight] = None) -> list:
+def decompose_character(char: dict, datum: RootDatum, base: Optional[tuple] = None) -> list:
     """Peel a semisimple module character into highest weights.
 
     `char` maps integer displacements d to the multiplicity of the weight
@@ -174,12 +171,12 @@ def decompose_character(char: dict, datum: RootDatum, base: Optional[Weight] = N
     sum m_mu dim V_mu = sum char (Weyl's formula in integers).
     """
     roots = datum.positive_roots
-    offs = [0] * len(roots) if base is None else [2 * base.dot(a) for a in roots]
+    offs = [0] * len(roots) if base is None else [2 * _dot(base, a) for a in roots]
     if any(x.denominator != 1 for x in offs):
         raise ValueError("weights not integral for the datum: not a module character")
-    two_rho = scaled_coords(datum.rho.coords, 2)
+    two_rho = scaled_coords(datum.rho, 2)
     # per positive root: (alpha, |alpha|^2, 2 <base, alpha>, <2 rho, alpha>)
-    pairing = {a: (a.coords, a.dot(a), int(x), _dot(two_rho, a.coords)) for a, x in zip(roots, offs)}
+    pairing = {a: (a, _dot(a, a), int(x), _dot(two_rho, a)) for a, x in zip(roots, offs)}
     simple = [pairing[a] for a in datum.simple_roots]
     found = {}
     for d, c in char.items():
@@ -224,8 +221,7 @@ def _u_minus_split(p: ParabolicData, pair: SymmetricPair) -> tuple:
     if len(plus) + len(minus) != len(u_minus):
         raise AssertionError("u_- failed to split under a stable parabolic")
     restriction = pair.root_table.restriction
-    return (Counter(restriction[i].int_coords() for i in plus),
-            Counter(restriction[i].int_coords() for i in minus))
+    return Counter(restriction[i] for i in plus), Counter(restriction[i] for i in minus)
 
 
 def _levi_prime_datum(p: ParabolicData, pair: SymmetricPair) -> RootDatum:
@@ -241,7 +237,7 @@ class _EngineContext(NamedTuple):
     u_second_weights: dict
     l_prime_datum: RootDatum
     f_block: dict  # displacement of each weight of F_lambda|_{l'} from base
-    base: Optional[Weight]
+    base: Optional[tuple]
     level_scale: int  # s, the lcm of the denominators of the coordinates below
     level_vec: tuple  # -s * (j^tau coordinates of (H + tau H)/2)
 
@@ -379,12 +375,12 @@ def verify_character_identity(
 
     # the expansion is linear: expand sum_delta m_delta chi_delta once; a character
     # depends only on the labels of its highest weight, so entries sharing them share it
-    base = Weight.zero(pair.restricted_eps_dim) if ctx.base is None else ctx.base
+    base = (0,) * pair.restricted_eps_dim if ctx.base is None else ctx.base
     datum, groups, rhs_start = ctx.l_prime_datum, {}, {}
     for delta, mult, _ in table.entries:
         if lev(delta) <= level_cap:
-            lam = base + Weight(delta)
-            groups.setdefault(tuple(datum.labels(lam.coords)), (lam, []))[1].append((delta, mult))
+            lam = _vsum(base, delta)
+            groups.setdefault(tuple(datum.labels(lam)), (lam, []))[1].append((delta, mult))
     for lam, group in groups.values():
         for d, m in freudenthal_character(datum, lam).items():
             for delta, mult in group:
@@ -489,10 +485,10 @@ def genericity_check(
     simple = None
     if spec.lam is not None:
         datum = spec.parabolic.datum
-        lam_rho = (spec.lam + datum.rho).coords
+        lam_rho = _vsum(spec.lam, datum.rho)
         simple = True
         for beta in datum.positive_roots:  # is <lambda + rho, beta^vee> a positive integer?
-            q, r = divmod(2 * _dot(lam_rho, beta.coords), _dot(beta.coords, beta.coords))
+            q, r = divmod(2 * _dot(lam_rho, beta), _dot(beta, beta))
             if not r and q >= 1 and beta not in spec.parabolic.levi_roots:
                 simple = False
                 break
@@ -503,8 +499,8 @@ def genericity_check(
         rdatum = restricted_root_data(pair)
         base = pair.restrict_weight(spec.lam)
         # two weights share a Weyl orbit iff their dominant conjugates agree
-        scale = math.lcm(*(c.denominator for c in base.coords + rdatum.rho.coords))
-        shift = scaled_coords((base + rdatum.rho).coords, scale)
+        scale = math.lcm(*(c.denominator for c in (*base, *rdatum.rho)))
+        shift = scaled_coords(_vsum(base, rdatum.rho), scale)
         dominant = []
         for e in table.entries:
             t = tuple(scale * d + c for d, c in zip(e.delta_displacement, shift))

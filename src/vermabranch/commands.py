@@ -117,7 +117,6 @@ def _resolve_parabolic(pair, descriptor: str):
 
 def _resolve_lambda(pair, parabolic, text: str):
     from .branching import VermaSpec
-    from .liealg import Weight
 
     text = (text or "generic").strip()
     if text.lower() == "generic":
@@ -131,7 +130,7 @@ def _resolve_lambda(pair, parabolic, text: str):
             "lambda needs %d coordinates for this pair" % pair.g.eps_dim
         )
     try:
-        return VermaSpec.of(parabolic, Weight(coords))
+        return VermaSpec.of(parabolic, coords)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
 
@@ -214,11 +213,7 @@ def _cmd_branch(config: RunConfig, payload: dict):
     payload["closed"] = rep.closed
     payload["gk_dim"] = rep.gk_dim
     payload["summands"] = _table_json(table)
-    payload["base_offset"] = (
-        None
-        if table.base_offset is None
-        else [str(c) for c in table.base_offset.coords]
-    )
+    payload["base_offset"] = None if table.base_offset is None else [str(c) for c in table.base_offset]
     payload["assumptions"] = list(table.genericity_assumptions)
     if spec.lam is not None:
         gen = genericity_check(spec, pair, table)

@@ -1,7 +1,8 @@
 """Root data of reductive Lie algebras, characters and Weyl groups.
 
 An algebra is held by its roots in epsilon-coordinates (Bourbaki, Lie VI,
-Plates I-IV) and the eps-parameters of a basis of its Cartan j.  Its matrix
+Plates I-IV) and the eps-parameters of a basis of its Cartan j.  A root is
+a tuple of ints and a weight a tuple of canonical `_q` scalars.  Its matrix
 realization is built on first use of `Algebra.matrices` (module
 `realization`), which only `analyze` and the tests read.  The one exact
 elimination routine, `_rref`, lives here on every command's path, and
@@ -21,7 +22,7 @@ from . import WEYL_RANK_CAP, RankCapError
 
 
 # ---------------------------------------------------------------------------
-# Exact scalars and the reduced row echelon form of sparse rows
+# Exact scalars, weight tuples and the reduced row echelon form of sparse rows
 # ---------------------------------------------------------------------------
 
 def _q(x):
@@ -33,6 +34,23 @@ def _q(x):
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError("exact scalar expected (int or Fraction), got %r" % (x,))
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _vsum(u, v) -> tuple:
+    return tuple(map(add, u, v))
+
+
+def _neg(u) -> tuple:
+    return tuple(-x for x in u)
+
+
+def _weight_text(w) -> str:
+    """A weight as messages print it, e.g. (1/2, 0)."""
+    return "(" + ", ".join(map(str, w)) + ")"
 
 
 def _inv(x):
@@ -100,65 +118,6 @@ def _solve(columns, target):
 
 
 # ---------------------------------------------------------------------------
-# Weights
-# ---------------------------------------------------------------------------
-
-class Weight:
-    """A rational vector of epsilon-coordinates; exact component arithmetic.
-    Coordinates are canonical `_q` scalars: int when integral, else Fraction."""
-
-    __slots__ = ("coords", "_hash")
-
-    def __init__(self, coords: Iterable):
-        self.coords = tuple(map(_q, coords))
-        self._hash = None
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(a - b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self) -> "Weight":
-        return Weight(-a for a in self.coords)
-
-    def dot(self, other: "Weight"):
-        return sum(map(mul, self.coords, other.coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def int_coords(self):
-        if any(type(c) is not int for c in self.coords):
-            raise ValueError("weight is not integral: %r" % (self,))
-        return self.coords
-
-    @classmethod
-    def zero(cls, n: int) -> "Weight":
-        return cls((0,) * n)
-
-    def __eq__(self, other):
-        return isinstance(other, Weight) and self.coords == other.coords
-
-    def __hash__(self):  # cached: roots and weights are hashed often
-        if self._hash is None:
-            self._hash = hash(self.coords)
-        return self._hash
-
-    def __repr__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-
-# ---------------------------------------------------------------------------
 # Classical types and their root data
 # ---------------------------------------------------------------------------
 
@@ -216,37 +175,32 @@ def classical_algebra(ctype: ClassicalType, with_center: bool = False) -> Algebr
     if with_center and fam != "A":
         raise ValueError("central variant only exists for family A")
     m = n + (fam == "A")
-    unit = [Weight(int(i == k) for i in range(m)) for k in range(m)]
+    unit = [tuple(int(i == k) for i in range(m)) for k in range(m)]
     if fam == "A":
-        roots = [a - b for a in unit for b in unit if a != b]
-        cartan = unit if with_center else [unit[i] - unit[i + 1] for i in range(n)]
+        roots = [_vsum(a, _neg(b)) for a in unit for b in unit if a != b]
+        cartan = unit if with_center else [_vsum(unit[i], _neg(unit[i + 1])) for i in range(n)]
     else:
-        roots = [x + y for i, a in enumerate(unit) for b in unit[i + 1:]
-                 for x in (a, -a) for y in (b, -b)]
+        roots = [_vsum(x, y) for i, a in enumerate(unit) for b in unit[i + 1:]
+                 for x in (a, _neg(a)) for y in (b, _neg(b))]
         if fam != "D":
-            roots += [x + x if fam == "C" else x for a in unit for x in (a, -a)]
+            roots += [_vsum(x, x) if fam == "C" else x for a in unit for x in (a, _neg(a))]
         cartan = unit
-    return Algebra(ctype, tuple(roots), [h.coords for h in cartan])
+    return Algebra(ctype, tuple(roots), cartan)
 
 
 # ---------------------------------------------------------------------------
 # Root data
 # ---------------------------------------------------------------------------
 
-def regular_order_key(w: Weight):
+def regular_order_key(w: tuple):
     """Sort key for the fixed regular functional (decreasing eps-weights)."""
-    coords = w.coords
-    n = len(coords)
-    return (sum((n - i) * c for i, c in enumerate(coords)), coords)
+    n = len(w)
+    return (sum((n - i) * c for i, c in enumerate(w)), w)
 
 
 def scaled_coords(coords, scale: int) -> tuple:
     """The integer tuple scale * coords; `scale` must clear every denominator."""
     return tuple(c.numerator * (scale // c.denominator) for c in coords)
-
-
-def _dot(u, v):
-    return sum(map(mul, u, v))
 
 
 class RootDatum:
@@ -256,11 +210,11 @@ class RootDatum:
     which the integer kernels below rely on; only weights and rho carry
     denominators."""
 
-    def __init__(self, eps_dim: int, roots: Iterable[Weight]):
-        roots = tuple(sorted(roots, key=regular_order_key, reverse=True))
+    def __init__(self, eps_dim: int, roots: Iterable[tuple]):
+        roots = tuple(sorted((tuple(map(_q, a)) for a in roots), key=regular_order_key, reverse=True))
         for a in roots:
-            if not all(type(c) is int for c in a.coords):
-                raise ValueError("root %r is not an integer vector" % (a,))
+            if not all(type(c) is int for c in a):
+                raise ValueError("root %s is not an integer vector" % _weight_text(a))
         if any(regular_order_key(r)[0] == 0 for r in roots):
             raise ValueError("a root vanishes on the fixed regular element")
         positive = tuple(r for r in roots if regular_order_key(r)[0] > 0)
@@ -268,7 +222,7 @@ class RootDatum:
             raise ValueError("regular functional failed to split the roots")
         self.eps_dim, self.roots, self.positive_roots = eps_dim, roots, positive
         self.simple_roots = _indecomposables(positive)
-        self.rho = Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
+        self.rho = tuple(_q(Fraction(sum(a[i] for a in positive), 2)) for i in range(eps_dim))
 
     @cached_property
     def index(self) -> dict:
@@ -279,14 +233,14 @@ class RootDatum:
     def sum_table(self) -> list:
         """Row i maps j to k where roots[i] + roots[j] = roots[k]."""
         return [
-            {j: k for j, b in enumerate(self.roots) if (k := self.index.get(a + b)) is not None}
+            {j: k for j, b in enumerate(self.roots) if (k := self.index.get(_vsum(a, b))) is not None}
             for a in self.roots
         ]
 
     @cached_property
     def negation(self) -> list:
         """Entry i is the index of -roots[i]."""
-        return [self.index[-a] for a in self.roots]
+        return [self.index[_neg(a)] for a in self.roots]
 
     def sign_masks(self, params) -> tuple:
         """Root-index bitmasks (vanishing, positive) of the roots by their
@@ -296,7 +250,7 @@ class RootDatum:
         zero = pos = 0
         bit = 1
         for a in self.roots:
-            v = _dot(a.coords, t)
+            v = _dot(a, t)
             if v > 0:
                 pos |= bit
             elif v == 0:
@@ -312,7 +266,7 @@ class RootDatum:
     @cached_property
     def simple_coords(self) -> list:
         """(coordinates, squared length) of each simple root."""
-        return [(a.coords, _dot(a.coords, a.coords)) for a in self.simple_roots]
+        return [(a, _dot(a, a)) for a in self.simple_roots]
 
     @cached_property
     def cartan(self) -> list:
@@ -362,30 +316,26 @@ class RootDatum:
                         orbit.append((u, u_labels))
         return orbit
 
-    def sub_datum(self, roots: Iterable[Weight]) -> "RootDatum":
+    def sub_datum(self, roots: Iterable[tuple]) -> "RootDatum":
         """Datum of a root subsystem (e.g. a Levi factor), same coordinates."""
         rootset = set(roots)
         for r in rootset:
             if r not in self.index:
-                raise ValueError("not a root of the ambient datum: %r" % (r,))
-            if -r not in rootset:
+                raise ValueError("not a root of the ambient datum: %s" % _weight_text(r))
+            if _neg(r) not in rootset:
                 raise ValueError("root subset is not symmetric")
         return RootDatum(self.eps_dim, rootset)
 
 
-def _indecomposables(positive: Sequence[Weight]) -> tuple:
+def _indecomposables(positive: tuple) -> tuple:
     """Simple roots, ordered along the coordinate chain (lexicographically):
     the positive roots a with a - b a positive root for no positive root b.
-    On integer coordinate tuples; `positive` is sorted by decreasing
-    `regular_order_key`, so any such b lies after a."""
-    coords = [a.coords for a in positive]
-    pos = set(coords)
-    simple = [
-        positive[i] for i, a in enumerate(coords)
-        if not any(tuple(map(sub, a, b)) in pos for b in coords[i + 1:])
-    ]
-    simple.sort(key=lambda a: a.coords, reverse=True)
-    return tuple(simple)
+    `positive` is sorted by decreasing `regular_order_key`, so any such b
+    lies after a."""
+    pos = set(positive)
+    simple = [a for i, a in enumerate(positive)
+              if not any(tuple(map(sub, a, b)) in pos for b in positive[i + 1:])]
+    return tuple(sorted(simple, reverse=True))
 
 
 def root_datum(g: Algebra) -> RootDatum:
@@ -399,7 +349,7 @@ def root_datum(g: Algebra) -> RootDatum:
 # Freudenthal weight multiplicities
 # ---------------------------------------------------------------------------
 
-def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
+def freudenthal_character(datum: RootDatum, lam: tuple) -> dict:
     """Full weight multiset of the simple module with highest weight lam, as
     {d: m}: the weight lam + d, d an integer tuple, has multiplicity m.
 
@@ -412,13 +362,14 @@ def freudenthal_character(datum: RootDatum, lam: Weight) -> dict:
     inner product by the same square and leaves the Freudenthal quotients as
     they are; a weight's scaled offset from lam is that lcm times d.
     """
-    scale = math.lcm(*(c.denominator for c in lam.coords + datum.rho.coords))
-    top = scaled_coords(lam.coords, scale)
+    lam = tuple(map(_q, lam))
+    scale = math.lcm(*(c.denominator for c in (*lam, *datum.rho)))
+    top = scaled_coords(lam, scale)
     if any(x < 0 or x % scale for x in datum.labels(top)):  # scale <lam, alpha_i^vee> each
-        raise ValueError("highest weight is not dominant integral: %r" % (lam,))
+        raise ValueError("highest weight is not dominant integral: %s" % _weight_text(lam))
     simple = [tuple(scale * c for c in a) for a in datum.simple_roots]
     roots = [(a, _dot(a, a)) for a in (tuple(scale * c for c in a) for a in datum.positive_roots)]
-    rho = scaled_coords(datum.rho.coords, scale)
+    rho = scaled_coords(datum.rho, scale)
     top_rho = tuple(map(add, top, rho))
     top_rho_sq = _dot(top_rho, top_rho)
     mult = {w: 1 for w, _ in datum.orbit(top)}

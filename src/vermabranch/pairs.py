@@ -26,9 +26,11 @@ from .liealg import (
     Algebra,
     ClassicalType,
     RootDatum,
-    Weight,
     _RANK_MIN,
+    _dot,
+    _q,
     _solve,
+    _weight_text,
     classical_algebra,
     root_datum,
 )
@@ -108,7 +110,7 @@ class SymmetricPair:
     restriction rows `probe_params` (row k restricts a j-weight to
     coordinate k of j^tau, and spans the j^tau parameters as column k)."""
 
-    def __init__(self, spec: PairSpec, g: Algebra, tau: tuple, h: Weight, probe_params: list):
+    def __init__(self, spec: PairSpec, g: Algebra, tau: tuple, h: tuple, probe_params: list):
         self.spec, self.g, self.tau, self.h, self.probe_params = spec, g, tau, h, probe_params
         self.root_table = self._root_table()
 
@@ -126,9 +128,10 @@ class SymmetricPair:
 
     # -- weight and parameter plumbing between j and j^tau
 
-    def restrict_weight(self, w: Weight) -> Weight:
+    def restrict_weight(self, w: tuple) -> tuple:
         """Restriction of a j-weight to j^tau, in the pair's coordinates."""
-        return Weight(sum(a * r for a, r in zip(w.coords, row) if r) for row in self.probe_params)
+        w = tuple(map(_q, w))
+        return tuple(_q(_dot(w, row)) for row in self.probe_params)
 
     def jtau_params(self, params) -> tuple:
         """Probe coordinates of the j^tau element with these eps-parameters."""
@@ -137,9 +140,9 @@ class SymmetricPair:
             raise ValueError("element is not in the span of the j^tau probes")
         return tuple(sol)
 
-    def tau_star(self, alpha: Weight) -> Weight:
+    def tau_star(self, alpha: tuple) -> tuple:
         """Pullback of a j-weight along tau (tau permutes the root spaces)."""
-        return Weight(s * alpha.coords[k] for k, s in self.tau)
+        return tuple(s * _q(alpha[k]) for k, s in self.tau)
 
     def fixed_params(self, params) -> tuple:
         """eps-parameters of (h + tau h)/2 for h with these eps-parameters: tau acts on
@@ -156,7 +159,7 @@ class SymmetricPair:
         datum = root_datum(self.g)
         roots = datum.roots
         tau = tuple(datum.index.get(self.tau_star(a)) for a in roots)
-        sign = tuple(-1 if a.dot(self.h) % 2 else 1 for a in roots)
+        sign = tuple(-1 if _dot(a, self.h) % 2 else 1 for a in roots)
         if any(k is None or tau[k] != i or sign[k] != sign[i] for i, k in enumerate(tau)):
             raise AssertionError("tau* is not an involution of the roots that keeps the signs")
         restriction = tuple(map(self.restrict_weight, roots))
@@ -164,8 +167,8 @@ class SymmetricPair:
         try:
             for i, (k, s, w) in enumerate(zip(tau, sign, restriction)):
                 if i < k or i == k and s > 0:
-                    if w.is_zero() or w in restricted:
-                        raise ValueError("g^tau has a second vector of weight %r" % (w,))
+                    if not any(w) or w in restricted:
+                        raise ValueError("g^tau has a second vector of weight %s" % _weight_text(w))
                     restricted.add(w)
             rdatum = RootDatum(self.restricted_eps_dim, restricted)
         except ValueError as exc:
@@ -216,23 +219,24 @@ def _eye(n: int) -> list:
 def _inner(family: str, rank: int, h, with_center: bool = False) -> tuple:
     """Root data of an inner kind, tau = Ad exp(pi i h): tau* and the restriction are the identity."""
     g = classical_algebra(ClassicalType(family, rank), with_center)
-    return g, tuple((i, 1) for i in range(g.eps_dim)), Weight(h), _eye(g.eps_dim)
+    return g, tuple((i, 1) for i in range(g.eps_dim)), h, _eye(g.eps_dim)
 
 
 def _so_odd(n: int) -> tuple:
     """so(2n+2) over so(2n+1): tau* negates the last coordinate, which the restriction drops."""
     tau = tuple((i, 1) for i in range(n)) + ((n, -1),)
-    return classical_algebra(ClassicalType("D", n + 1)), tau, Weight.zero(n + 1), _eye(n + 1)[:n]
+    return classical_algebra(ClassicalType("D", n + 1)), tau, (0,) * (n + 1), _eye(n + 1)[:n]
 
 
 def _group_case(type: str) -> tuple:
-    """g = f + f: tau* swaps the two halves, and the restriction sums them."""
+    """g = f + f, a root of f padded by zeros in either half: tau* swaps the
+    two halves, and the restriction sums them."""
     f = classical_algebra(_group_type(type))
     k, zero = f.eps_dim, (0,) * f.eps_dim
-    roots = tuple(Weight(a.coords + zero) for a in f.roots) + tuple(Weight(zero + a.coords) for a in f.roots)
+    roots = tuple(a + zero for a in f.roots) + tuple(zero + a for a in f.roots)
     cartan = [c + zero for c in f.cartan_columns] + [zero + c for c in f.cartan_columns]
     swap = tuple(((i + k) % (2 * k), 1) for i in range(2 * k))
-    return Algebra(None, roots, cartan, f), swap, Weight(zero + zero), [u + u for u in _eye(k)]
+    return Algebra(None, roots, cartan, f), swap, zero + zero, [u + u for u in _eye(k)]
 
 
 class PairKind(NamedTuple):

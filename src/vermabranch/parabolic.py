@@ -17,7 +17,7 @@ from . import PreconditionError
 from .liealg import (
     Algebra,
     RootDatum,
-    Weight,
+    _dot,
     _q,
     _solve,
     check_weyl_rank,
@@ -91,7 +91,7 @@ def parabolic_from_H(g: Algebra, h) -> ParabolicData:
     m = g.matrices
     if not h.is_diagonal() or not m.algebra.contains_matrix(h):
         raise ValueError("H must lie in the diagonal Cartan of the realization")
-    return parabolic_from_params(g, m.eps_params(h).coords)
+    return parabolic_from_params(g, m.eps_params(h))
 
 
 def parabolic_from_simple_subset(g: Algebra, subset) -> ParabolicData:
@@ -105,13 +105,12 @@ def parabolic_from_simple_subset(g: Algebra, subset) -> ParabolicData:
     subset = set(subset)
     if not subset <= set(range(len(datum.simple_roots))):
         raise ValueError("subset must consist of simple root indices")
-    hs = [Weight(h) for h in g.cartan_columns]
-    columns = [tuple(a.dot(h) for a in datum.simple_roots) for h in hs]
+    columns = [tuple(_dot(a, h) for a in datum.simple_roots) for h in g.cartan_columns]
     target = tuple(int(i not in subset) for i in range(len(datum.simple_roots)))
     coeffs = _solve(columns, target)
     if coeffs is None:
         raise AssertionError("coweight system has no solution")
-    params = [sum(c * h[i] for c, h in zip(coeffs, hs)) for i in range(g.eps_dim)]
+    params = [sum(c * h[i] for c, h in zip(coeffs, g.cartan_columns)) for i in range(g.eps_dim)]
     return parabolic_from_params(g, params)
 
 
@@ -298,13 +297,10 @@ def _census_generators(pair: SymmetricPair):
     n = pair.g.eps_dim
     rdatum = restricted_root_data(pair)
     probes = pair.probe_params
-    coords = [
-        Weight(pair.jtau_params(pair.fixed_params([int(i == c) for i in range(n)])))
-        for c in range(n)
-    ]
+    coords = [pair.jtau_params(pair.fixed_params([int(i == c) for i in range(n)])) for c in range(n)]
 
     def generator(beta):
-        f = [_q(Fraction(2 * c.dot(beta), beta.dot(beta))) for c in coords]
+        f = [_q(Fraction(2 * _dot(c, beta), _dot(beta, beta))) for c in coords]
         v = [sum(b * p[i] for b, p in zip(beta, probes)) for i in range(n)]
 
         def reflect(t):
@@ -343,7 +339,7 @@ def closed_orbit_census(pair: SymmetricPair, subset) -> OrbitCensusReport:
         classes.setdefault(find(key), []).append(key)
 
     def canon(key):
-        return tuple(sorted(a.coords for a in by_pattern[key].nilradical_roots))
+        return tuple(sorted(by_pattern[key].nilradical_roots))
 
     representatives = []
     for members in classes.values():

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import exactla
 from .exactla import MatrixElement, Subspace, span_of_matrices
-from .liealg import Algebra, Weight
+from .liealg import Algebra, _q
 
 
 class AlgebraRealization(Algebra):
@@ -40,21 +40,21 @@ class AlgebraRealization(Algebra):
     def matrices(self) -> "AlgebraRealization":
         return self
 
-    def eps_params(self, h: MatrixElement) -> Weight:
+    def eps_params(self, h: MatrixElement) -> tuple:
         """Epsilon-parameters of a diagonal Cartan element."""
         if not h.is_diagonal():
             raise ValueError("not a diagonal Cartan element")
         diag = h.diagonal_entries()
-        return Weight(diag[p] for p in self.eps_positions)
+        return tuple(_q(diag[p]) for p in self.eps_positions)
 
     @cached_property
     def root_spaces(self) -> dict:
-        """Weight -> its weight space in the algebra: a line for each root and
+        """{weight: its weight space} in the algebra: a line for each root and
         j for the zero weight, checked against the root data.  The split is
         `exactla.weight_decomposition`, read at call time (perfbench's tracer
         rebinds it)."""
-        spaces = {Weight(w): s for w, s in exactla.weight_decomposition(self.eps_probes, self.algebra)}
-        zero = Weight.zero(self.eps_dim)
+        spaces = dict(exactla.weight_decomposition(self.eps_probes, self.algebra))
+        zero = (0,) * self.eps_dim
         if set(spaces) != {zero, *self.roots} or spaces[zero].dim != self.rank or any(
             spaces[a].dim != 1 for a in self.roots
         ):

@@ -15,12 +15,11 @@ from fractions import Fraction
 from vermabranch import (
     MatrixElement,
     Subspace,
-    Weight,
     restricted_root_data,
     span_of_matrices,
     weight_decomposition,
 )
-from vermabranch.liealg import _solve
+from vermabranch.liealg import _q, _solve
 from vermabranch.pairs import tau_projection
 
 from tests.oracles import negative_roots, reflection_element, weyl_apply_params
@@ -50,7 +49,7 @@ def cartan_matrix(g, params) -> MatrixElement:
 
 def span_roots(p, roots, include_cartan=False) -> Subspace:
     """Span of the root spaces of `roots` (and of j) as a matrix subspace."""
-    zero = [Weight.zero(p.g.eps_dim)] if include_cartan else []
+    zero = [(0,) * p.g.eps_dim] if include_cartan else []
     return p.g.matrices.root_span(zero + list(roots))
 
 
@@ -92,9 +91,9 @@ def jtau_element(pair, coeffs) -> MatrixElement:
     return MatrixElement.combination(pair.g.matrices.matrix_dim, coeffs, pair.matrices.j_tau_probes)
 
 
-def level_params(pair, p) -> Weight:
+def level_params(pair, p) -> tuple:
     """j^tau coordinates of (H + tau H)/2, against which levels are read."""
-    return Weight(jtau_params_of_matrix(pair, fixed_matrix(pair, p)))
+    return tuple(map(_q, jtau_params_of_matrix(pair, fixed_matrix(pair, p))))
 
 
 def restricted_weights(pair, space) -> dict:
@@ -102,7 +101,7 @@ def restricted_weights(pair, space) -> dict:
     if space.dim == 0:
         return {}
     parts = weight_decomposition(pair.matrices.j_tau_probes, space)
-    return {Weight(wt): part.dim for wt, part in parts}
+    return {tuple(map(_q, wt)): part.dim for wt, part in parts}
 
 
 def u_minus_split(pair, p):
@@ -117,7 +116,7 @@ def u_minus_split(pair, p):
 def restricted_root_spaces(pair) -> dict:
     """j^tau-weight -> its weight space in g^tau, by `weight_decomposition`."""
     m = pair.matrices
-    return {Weight(wt): part for wt, part in weight_decomposition(m.j_tau_probes, m.fixed)}
+    return {tuple(map(_q, wt)): part for wt, part in weight_decomposition(m.j_tau_probes, m.fixed)}
 
 
 def levi_prime_roots(pair, p) -> set:
@@ -137,7 +136,7 @@ def census_actions(pair):
             h = cartan_matrix(pair.g, t)
             hp = (h + pair.matrices.tau(h)).scale(half)
             moved = weyl_apply_params(sigma, jtau_params_of_matrix(pair, hp))
-            return pair.g.matrices.eps_params(jtau_element(pair, moved) + (h - hp)).coords
+            return pair.g.matrices.eps_params(jtau_element(pair, moved) + (h - hp))
 
         return act
 

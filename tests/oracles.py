@@ -32,7 +32,6 @@ from vermabranch.branching import (
     _engine_context,
     _levi_prime_datum,
     _u_minus_split,
-    _vsum,
     decompose_character,
     sym_power_characters,
 )
@@ -49,8 +48,11 @@ from vermabranch.exactla import (
 from vermabranch.liealg import (
     ClassicalType,
     RootDatum,
-    Weight,
     WeylElement,
+    _dot,
+    _neg,
+    _q,
+    _vsum,
     check_weyl_rank,
     classical_algebra,
     regular_order_key,
@@ -71,13 +73,13 @@ from vermabranch.realization import AlgebraRealization, realize
 
 def negative_roots(p: ParabolicData) -> frozenset:
     """The roots of u_-: minus those of the nilradical."""
-    return frozenset(-a for a in p.nilradical_roots)
+    return frozenset(_neg(a) for a in p.nilradical_roots)
 
 
 def nilradical_abelian(p: ParabolicData) -> bool:
     """[u, u] = 0: no two nilradical roots sum to a root."""
     roots = p.datum.index
-    return not any(a + b in roots for a in p.nilradical_roots for b in p.nilradical_roots)
+    return not any(_vsum(a, b) in roots for a in p.nilradical_roots for b in p.nilradical_roots)
 
 
 def ambient_restricted_roots(pair: SymmetricPair) -> set:
@@ -99,18 +101,18 @@ def acts_trivially_on_j(pair: SymmetricPair) -> bool:
 # absolute forms and Weyl-element actions
 # ---------------------------------------------------------------------------
 
-def absolute(char: dict, base: Optional[Weight]) -> dict:
-    """Weight-keyed form {base + d: m} of a displacement character (base 0
+def absolute(char: dict, base: Optional[tuple]) -> dict:
+    """The form {base + d: m}, keyed by weights, of a displacement character (base 0
     when None), e.g. of `freudenthal_character(datum, lam)` against lam."""
-    return {(Weight(d) if base is None else base + Weight(d)): m for d, m in char.items()}
+    return {(d if base is None else tuple(map(_q, _vsum(base, d)))): m for d, m in char.items()}
 
 
 def weyl_apply_params(w, params) -> tuple:
     return tuple(w.signs[i] * params[w.perm[i]] for i in range(len(w.perm)))
 
 
-def weyl_apply(w, weight: Weight) -> Weight:
-    return Weight(weyl_apply_params(w, weight.coords))
+def weyl_apply(w, weight: tuple) -> tuple:
+    return tuple(map(_q, weyl_apply_params(w, weight)))
 
 
 def weyl_inverse(w):
@@ -130,22 +132,22 @@ def minus_count(w) -> int:
 # the Fraction reflection API and the breadth-first Weyl group
 # ---------------------------------------------------------------------------
 
-def coroot_pairing(lam: Weight, alpha: Weight) -> Fraction:
-    return Fraction(2 * lam.dot(alpha), alpha.dot(alpha))
+def coroot_pairing(lam: tuple, alpha: tuple) -> Fraction:
+    return Fraction(2 * _dot(lam, alpha), _dot(alpha, alpha))
 
 
-def reflect(w: Weight, alpha: Weight) -> Weight:
+def reflect(w: tuple, alpha: tuple) -> tuple:
     p = coroot_pairing(w, alpha)
-    return Weight(x - p * a for x, a in zip(w.coords, alpha.coords))
+    return tuple(_q(x - p * a) for x, a in zip(w, alpha))
 
 
-def is_dominant_integral(datum: RootDatum, lam: Weight) -> bool:
+def is_dominant_integral(datum: RootDatum, lam: tuple) -> bool:
     return all(
         (p := coroot_pairing(lam, a)).denominator == 1 and p >= 0 for a in datum.simple_roots
     )
 
 
-def dominant_representative(datum: RootDatum, w: Weight) -> Weight:
+def dominant_representative(datum: RootDatum, w: tuple) -> tuple:
     """w reflected in the first simple root of negative pairing until none is left."""
     while True:
         for a in datum.simple_roots:
@@ -156,15 +158,15 @@ def dominant_representative(datum: RootDatum, w: Weight) -> Weight:
             return w
 
 
-def reflection_element(datum: RootDatum, alpha: Weight) -> WeylElement:
+def reflection_element(datum: RootDatum, alpha: tuple) -> WeylElement:
     """The reflection s_alpha as a signed permutation of coordinates."""
     n = datum.eps_dim
     perm = [None] * n
     signs = [0] * n
     for k in range(n):
-        e = Weight([int(i == k) for i in range(n)])
+        e = tuple(int(i == k) for i in range(n))
         img = reflect(e, alpha)
-        hits = [(i, c) for i, c in enumerate(img.coords) if c]
+        hits = [(i, c) for i, c in enumerate(img) if c]
         if len(hits) != 1 or abs(hits[0][1]) != 1:
             raise ValueError("reflection is not a signed permutation")
         j, c = hits[0]
@@ -198,11 +200,11 @@ def bfs_weyl_group(datum: RootDatum) -> list:
 # Weyl's dimension formula, echelon spans and classical realizations
 # ---------------------------------------------------------------------------
 
-def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
+def weyl_dimension(datum: RootDatum, lam: tuple) -> int:
     """Weyl dimension formula; independent oracle for character sizes."""
     num = Fraction(1)
     for a in datum.positive_roots:
-        num *= Fraction((lam + datum.rho).dot(a), datum.rho.dot(a))
+        num *= Fraction(_dot(_vsum(lam, datum.rho), a), _dot(datum.rho, a))
     if num.denominator != 1:
         raise AssertionError("Weyl dimension came out non-integral")
     return int(num)
@@ -281,7 +283,7 @@ def tensor_closedness(p1: ParabolicData, p2: ParabolicData) -> TensorClosednessR
     r1 = p1.levi_roots | p1.nilradical_roots
     r2 = p2.levi_roots | p2.nilradical_roots
     ok = all(
-        (a in r1 and a in r2) or (-a in r1 and -a in r2)
+        (a in r1 and a in r2) or (_neg(a) in r1 and _neg(a) in r2)
         for a in datum.positive_roots
     )
     return TensorClosednessReport(closed=ok)
@@ -365,7 +367,7 @@ def strongly_orthogonal_sequence(weights, ambient_roots) -> list:
     seq = []
     for cand in pool:
         ok = all(
-            (cand + prev) not in roots and (cand - prev) not in roots
+            _vsum(cand, prev) not in roots and _vsum(cand, _neg(prev)) not in roots
             for prev in seq
         )
         if ok:
@@ -375,7 +377,7 @@ def strongly_orthogonal_sequence(weights, ambient_roots) -> list:
 
 class SchmidReport(NamedTuple):
     sequence: list
-    support: dict  # displacement Weight -> its symmetric degree
+    support: dict  # displacement -> its symmetric degree
     degree_bound: int
     multiplicity_free: bool
 
@@ -395,20 +397,18 @@ def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: in
             "parabolic is not stable under the involution"
         )
     weights = _u_minus_split(p, pair)[1]
-    seq = strongly_orthogonal_sequence(
-        map(Weight, weights), ambient_restricted_roots(pair)
-    )
+    seq = strongly_orthogonal_sequence(weights, ambient_restricted_roots(pair))
     eps = pair.restricted_eps_dim
-    support = {Weight.zero(eps): 0}
+    support = {(0,) * eps: 0}
     for total in range(1, degree_bound + 1):
         for comb in _decreasing_tuples(len(seq), total):
-            support[Weight(sum(map(mul, comb, column)) for column in zip(*seq))] = total
+            support[tuple(sum(map(mul, comb, column)) for column in zip(*seq))] = total
     l_tau_datum = _levi_prime_datum(p, pair)
     powers = sym_power_characters(weights, degree_bound)
     for k in range(degree_bound + 1):
         char_k = powers[k] if powers[k] else ({(0,) * eps: 1} if k == 0 else {})
         constituents = decompose_character(char_k, l_tau_datum)
-        expected = {w.coords for w, deg in support.items() if deg == k}
+        expected = {w for w, deg in support.items() if deg == k}
         found = set()
         for hw, mult in constituents:
             if mult != 1:

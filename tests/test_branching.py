@@ -28,7 +28,6 @@ from vermabranch import (
     MatrixElement,
     RankCapError,
     VermaSpec,
-    Weight,
     branch_multiplicities,
     closed_form_law,
     decompose_character,
@@ -50,12 +49,12 @@ from vermabranch.branching import (
     _levi_prime_datum,
     sym_power_characters,
 )
-from vermabranch.liealg import root_datum
+from vermabranch.liealg import _neg, _q, _vsum, root_datum
 from vermabranch.pairs import build_pair, catalog_pairs, restricted_root_data
 
 
 def W(*coords):
-    return Weight(coords)
+    return tuple(map(_q, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +245,9 @@ def test_decompose_roundtrip_random_characters(algebras):
         char = {}
         for lam, mult in combo.items():
             for w, m in absolute(freudenthal_character(datum, lam), lam).items():
-                char[w.coords] = char.get(w.coords, 0) + mult * m
+                char[w] = char.get(w, 0) + mult * m
         out = dict(decompose_character(char, datum))
-        assert out == {lam.coords: m for lam, m in combo.items()}
+        assert out == combo
 
 
 def test_decompose_rejects_non_module_character(algebras):
@@ -278,7 +277,7 @@ def test_decompose_dimension_check_catches_an_inconsistent_datum(algebras):
     # datum of A2 that leaves its highest root out of the positive roots
     datum = root_datum(algebras("A", 2))
     lam = W(1, 0, -1)
-    adjoint = {w.coords: m for w, m in absolute(freudenthal_character(datum, lam), lam).items()}
+    adjoint = absolute(freudenthal_character(datum, lam), lam)
     assert decompose_character(adjoint, datum) == [((1, 0, -1), 1)]
     partial = SimpleNamespace(
         positive_roots=datum.simple_roots, simple_roots=datum.simple_roots, rho=datum.rho,
@@ -303,7 +302,7 @@ def test_decompose_above_weyl_rank_six(algebras):
 
 
 # ---------------------------------------------------------------------------
-# peel oracles: they take absolute Weight characters and subtract Freudenthal
+# peel oracles: they take absolute weight characters and subtract Freudenthal
 # characters of the constituents they find
 # ---------------------------------------------------------------------------
 
@@ -431,32 +430,6 @@ def test_branch_runs_freudenthal_only_for_the_levi_module(monkeypatch, argv, cal
     assert len(counted) == calls
 
 
-def test_verify_builds_fewer_weights_than_freudenthal_returns(monkeypatch):
-    """`Weight`s are built only at the edges: a cold `verify` builds fewer
-    of them than its Freudenthal characters hold weights."""
-    from vermabranch import liealg
-
-    counts = {"weights": 0, "returned": 0}
-    init, real = Weight.__init__, liealg.freudenthal_character
-
-    def counting_init(self, coords):
-        counts["weights"] += 1
-        init(self, coords)
-
-    def counting(datum, lam):
-        out = real(datum, lam)
-        counts["returned"] += len(out)
-        return out
-
-    monkeypatch.setattr(Weight, "__init__", counting_init)
-    monkeypatch.setattr(liealg, "freudenthal_character", counting)
-    monkeypatch.setattr(branching, "freudenthal_character", counting)
-    code, _ = _peeled_characters(monkeypatch, "verify --pair sp_down_gl:n=3 --parabolic siegel --level 6")
-    assert code == 0 and counts["returned"] > 0
-    assert counts["weights"] < counts["returned"]
-
-
-
 @pytest.mark.parametrize("argv, runs, entries", [
     ("verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --level 6", 7, 50),
     ("verify --pair sp_down_gl:n=3 --parabolic siegel --level 6", 16, 23),
@@ -480,12 +453,12 @@ def test_verify_runs_freudenthal_once_per_label_vector(monkeypatch, argv, runs, 
     [(_, ctx)], [(_, table)] = seen["_engine_context"], seen["_branching_table"]
     datum = ctx.l_prime_datum
     made = [(lam, char) for (d, lam), char in seen["freudenthal_character"] if d is datum]
-    reused = {tuple(datum.labels(lam.coords)): char for lam, char in made}
+    reused = {tuple(datum.labels(lam)): char for lam, char in made}
     assert code == 0 and len(reused) == len(made) == runs
     checked = 0
     for delta, _, _ in table.entries:
-        lam = (Weight.zero(len(delta)) if ctx.base is None else ctx.base) + Weight(delta)
-        char = reused.get(tuple(datum.labels(lam.coords)))
+        lam = _vsum((0,) * len(delta) if ctx.base is None else ctx.base, delta)
+        char = reused.get(tuple(datum.labels(lam)))
         if char is not None:
             assert real["freudenthal_character"](datum, lam) == char
             checked += 1
@@ -550,8 +523,8 @@ def test_branch_group_case_kostant_multiplicities(pairs, algebras):
     datum = root_datum(algebras("A", 2))
     memo = {}
     for entry in table.entries:
-        disp = Weight(entry.delta_displacement)
-        expected = kostant_partition(datum, -disp, memo)
+        disp = entry.delta_displacement
+        expected = kostant_partition(datum, _neg(disp), memo)
         if entry.first_degree + 3 <= 3 or True:
             # entries deep in the table may still be accumulating; compare
             # only those whose finiteness bound is inside the horizon
@@ -642,7 +615,7 @@ def test_strongly_orthogonal_sl4_split_rank(pairs):
     pair = pairs("sl_s_glgl", p=2, q=2)
     p22 = parabolic_from_simple_subset(pair.g, {0, 2})
     minus = tau_split(pair, u_minus_space(p22)).minus
-    weights = [Weight(w) for w, _ in weight_decomposition(pair.matrices.j_tau_probes, minus)]
+    weights = [tuple(map(_q, w)) for w, _ in weight_decomposition(pair.matrices.j_tau_probes, minus)]
     seq = strongly_orthogonal_sequence(weights, ambient_restricted_roots(pair))
     assert len(seq) == 2  # min(p, q)
 
@@ -661,7 +634,7 @@ def test_strongly_orthogonal_greedy_is_maximal_each_step(pairs):
         candidates = [
             w for w in weights
             if w not in chosen
-            and all((w + p) not in roots and (w - p) not in roots for p in chosen)
+            and all(_vsum(w, p) not in roots and _vsum(w, _neg(p)) not in roots for p in chosen)
         ]
         assert nu == max(candidates, key=regular_order_key)
         chosen.append(nu)
@@ -846,19 +819,19 @@ def test_genericity_check_matches_the_fraction_oracle():
         spec = VermaSpec.of(p, lam)
         datum, rdatum = p.datum, restricted_root_data(pair)
         simple = not any(
-            (x := coroot_pairing(lam + datum.rho, b)).denominator == 1 and x >= 1
+            (x := coroot_pairing(_vsum(lam, datum.rho), b)).denominator == 1 and x >= 1
             for b in datum.positive_roots if b not in p.levi_roots
         )
         base = pair.restrict_weight(lam)
         deltas = {tuple(rng.randint(-2, 2) for _ in range(len(base))) for _ in range(4)}
         d0 = min(deltas)
         for a in rdatum.simple_roots:
-            x = coroot_pairing(Weight(d0) + base + rdatum.rho, a)
+            x = coroot_pairing(_vsum(_vsum(d0, base), rdatum.rho), a)
             if x and x.denominator == 1:  # base + rho + d0 reflected in a, as a displacement
-                deltas.add(Weight(c - x * y for c, y in zip(d0, a.coords)).int_coords())
+                deltas.add(tuple(int(c - x * y) for c, y in zip(d0, a)))
                 break
         table = BranchingTable(None, tuple(BranchEntry(d, 1, 0) for d in sorted(deltas)), 0, ())
-        dominant = [dominant_representative(rdatum, Weight(d) + base + rdatum.rho) for d in sorted(deltas)]
+        dominant = [dominant_representative(rdatum, _vsum(_vsum(d, base), rdatum.rho)) for d in sorted(deltas)]
         rep = genericity_check(spec, pair, table)
         assert rep == (simple, len(set(dominant)) == len(dominant))
         answers.add(rep)
@@ -906,7 +879,5 @@ def test_scalar_type_matches_schmid_support(pairs):
     table = branch_multiplicities(VermaSpec.generic(siegel), pair, 3)
     schmid = schmid_decomposition(pair, siegel, 3)
     assert table.is_multiplicity_free()
-    assert set(table.as_dict()) == {w.int_coords() for w in schmid.support}
-    assert table.degrees() == {
-        w.int_coords(): d for w, d in schmid.support.items()
-    }
+    assert set(table.as_dict()) == set(schmid.support)
+    assert table.degrees() == schmid.support

@@ -11,7 +11,8 @@ from vermabranch import (
     MatrixElement,
     RankCapError,
     RootDatum,
-    Weight,
+    VermaSpec,
+    branch_multiplicities,
     build_pair,
     freudenthal_character,
     parabolic_from_simple_subset,
@@ -32,17 +33,31 @@ from tests.oracles import (
     weyl_dimension,
     weyl_inverse,
 )
-from vermabranch.liealg import _dot, _freudenthal_mult, _indecomposables, regular_order_key, scaled_coords
+from vermabranch.liealg import (
+    _dot,
+    _freudenthal_mult,
+    _indecomposables,
+    _neg,
+    _q,
+    _vsum,
+    regular_order_key,
+    scaled_coords,
+)
 from vermabranch.pairs import PairSpec, catalog_pairs
+from vermabranch.parabolic import parabolic_from_params
 
 
 # ---------------------------------------------------------------------------
 # independent oracle: Kostant multiplicity via a brute-force partition count
 # ---------------------------------------------------------------------------
 
+def _vsub(u, v):
+    return tuple(map(sub, u, v))
+
+
 def _reg_value(w):
-    n = len(w.coords)
-    return sum((Fraction(n - i) * c for i, c in enumerate(w.coords)), Fraction(0))
+    n = len(w)
+    return sum((Fraction(n - i) * c for i, c in enumerate(w)), Fraction(0))
 
 
 def kostant_partition(datum, target, _memo=None):
@@ -51,22 +66,22 @@ def kostant_partition(datum, target, _memo=None):
     Brute-force recursion; every positive root has positive value on the
     regular element, which bounds the coefficients.
     """
-    roots = sorted(datum.positive_roots, key=lambda a: a.coords)
+    roots = sorted(datum.positive_roots)
     memo = {} if _memo is None else _memo
 
     def rec(idx, rest):
-        if not any(rest.coords):
+        if not any(rest):
             return 1
         if idx == len(roots) or _reg_value(rest) <= 0:
             return 0
-        key = (idx, rest.coords)
+        key = (idx, rest)
         if key in memo:
             return memo[key]
         total = 0
         nxt = rest
         while _reg_value(nxt) >= 0:
             total += rec(idx + 1, nxt)
-            nxt = nxt - roots[idx]
+            nxt = _vsub(nxt, roots[idx])
         memo[key] = total
         return total
 
@@ -79,7 +94,7 @@ def kostant_multiplicity(datum, lam, mu):
     total = 0
     for w in weyl_group(datum):
         sign = _det(w)
-        target = weyl_apply(w, lam + datum.rho) - (mu + datum.rho)
+        target = _vsub(weyl_apply(w, _vsum(lam, datum.rho)), _vsum(mu, datum.rho))
         total += sign * kostant_partition(datum, target, memo)
     return total
 
@@ -156,13 +171,13 @@ def test_classical_dimension_formulas(algebras):
 
 def test_a1_rho(algebras):
     datum = root_datum(algebras("A", 1))
-    assert datum.rho == Weight((Fraction(1, 2), Fraction(-1, 2)))
-    assert datum.positive_roots == (Weight((1, -1)),)
+    assert datum.rho == (Fraction(1, 2), Fraction(-1, 2))
+    assert datum.positive_roots == ((1, -1),)
 
 
 def test_b2_positive_system(algebras):
     datum = root_datum(algebras("B", 2))
-    expected = {Weight((1, -1)), Weight((1, 1)), Weight((1, 0)), Weight((0, 1))}
+    expected = {(1, -1), (1, 1), (1, 0), (0, 1)}
     assert set(datum.positive_roots) == expected
 
 
@@ -174,7 +189,7 @@ def test_d3_positive_system(algebras):
             coords = [0, 0, 0]
             coords[i] = 1
             coords[j] = sign
-            expected.add(Weight(coords))
+            expected.add(tuple(coords))
     assert set(datum.positive_roots) == expected
 
 
@@ -197,7 +212,7 @@ def test_cartan_is_self_centralizing(algebras):
 
     for fam, rank in [("A", 2), ("B", 2), ("C", 2), ("D", 3)]:
         g = algebras(fam, rank)
-        assert g.root_spaces[Weight.zero(g.eps_dim)] == span_of_matrices(g.cartan_basis, g.matrix_dim)
+        assert g.root_spaces[(0,) * g.eps_dim] == span_of_matrices(g.cartan_basis, g.matrix_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +221,13 @@ def test_cartan_is_self_centralizing(algebras):
 
 def test_freudenthal_a1_adjoint(algebras):
     datum = root_datum(algebras("A", 1))
-    ch = freudenthal_character(datum, Weight((1, -1)))
+    ch = freudenthal_character(datum, (1, -1))
     assert ch == {(0, 0): 1, (-1, 1): 1, (-2, 2): 1}  # displacements from lambda
 
 
 def test_freudenthal_a2_adjoint_against_kostant(algebras):
     datum = root_datum(algebras("A", 2))
-    lam = Weight((1, 0, -1))
+    lam = (1, 0, -1)
     ch = freudenthal_character(datum, lam)
     assert sum(ch.values()) == 8
     assert ch[(-1, 0, 1)] == 2  # the zero weight
@@ -222,7 +237,7 @@ def test_freudenthal_a2_adjoint_against_kostant(algebras):
 
 def test_freudenthal_c2_adjoint_against_kostant(algebras):
     datum = root_datum(algebras("C", 2))
-    lam = Weight((2, 0))
+    lam = (2, 0)
     ch = freudenthal_character(datum, lam)
     assert sum(ch.values()) == 10
     assert ch[(-2, 0)] == 2  # the zero weight
@@ -232,18 +247,18 @@ def test_freudenthal_c2_adjoint_against_kostant(algebras):
 
 def test_freudenthal_character_depends_only_on_the_labels():
     # gl(3)-style roots in 3 coordinates: a central shift keeps the labels
-    roots = [Weight(tuple(int(k == i) - int(k == j) for k in range(3)))
+    roots = [tuple(int(k == i) - int(k == j) for k in range(3))
              for i in range(3) for j in range(3) if i != j]
     datum = RootDatum(3, roots)
-    lam, shifted = Weight((2, 1, 0)), Weight((Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)))
-    assert datum.labels(lam.coords) == datum.labels(shifted.coords) == [1, 1]
+    lam, shifted = (2, 1, 0), (Fraction(5, 2), Fraction(3, 2), Fraction(1, 2))
+    assert datum.labels(lam) == datum.labels(shifted) == [1, 1]
     assert freudenthal_character(datum, shifted) == freudenthal_character(datum, lam)
 
 
 def test_freudenthal_rejects_non_dominant(algebras):
     datum = root_datum(algebras("A", 1))
     with pytest.raises(ValueError):
-        freudenthal_character(datum, Weight((-1, 1)))
+        freudenthal_character(datum, (-1, 1))
 
 
 def _random_dominant(datum, rng):
@@ -254,7 +269,7 @@ def _random_dominant(datum, rng):
     for _ in range(budget):
         targets[rng.randrange(len(targets))] += rng.randint(0, 1)
     rows = [
-        [Fraction(2 * a[k], a.dot(a)) for k in range(datum.eps_dim)] + [t]
+        [Fraction(2 * a[k], _dot(a, a)) for k in range(datum.eps_dim)] + [t]
         for a, t in zip(datum.simple_roots, targets)
     ]
     # Gaussian elimination, free coordinates pinned to zero
@@ -276,7 +291,7 @@ def _random_dominant(datum, rng):
     coords = [Fraction(0)] * datum.eps_dim
     for ri, pc in enumerate(pivots):
         coords[pc] = rows[ri][-1]
-    lam = Weight(coords)
+    lam = tuple(map(_q, coords))
     assert is_dominant_integral(datum, lam)
     return lam
 
@@ -304,25 +319,25 @@ def _fraction_is_dominant(datum, mu):
 
 
 def fraction_freudenthal(datum, lam):
-    """Freudenthal recursion in `Fraction` arithmetic on `Weight`s."""
+    """Freudenthal recursion in `Fraction` arithmetic on weight tuples."""
     if not is_dominant_integral(datum, lam):
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
     rho = datum.rho
-    lam_rho_sq = (lam + rho).dot(lam + rho)
+    lam_rho_sq = _dot(_vsum(lam, rho), _vsum(lam, rho))
     mult = {lam: 1}
     level = {lam}
     while level:
-        candidates = {mu - a for mu in level for a in datum.simple_roots}
+        candidates = {_vsub(mu, a) for mu in level for a in datum.simple_roots}
         nxt = set()
         for mu in candidates:
             if _fraction_is_dominant(datum, mu):
-                denom = lam_rho_sq - (mu + rho).dot(mu + rho)
+                denom = lam_rho_sq - _dot(_vsum(mu, rho), _vsum(mu, rho))
                 total = Fraction(0)
                 for a in datum.positive_roots:
-                    nu = mu + a
+                    nu = _vsum(mu, a)
                     while mult.get(nu, 0):
-                        total += mult[nu] * nu.dot(a)
-                        nu = nu + a
+                        total += mult[nu] * _dot(nu, a)
+                        nu = _vsum(nu, a)
                 value = 2 * total / denom
                 assert value.denominator == 1 and value >= 0
                 m = int(value)
@@ -338,14 +353,14 @@ def fraction_freudenthal(datum, lam):
 def to_dominant_freudenthal(datum, lam):
     """The integer recursion with a per-weight fill: each non-dominant
     weight takes its multiplicity from its dominant conjugate, found by its
-    own `RootDatum.to_dominant` chain; Weight keys."""
+    own `RootDatum.to_dominant` chain; weight keys."""
     if not is_dominant_integral(datum, lam):
         raise ValueError("highest weight is not dominant integral: %r" % (lam,))
-    scale = math.lcm(*(c.denominator for c in lam.coords + datum.rho.coords))
+    scale = math.lcm(*(c.denominator for c in (*lam, *datum.rho)))
     simple = [tuple(scale * c for c in a) for a in datum.simple_roots]
     roots = [(a, _dot(a, a)) for a in (tuple(scale * c for c in a) for a in datum.positive_roots)]
-    rho = scaled_coords(datum.rho.coords, scale)
-    top = scaled_coords(lam.coords, scale)
+    rho = scaled_coords(datum.rho, scale)
+    top = scaled_coords(lam, scale)
     top_rho = tuple(map(add, top, rho))
     mult = {top: 1}
     level = [top]
@@ -360,7 +375,7 @@ def to_dominant_freudenthal(datum, lam):
                 mult[mu] = m
                 nxt.append(mu)
         level = nxt
-    return {Weight(Fraction(c, scale) for c in mu): m for mu, m in mult.items()}
+    return {tuple(_q(Fraction(c, scale)) for c in mu): m for mu, m in mult.items()}
 
 
 def _catalog_levi_data():
@@ -386,7 +401,7 @@ def _small_dominant_weights(datum):
     out = []
     for coords in itertools.product((-1, 0, 1), repeat=datum.eps_dim):
         for shift in (0, Fraction(1, 3), Fraction(1, 2)):
-            lam = Weight(c + shift for c in coords)
+            lam = tuple(_q(c + shift) for c in coords)
             if is_dominant_integral(datum, lam):
                 out.append(lam)
     return out
@@ -415,7 +430,7 @@ def test_freudenthal_rejects_what_the_fraction_oracle_rejects():
     for datum in _catalog_levi_data():
         for _ in range(6):
             den = rng.randint(1, 3)
-            lam = Weight(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(datum.eps_dim))
+            lam = tuple(_q(Fraction(rng.randint(-2 * den, 2 * den), den)) for _ in range(datum.eps_dim))
             if is_dominant_integral(datum, lam):
                 assert sum(freudenthal_character(datum, lam).values()) == weyl_dimension(datum, lam)
             else:
@@ -431,12 +446,12 @@ def test_dominant_representative_matches_fraction_oracle(algebras):
     for fam, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
         datum = root_datum(algebras(fam, rank))
         for _ in range(40):
-            w = Weight(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                       for _ in range(datum.eps_dim))
-            scale = math.lcm(*(c.denominator for c in w.coords))
-            t = scaled_coords(w.coords, scale)
+            w = tuple(_q(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                      for _ in range(datum.eps_dim))
+            scale = math.lcm(*(c.denominator for c in w))
+            t = scaled_coords(w, scale)
             top = datum.to_dominant(t, datum.labels(t))[0]
-            assert Weight(Fraction(c, scale) for c in top) == dominant_representative(datum, w)
+            assert tuple(Fraction(c, scale) for c in top) == dominant_representative(datum, w)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +475,7 @@ def _random_weights(datum, rng, count):
     """Integral weights, then weights with denominators up to 4."""
     for k in range(count):
         den = 1 if k < count // 2 else rng.randint(2, 4)
-        yield Weight(Fraction(rng.randint(-6, 6), den) for _ in range(datum.eps_dim))
+        yield tuple(_q(Fraction(rng.randint(-6, 6), den)) for _ in range(datum.eps_dim))
 
 
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("B", 3), ("C", 2), ("C", 3), ("D", 4)])
@@ -468,13 +483,13 @@ def test_to_dominant_matches_the_fraction_reflection_oracle(algebras, fam, rank)
     datum = root_datum(algebras(fam, rank))
     for w in _random_weights(datum, random.Random(20261019), 60):
         top, det = _fraction_walk(datum, w)
-        moved, labels, sign = datum.to_dominant(w.coords, datum.labels(w.coords))
-        assert (Weight(moved), sign) == (top, det)
+        moved, labels, sign = datum.to_dominant(w, datum.labels(w))
+        assert (moved, sign) == (top, det)
         assert labels == datum.labels(moved) and min(labels) >= 0
         # labels of a shift, as in the peel: moved + rho is the dominant conjugate of w + rho
-        shifted, det = _fraction_walk(datum, w + datum.rho)
-        moved, _, sign = datum.to_dominant(w.coords, datum.labels((w + datum.rho).coords))
-        assert (Weight(moved) + datum.rho, sign) == (shifted, det)
+        shifted, det = _fraction_walk(datum, _vsum(w, datum.rho))
+        moved, _, sign = datum.to_dominant(w, datum.labels(_vsum(w, datum.rho)))
+        assert (_vsum(moved, datum.rho), sign) == (shifted, det)
 
 
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
@@ -485,17 +500,17 @@ def test_simple_reflection_moves_labels_with_the_vector(algebras, fam, rank):
     ]
     for w in _random_weights(datum, random.Random(20261019), 20):
         for i, a in enumerate(datum.simple_roots):
-            moved, labels = datum.simple_reflection(w.coords, datum.labels(w.coords), i)
-            assert Weight(moved) == reflect(w, a)
+            moved, labels = datum.simple_reflection(w, datum.labels(w), i)
+            assert moved == reflect(w, a)
             assert labels == datum.labels(moved)
 
 
 def _weight_indecomposables(positive):
-    """Simple roots by every difference a - b of positive roots formed as a
-    `Weight`: the reference for `_indecomposables`."""
+    """Simple roots by every difference a - b of positive roots: the
+    reference for `_indecomposables`."""
     pos = set(positive)
-    simple = [a for a in positive if not any((a - b) in pos for b in pos if b != a)]
-    simple.sort(key=lambda a: a.coords, reverse=True)
+    simple = [a for a in positive if not any(_vsub(a, b) in pos for b in pos if b != a)]
+    simple.sort(reverse=True)
     return tuple(simple)
 
 
@@ -519,7 +534,7 @@ def _former_assembly(eps_dim, roots, ambient=None):
         positive = tuple(sorted((r for r in roots if r in set(ambient.positive_roots)),
                                 key=regular_order_key, reverse=True))
     simple = _weight_indecomposables(positive)
-    rho = Weight(Fraction(sum(a[i] for a in positive), 2) for i in range(eps_dim))
+    rho = tuple(_q(Fraction(sum(a[i] for a in positive), 2)) for i in range(eps_dim))
     return ordered, positive, simple, rho
 
 
@@ -549,7 +564,8 @@ def test_catalog_roots_are_int_vectors(pairs):
     for spec in catalog_pairs(3):
         pair = pairs(spec.kind, **dict(spec.params))
         for datum in (root_datum(pair.g), restricted_root_data(pair)):
-            assert all(type(c) is int for a in datum.roots for c in a.coords), spec.id
+            assert all(type(a) is tuple and all(type(c) is int for c in a) for a in datum.roots), spec.id
+        assert all(type(c) is int for a in pair.root_table.restriction for c in a), spec.id
 
 
 def test_freudenthal_keys_are_int_tuples_for_integral_and_rational_lambda(algebras):
@@ -558,36 +574,56 @@ def test_freudenthal_keys_are_int_tuples_for_integral_and_rational_lambda(algebr
     third = Fraction(1, 3)
     for fam, rank, lam in [("A", 2, (1, 0, -1)), ("B", 2, (1, 1)), ("C", 3, (2, 1, 0)),
                            ("A", 2, (1 + third, third, third - 1)), ("B", 2, (Fraction(3, 2), Fraction(1, 2)))]:
-        ch = freudenthal_character(root_datum(algebras(fam, rank)), Weight(lam))
+        ch = freudenthal_character(root_datum(algebras(fam, rank)), lam)
         assert all(type(d) is tuple and all(type(c) is int for c in d) for d in ch)
 
 
 def test_root_datum_rejects_a_half_integer_root():
-    half = Weight((Fraction(1, 2), Fraction(-1, 2)))
+    half = (Fraction(1, 2), Fraction(-1, 2))
     with pytest.raises(ValueError, match="not an integer vector"):
-        RootDatum(2, {half: None, -half: None})
+        RootDatum(2, {half: None, _neg(half): None})
 
 
 def test_coroot_pairings_are_exact(algebras):
     # C2 has a long root (2, 0): 2 <lam, a> / <a, a> on ints would be a float
     datum = root_datum(algebras("C", 2))
-    for lam in (Weight((3, 1)), Weight((Fraction(1, 2), -2))):
+    for lam in ((3, 1), (Fraction(1, 2), -2)):
         for a in datum.roots:
             p = coroot_pairing(lam, a)
             assert isinstance(p, Fraction)
             assert p == 2 * sum(Fraction(x) * y for x, y in zip(lam, a)) / sum(y * y for y in a)
 
 
-def test_weights_refuse_floats():
+@pytest.mark.parametrize("entry", [
+    "RootDatum", "freudenthal_character", "VermaSpec.of", "base_offset",
+    "parabolic_from_params", "restrict_weight",
+])
+def test_entry_points_take_exact_coordinates(entry):
+    """Coordinates enter each public entry point through `_q`: a float is
+    refused with TypeError, and integral Fractions come out as ints (in rho,
+    lambda, the base offset, the parameters and restrictions)."""
+    pair = build_pair(PairSpec("gl_down_gl", n=2, l=1))
+    borel = parabolic_from_simple_subset(pair.g, set())
+    run = {
+        "RootDatum": lambda c: [*(d := RootDatum(3, [c, _neg(c)])).roots, d.rho],
+        "freudenthal_character": lambda c: list(freudenthal_character(root_datum(pair.g), c)),
+        "VermaSpec.of": lambda c: [VermaSpec.of(borel, c).lam],
+        "base_offset": lambda c: [branch_multiplicities(VermaSpec.of(borel, c), pair, 0).base_offset],
+        "parabolic_from_params": lambda c: [parabolic_from_params(pair.g, c).params],
+        "restrict_weight": lambda c: [pair.restrict_weight(c)],
+    }[entry]
+    out = run((Fraction(4, 2), 0, Fraction(-4, 2)))  # 2 (e_1 - e_3), dominant for gl(3)
+    assert out and all(type(t) is tuple and all(type(x) is int for x in t) for t in out)
     with pytest.raises(TypeError):
-        Weight((1, 0.1))
-    assert Weight((Fraction(4, 2), Fraction(1, 2))).coords == (2, Fraction(1, 2))
-    assert type(Weight((Fraction(4, 2),))[0]) is int
+        run((2.0, 0, -2))
+    if entry == "RootDatum":
+        with pytest.raises(ValueError, match="not an integer vector"):
+            run((Fraction(1, 2), 0, Fraction(-1, 2)))
 
 
 def test_freudenthal_weyl_invariance(algebras):
     datum = root_datum(algebras("B", 2))
-    lam = Weight((2, 1))
+    lam = (2, 1)
     ch = absolute(freudenthal_character(datum, lam), lam)
     for w in weyl_group(datum):
         for mu, mult in ch.items():
@@ -648,8 +684,8 @@ def test_weyl_group_matches_the_breadth_first_oracle():
 def test_weyl_group_rejects_a_datum_not_acting_by_signed_permutations():
     # the reflection in e1 + e2 + e3 is not a signed permutation, though it
     # takes the regular point (3, 2, 1) to (-1, -2, -3)
-    alpha = Weight((1, 1, 1))
-    datum = RootDatum(3, [alpha, -alpha])
+    alpha = (1, 1, 1)
+    datum = RootDatum(3, [alpha, _neg(alpha)])
     with pytest.raises(ValueError, match="signed permutation"):
         weyl_group(datum)
     with pytest.raises(ValueError, match="signed permutation"):
@@ -670,5 +706,5 @@ def test_negation_table(algebras):
     for family, rank in [("A", 3), ("B", 2), ("C", 3), ("D", 4)]:
         datum = root_datum(algebras(family, rank))
         neg = datum.negation
-        assert all(datum.roots[neg[i]] == -a for i, a in enumerate(datum.roots))
+        assert all(datum.roots[neg[i]] == _neg(a) for i, a in enumerate(datum.roots))
         assert all(neg[neg[i]] == i for i in range(len(neg)))

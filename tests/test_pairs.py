@@ -16,7 +16,6 @@ from vermabranch import (
     MatrixElement,
     PairSpec,
     SymmetricPair,
-    Weight,
     bracket,
     build_pair,
     parabolic_from_simple_subset,
@@ -188,7 +187,7 @@ def test_restricted_datum_so6_down_so5(pairs):
     pair = pairs("so_down_so", m=5)
     datum = restricted_root_data(pair)
     expected = {
-        Weight((1, -1)), Weight((1, 1)), Weight((1, 0)), Weight((0, 1)),
+        (1, -1), (1, 1), (1, 0), (0, 1),
     }
     assert set(datum.positive_roots) == expected  # type B2
 
@@ -196,15 +195,15 @@ def test_restricted_datum_so6_down_so5(pairs):
 def test_restricted_datum_sl4(pairs):
     pair = pairs("sl_s_glgl", p=2, q=2)
     datum = restricted_root_data(pair)
-    expected = {Weight((1, -1, 0, 0)), Weight((-1, 1, 0, 0)),
-                Weight((0, 0, 1, -1)), Weight((0, 0, -1, 1))}
+    expected = {(1, -1, 0, 0), (-1, 1, 0, 0),
+                (0, 0, 1, -1), (0, 0, -1, 1)}
     assert set(datum.roots) == expected  # A1 x A1 plus center
 
 
 def test_restricted_datum_group_case(pairs):
     pair = pairs("group_case", type="A1")
     datum = restricted_root_data(pair)
-    assert set(datum.roots) == {Weight((1, -1)), Weight((-1, 1))}
+    assert set(datum.roots) == {(1, -1), (-1, 1)}
 
 
 def test_restricted_datum_type_alternation(pairs):
@@ -238,7 +237,7 @@ def test_tau_split_borel_nilradical_so5(pairs):
 def test_tau_split_type_three_root_space(pairs):
     # a single root space with tau(alpha) != alpha: plus = minus = 0, pr is a line
     pair = pairs("so_down_so", m=5)
-    alpha = Weight((1, 0, -1))
+    alpha = (1, 0, -1)
     assert pair.tau_star(alpha) != alpha
     space = pair.g.matrices.root_spaces[alpha]
     split = tau_split(pair, space)
@@ -261,14 +260,14 @@ def test_jtau_is_cartan_of_fixed_algebra(pairs):
         ("group_case", {"type": "A1"}),
     ]:
         pair = pairs(kind, **params)
-        zero = Weight.zero(pair.restricted_eps_dim)
+        zero = (0,) * pair.restricted_eps_dim
         assert restricted_root_spaces(pair)[zero].dim == len(pair.matrices.j_tau_basis)
 
 
 @pytest.mark.parametrize("weight", [(1, 0, 0, 0), (0, 0, 0, 0)], ids=["collide", "zero"])
 def test_restricted_datum_rejects_a_second_vector_of_one_weight(monkeypatch, weight):
     # build_pair fills the root table, so the restriction is patched first
-    monkeypatch.setattr(SymmetricPair, "restrict_weight", lambda self, w: Weight(weight))
+    monkeypatch.setattr(SymmetricPair, "restrict_weight", lambda self, w: weight)
     with pytest.raises(ValueError, match=r"restricted datum failed \(j\^tau is not a Cartan"):
         build_pair(PairSpec("sl_s_glgl", p=2, q=2))
 
@@ -288,8 +287,8 @@ def test_jtau_probes_span_jtau(pairs):
 
 def test_restrict_weight_group_case_adds_factors(pairs):
     pair = pairs("group_case", type="A1")
-    w = Weight((3, 1, Fraction(1, 2), 0))
-    assert pair.restrict_weight(w) == Weight((Fraction(7, 2), 1))
+    w = (3, 1, Fraction(1, 2), 0)
+    assert pair.restrict_weight(w) == (Fraction(7, 2), 1)
 
 
 def test_probe_params_rows_are_integer():
@@ -328,6 +327,6 @@ def test_kind_row_rank_and_tau_star(spec):
     assert PAIR_KINDS[spec.kind].rank(**dict(spec.params)) == len(datum.simple_roots)
     n = pair.g.eps_dim
     assert sorted(k for k, _ in pair.tau) == list(range(n)) and {s for _, s in pair.tau} <= {1, -1}
-    probe = Weight(range(1, n + 1))
+    probe = tuple(range(1, n + 1))
     assert pair.tau_star(pair.tau_star(probe)) == probe
     assert set(map(pair.tau_star, datum.roots)) == set(datum.roots)

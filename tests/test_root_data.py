@@ -20,7 +20,6 @@ from vermabranch import (
     PairSpec,
     RootDatum,
     SymmetricPair,
-    Weight,
     build_pair,
     catalog_pairs,
     mf_scan,
@@ -38,11 +37,11 @@ def test_root_level_pair_matches_the_matrix_pair(pairs, spec):
     g, tau = m.g, m.tau
     check_involution(g, tau)
     assert g is pair.g.matrices and g.algebra.dim == pair.g.dim
-    assert g.root_spaces[Weight.zero(g.eps_dim)] == span_of_matrices(g.cartan_basis, g.matrix_dim)
-    assert [g.eps_params(h).coords for h in g.cartan_basis] == list(pair.g.cartan_columns)
-    units = [Weight(int(i == k) for i in range(g.eps_dim)) for k in range(g.eps_dim)]
-    assert [g.eps_params(tau(p)).coords for p in g.eps_probes] == [pair.tau_star(u).coords for u in units]
-    assert [g.eps_params(p).coords for p in m.j_tau_probes] == list(pair.probe_params)
+    assert g.root_spaces[(0,) * g.eps_dim] == span_of_matrices(g.cartan_basis, g.matrix_dim)
+    assert [g.eps_params(h) for h in g.cartan_basis] == list(pair.g.cartan_columns)
+    units = [tuple(int(i == k) for i in range(g.eps_dim)) for k in range(g.eps_dim)]
+    assert [g.eps_params(tau(p)) for p in g.eps_probes] == [pair.tau_star(u) for u in units]
+    assert [g.eps_params(p) for p in m.j_tau_probes] == list(pair.probe_params)
     datum, table, rdatum = root_datum(pair.g), pair.root_table, restricted_root_data(pair)
     n = g.matrix_dim
 
@@ -66,7 +65,7 @@ def test_root_level_pair_matches_the_matrix_pair(pairs, spec):
     # the restricted datum is the weight decomposition of g^tau, whose zero
     # weight space is j^tau
     spaces = restricted_root_spaces(pair)
-    assert spaces.pop(Weight.zero(pair.restricted_eps_dim)).dim == len(m.j_tau_basis)
+    assert spaces.pop((0,) * pair.restricted_eps_dim).dim == len(m.j_tau_basis)
     assert all(space.dim == 1 for space in spaces.values())
     expected = RootDatum(pair.restricted_eps_dim, spaces)
     assert (rdatum.roots, rdatum.simple_roots, rdatum.rho) == (
@@ -107,7 +106,7 @@ def test_tau_star_must_keep_the_signs(monkeypatch):
 
     def with_h(**params):
         g, tau, h, rows = kind.root_data(**params)
-        return g, tau, Weight((1, 0, 0, 0)), rows
+        return g, tau, (1, 0, 0, 0), rows
 
     monkeypatch.setitem(pairs_module.PAIR_KINDS, "group_case", kind._replace(root_data=with_h))
     with pytest.raises(AssertionError, match="keeps the signs"):

@@ -19,7 +19,6 @@ from vermabranch import (
     Subspace,
     SymmetricPair,
     VermaSpec,
-    Weight,
     WeylElement,
     branch_multiplicities,
     build_pair,
@@ -40,7 +39,7 @@ CASES = [
 
 def _run(pair, subset, lam):
     p = parabolic_from_simple_subset(pair.g, subset)
-    spec = VermaSpec.generic(p) if lam is None else VermaSpec.of(p, Weight(lam))
+    spec = VermaSpec.generic(p) if lam is None else VermaSpec.of(p, lam)
     table = branch_multiplicities(spec, pair, 2)
     assert verify_character_identity(spec, pair, 2)
     census = closed_orbit_census(pair, subset)
