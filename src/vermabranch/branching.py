@@ -530,16 +530,14 @@ def mf_scan(rank_bound: int, include_failing: bool = False):
         if spec.kind == "gl_down_gl" and spec.get("l") != 1:
             continue
         pair = build_pair(spec)
-        table, g = pair.root_table, pair.g
+        g = pair.g
         trace = g.rank - len(root_datum(g).simple_roots)  # the centre of gl: its sl part
         # dim j^tau: the rank of (x + tau x)/2 over a basis x of j
         rank_fixed = len(_rref(
             [{i: x for i, x in enumerate(pair.fixed_params(c)) if x} for c in g.cartan_columns]
         )) - trace
-        # dim g^tau = dim j^tau + #{i < tau*(i)} + #{compact imaginary roots}
-        dim_fixed = rank_fixed + sum(
-            i < k or i == k and s > 0 for i, (k, s) in enumerate(zip(table.tau, table.sign))
-        )
+        # dim g^tau = dim j^tau + one restricted root per tau*-orbit with a vector of g^tau
+        dim_fixed = rank_fixed + len(restricted_root_data(pair).roots)
         dim_g, rank_g = g.dim - trace, g.rank - trace
         passes = dim_g - dim_fixed <= rank_g + rank_fixed
         rows.append(MfScanRow(spec.id, dim_g, dim_fixed, rank_g, rank_fixed, passes))

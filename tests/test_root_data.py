@@ -74,6 +74,7 @@ def test_root_level_pair_matches_the_matrix_pair(pairs, spec):
     # mf-scan's count: dim g^tau = dim j^tau + #{i < tau*(i)} + #{compact imaginary}
     orbits = sum(i < k or i == k and s > 0 for i, (k, s) in enumerate(zip(table.tau, table.sign)))
     assert m.fixed.dim == len(m.j_tau_basis) + orbits
+    assert orbits == len(rdatum.roots)  # the count mf_scan reads off the restricted datum
 
 
 def test_mf_scan_counts_the_dimensions_of_the_matrix_pairs(pairs):
