@@ -1,0 +1,115 @@
+"""Byte-compare the CLI output of two revisions on a fixed corpus of jobs.
+
+Run from the root of a checkout:
+
+    python3 tools/envelope_ab.py --parent REV --change REV
+
+Each revision is extracted from ``git archive REV`` into a directory of its
+own, as ``tools/perf_ab.py`` does.  One process per revision runs every job
+of the corpus through ``vermabranch.cli.main`` from that directory, once
+with ``--format json`` and once with ``--format text``, without a result
+cache.  The corpus is read from this checkout:
+
+- ``CENSUS``, ``BRANCH``, ``VERIFY`` and ``interactive_pool()`` of
+  ``perfbench/jobs.py``;
+- the jobs of ``tests/golden/index.json``;
+- ``branch --degree 4`` and ``verify --level 4`` on every (pair, parabolic
+  descriptor) of the rank <= 3 catalog that ``perfbench/jobs.py`` lists.
+
+Every job whose exit code or stdout differs is printed, and the tool exits 1
+if any does, else 0.
+"""
+
+import argparse
+import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.getcwd()
+FORMATS = ("json", "text")
+
+# reads a JSON list of jobs on stdin and prints {format: {job: [exit, stdout]}}
+WORKER = r"""
+import contextlib, io, json, os, sys
+sys.path.insert(0, "src")
+os.environ.pop("VERMABRANCH_CACHE_DIR", None)
+from vermabranch import cli
+jobs = json.load(sys.stdin)
+out = {}
+for fmt in %r:
+    for job in jobs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(job.split() + ["--format", fmt])
+        out.setdefault(fmt, {})[job] = [code, buf.getvalue()]
+json.dump(out, sys.stdout)
+""" % (FORMATS,)
+
+
+def corpus(root=ROOT) -> list:
+    """The jobs to compare, each once, in a fixed order."""
+    jobs = runpy.run_path(os.path.join(root, "perfbench", "jobs.py"))
+    with open(os.path.join(root, "tests", "golden", "index.json"), encoding="utf-8") as fh:
+        golden = list(json.load(fh))
+    catalog = [
+        "%s --pair %s --parabolic %s %s" % (command, pair, d, tail)
+        for pair, nsimple, symplectic in jobs["CATALOG_PAIRS"]
+        for d in jobs["descriptors"](nsimple, symplectic)
+        for command, tail in (("branch", "--degree 4"), ("verify", "--level 4"))
+    ]
+    listed = jobs["CENSUS"] + jobs["BRANCH"] + jobs["VERIFY"] + jobs["interactive_pool"]()
+    return list(dict.fromkeys(listed + golden + catalog))
+
+
+def run_revision(rev, jobs) -> dict:
+    """{format: {job: [exit code, stdout]}} of every job at rev."""
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", rev], capture_output=True, check=True
+    ).stdout
+    with tempfile.TemporaryDirectory(prefix="envelope_ab-") as copy:
+        subprocess.run(["tar", "-x", "-C", copy], input=archive, check=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", WORKER], cwd=copy, input=json.dumps(jobs),
+            capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        )
+    if proc.returncode:
+        raise SystemExit("the worker at %s exited %d:\n%s" % (rev, proc.returncode, proc.stderr))
+    return json.loads(proc.stdout)
+
+
+def compare(parent, change, jobs) -> list:
+    """(format, job, what differs) for each job whose exit code or stdout
+    differs between two results of `run_revision`; a job missing from
+    either side differs."""
+    diffs = []
+    for fmt in FORMATS:
+        for job in jobs:
+            a, b = parent.get(fmt, {}).get(job), change.get(fmt, {}).get(job)
+            if a is None or b is None:
+                diffs.append((fmt, job, "missing on the %s side" % ("parent" if a is None else "change")))
+            elif a[0] != b[0]:
+                diffs.append((fmt, job, "exit %d -> %d" % (a[0], b[0])))
+            elif a[1] != b[1]:
+                diffs.append((fmt, job, "stdout"))
+    return diffs
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    args = parser.parse_args(argv)
+    jobs = corpus()
+    parent, change = run_revision(args.parent, jobs), run_revision(args.change, jobs)
+    diffs = compare(parent, change, jobs)
+    for fmt, job, what in diffs:
+        print("DIFF %s (%s): %s" % (job, fmt, what))
+    print("%d jobs x %d formats, %d differ" % (len(jobs), len(FORMATS), len(diffs)))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
