@@ -27,6 +27,7 @@ class PreconditionError(ValueError):
 PAIR_RANK_CAP = 12  # ambient rank of a catalog pair, checked before it is built
 WEYL_RANK_CAP = MF_SCAN_RANK_CAP = 6
 DEGREE_CAP = LEVEL_CAP = 12
+SERIES_TERM_CAP = 500_000  # terms of one graded S(u_-) series, counted as it grows
 LEVI_DIM_CAP = 1500  # dim F_lambda, by Weyl's formula before Freudenthal runs
 
 

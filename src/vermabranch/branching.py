@@ -17,7 +17,7 @@ from collections import Counter
 from operator import add
 from typing import Iterable, NamedTuple, Optional
 
-from . import LEVI_DIM_CAP, MF_SCAN_RANK_CAP, check_cap
+from . import LEVI_DIM_CAP, MF_SCAN_RANK_CAP, SERIES_TERM_CAP, check_cap
 from .liealg import RootDatum, _dot, _q, _rref, _vsum, freudenthal_character, root_datum, scaled_coords
 from .pairs import PairSpec, SymmetricPair, build_pair, catalog_pairs, restricted_root_data
 from .parabolic import (
@@ -108,8 +108,9 @@ def _expand(layers: list, weights: dict, grade) -> list:
     """Multiply the graded series `layers` (layer k: the terms of grade k) in
     place by prod (1 - e^w)^{-m} over the weights w of multiplicity m and
     grade(w) > 0, truncated at the top layer: degree a of w adds the
-    binomial C(a+m-1, m-1) times layer k - a * grade(w) to layer k."""
-    top = len(layers) - 1
+    binomial C(a+m-1, m-1) times layer k - a * grade(w) to layer k.  The
+    terms of all layers are counted as they grow, against SERIES_TERM_CAP."""
+    top, terms = len(layers) - 1, sum(map(len, layers))
     for w, m in sorted(weights.items()):
         step = grade(w)
         if step <= 0:
@@ -118,10 +119,13 @@ def _expand(layers: list, weights: dict, grade) -> list:
                   for a in range(1, top // step + 1)]  # (a * w, its binomial)
         for k in range(top, step - 1, -1):  # layer k reads only the lower layers
             layer = layers[k]
+            terms -= len(layer)
             for a, (shift, coeff) in enumerate(shifts[:k // step], 1):
                 for d, c in layers[k - a * step].items():
                     key = tuple(map(add, d, shift))  # _vsum, inlined in the hot loop
                     layer[key] = layer.get(key, 0) + c * coeff
+            terms += len(layer)
+            check_cap("S(u_-) series terms", terms, SERIES_TERM_CAP)
     return layers
 
 

@@ -160,6 +160,28 @@ def test_inv_euler_expand_rejects_a_start_term_outside_the_cap(start):
         _inv_euler_expand(start, {(1, 0): 1}, grade_of((1, 1)), 4)
 
 
+def test_series_term_cap_counts_every_term_of_the_layers(monkeypatch):
+    # the count is exact: a series of as many terms as the cap passes, and
+    # the cap one lower refuses it
+    weights = {(1, 0): 1, (0, 1): 2, (1, 1): 1}
+    size = sum(map(len, sym_power_characters(weights, 6)))
+    monkeypatch.setattr(branching, "SERIES_TERM_CAP", size)
+    sym_power_characters(weights, 6)
+    monkeypatch.setattr(branching, "SERIES_TERM_CAP", size - 1)
+    with pytest.raises(RankCapError, match=r"^S\(u_-\) series terms capped at %d$" % (size - 1)):
+        sym_power_characters(weights, 6)
+
+
+def test_series_term_cap_stops_branch_and_verify(monkeypatch, pairs):
+    pair = pairs("sp_down_gl", n=3)
+    spec = VermaSpec.generic(parabolic_from_simple_subset(pair.g, {0, 1}))
+    monkeypatch.setattr(branching, "SERIES_TERM_CAP", 20)
+    with pytest.raises(RankCapError, match="series terms capped at 20"):
+        branch_multiplicities(spec, pair, 6)
+    with pytest.raises(RankCapError, match="series terms capped at 20"):
+        verify_character_identity(spec, pair, 6)
+
+
 # ---------------------------------------------------------------------------
 # restriction of the Levi module
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vermabranch import cli
+from vermabranch import SERIES_TERM_CAP, cli
 from vermabranch.cli import (
     ENGINE_VERSION,
     ResultEnvelope,
@@ -371,6 +371,13 @@ def test_degree_cap_exits_two():
         ["branch", "--pair", "so_down_so:m=4", "--parabolic", "borel", "--degree", "40"]
     )
     assert code == 2
+
+
+def test_series_term_cap_exits_two():
+    # inside the degree cap, S(u_-'') of the Borel of gl_12 outgrows the series cap
+    # (about 1 s); past the cap the job ran 14 s and peaked near 1 GB
+    env, code = run("branch --pair gl_down_gl:n=11,l=1 --parabolic borel --degree 12".split())
+    assert code == 2 and env.payload["error"] == "S(u_-) series terms capped at %d" % SERIES_TERM_CAP
 
 
 # ---------------------------------------------------------------------------
