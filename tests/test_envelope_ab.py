@@ -12,12 +12,12 @@ _SPEC.loader.exec_module(envelope_ab)
 JOBS = ["pairs --rank-bound 2", "census --pair nosuch:n=2 --parabolic borel"]
 
 
-def _results(**changes):
-    """Both formats of JOBS, exit 0 and 2, with entries replaced by `changes`
-    ({(format, index): [exit, stdout] or None to drop it})."""
+def _results(replace=()):
+    """Both formats of JOBS, exit 0 and 2, with the entries in `replace`
+    ({(format, index): [exit, stdout], or None to drop the entry}) replaced."""
     out = {fmt: {job: [2 * i, "%s %d\n" % (fmt, i)] for i, job in enumerate(JOBS)}
            for fmt in envelope_ab.FORMATS}
-    for (fmt, i), value in changes.get("replace", {}).items():
+    for (fmt, i), value in dict(replace).items():
         if value is None:
             del out[fmt][JOBS[i]]
         else:
