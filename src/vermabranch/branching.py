@@ -129,17 +129,11 @@ def _expand(layers: list, weights: dict, grade) -> list:
     return layers
 
 
-def sym_power_characters(weights, top: int) -> list:
-    """All S^0 .. S^top weight multisets of a weight multiset of integer tuples.
-
-    An empty weight set yields empty layers; callers treat degree 0 as the
-    neutral element then.
-    """
-    ms = {w: m for w, m in weights.items() if m}
-    if not ms:
-        return [{} for _ in range(top + 1)]
-    layers = [{(0,) * len(next(iter(ms))): 1}] + [{} for _ in range(top)]
-    return _expand(layers, ms, lambda w: 1)
+def sym_power_characters(weights, top: int, start: dict) -> list:
+    """The layers k = 0 .. top of start (x) S^k(weights), for a weight
+    multiset of integer tuples and a start multiset of the same length."""
+    layers = [dict(start)] + [{} for _ in range(top)]
+    return _expand(layers, {w: m for w, m in weights.items() if m}, lambda w: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,25 +278,6 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
     )
 
 
-def _convolve(a: dict, b: dict) -> dict:
-    out = {}
-    for w1, m1 in a.items():
-        for w2, m2 in b.items():
-            key = _vsum(w1, w2)
-            out[key] = out.get(key, 0) + m1 * m2
-    return out
-
-
-def _graded_characters(ctx: _EngineContext, degree_bound: int):
-    """(k, displacement character of F_lambda|_{l'} (x) S^k(u_-'')) for
-    k = 0..N, skipping k > 0 when u_-'' = 0."""
-    powers = sym_power_characters(ctx.u_second_weights, degree_bound)
-    yield 0, dict(ctx.f_block)
-    for k in range(1, degree_bound + 1):
-        if powers[k]:
-            yield k, _convolve(ctx.f_block, powers[k])
-
-
 def branch_multiplicities(spec: VermaSpec, pair: SymmetricPair, degree_bound: int) -> BranchingTable:
     """Branching multiplicities m(delta; lambda) up to symmetric degree N.
 
@@ -313,10 +288,11 @@ def branch_multiplicities(spec: VermaSpec, pair: SymmetricPair, degree_bound: in
 
 
 def _branching_table(ctx: _EngineContext, spec: VermaSpec, degree_bound: int) -> BranchingTable:
-    acc = {}
-    for k, char_k in _graded_characters(ctx, degree_bound):
-        for disp, mult in decompose_character(char_k, ctx.l_prime_datum, ctx.base):
-            acc.setdefault(disp, [0, k])[0] += mult
+    acc = {}  # layer k: F_lambda|_{l'} (x) S^k(u_-''), empty for k > 0 when u_-'' = 0
+    for k, char_k in enumerate(sym_power_characters(ctx.u_second_weights, degree_bound, ctx.f_block)):
+        if char_k:
+            for disp, mult in decompose_character(char_k, ctx.l_prime_datum, ctx.base):
+                acc.setdefault(disp, [0, k])[0] += mult
     entries = [
         BranchEntry(delta_displacement=d, multiplicity=m, first_degree=k)
         for d, (m, k) in acc.items()

@@ -8,7 +8,8 @@ package: the `Fraction` coroot pairings and reflections of `RootDatum`,
 with the dominance tests and the breadth-first Weyl group built on them,
 Weyl's dimension formula (for Freudenthal), `echelon_span` and the
 classical matrix realizations `build_classical`.  The term-by-term inverse
-Euler expansion is the oracle of the layered one.  Schmid's decomposition of
+Euler expansion is the oracle of the layered one, and the convolution of a
+start block with each symmetric power the oracle of `sym_power_characters`.  Schmid's decomposition of
 S(u_-^{-tau}) for an abelian nilradical, the finiteness bound of the
 branching engine, the ad-nilpotency test on an ambient algebra, the
 tensor-case closedness criterion and the double-coset count of the
@@ -350,6 +351,22 @@ def term_by_term_expand(start: dict, weights: dict, level_of, level_cap: int) ->
         current = nxt
     return current
 
+
+def convolved_sym_powers(weights: dict, top: int, start: dict) -> list:
+    """The layers k = 0..top of start (x) S^k(weights), each S^k convolved
+    with the start block term by term: the product `branch` ran before it
+    expanded the start block by layers."""
+    powers = sym_power_characters(weights, top, {(0,) * len(next(iter(start))): 1})
+    layers = []
+    for power in powers:
+        layer = {}
+        for w1, m1 in start.items():
+            for w2, m2 in power.items():
+                key = _vsum(w1, w2)
+                layer[key] = layer.get(key, 0) + m1 * m2
+        layers.append(layer)
+    return layers
+
 # ---------------------------------------------------------------------------
 # strongly orthogonal roots and Schmid decompositions
 # ---------------------------------------------------------------------------
@@ -404,10 +421,9 @@ def schmid_decomposition(pair: SymmetricPair, p: ParabolicData, degree_bound: in
         for comb in _decreasing_tuples(len(seq), total):
             support[tuple(sum(map(mul, comb, column)) for column in zip(*seq))] = total
     l_tau_datum = _levi_prime_datum(p, pair)
-    powers = sym_power_characters(weights, degree_bound)
+    powers = sym_power_characters(weights, degree_bound, {(0,) * eps: 1})
     for k in range(degree_bound + 1):
-        char_k = powers[k] if powers[k] else ({(0,) * eps: 1} if k == 0 else {})
-        constituents = decompose_character(char_k, l_tau_datum)
+        constituents = decompose_character(powers[k], l_tau_datum)
         expected = {w for w, deg in support.items() if deg == k}
         found = set()
         for hw, mult in constituents:

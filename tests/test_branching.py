@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from tests.oracles import (
     absolute,
     ambient_restricted_roots,
+    convolved_sym_powers,
     coroot_pairing,
     dominant_representative,
     finiteness_bound,
@@ -40,11 +42,11 @@ from vermabranch import (
     restrict_finite_module,
     verify_character_identity,
 )
-from vermabranch import branching
+from vermabranch import branching, cli
 from vermabranch.branching import (
     BranchEntry,
+    _branching_table,
     _engine_context,
-    _graded_characters,
     _inv_euler_expand,
     _levi_prime_datum,
     sym_power_characters,
@@ -77,18 +79,18 @@ def brute_force_sym_power(weights, k):
 
 
 def test_sym_power_two_lines():
-    result = sym_power_characters({(-1, 0): 1, (0, -1): 1}, 2)[2]
+    result = sym_power_characters({(-1, 0): 1, (0, -1): 1}, 2, {(0, 0): 1})[2]
     assert result == {(-2, 0): 1, (-1, -1): 1, (0, -2): 1}
 
 
 def test_sym_power_single_weight():
-    layers = sym_power_characters({(2, 1): 1}, 3)
+    layers = sym_power_characters({(2, 1): 1}, 3, {(0, 0): 1})
     assert layers == [{(2 * k, k): 1} for k in range(4)]
 
 
 def test_sym_power_siegel_example():
     weights = {(-2, 0): 1, (-1, -1): 1, (0, -2): 1}
-    result = sym_power_characters(weights, 2)[2]
+    result = sym_power_characters(weights, 2, {(0, 0): 1})[2]
     assert result == brute_force_sym_power(weights, 2)
     assert len(result) == 5 and result[(-2, -2)] == 2
 
@@ -100,7 +102,7 @@ def test_sym_power_with_multiplicities_matches_brute_force():
         for _ in range(3):
             w = (rng.randint(-2, 2), rng.randint(-2, 2))
             weights[w] = weights.get(w, 0) + rng.randint(1, 2)
-        layers = sym_power_characters(weights, 3)
+        layers = sym_power_characters(weights, 3, {(0, 0): 1})
         assert layers == [brute_force_sym_power(weights, k) for k in range(4)]
 
 
@@ -112,13 +114,26 @@ small_weights = st.dictionaries(
 @settings(max_examples=40, deadline=None)
 @given(small_weights)
 def test_sym_power_layers_match_brute_force(weights):
-    layers = sym_power_characters(weights, 6)
+    layers = sym_power_characters(weights, 6, {(0, 0): 1})
     assert layers == [brute_force_sym_power(weights, k) for k in range(7)]
 
 
-def test_sym_power_of_no_weights_is_empty():
-    assert sym_power_characters({}, 3) == [{}, {}, {}, {}]
-    assert sym_power_characters({(1, 0): 0}, 2) == [{}, {}, {}]
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(0, 3), max_size=4),
+    st.integers(0, 5),
+    st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(1, 4), min_size=1, max_size=4),
+)
+def test_sym_power_layers_of_a_start_block_match_the_convolution(weights, top, start):
+    layers = sym_power_characters(weights, top, start)
+    assert layers == convolved_sym_powers(weights, top, start)
+
+
+def test_sym_power_of_no_weights_is_the_start_block():
+    start = {(0, 0): 1, (1, -1): 2}
+    layers = sym_power_characters({}, 3, start)
+    assert layers == [start, {}, {}, {}] and layers[0] is not start
+    assert sym_power_characters({(1, 0): 0}, 2, {(0, 0): 1}) == [{(0, 0): 1}, {}, {}]
 
 
 def grade_of(vec):
@@ -164,12 +179,12 @@ def test_series_term_cap_counts_every_term_of_the_layers(monkeypatch):
     # the count is exact: a series of as many terms as the cap passes, and
     # the cap one lower refuses it
     weights = {(1, 0): 1, (0, 1): 2, (1, 1): 1}
-    size = sum(map(len, sym_power_characters(weights, 6)))
+    size = sum(map(len, sym_power_characters(weights, 6, {(0, 0): 1})))
     monkeypatch.setattr(branching, "SERIES_TERM_CAP", size)
-    sym_power_characters(weights, 6)
+    sym_power_characters(weights, 6, {(0, 0): 1})
     monkeypatch.setattr(branching, "SERIES_TERM_CAP", size - 1)
     with pytest.raises(RankCapError, match=r"^S\(u_-\) series terms capped at %d$" % (size - 1)):
-        sym_power_characters(weights, 6)
+        sym_power_characters(weights, 6, {(0, 0): 1})
 
 
 def test_series_term_cap_stops_branch_and_verify(monkeypatch, pairs):
@@ -180,6 +195,22 @@ def test_series_term_cap_stops_branch_and_verify(monkeypatch, pairs):
         branch_multiplicities(spec, pair, 6)
     with pytest.raises(RankCapError, match="series terms capped at 20"):
         verify_character_identity(spec, pair, 6)
+
+
+def test_series_term_cap_counts_the_levi_block_in_branch(monkeypatch, capsys, pairs):
+    # S(u_-'') alone has 25 terms up to degree 4; with the 4 weights of
+    # F_lambda|_{l'} the product has 40, so a cap of 30 stops the job
+    pair = pairs("sp_down_gl", n=2)
+    spec = VermaSpec.of(parabolic_from_simple_subset(pair.g, {0}), W(2, -1))
+    ctx = _engine_context(spec, pair)
+    monkeypatch.setattr(branching, "SERIES_TERM_CAP", 30)
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    assert sum(map(len, sym_power_characters(ctx.u_second_weights, 4, {(0, 0): 1}))) == 25
+    with pytest.raises(RankCapError, match=r"^S\(u_-\) series terms capped at 30$"):
+        branch_multiplicities(spec, pair, 4)
+    argv = "branch --pair sp_down_gl:n=2 --parabolic siegel --lambda 2,-1 --degree 4 --format json"
+    assert cli.main(argv.split()) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "S(u_-) series terms capped at 30"
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +280,7 @@ def test_decompose_siegel_sym_square(pairs):
     pair = pairs("sp_down_gl", n=2)
     siegel = parabolic_from_simple_subset(pair.g, {0})
     ldatum = _levi_prime_datum(siegel, pair)
-    char = sym_power_characters({(-2, 0): 1, (-1, -1): 1, (0, -2): 1}, 2)[2]
+    char = sym_power_characters({(-2, 0): 1, (-1, -1): 1, (0, -2): 1}, 2, {(0, 0): 1})[2]
     out = decompose_character(char, ldatum)
     assert sorted(out) == [((-2, -2), 1), ((0, -4), 1)]
 
@@ -561,14 +592,19 @@ def test_graded_characters_degree_zero_is_levi_block(pairs):
     pair = pairs("sp_down_gl", n=2)
     siegel = parabolic_from_simple_subset(pair.g, {0})
     lam = W(2, -1)
-    ctx = _engine_context(VermaSpec.of(siegel, lam), pair)
+    spec = VermaSpec.of(siegel, lam)
+    ctx = _engine_context(spec, pair)
+    block = restrict_finite_module(pair, siegel.levi_datum(), lam)
     assert ctx.base == pair.restrict_weight(lam)
-    assert dict(_graded_characters(ctx, 2))[0] == restrict_finite_module(pair, siegel.levi_datum(), lam)
+    assert sym_power_characters(ctx.u_second_weights, 2, ctx.f_block)[0] == block
+    _branching_table(ctx, spec, 2)
+    assert ctx.f_block == block  # verify reads it after the table is built
 
 
 def test_graded_characters_displacements_are_weight_sums(pairs):
     pair, spec = law_setting("BD", {"n": 2})
-    for deg, char in _graded_characters(_engine_context(spec, pair), 2):
+    ctx = _engine_context(spec, pair)
+    for deg, char in enumerate(sym_power_characters(ctx.u_second_weights, 2, ctx.f_block)):
         for disp, mult in char.items():
             assert mult > 0
             total = sum(-c for c in disp)
