@@ -353,9 +353,10 @@ def config_from_args(argv) -> RunConfig:
     path = given.pop("config_file", None)
     if path:
         defaults = _read_config_file(path)
-        for key in defaults:
-            if key not in RunConfig._fields:
-                raise PreconditionError("unknown config key %r" % key)
+        for key in defaults:  # the command is positional only
+            if key not in RunConfig._fields[1:]:
+                raise PreconditionError("unknown config key %r (keys: %s)"
+                                        % (key, ", ".join(RunConfig._fields[1:])))
         for key, choices in _CHOICES.items():
             if defaults.get(key, choices[0]) not in choices:
                 raise PreconditionError("config %s must be one of %s" % (key, ", ".join(choices)))

@@ -510,8 +510,9 @@ def config_from_args(argv) -> cli.RunConfig:
     if config_file:
         defaults = cli._read_config_file(config_file)
         for key in defaults:
-            if key not in values:
-                raise PreconditionError("unknown config key %r" % key)
+            if key not in values or key == "command":
+                raise PreconditionError("unknown config key %r (keys: %s)"
+                                        % (key, ", ".join(cli.RunConfig._fields[1:])))
         for key, choices in ((a.dest, a.choices) for a in parser._actions if a.choices):
             if key in defaults and defaults[key] not in choices:  # set_defaults skips this
                 raise PreconditionError("config %s must be one of %s" % (key, ", ".join(choices)))

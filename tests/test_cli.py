@@ -576,6 +576,19 @@ def test_config_file_defaults(tmp_path):
     assert config2.degree == 1
 
 
+@pytest.mark.parametrize("key", ["command", "pair"])
+def test_a_config_key_that_is_no_flag_field_exits_two_naming_the_keys(key, tmp_path, capsys):
+    # the command is positional only: a config file cannot replace it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s = census\n" % key)
+    argv = ["branch", "--pair", "so_down_so:m=4", "--config", str(cfg), "--degree", "1"]
+    assert main(argv + ["--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "unknown config key %r (keys: pair_id, parabolic, lam, degree, level, law, n, l, "
+        "rank_bound, format, cache_dir, seed)" % key
+    )
+
+
 @pytest.mark.parametrize(
     "argv, unread",
     [
