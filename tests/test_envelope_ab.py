@@ -3,8 +3,11 @@ revisions, on synthetic results, and the corpus it reads."""
 
 import importlib.util
 import os
+import sys
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "envelope_ab.py")
+_TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+sys.path.insert(0, _TOOLS)  # envelope_ab imports perf_ab, as it does when run as a script
+_PATH = os.path.join(_TOOLS, "envelope_ab.py")
 _SPEC = importlib.util.spec_from_file_location("envelope_ab", _PATH)
 envelope_ab = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(envelope_ab)

@@ -28,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 
+from perf_ab import extract
+
 ROOT = os.getcwd()
 FORMATS = ("json", "text")
 
@@ -66,11 +68,8 @@ def corpus(root=ROOT) -> list:
 
 def run_revision(rev, jobs) -> dict:
     """{format: {job: [exit code, stdout]}} of every job at rev."""
-    archive = subprocess.run(
-        ["git", "-C", ROOT, "archive", "--format=tar", rev], capture_output=True, check=True
-    ).stdout
     with tempfile.TemporaryDirectory(prefix="envelope_ab-") as copy:
-        subprocess.run(["tar", "-x", "-C", copy], input=archive, check=True)
+        extract(rev, copy)
         proc = subprocess.run(
             [sys.executable, "-c", WORKER], cwd=copy, input=json.dumps(jobs),
             capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),

@@ -40,13 +40,20 @@ def resolve(rev):
     return out.stdout.strip()
 
 
-def run_once(rev, workload, seed, seconds):
-    """Exit code and final JSON line of one run.py run in a fresh copy of rev."""
+def extract(rev, where):
+    """Write the files of rev, from ``git archive``, into the directory where
+    (made if missing)."""
     archive = subprocess.run(
         ["git", "-C", ROOT, "archive", "--format=tar", rev], capture_output=True, check=True
     ).stdout
+    os.makedirs(where, exist_ok=True)
+    subprocess.run(["tar", "-x", "-C", where], input=archive, check=True)
+
+
+def run_once(rev, workload, seed, seconds):
+    """Exit code and final JSON line of one run.py run in a fresh copy of rev."""
     with tempfile.TemporaryDirectory(prefix="perf_ab-") as copy:
-        subprocess.run(["tar", "-x", "-C", copy], input=archive, check=True)
+        extract(rev, copy)
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", "0"],

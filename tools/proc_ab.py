@@ -34,9 +34,7 @@ import subprocess
 import sys
 import tempfile
 
-from perf_ab import spread, verdict
-
-ROOT = os.getcwd()
+from perf_ab import extract, spread, verdict
 
 JOBS = (
     "census --pair sl_s_glgl:p=2,q=2 --parabolic borel",
@@ -83,15 +81,6 @@ MODULES = (
 )
 
 
-def extract(rev, where):
-    archive = subprocess.run(
-        ["git", "-C", ROOT, "archive", "--format=tar", rev], capture_output=True, check=True
-    ).stdout
-    os.makedirs(where)
-    subprocess.run(["tar", "-x", "-C", where], input=archive, check=True)
-    return os.path.join(where, "src")
-
-
 def loaded_modules(src, argv, env):
     proc = subprocess.run([sys.executable, "-c", MODULES] + argv, capture_output=True,
                           env=dict(env, PYTHONPATH=src), check=False)
@@ -136,7 +125,9 @@ def main(argv=None):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONUNBUFFERED="1")
     env.pop("VERMABRANCH_CACHE_DIR", None)
     with tempfile.TemporaryDirectory(prefix="proc_ab-") as tmp:
-        srcs = {side: extract(getattr(args, side), os.path.join(tmp, side)) for side in ("parent", "change")}
+        for side in ("parent", "change"):
+            extract(getattr(args, side), os.path.join(tmp, side))
+        srcs = {side: os.path.join(tmp, side, "src") for side in ("parent", "change")}
         listing = [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"]
         bare = set(subprocess.run(listing, capture_output=True, env=env, check=True).stdout.decode().split())
         hit = JOBS[0].split() + ["--format", "json", "--cache-dir"]
