@@ -1,7 +1,7 @@
 """Branching engine for restrictions of generalized Verma modules.
 
-Everything is graded exactly: the symmetric algebra of u_-'' is expanded
-degree by degree, tensored with the restricted Levi module and peeled into
+Everything is graded exactly: the restricted Levi module tensored with the
+symmetric algebra of u_-'' is expanded degree by degree and peeled into
 irreducible l'-constituents, which accumulates the branching multiplicities
 of the character identity.  All series arithmetic lives in the integer
 displacement lattice relative to lambda restricted to j'; genericity

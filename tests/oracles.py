@@ -9,10 +9,10 @@ with the dominance tests and the breadth-first Weyl group built on them,
 Weyl's dimension formula (for Freudenthal), `echelon_span` and the
 classical matrix realizations `build_classical`.  The term-by-term inverse
 Euler expansion is the oracle of the layered one, and the convolution of a
-start block with each symmetric power the oracle of `sym_power_characters`.  Schmid's decomposition of
-S(u_-^{-tau}) for an abelian nilradical, the finiteness bound of the
-branching engine, the ad-nilpotency test on an ambient algebra, the
-tensor-case closedness criterion and the double-coset count of the
+start block with each symmetric power the oracle of `sym_power_characters`.
+Schmid's decomposition of S(u_-^{-tau}) for an abelian nilradical, the
+finiteness bound of the branching engine, the ad-nilpotency test on an
+ambient algebra, the tensor-case closedness criterion and the double-coset count of the
 inner-involution census are each checked against the engine by the tests
 that import them.  Last comes the argparse front end that ``cli`` parsed its
 flags with before its table-driven parser, held to it by the parity tests.  They read engine internals, as the other
