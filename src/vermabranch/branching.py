@@ -107,25 +107,23 @@ def _sorted_entries(entries: Iterable[BranchEntry]) -> tuple:
 def _expand(layers: list, weights: dict, grade) -> list:
     """Multiply the graded series `layers` (layer k: the terms of grade k) in
     place by prod (1 - e^w)^{-m} over the weights w of multiplicity m and
-    grade(w) > 0, truncated at the top layer: degree a of w adds the
-    binomial C(a+m-1, m-1) times layer k - a * grade(w) to layer k.  The
-    terms of all layers are counted as they grow, against SERIES_TERM_CAP."""
-    top, terms = len(layers) - 1, sum(map(len, layers))
+    grade(w) > 0, truncated at the top layer, one factor (1 - e^w)^{-1} at a
+    time: bottom layer up, layer k gains e^w times layer k - grade(w), which
+    that factor has already multiplied.  The terms of all layers are counted
+    as they grow, against SERIES_TERM_CAP."""
+    terms = sum(map(len, layers))
     for w, m in sorted(weights.items()):
         step = grade(w)
         if step <= 0:
             raise AssertionError("u_- weight with non-positive level")
-        shifts = [(tuple(a * x for x in w), math.comb(a + m - 1, m - 1))
-                  for a in range(1, top // step + 1)]  # (a * w, its binomial)
-        for k in range(top, step - 1, -1):  # layer k reads only the lower layers
-            layer = layers[k]
-            terms -= len(layer)
-            for a, (shift, coeff) in enumerate(shifts[:k // step], 1):
-                for d, c in layers[k - a * step].items():
-                    key = tuple(map(add, d, shift))  # _vsum, inlined in the hot loop
-                    layer[key] = layer.get(key, 0) + c * coeff
-            terms += len(layer)
-            check_cap("S(u_-) series terms", terms, SERIES_TERM_CAP)
+        for _ in range(m):
+            for low, layer in zip(layers, layers[step:]):  # bottom layer up
+                terms -= len(layer)
+                for d, c in low.items():
+                    key = tuple(map(add, d, w))  # _vsum, inlined in the hot loop
+                    layer[key] = layer.get(key, 0) + c
+                terms += len(layer)
+                check_cap("S(u_-) series terms", terms, SERIES_TERM_CAP)
     return layers
 
 
@@ -133,7 +131,7 @@ def sym_power_characters(weights, top: int, start: dict) -> list:
     """The layers k = 0 .. top of start (x) S^k(weights), for a weight
     multiset of integer tuples and a start multiset of the same length."""
     layers = [dict(start)] + [{} for _ in range(top)]
-    return _expand(layers, {w: m for w, m in weights.items() if m}, lambda w: 1)
+    return _expand(layers, weights, lambda w: 1)
 
 
 # ---------------------------------------------------------------------------

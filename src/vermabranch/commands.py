@@ -74,7 +74,7 @@ def _resolve_parabolic(pair, descriptor: str):
     g = pair.g
     datum = root_datum(g)
     nsimple = len(datum.simple_roots)
-    text = (descriptor or "borel").strip().lower()
+    text = ("borel" if descriptor is None else descriptor).strip().lower()
     if text == "borel":
         return parabolic_from_simple_subset(g, set())
     if text == "full":
@@ -118,7 +118,7 @@ def _resolve_parabolic(pair, descriptor: str):
 def _resolve_lambda(pair, parabolic, text: str):
     from .branching import VermaSpec
 
-    text = (text or "generic").strip()
+    text = text.strip()
     if text.lower() == "generic":
         return VermaSpec.generic(parabolic)
     try:

@@ -175,16 +175,28 @@ def test_inv_euler_expand_rejects_a_start_term_outside_the_cap(start):
         _inv_euler_expand(start, {(1, 0): 1}, grade_of((1, 1)), 4)
 
 
-def test_series_term_cap_counts_every_term_of_the_layers(monkeypatch):
+@pytest.mark.parametrize(
+    "series_size",
+    [
+        lambda: sum(map(len, sym_power_characters(
+            {(1, 0): 1, (0, 1): 2, (1, 1): 1}, 6, {(0, 0): 1}))),
+        # levels under grade_of((1, 3)): a weight of grade 2 and multiplicity
+        # 2 among grades 1 and 3, start terms on levels 0, 1 and 3
+        lambda: len(_inv_euler_expand(
+            {(0, 0): 1, at_level(1, 1): 2, at_level(3, -1): 1},
+            {at_level(2, 1): 2, at_level(1, 0): 1, at_level(3, -1): 1}, grade_of((1, 3)), 8)),
+    ],
+    ids=["sym_power_characters", "inv_euler_expand"],
+)
+def test_series_term_cap_counts_every_term_of_the_layers(series_size, monkeypatch):
     # the count is exact: a series of as many terms as the cap passes, and
     # the cap one lower refuses it
-    weights = {(1, 0): 1, (0, 1): 2, (1, 1): 1}
-    size = sum(map(len, sym_power_characters(weights, 6, {(0, 0): 1})))
+    size = series_size()
     monkeypatch.setattr(branching, "SERIES_TERM_CAP", size)
-    sym_power_characters(weights, 6, {(0, 0): 1})
+    assert series_size() == size
     monkeypatch.setattr(branching, "SERIES_TERM_CAP", size - 1)
     with pytest.raises(RankCapError, match=r"^S\(u_-\) series terms capped at %d$" % (size - 1)):
-        sym_power_characters(weights, 6, {(0, 0): 1})
+        series_size()
 
 
 def test_series_term_cap_stops_branch_and_verify(monkeypatch, pairs):

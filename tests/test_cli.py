@@ -206,6 +206,7 @@ def test_bad_lambda_exits_two():
     "argv",
     [
         "branch --pair sl_s_glgl:p=2,q=2 --parabolic borel --degree -1",
+        "branch --pair sl_s_glgl:p=2,q=2 --parabolic borel --lambda= --degree 1",
         "verify --law AA --n 2 --degree -2",
         "verify --pair sp_down_gl:n=2 --parabolic siegel --level -3",
         "verify --law AA --n 0",
@@ -243,6 +244,7 @@ def test_invalid_sizes_laws_and_cartan_vectors_exit_two(argv, capsys):
         ("0,,2", "empty simple root index in parabolic descriptor '0,,2'"),
         (",", "empty simple root index in parabolic descriptor ','"),
         ("0,0", "repeated simple root index 0 in parabolic descriptor '0,0'"),
+        ("", "empty simple root index in parabolic descriptor ''"),
     ],
 )
 def test_simple_root_lists_reject_empty_and_repeated_indices(descriptor, message, capsys):

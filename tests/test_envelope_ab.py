@@ -58,3 +58,4 @@ def test_corpus_holds_the_benchmark_golden_and_catalog_jobs():
     assert "mf-scan --rank-bound 7" in jobs  # golden only
     assert "branch --pair so_down_so:m=6 --parabolic heisenberg --degree 4" in jobs  # catalog
     assert "verify --pair gl_down_gl:l=1,n=1 --parabolic full --level 4" in jobs
+    assert "verify --pair sp_down_gl:n=4 --parabolic siegel --level 12" in jobs  # LARGE

@@ -15,6 +15,8 @@ cache.  The corpus is read from this checkout:
 - the jobs of ``tests/golden/index.json``;
 - ``branch --degree 4`` and ``verify --level 4`` on every (pair, parabolic
   descriptor) of the rank <= 3 catalog that ``perfbench/jobs.py`` lists.
+- ``LARGE``, six jobs whose S(u_-) series run to about 265000 terms at
+  most, one of them past ``SERIES_TERM_CAP``.
 
 Every job whose exit code or stdout differs is printed, and the tool exits 1
 if any does, else 0.
@@ -50,6 +52,17 @@ for fmt in %r:
 json.dump(out, sys.stdout)
 """ % (FORMATS,)
 
+# series large enough that the order in which the engine fills its layers
+# shows; the last job trips SERIES_TERM_CAP and exits 2
+LARGE = [
+    "branch --pair sp_down_gl:n=4 --parabolic siegel --degree 12",
+    "branch --pair sp_down_gl:n=5 --parabolic siegel --lambda 4,3,2,1,0 --degree 12",
+    "verify --pair sp_down_gl:n=4 --parabolic siegel --level 12",
+    "branch --pair group_case:type=B2 --parabolic borel --lambda 3,1,2,1 --degree 12",
+    "branch --pair sl_s_glgl:p=3,q=3 --parabolic 0,2,4 --lambda 2,1,0,0,-1,-2 --degree 10",
+    "verify --pair sl_s_glgl:p=6,q=6 --parabolic borel --level 12",
+]
+
 
 def corpus(root=ROOT) -> list:
     """The jobs to compare, each once, in a fixed order."""
@@ -63,7 +76,7 @@ def corpus(root=ROOT) -> list:
         for command, tail in (("branch", "--degree 4"), ("verify", "--level 4"))
     ]
     listed = jobs["CENSUS"] + jobs["BRANCH"] + jobs["VERIFY"] + jobs["interactive_pool"]()
-    return list(dict.fromkeys(listed + golden + catalog))
+    return list(dict.fromkeys(listed + golden + catalog + LARGE))
 
 
 def run_revision(rev, jobs) -> dict:
