@@ -8,8 +8,10 @@ package: the `Fraction` coroot pairings and reflections of `RootDatum`,
 with the dominance tests and the breadth-first Weyl group built on them,
 Weyl's dimension formula (for Freudenthal), `echelon_span` and the
 classical matrix realizations `build_classical`.  The term-by-term inverse
-Euler expansion is the oracle of the layered one, and the convolution of a
-start block with each symmetric power the oracle of `sym_power_characters`.
+Euler expansion is the oracle of the layered one, the convolution of a
+start block with each symmetric power the oracle of `sym_power_characters`,
+and the character identity with Freudenthal characters on its right-hand
+side the oracle of `verify_character_identity`.
 Schmid's decomposition of S(u_-^{-tau}) for an abelian nilradical, the
 finiteness bound of the branching engine, the ad-nilpotency test on an
 ambient algebra, the tensor-case closedness criterion and the double-coset count of the
@@ -23,14 +25,18 @@ import argparse
 import functools
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from vermabranch import PreconditionError, cli
 from vermabranch.branching import (
+    BranchingTable,
     VermaSpec,
+    _branching_table,
     _engine_context,
+    _inv_euler_expand,
     _levi_prime_datum,
     _u_minus_split,
     decompose_character,
@@ -56,6 +62,7 @@ from vermabranch.liealg import (
     _vsum,
     check_weyl_rank,
     classical_algebra,
+    freudenthal_character,
     regular_order_key,
 )
 from vermabranch.pairs import SymmetricPair
@@ -366,6 +373,47 @@ def convolved_sym_powers(weights: dict, top: int, start: dict) -> list:
                 layer[key] = layer.get(key, 0) + m1 * m2
         layers.append(layer)
     return layers
+
+# ---------------------------------------------------------------------------
+# the character identity with Freudenthal characters
+# ---------------------------------------------------------------------------
+
+def freudenthal_verify(spec: VermaSpec, pair: SymmetricPair, level: int,
+                       table: Optional[BranchingTable] = None) -> bool:
+    """The branching character identity, truncated at the level, with
+    ch F'_delta from Freudenthal's recursion on the right-hand side: the
+    form `branching.verify_character_identity` had before it took the
+    characters from Weyl's formula.  A Freudenthal character
+    depends only on the labels of its highest weight, so the entries are
+    grouped by those labels and Freudenthal runs once per group."""
+    ctx = _engine_context(spec, pair)
+    level_cap = ctx.level_scale * level
+    lev = ctx.level_of
+    u_all = Counter(ctx.u_prime_weights) + Counter(ctx.u_second_weights)
+    lhs = _inv_euler_expand(ctx.f_block, u_all, lev, level_cap)  # F_lambda sits at level 0
+    if table is None:
+        a_min = min(map(lev, ctx.u_second_weights), default=None)
+        table = _branching_table(ctx, spec, 0 if a_min is None else level_cap // a_min)
+    rhs = _inv_euler_expand(freudenthal_sum(ctx, pair, table, level_cap), ctx.u_prime_weights, lev, level_cap)
+    return lhs == {w: m for w, m in rhs.items() if m}
+
+
+def freudenthal_sum(ctx, pair: SymmetricPair, table: BranchingTable, level_cap: int) -> dict:
+    """sum_delta m_delta ch F'_delta over the entries within the level cap,
+    as displacements from the base, with one Freudenthal run per label
+    vector of the highest weights."""
+    base = (0,) * pair.restricted_eps_dim if ctx.base is None else ctx.base
+    datum, groups, out = ctx.l_prime_datum, {}, {}
+    for delta, mult, _ in table.entries:
+        if ctx.level_of(delta) <= level_cap:
+            lam = _vsum(base, delta)
+            groups.setdefault(tuple(datum.labels(lam)), (lam, []))[1].append((delta, mult))
+    for lam, group in groups.values():
+        for d, m in freudenthal_character(datum, lam).items():
+            for delta, mult in group:
+                key = _vsum(delta, d)
+                out[key] = out.get(key, 0) + mult * m
+    return out
 
 # ---------------------------------------------------------------------------
 # strongly orthogonal roots and Schmid decompositions

@@ -17,7 +17,10 @@ from tests.oracles import (
     coroot_pairing,
     dominant_representative,
     finiteness_bound,
+    freudenthal_sum,
+    freudenthal_verify,
     is_dominant_integral,
+    reflect,
     schmid_decomposition,
     strongly_orthogonal_sequence,
     term_by_term_expand,
@@ -32,6 +35,7 @@ from vermabranch import (
     VermaSpec,
     branch_multiplicities,
     closed_form_law,
+    compatibility_report,
     decompose_character,
     freudenthal_character,
     genericity_check,
@@ -52,7 +56,7 @@ from vermabranch.branching import (
     sym_power_characters,
 )
 from vermabranch.liealg import _neg, _q, _vsum, root_datum
-from vermabranch.pairs import build_pair, catalog_pairs, restricted_root_data
+from vermabranch.pairs import PairSpec, build_pair, catalog_pairs, restricted_root_data
 
 
 def W(*coords):
@@ -495,39 +499,29 @@ def test_branch_runs_freudenthal_only_for_the_levi_module(monkeypatch, argv, cal
     assert len(counted) == calls
 
 
-@pytest.mark.parametrize("argv, runs, entries", [
-    ("verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --level 6", 7, 50),
-    ("verify --pair sp_down_gl:n=3 --parabolic siegel --level 6", 16, 23),
+@pytest.mark.parametrize("argv, calls", [
+    ("verify --pair sp_down_gl:n=3 --parabolic siegel --level 6", 0),
+    ("verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --level 6", 1),
 ])
-def test_verify_runs_freudenthal_once_per_label_vector(monkeypatch, argv, runs, entries):
-    """The verify loop runs Freudenthal once per label vector of its entries'
-    highest weights, and each entry's own character, computed afresh, is the
-    one reused."""
-    names = ("_engine_context", "_branching_table", "freudenthal_character")
-    real, seen = {n: getattr(branching, n) for n in names}, {n: [] for n in names}
+def test_verify_runs_freudenthal_only_for_the_levi_module(monkeypatch, argv, calls):
+    """The right-hand side is a signed W'-orbit per entry: verify runs
+    Freudenthal only in `restrict_finite_module`, for F_lambda."""
+    import sys
 
-    def spy(name):
-        def call(*args):
-            seen[name].append((args, real[name](*args)))
-            return seen[name][-1][1]
-        return call
+    from vermabranch import liealg
 
-    for name in names:
-        monkeypatch.setattr(branching, name, spy(name))
-    code, _ = _peeled_characters(monkeypatch, argv)
-    [(_, ctx)], [(_, table)] = seen["_engine_context"], seen["_branching_table"]
-    datum = ctx.l_prime_datum
-    made = [(lam, char) for (d, lam), char in seen["freudenthal_character"] if d is datum]
-    reused = {tuple(datum.labels(lam)): char for lam, char in made}
-    assert code == 0 and len(reused) == len(made) == runs
-    checked = 0
-    for delta, _, _ in table.entries:
-        lam = _vsum((0,) * len(delta) if ctx.base is None else ctx.base, delta)
-        char = reused.get(tuple(datum.labels(lam)))
-        if char is not None:
-            assert real["freudenthal_character"](datum, lam) == char
-            checked += 1
-    assert checked >= entries  # the entries within the level: one run each before
+    callers = []
+    real = liealg.freudenthal_character
+
+    def counting(datum, lam):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(datum, lam)
+
+    monkeypatch.setattr(liealg, "freudenthal_character", counting)
+    monkeypatch.setattr(branching, "freudenthal_character", counting)
+    code, seen = _peeled_characters(monkeypatch, argv)
+    assert code == 0 and seen
+    assert callers == ["restrict_finite_module"] * calls
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +651,94 @@ def test_verify_identity_numeric_lambda(pairs):
     siegel = parabolic_from_simple_subset(pair.g, {0})
     spec = VermaSpec.of(siegel, W(2, -1))
     assert verify_character_identity(spec, pair, 3)
+
+
+def _verify_specs(pair):
+    """The Verma data of every tau-stable standard type of a pair, with
+    lambda generic, rho and 2 rho of g wherever `VermaSpec.of` takes them
+    (each is Levi-dominant integral; the cap on dim F_lambda may refuse)."""
+    datum = root_datum(pair.g)
+    nsimple = len(datum.simple_roots)
+    for subset in itertools.chain.from_iterable(
+            itertools.combinations(range(nsimple), r) for r in range(nsimple + 1)):
+        p = parabolic_from_simple_subset(pair.g, set(subset))
+        if compatibility_report(p, pair).compatible:
+            yield VermaSpec.generic(p)
+            for lam in (datum.rho, tuple(2 * c for c in datum.rho)):
+                try:
+                    yield VermaSpec.of(p, lam)
+                except RankCapError:
+                    pass
+
+
+@pytest.mark.parametrize("spec_id", catalog_pairs(4), ids=str)
+def test_verify_matches_the_freudenthal_oracle(spec_id):
+    """verify, by Weyl's formula, and the Freudenthal form agree on every
+    engine table at level 4, and both reject it with its last entry's
+    multiplicity raised by 1."""
+    pair = build_pair(spec_id)
+    for spec in _verify_specs(pair):
+        ctx = _engine_context(spec, pair)
+        a_min = min(map(ctx.level_of, ctx.u_second_weights), default=None)
+        table = _branching_table(ctx, spec, 0 if a_min is None else ctx.level_scale * 4 // a_min)
+        *rest, last = table.entries
+        raised = BranchingTable(table.base_offset, (*rest, last._replace(multiplicity=last.multiplicity + 1)),
+                                table.degree_bound, table.genericity_assumptions)
+        case = (spec_id.id, spec.parabolic.pattern, spec.lam)
+        assert verify_character_identity(spec, pair, 4, table) and freudenthal_verify(spec, pair, 4, table), case
+        assert not verify_character_identity(spec, pair, 4, raised), case
+        assert not freudenthal_verify(spec, pair, 4, raised), case
+
+
+def test_divide_is_the_exact_quotient_by_one_factor():
+    # A1, alpha = (1, -1): the signed orbit of the adjoint's lambda + rho,
+    # e^0 - e^{-3 alpha} as displacements, over 1 - e^{-alpha} is 1 + e^{-alpha} + e^{-2 alpha}
+    assert branching._divide({(0, 0): 1, (-3, 3): -1}, (1, -1)) == {(0, 0): 1, (-1, 1): 1, (-2, 2): 1}
+    assert branching._divide({(2, 0): 3, (0, 0): -3, (5, 5): 0}, (1, 0)) == {(2, 0): 3, (1, 0): 3}
+    with pytest.raises(AssertionError, match="^signed orbit sum not divisible by the Weyl denominator$"):
+        branching._divide({(0, 0): 1, (-2, 2): -2}, (1, -1))
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --pair sp_down_gl:n=3 --parabolic siegel --level 6",
+    "verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --level 6",
+    "verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1/3,4/3,1/3,-2/3,-4/3 --level 6",
+    "verify --pair so_down_so:m=8 --parabolic 1,2,3 --level 6",
+])
+def test_verify_right_side_is_the_freudenthal_sum(monkeypatch, argv):
+    """The signed orbits divided by D' are sum_delta m_delta ch F'_delta,
+    term by term, as Freudenthal gives them."""
+    starts, contexts, tables = [], [], []
+    for name, seen in (("_inv_euler_expand", starts), ("_engine_context", contexts), ("_branching_table", tables)):
+        def spy(*args, real=getattr(branching, name), seen=seen):
+            seen.append((args, real(*args)))
+            return seen[-1][1]
+        monkeypatch.setattr(branching, name, spy)
+    code, _ = _peeled_characters(monkeypatch, argv)
+    [(_, ctx)], [(_, table)], [_, ((rhs_start, weights, _, cap), _)] = contexts, tables, starts
+    pair = build_pair(PairSpec.parse(argv.split()[2]))
+    assert code == 0 and weights == ctx.u_prime_weights
+    assert rhs_start == freudenthal_sum(ctx, pair, table, cap) and all(m > 0 for m in rhs_start.values())
+
+
+def test_verify_rejects_an_entry_that_is_not_levi_dominant(pairs):
+    """An entry delta moved to w(delta + rho') - rho' is refused for an odd
+    and for an even w.  The signs of the orbit are taken from the dominant
+    chamber, so without the check both would pass for ch F'_delta."""
+    pair = pairs("sp_down_gl", n=3)
+    spec = VermaSpec.generic(parabolic_from_simple_subset(pair.g, {0, 1}))
+    datum = _engine_context(spec, pair).l_prime_datum
+    table = branch_multiplicities(spec, pair, 2)
+    assert verify_character_identity(spec, pair, 2, table)
+    first, *rest = table.entries
+    a, b = datum.simple_roots
+    shifted = _vsum(first.delta_displacement, datum.rho)
+    for w, sign in ((reflect(shifted, a), -1), (reflect(reflect(shifted, b), a), 1)):
+        assert datum.to_dominant(w, datum.labels(w))[2] == sign
+        moved = first._replace(delta_displacement=tuple(int(x - y) for x, y in zip(w, datum.rho)))
+        bad = BranchingTable(None, (moved, *rest), table.degree_bound, ())
+        with pytest.raises(ValueError, match="^entry at .* not dominant integral for l'$"):
+            verify_character_identity(spec, pair, 2, table=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,29 @@ def test_corpus_holds_the_benchmark_golden_and_catalog_jobs():
     assert "branch --pair so_down_so:m=6 --parabolic heisenberg --degree 4" in jobs  # catalog
     assert "verify --pair gl_down_gl:l=1,n=1 --parabolic full --level 4" in jobs
     assert "verify --pair sp_down_gl:n=4 --parabolic siegel --level 12" in jobs  # LARGE
+    assert "verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1/3,4/3,1/3,-2/3,-4/3 --level 8" in jobs
+
+
+def test_the_worker_prints_what_cli_main_prints(monkeypatch):
+    """One engine run serialized twice equals cli.main once per format: on a
+    job that exits 0, on one whose arguments are rejected and on one that
+    trips a cap."""
+    import contextlib
+    import io
+
+    from vermabranch import cli
+
+    jobs = ["pairs --rank-bound 2", "branch --pair sp_down_gl:n=2 --degree x",
+            "branch --pair sp_down_gl:n=2 --parabolic siegel --degree 13"]
+    out = envelope_ab.run_worker(os.path.join(os.path.dirname(__file__), os.pardir), jobs)
+    monkeypatch.delenv("VERMABRANCH_CACHE_DIR", raising=False)
+    expected = {}
+    for fmt in envelope_ab.FORMATS:
+        for job in jobs:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(job.split() + ["--format", fmt])
+            expected.setdefault(fmt, {})[job] = [code, buf.getvalue()]
+    assert out == expected
+    assert [out["json"][job][0] for job in jobs] == [0, 2, 2]
+    assert "capped at 12" in out["text"][jobs[2]][1] and out["text"][jobs[1]][1] == ""

@@ -261,6 +261,16 @@ def test_freudenthal_rejects_non_dominant(algebras):
         freudenthal_character(datum, (-1, 1))
 
 
+def test_freudenthal_mult_rejects_a_non_integral_quotient():
+    """A1 scaled by 2 (the root (2, -2), rho (1, -1)) with lambda (3, 0): at
+    mu = (4, 2) the denominator is |(7, -1)|^2 - |(5, 1)|^2 = 50 - 26 = 24.  A table that is no
+    character, holding (8, -2) above the top weight (6, 0), gives 2 * total
+    = 2 * (12 + 20) = 64, no multiple of 24, with a non-negative quotient."""
+    with pytest.raises(AssertionError, match="^non-integral Freudenthal multiplicity$"):
+        _freudenthal_mult((4, 2), {(6, 0): 1, (8, -2): 1}, [((2, -2), 8)], (1, -1), 50)
+    assert _freudenthal_mult((4, 2), {(6, 0): 1}, [((2, -2), 8)], (1, -1), 50) == 1  # the character
+
+
 def _random_dominant(datum, rng):
     """A random weight with small coroot pairings (total budget keeps the
     representation desk-sized at rank 4)."""

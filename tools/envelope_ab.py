@@ -6,16 +6,20 @@ Run from the root of a checkout:
 
 Each revision is extracted from ``git archive REV`` into a directory of its
 own, as ``tools/perf_ab.py`` does.  One process per revision runs every job
-of the corpus through ``vermabranch.cli.main`` from that directory, once
-with ``--format json`` and once with ``--format text``, without a result
-cache.  The corpus is read from this checkout:
+of the corpus from that directory, without a result cache, and records what
+``vermabranch.cli.main`` prints with ``--format json`` and with ``--format
+text``.  A job whose arguments parse runs its engine once: the worker calls
+``cli.config_from_args`` and ``cli.run_command`` and serializes the one
+envelope in both formats with ``cli.serialize_envelope``, as ``cli.main``
+does.  A job whose arguments are rejected runs ``cli.main`` once per
+format.  The corpus is read from this checkout:
 
 - ``CENSUS``, ``BRANCH``, ``VERIFY`` and ``interactive_pool()`` of
   ``perfbench/jobs.py``;
 - the jobs of ``tests/golden/index.json``;
 - ``branch --degree 4`` and ``verify --level 4`` on every (pair, parabolic
   descriptor) of the rank <= 3 catalog that ``perfbench/jobs.py`` lists.
-- ``LARGE``, six jobs whose S(u_-) series run to about 265000 terms at
+- ``LARGE``, eight jobs whose S(u_-) series run to about 265000 terms at
   most, one of them past ``SERIES_TERM_CAP``.
 
 Every job whose exit code or stdout differs is printed, and the tool exits 1
@@ -41,19 +45,29 @@ import contextlib, io, json, os, sys
 sys.path.insert(0, "src")
 os.environ.pop("VERMABRANCH_CACHE_DIR", None)
 from vermabranch import cli
-jobs = json.load(sys.stdin)
-out = {}
-for fmt in %r:
-    for job in jobs:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(job.split() + ["--format", fmt])
-        out.setdefault(fmt, {})[job] = [code, buf.getvalue()]
+formats = %r
+out = {fmt: {} for fmt in formats}
+for job in json.load(sys.stdin):
+    argv = job.split()
+    try:
+        configs = [cli.config_from_args(argv + ["--format", fmt]) for fmt in formats]
+    except (ValueError, OSError):  # rejected arguments: what cli.main prints
+        for fmt in formats:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main(argv + ["--format", fmt])
+            out[fmt][job] = [code, buf.getvalue()]
+        continue
+    env, code = cli.run_command(configs[0])  # the payload holds no format
+    for fmt in formats:
+        out[fmt][job] = [code, cli.serialize_envelope(env, fmt)]
 json.dump(out, sys.stdout)
 """ % (FORMATS,)
 
 # series large enough that the order in which the engine fills its layers
-# shows; the last job trips SERIES_TERM_CAP and exits 2
+# shows; the sixth job trips SERIES_TERM_CAP and exits 2, and the last two
+# give verify a right-hand side of many entries with a numeric lambda, the
+# last over a fractional base
 LARGE = [
     "branch --pair sp_down_gl:n=4 --parabolic siegel --degree 12",
     "branch --pair sp_down_gl:n=5 --parabolic siegel --lambda 4,3,2,1,0 --degree 12",
@@ -61,6 +75,8 @@ LARGE = [
     "branch --pair group_case:type=B2 --parabolic borel --lambda 3,1,2,1 --degree 12",
     "branch --pair sl_s_glgl:p=3,q=3 --parabolic 0,2,4 --lambda 2,1,0,0,-1,-2 --degree 10",
     "verify --pair sl_s_glgl:p=6,q=6 --parabolic borel --level 12",
+    "verify --pair sp_down_gl:n=4 --parabolic siegel --lambda 3,2,1,0 --level 8",
+    "verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1/3,4/3,1/3,-2/3,-4/3 --level 8",
 ]
 
 
@@ -79,17 +95,23 @@ def corpus(root=ROOT) -> list:
     return list(dict.fromkeys(listed + golden + catalog + LARGE))
 
 
+def run_worker(root, jobs, name=None) -> dict:
+    """{format: {job: [exit code, stdout]}} of every job, run by WORKER on the
+    source tree at root (named `name` in an error)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER], cwd=root, input=json.dumps(jobs),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    if proc.returncode:
+        raise SystemExit("the worker at %s exited %d:\n%s" % (name or root, proc.returncode, proc.stderr))
+    return json.loads(proc.stdout)
+
+
 def run_revision(rev, jobs) -> dict:
-    """{format: {job: [exit code, stdout]}} of every job at rev."""
+    """`run_worker` on a fresh extract of rev."""
     with tempfile.TemporaryDirectory(prefix="envelope_ab-") as copy:
         extract(rev, copy)
-        proc = subprocess.run(
-            [sys.executable, "-c", WORKER], cwd=copy, input=json.dumps(jobs),
-            capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        )
-    if proc.returncode:
-        raise SystemExit("the worker at %s exited %d:\n%s" % (rev, proc.returncode, proc.stderr))
-    return json.loads(proc.stdout)
+        return run_worker(copy, jobs, rev)
 
 
 def compare(parent, change, jobs) -> list:
