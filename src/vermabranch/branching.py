@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from operator import add
+from operator import add, sub
 from typing import Iterable, NamedTuple, Optional
 
 from . import LEVI_DIM_CAP, MF_SCAN_RANK_CAP, SERIES_TERM_CAP, check_cap
@@ -265,7 +265,15 @@ def _engine_context(spec: VermaSpec, pair: SymmetricPair) -> _EngineContext:
     params = pair.jtau_params(comp.fixed_params)
     scale = math.lcm(*(c.denominator for c in params))
     level_vec = tuple(-c for c in scaled_coords(params, scale))
-    return _EngineContext(u_prime, u_second, l_prime, f_block, base, scale, level_vec)
+    return _EngineContext(
+        u_prime_weights=u_prime,
+        u_second_weights=u_second,
+        l_prime_datum=l_prime,
+        f_block=f_block,
+        base=base,
+        level_scale=scale,
+        level_vec=level_vec,
+    )
 
 
 def branch_multiplicities(spec: VermaSpec, pair: SymmetricPair, degree_bound: int) -> BranchingTable:
@@ -283,7 +291,10 @@ def _branching_table(ctx: _EngineContext, spec: VermaSpec, degree_bound: int) ->
         if char_k:
             for disp, mult in decompose_character(char_k, ctx.l_prime_datum, ctx.base):
                 acc.setdefault(disp, [0, k])[0] += mult
-    entries = [BranchEntry(d, m, k) for d, (m, k) in acc.items()]  # (delta, m, first degree)
+    entries = [
+        BranchEntry(delta_displacement=d, multiplicity=m, first_degree=k)
+        for d, (m, k) in acc.items()
+    ]
     return BranchingTable(
         base_offset=ctx.base,
         entries=_sorted_entries(entries),
@@ -316,27 +327,19 @@ def _inv_euler_expand(start: dict, weights: dict, level_of, level_cap: int) -> d
     return {d: c for layer in _expand(layers, weights, level_of) for d, c in layer.items()}
 
 
-def _rho_shifted(datum: RootDatum, base: tuple, entries) -> tuple:
-    """(s, s (base + rho), [s (base + delta + rho)] per entry), s clearing all denominators."""
-    scale = math.lcm(*(c.denominator for c in (*base, *datum.rho)))
-    shift = scaled_coords(_vsum(base, datum.rho), scale)
-    return scale, shift, [tuple(scale * d + c for d, c in zip(e.delta_displacement, shift)) for e in entries]
-
-
-def _divide(char: dict, a: tuple) -> dict:
-    """The exact quotient char / (1 - e^{-a}): at x the sum of char over x,
-    x + a, x + 2a, ...; char must sum to 0 along each a-string."""
-    aa, strings, out = _dot(a, a), {}, {}
-    for x, c in char.items():
-        q = _dot(x, a) // aa  # x = rep + q a, with one rep per a-string
-        strings.setdefault(tuple(y - q * z for y, z in zip(x, a)), {})[q] = c
-    for rep, column in strings.items():
-        total = 0
-        for q in range(max(column), min(column) - 1, -1):
-            if total := total + column.get(q, 0):
-                out[tuple(y + q * z for y, z in zip(rep, a))] = total
-        if total:
-            raise AssertionError("signed orbit sum not divisible by the Weyl denominator")
+def _demazure(char: dict, a: tuple, aa: int, p) -> dict:
+    """D char = (char - e^{-a} s_a char) / (1 - e^{-a}) on {d: c} at base + d,
+    for a simple root a, aa = (a, a), p = 2 (base, a): e^mu, n = <mu, a^vee>,
+    goes to e^mu + ... + e^{mu - n a} for n >= 0, else to -(e^{mu + a} + ... +
+    e^{mu - (n + 1) a}), which is 0 for n = -1."""
+    out = {}
+    for d, m in char.items():
+        n = (2 * _dot(d, a) + p) // aa
+        if n < 0:  # the string from mu - (n + 1) a down to mu + a, negated
+            n, m, d = -n - 2, -m, tuple(x - (n + 1) * y for x, y in zip(d, a))
+        for _ in range(n + 1):
+            out[d] = out.get(d, 0) + m
+            d = tuple(map(sub, d, a))
     return out
 
 
@@ -351,12 +354,12 @@ def verify_character_identity(
     The left side is the PBW character of the generalized Verma module
     restricted to j'; the right side is the sum of restricted-side Verma
     characters weighted by the branching table.  Both are truncated at the
-    given ad(H)-level and compared as exact multisets.  Weyl's formula gives
-    ch F'_delta D' = sum_{w in W'} eps(w) e^{w(delta + rho') - rho'}, D' =
-    prod (1 - e^{-alpha}) over the positive roots of l' (Humphreys, GTM 9,
-    24.3): the signed orbits, summed over the entries (the expansion is
-    linear), are divided by D' one exact factor at a time, so the right side
-    is the one Freudenthal's characters give, term by term.
+    given ad(H)-level and compared as exact multisets.  Weyl's formula
+    ch F'_delta prod_{alpha > 0 in l'} (1 - e^{-alpha}) = sum_{w in W'} eps(w)
+    e^{w(delta + rho') - rho'} (Humphreys, GTM 9, 24.3), cut into Demazure's
+    exact divisions along a reduced word of the longest element of W', gives
+    ch F'_delta = D_{i_1} ... D_{i_N} e^delta for delta dominant integral: N =
+    |Phi'+| linear passes (`_demazure`) over sum_delta m_delta e^delta.
     """
     ctx = _engine_context(spec, pair)
     level_cap = ctx.level_scale * level
@@ -367,17 +370,17 @@ def verify_character_identity(
         a_min = min(map(lev, ctx.u_second_weights), default=None)
         table = _branching_table(ctx, spec, 0 if a_min is None else level_cap // a_min)
 
-    entries = [e for e in table.entries if lev(e.delta_displacement) <= level_cap]
-    scale, shift, points = _rho_shifted(datum, ctx.base or (0,) * pair.restricted_eps_dim, entries)
-    rhs = Counter()
-    for (delta, mult, _), t in zip(entries, points):
-        orbit = datum.orbit(t)  # orbit[0]: t = s (base + delta + rho') and its labels
-        if any(x < scale or x % scale for x in orbit[0][1]):
-            raise ValueError("entry at %r not dominant integral for l'" % (delta,))
-        for u, labels in orbit:  # eps(w) from the walk back to the dominant t
-            rhs[tuple((x - y) // scale for x, y in zip(u, shift))] += mult * datum.to_dominant(u, labels)[2]
-    for a in datum.positive_roots:
-        rhs = _divide(rhs, a)
+    base, rhs = ctx.base or (0,) * pair.restricted_eps_dim, Counter()
+    for delta, mult, _ in table.entries:
+        if lev(delta) <= level_cap:
+            if any(x < 0 or x % 1 for x in datum.labels(_vsum(base, delta))):  # else eps(w) ch F'
+                raise ValueError("entry at %r not dominant integral for l'" % (delta,))
+            rhs[delta] += mult
+    labels = [-1] * len(datum.simple_roots)  # -rho' walked up to rho': a reduced word of w_0
+    while (i := next((j for j, x in enumerate(labels) if x < 0), None)) is not None:
+        a, aa = datum.simple_coords[i]
+        rhs = _demazure(rhs, a, aa, _q(2 * _dot(base, a)))
+        labels = [y - labels[i] * z for y, z in zip(labels, datum.cartan[i])]
     rhs = _inv_euler_expand(rhs, ctx.u_prime_weights, lev, level_cap)
 
     return lhs == {w: m for w, m in rhs.items() if m}
@@ -403,10 +406,18 @@ def closed_form_law(family: str, params: dict, degree_bound: int) -> BranchingTa
         others = [i for i in range(n + 1) if i != l - 1]
         for k in _boxed_tuples(n, degree_bound):
             disp = [0] * (n + 1)
+            ind = 0
             for pos, ki in zip(others, k):
-                disp[pos] = -ki if pos < l - 1 else ki
-            disp[l - 1] = -sum(disp)  # the displacement has coordinate sum 0
-            entries.append(BranchEntry(tuple(disp), 1, sum(k)))
+                if pos < l - 1:
+                    disp[pos] = -ki
+                    ind += ki
+                else:
+                    disp[pos] = ki
+                    ind -= ki
+            disp[l - 1] = ind
+            entries.append(
+                BranchEntry(tuple(disp), 1, sum(k))
+            )
         labels = [str(i + 1) for i in others]
         assumptions = (
             "lambda_i - lambda_j not in Z for distinct i, j in {%s}" % ", ".join(labels),
@@ -481,9 +492,15 @@ def genericity_check(
         if pair is None or spec.lam is None:
             raise ValueError("distinct_infchar needs the pair and a numeric lambda")
         rdatum = restricted_root_data(pair)
-        _, _, points = _rho_shifted(rdatum, pair.restrict_weight(spec.lam), table.entries)
+        base = pair.restrict_weight(spec.lam)
         # two weights share a Weyl orbit iff their dominant conjugates agree
-        distinct = len({rdatum.to_dominant(t, rdatum.labels(t))[0] for t in points}) == len(points)
+        scale = math.lcm(*(c.denominator for c in (*base, *rdatum.rho)))
+        shift = scaled_coords(_vsum(base, rdatum.rho), scale)
+        dominant = []
+        for e in table.entries:
+            t = tuple(scale * d + c for d, c in zip(e.delta_displacement, shift))
+            dominant.append(rdatum.to_dominant(t, rdatum.labels(t))[0])
+        distinct = len(set(dominant)) == len(dominant)
     return GenericityReport(simple_certified=simple, distinct_infchar=distinct)
 
 

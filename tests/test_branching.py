@@ -504,7 +504,7 @@ def test_branch_runs_freudenthal_only_for_the_levi_module(monkeypatch, argv, cal
     ("verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1,0,0,0,-1 --level 6", 1),
 ])
 def test_verify_runs_freudenthal_only_for_the_levi_module(monkeypatch, argv, calls):
-    """The right-hand side is a signed W'-orbit per entry: verify runs
+    """The right-hand side comes from Demazure's operators: verify runs
     Freudenthal only in `restrict_finite_module`, for F_lambda."""
     import sys
 
@@ -690,13 +690,19 @@ def test_verify_matches_the_freudenthal_oracle(spec_id):
         assert not freudenthal_verify(spec, pair, 4, raised), case
 
 
-def test_divide_is_the_exact_quotient_by_one_factor():
-    # A1, alpha = (1, -1): the signed orbit of the adjoint's lambda + rho,
-    # e^0 - e^{-3 alpha} as displacements, over 1 - e^{-alpha} is 1 + e^{-alpha} + e^{-2 alpha}
-    assert branching._divide({(0, 0): 1, (-3, 3): -1}, (1, -1)) == {(0, 0): 1, (-1, 1): 1, (-2, 2): 1}
-    assert branching._divide({(2, 0): 3, (0, 0): -3, (5, 5): 0}, (1, 0)) == {(2, 0): 3, (1, 0): 3}
-    with pytest.raises(AssertionError, match="^signed orbit sum not divisible by the Weyl denominator$"):
-        branching._divide({(0, 0): 1, (-2, 2): -2}, (1, -1))
+def test_demazure_is_the_exact_division_by_one_factor():
+    """For sl_2, a = (1, -1): D e^mu = (e^mu - e^{s mu - a}) / (1 - e^{-a}) is
+    the a-string from mu down to s mu for n = <mu, a^vee> >= 0, nothing for
+    n = -1 and minus the string from mu + a up to s mu - a for n < -1; D fixes
+    an s-invariant character."""
+    a = (1, -1)
+    adjoint = {(1, -1): 1, (0, 0): 1, (-1, 1): 1}
+    assert branching._demazure({(1, -1): 1}, a, 2, 0) == adjoint
+    assert branching._demazure({(-1, 0): 5}, a, 2, 0) == {}
+    assert branching._demazure({(-1, 2): 2}, a, 2, 0) == {(0, 1): -2, (1, 0): -2}
+    assert branching._demazure(adjoint, a, 2, 0) == adjoint
+    # base (1/2, -1/2), p = 2 (base, a) = 2: e^base is the top of the standard module
+    assert branching._demazure({(0, 0): 1}, a, 2, 2) == {(0, 0): 1, (-1, 1): 1}
 
 
 @pytest.mark.parametrize("argv", [
@@ -706,8 +712,8 @@ def test_divide_is_the_exact_quotient_by_one_factor():
     "verify --pair so_down_so:m=8 --parabolic 1,2,3 --level 6",
 ])
 def test_verify_right_side_is_the_freudenthal_sum(monkeypatch, argv):
-    """The signed orbits divided by D' are sum_delta m_delta ch F'_delta,
-    term by term, as Freudenthal gives them."""
+    """Demazure's operators along a reduced word of w_0 give sum_delta
+    m_delta ch F'_delta, term by term, as Freudenthal gives them."""
     starts, contexts, tables = [], [], []
     for name, seen in (("_inv_euler_expand", starts), ("_engine_context", contexts), ("_branching_table", tables)):
         def spy(*args, real=getattr(branching, name), seen=seen):
@@ -723,8 +729,8 @@ def test_verify_right_side_is_the_freudenthal_sum(monkeypatch, argv):
 
 def test_verify_rejects_an_entry_that_is_not_levi_dominant(pairs):
     """An entry delta moved to w(delta + rho') - rho' is refused for an odd
-    and for an even w.  The signs of the orbit are taken from the dominant
-    chamber, so without the check both would pass for ch F'_delta."""
+    and for an even w.  Demazure's operators send its e^delta to eps(w)
+    ch F'_delta, so without the check the even w would pass."""
     pair = pairs("sp_down_gl", n=3)
     spec = VermaSpec.generic(parabolic_from_simple_subset(pair.g, {0, 1}))
     datum = _engine_context(spec, pair).l_prime_datum

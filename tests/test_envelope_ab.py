@@ -60,10 +60,12 @@ def test_corpus_holds_the_benchmark_golden_and_catalog_jobs():
     assert "verify --pair gl_down_gl:l=1,n=1 --parabolic full --level 4" in jobs
     assert "verify --pair sp_down_gl:n=4 --parabolic siegel --level 12" in jobs  # LARGE
     assert "verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1/3,4/3,1/3,-2/3,-4/3 --level 8" in jobs
+    assert "verify --pair gl_down_gl:n=11,l=1 --parabolic full --level 1" in jobs  # l' of rank 10
 
 
 def test_the_worker_prints_what_cli_main_prints(monkeypatch):
-    """One engine run serialized twice equals cli.main once per format: on a
+    """The worker, whose text run of an exit-0 job is a hit in its own result
+    cache, prints what cli.main prints without a cache, in both formats: on a
     job that exits 0, on one whose arguments are rejected and on one that
     trips a cap."""
     import contextlib

@@ -6,20 +6,18 @@ Run from the root of a checkout:
 
 Each revision is extracted from ``git archive REV`` into a directory of its
 own, as ``tools/perf_ab.py`` does.  One process per revision runs every job
-of the corpus from that directory, without a result cache, and records what
-``vermabranch.cli.main`` prints with ``--format json`` and with ``--format
-text``.  A job whose arguments parse runs its engine once: the worker calls
-``cli.config_from_args`` and ``cli.run_command`` and serializes the one
-envelope in both formats with ``cli.serialize_envelope``, as ``cli.main``
-does.  A job whose arguments are rejected runs ``cli.main`` once per
-format.  The corpus is read from this checkout:
+of the corpus through ``vermabranch.cli.main`` from that directory, once
+with ``--format json`` and once with ``--format text``, with a result cache
+of its own in a fresh temporary directory: the format is not part of the
+cache key, so the text run of a job that exits 0 is a hit and its engine
+runs once.  The corpus is read from this checkout:
 
 - ``CENSUS``, ``BRANCH``, ``VERIFY`` and ``interactive_pool()`` of
   ``perfbench/jobs.py``;
 - the jobs of ``tests/golden/index.json``;
 - ``branch --degree 4`` and ``verify --level 4`` on every (pair, parabolic
   descriptor) of the rank <= 3 catalog that ``perfbench/jobs.py`` lists.
-- ``LARGE``, eight jobs whose S(u_-) series run to about 265000 terms at
+- ``LARGE``, eleven jobs whose S(u_-) series run to about 265000 terms at
   most, one of them past ``SERIES_TERM_CAP``.
 
 Every job whose exit code or stdout differs is printed, and the tool exits 1
@@ -41,33 +39,26 @@ FORMATS = ("json", "text")
 
 # reads a JSON list of jobs on stdin and prints {format: {job: [exit, stdout]}}
 WORKER = r"""
-import contextlib, io, json, os, sys
+import contextlib, io, json, os, sys, tempfile
 sys.path.insert(0, "src")
-os.environ.pop("VERMABRANCH_CACHE_DIR", None)
 from vermabranch import cli
-formats = %r
-out = {fmt: {} for fmt in formats}
-for job in json.load(sys.stdin):
-    argv = job.split()
-    try:
-        configs = [cli.config_from_args(argv + ["--format", fmt]) for fmt in formats]
-    except (ValueError, OSError):  # rejected arguments: what cli.main prints
-        for fmt in formats:
+jobs = json.load(sys.stdin)
+out = {}
+with tempfile.TemporaryDirectory(prefix="envelope_ab-cache-") as cache:
+    os.environ[cli.CACHE_ENV_VAR] = cache
+    for fmt in %r:
+        for job in jobs:
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code = cli.main(argv + ["--format", fmt])
-            out[fmt][job] = [code, buf.getvalue()]
-        continue
-    env, code = cli.run_command(configs[0])  # the payload holds no format
-    for fmt in formats:
-        out[fmt][job] = [code, cli.serialize_envelope(env, fmt)]
+                code = cli.main(job.split() + ["--format", fmt])
+            out.setdefault(fmt, {})[job] = [code, buf.getvalue()]
 json.dump(out, sys.stdout)
 """ % (FORMATS,)
 
 # series large enough that the order in which the engine fills its layers
-# shows; the sixth job trips SERIES_TERM_CAP and exits 2, and the last two
-# give verify a right-hand side of many entries with a numeric lambda, the
-# last over a fractional base
+# shows; the sixth job trips SERIES_TERM_CAP and exits 2, the next two give
+# verify a right-hand side of many entries with a numeric lambda, the second
+# over a fractional base, and the last three an l' of rank 7, 7 and 10
 LARGE = [
     "branch --pair sp_down_gl:n=4 --parabolic siegel --degree 12",
     "branch --pair sp_down_gl:n=5 --parabolic siegel --lambda 4,3,2,1,0 --degree 12",
@@ -77,6 +68,9 @@ LARGE = [
     "verify --pair sl_s_glgl:p=6,q=6 --parabolic borel --level 12",
     "verify --pair sp_down_gl:n=4 --parabolic siegel --lambda 3,2,1,0 --level 8",
     "verify --pair sl_s_glgl:p=2,q=3 --parabolic 1,2 --lambda 1/3,4/3,1/3,-2/3,-4/3 --level 8",
+    "verify --pair gl_down_gl:n=8,l=1 --parabolic 1,2,3,4,5,6,7 --level 6",
+    "verify --pair gl_down_gl:n=9,l=1 --parabolic 1,2,3,4,5,6,7 --lambda 2,1,1,1,1,1,1,1,0,0 --level 4",
+    "verify --pair gl_down_gl:n=11,l=1 --parabolic full --level 1",
 ]
 
 
